@@ -895,43 +895,25 @@ let do_bench_run quota_s profile json_file =
   | None -> ());
   0
 
-(* --compare: extract the ns_per_op rows of the stable one-object-per-line
-   JSON-array schema both bench writers emit.  Not a JSON parser — just
-   enough for the schema we own. *)
+(* --compare: the ns_per_op rows of a bench log (a JSON array of row
+   objects, the schema both bench writers emit), in file order. *)
 let parse_ns_rows (file : string) : (string * float) list =
-  let ic = open_in file in
+  let ic = open_in_bin file in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  let field line key =
-    let kq = "\"" ^ key ^ "\":" in
-    let n = String.length line and m = String.length kq in
-    let rec find i =
-      if i + m > n then None
-      else if String.sub line i m = kq then Some (i + m)
-      else find (i + 1)
-    in
-    find 0
-  in
-  String.split_on_char '\n' s
-  |> List.filter_map (fun line ->
-         match (field line "name", field line "ns_per_op") with
-         | Some ni, Some vi -> (
-           try
-             let nstart = String.index_from line ni '"' + 1 in
-             let nend = String.index_from line nstart '"' in
-             let name = String.sub line nstart (nend - nstart) in
-             let vend = ref vi in
-             while
-               !vend < String.length line
-               && (match line.[!vend] with
-                  | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' | ' ' -> true
-                  | _ -> false)
-             do
-               incr vend
-             done;
-             Some (name, float_of_string (String.trim (String.sub line vi (!vend - vi))))
-           with _ -> None)
-         | _ -> None)
+  match Trace.parse_json s with
+  | Trace.Jarr rows ->
+    List.filter_map
+      (function
+        | Trace.Jobj fields -> (
+          match
+            (List.assoc_opt "name" fields, List.assoc_opt "ns_per_op" fields)
+          with
+          | Some (Trace.Jstr name), Some (Trace.Jnum ns) -> Some (name, ns)
+          | _ -> None)
+        | _ -> None)
+      rows
+  | _ -> raise (Trace.Bad (file ^ " is not a JSON array of rows"))
 
 let do_bench_compare old_file new_file =
   let old_rows = parse_ns_rows old_file in
@@ -965,7 +947,11 @@ let do_bench_compare old_file new_file =
 let do_bench quota_s profile json_file compare_files =
   match compare_files with
   | [] -> do_bench_run quota_s profile json_file
-  | [ old_file; new_file ] -> do_bench_compare old_file new_file
+  | [ old_file; new_file ] -> (
+    try do_bench_compare old_file new_file
+    with Trace.Bad msg | Sys_error msg ->
+      prerr_endline ("bench: --compare: " ^ msg);
+      2)
   | _ ->
     prerr_endline "bench: --compare takes exactly OLD.json NEW.json";
     2

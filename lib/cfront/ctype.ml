@@ -73,57 +73,12 @@ let usual_arith a b =
     | _ -> invalid_arg "Ctype.usual_arith: non-arithmetic operand"
   end
 
-let is_unsigned_int = function Int (_, Unsigned) -> true | _ -> false
-
 (** [decay ty] converts array and function types to pointers, as happens
     when such values are used in expression (rvalue) position. *)
 let decay = function
   | Array (elem, _) -> Ptr elem
   | Func _ as f -> Ptr f
   | ty -> ty
-
-(* ------------------------------------------------------------------ *)
-(* Integer-constant arithmetic                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* The front end folds constants in a few places (constant expressions,
-   global initializers); these helpers keep that folding bit-compatible
-   with the engines, which store every integer register sign-extended to
-   64 bits and renormalize on write (see [Irtype.normalize_int] /
-   [Irtype.unsigned_of] — cfront cannot depend on the IR library, so the
-   width arithmetic is mirrored here). *)
-
-(** Truncate [v] to the width of integer type [ty] and sign-extend back
-    to 64 bits — the canonical constant representation. *)
-let normalize_const (ty : t) (v : int64) : int64 =
-  match decay ty with
-  | Int (k, _) ->
-    let spare = 64 - (8 * ikind_size k) in
-    if spare = 0 then v else Int64.shift_right (Int64.shift_left v spare) spare
-  | _ -> v
-
-(** Reinterpret canonical [v] as the unsigned value of [ty]'s width
-    (zero-extended to 64 bits). *)
-let zext_const (ty : t) (v : int64) : int64 =
-  match decay ty with
-  | Int (k, _) ->
-    let size = ikind_size k in
-    if size = 8 then v
-    else Int64.logand v (Int64.sub (Int64.shift_left 1L (8 * size)) 1L)
-  | _ -> v
-
-(** Convert canonical constant [v] from [from_ty] to [to_ty], exactly as
-    the lowering converts immediates (Zext for widening unsigned values,
-    Sext otherwise, Trunc when narrowing). *)
-let convert_const ~(from_ty : t) ~(to_ty : t) (v : int64) : int64 =
-  let widened =
-    match (decay from_ty, decay to_ty) with
-    | (Int (kf, Unsigned) as f), Int (kt, _) when ikind_size kt > ikind_size kf
-      ->
-      zext_const f v
-    | _ -> v
-  in
-  normalize_const to_ty widened
 
 (** Structural type equality (struct types compare by tag). *)
 let rec equal a b =

@@ -380,14 +380,10 @@ and const_expr p : int64 =
   eval_const p e
 
 (* Constant expressions are folded *before* Sema annotates types, so the
-   evaluator carries its own types bottom-up and follows the engines'
-   semantics exactly: canonical sign-extended 64-bit values, normalized
-   to the expression's width after every operation, logical shifts and
-   unsigned compares/divisions for unsigned operands, shift counts
-   masked [land 63] (see lib/opt/fold.ml and the engines).  Getting this
-   wrong silently diverges folded constants from the runtime value of
-   the same expression — exactly the class of bug the difftest oracle
-   exists to catch. *)
+   evaluator carries its own types bottom-up.  Each operator takes the
+   IR operation the lowering would emit ([Cscalar]) and computes it in
+   the [Scalar] kernel the engines run, so a folded constant cannot
+   diverge from the runtime value of the same expression. *)
 
 (* Type of a constant expression (mirrors Sema's [infer] for the subset
    of forms legal in constant position). *)
@@ -417,18 +413,22 @@ and const_ty p (e : Ast.expr) : Ctype.t =
 and eval_typed p (e : Ast.expr) : int64 =
   let module A = Ast in
   let conv a into =
-    Ctype.convert_const ~from_ty:(const_ty p a) ~to_ty:into (eval_typed p a)
+    Cscalar.convert ~from_ty:(const_ty p a) ~to_ty:into (eval_typed p a)
+  in
+  let fold op ty x y =
+    let div0 () = Diag.error e.A.pos "division by zero in constant" in
+    Option.get (Cscalar.fold ~div0 op ty x y)
   in
   match e.A.desc with
-  | A.IntLit (v, k, s) -> Ctype.normalize_const (Ctype.Int (k, s)) v
+  | A.IntLit (v, k, s) -> Cscalar.constant (Ctype.Int (k, s)) v
   | A.CharLit c -> Int64.of_int (Char.code c)
   | A.Ident name when Hashtbl.mem p.enums name -> Hashtbl.find p.enums name
   | A.Unop (A.Neg, a) ->
     let ty = const_ty p e in
-    Ctype.normalize_const ty (Int64.neg (conv a ty))
+    fold A.Sub ty 0L (conv a ty)
   | A.Unop (A.Bitnot, a) ->
     let ty = const_ty p e in
-    Ctype.normalize_const ty (Int64.lognot (conv a ty))
+    fold A.Bxor ty (conv a ty) (-1L)
   | A.Unop (A.Lognot, a) -> if eval_typed p a = 0L then 1L else 0L
   | A.Binop ((A.Logand | A.Logor) as op, a, b) ->
     (* Short-circuit so the unevaluated side may divide by zero. *)
@@ -445,65 +445,15 @@ and eval_typed p (e : Ast.expr) : int64 =
       Ctype.usual_arith (as_int (const_ty p a)) (as_int (const_ty p b))
     in
     let va = conv a common and vb = conv b common in
-    let cmp =
-      if Ctype.is_unsigned_int common then
-        Int64.unsigned_compare (Ctype.zext_const common va)
-          (Ctype.zext_const common vb)
-      else compare va vb
-    in
-    let r =
-      match op with
-      | A.Lt -> cmp < 0
-      | A.Gt -> cmp > 0
-      | A.Le -> cmp <= 0
-      | A.Ge -> cmp >= 0
-      | A.Eq -> cmp = 0
-      | _ -> cmp <> 0
-    in
-    if r then 1L else 0L
-  | A.Binop ((A.Shl | A.Shr) as op, a, b) ->
-    let ty = const_ty p e in
-    let va = conv a ty in
-    let count = Int64.to_int (eval_typed p b) land 63 in
-    let r =
-      match op with
-      | A.Shl -> Int64.shift_left va count
-      | _ ->
-        if Ctype.is_unsigned_int ty then
-          Int64.shift_right_logical (Ctype.zext_const ty va) count
-        else Int64.shift_right va count
-    in
-    Ctype.normalize_const ty r
+    if Scalar.icmp (Cscalar.icmp op common) (Cscalar.scalar_exn common) va vb
+    then 1L
+    else 0L
   | A.Binop (op, a, b) ->
+    (* A shift count converts to the result type too, as in the
+       lowering: the count's low six bits survive any such conversion. *)
     let ty = const_ty p e in
     let va = conv a ty and vb = conv b ty in
-    let div_checked f =
-      if vb = 0L then Diag.error e.A.pos "division by zero in constant"
-      else f ()
-    in
-    let r =
-      match op with
-      | A.Add -> Int64.add va vb
-      | A.Sub -> Int64.sub va vb
-      | A.Mul -> Int64.mul va vb
-      | A.Div ->
-        div_checked (fun () ->
-            if Ctype.is_unsigned_int ty then
-              Int64.unsigned_div (Ctype.zext_const ty va)
-                (Ctype.zext_const ty vb)
-            else Int64.div va vb)
-      | A.Mod ->
-        div_checked (fun () ->
-            if Ctype.is_unsigned_int ty then
-              Int64.unsigned_rem (Ctype.zext_const ty va)
-                (Ctype.zext_const ty vb)
-            else Int64.rem va vb)
-      | A.Band -> Int64.logand va vb
-      | A.Bor -> Int64.logor va vb
-      | A.Bxor -> Int64.logxor va vb
-      | _ -> assert false (* handled above *)
-    in
-    Ctype.normalize_const ty r
+    fold op ty va vb
   | A.SizeofTy _ | A.SizeofE _ ->
     Diag.error e.A.pos "sizeof in constant expressions is not supported here"
   | A.Cast (ty, a) ->
@@ -517,13 +467,10 @@ and eval_typed p (e : Ast.expr) : int64 =
   | _ -> Diag.error e.A.pos "expected a constant expression"
 
 (* Consumers (array sizes, case labels, enum values) expect the value
-   "as converted to long": zero-extended for unsigned expressions,
-   sign-extended otherwise — the same conversion the lowering applies to
-   the runtime value in those positions. *)
+   as converted to long, the conversion the lowering applies to the
+   runtime value in those positions. *)
 and eval_const p (e : Ast.expr) : int64 =
-  let v = eval_typed p e in
-  let ty = const_ty p e in
-  if Ctype.is_unsigned_int ty then Ctype.zext_const ty v else v
+  Cscalar.convert ~from_ty:(const_ty p e) ~to_ty:Ctype.long_t (eval_typed p e)
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)

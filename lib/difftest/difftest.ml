@@ -333,7 +333,7 @@ let regressions : (string * string * string) list =
       "37747 2147483648 37747 2147483648\n" );
     ( "float-to-int-fold",
       (* Every float-to-int conversion — folded or executed, managed or
-         native — goes through Irtype.float_to_int: truncation toward
+         native — goes through Scalar.float_to_int: truncation toward
          zero with NaN -> 0 and saturation at the integer range.  A
          folder reverting to Int64.of_float diverges from the engines on
          NaN/infinity at -O3 (where the cast folds) vs -O0 (where it

@@ -152,10 +152,16 @@ type pinstr =
   | Pload of int * Irtype.scalar * pval
   | Pstore of Irtype.scalar * pval * pval
   | Pgep of int * pval * pgep
-  | Pbinop of int * Instr.binop * Irtype.scalar * pval * pval * opclass
-  | Picmp of int * Instr.icmp * Irtype.scalar * pval * pval
-  | Pfcmp of int * Instr.fcmp * pval * pval
-  | Pcast of int * Instr.cast * Irtype.scalar * Irtype.scalar * pval
+  | Pbinop of
+      int * Instr.binop * Irtype.scalar * pval * pval * opclass
+      * (Mval.t -> Mval.t -> Mval.t)
+      (** the last field is the [Scalar] operation, staged at prepare
+          time and wrapped over managed values *)
+  | Picmp of
+      int * Instr.icmp * Irtype.scalar * pval * pval * (int64 -> int64 -> bool)
+  | Pfcmp of int * Instr.fcmp * pval * pval * (float -> float -> bool)
+  | Pcast of
+      int * Instr.cast * Irtype.scalar * Irtype.scalar * pval * (Mval.t -> Mval.t)
   | Pselect of int * pval * pval * pval
   | Psancheck
   | Pcall of int * pcallee * pval array * Irtype.scalar array
@@ -413,134 +419,55 @@ let[@inline] pv (fr : frame) (v : pval) : Mval.t =
   | Pfail msg -> failwith msg
 
 (* ------------------------------------------------------------------ *)
-(* Arithmetic                                                          *)
+(* Scalar operations                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let exec_binop st (op : Instr.binop) (s : Irtype.scalar) (a : Mval.t)
-    (b : Mval.t) : Mval.t =
+(* The [Scalar] kernel's operations wrapped over managed values, staged
+   once per instruction at prepare time and shared with the closure
+   compiler's boxed paths.  Division by zero raises the managed error
+   with the context of the function the instruction belongs to. *)
+
+let binop_fn ctx (op : Instr.binop) (s : Irtype.scalar) :
+    Mval.t -> Mval.t -> Mval.t =
+  let div0 () = Merror.raise_error Merror.Division_by_zero ctx in
+  match Scalar.binop ~div0 op s with
+  | Scalar.Ints f ->
+    fun a b ->
+      let x = Mval.as_int a in
+      Mval.Vint (f x (Mval.as_int b))
+  | Scalar.Floats f ->
+    fun a b ->
+      let x = Mval.as_float a in
+      Mval.Vfloat (f x (Mval.as_float b))
+
+(* Pointer casts keep the managed pointer model: [Ptrtoint] registers the
+   object so its cookie can come back through [Inttoptr], and a same-class
+   [Bitcast] passes pointers through untouched. *)
+let cast_fn (op : Instr.cast) (from : Irtype.scalar) (into : Irtype.scalar) :
+    Mval.t -> Mval.t =
   match op with
-  | Instr.FAdd ->
-    Mval.Vfloat (Irtype.round_result s (Mval.as_float a +. Mval.as_float b))
-  | Instr.FSub ->
-    Mval.Vfloat (Irtype.round_result s (Mval.as_float a -. Mval.as_float b))
-  | Instr.FMul ->
-    Mval.Vfloat (Irtype.round_result s (Mval.as_float a *. Mval.as_float b))
-  | Instr.FDiv ->
-    Mval.Vfloat (Irtype.round_result s (Mval.as_float a /. Mval.as_float b))
-  | _ ->
-    (* No local closures here: this runs once per arithmetic op. *)
-    let x = Mval.as_int a and y = Mval.as_int b in
-    let result =
-      match op with
-      | Instr.Add -> Int64.add x y
-      | Instr.Sub -> Int64.sub x y
-      | Instr.Mul -> Int64.mul x y
-      | Instr.Sdiv ->
-        if y = 0L then Merror.raise_error Merror.Division_by_zero (context st);
-        Int64.div x y
-      | Instr.Udiv ->
-        if y = 0L then Merror.raise_error Merror.Division_by_zero (context st);
-        Int64.unsigned_div (Irtype.unsigned_of s x) (Irtype.unsigned_of s y)
-      | Instr.Srem ->
-        if y = 0L then Merror.raise_error Merror.Division_by_zero (context st);
-        Int64.rem x y
-      | Instr.Urem ->
-        if y = 0L then Merror.raise_error Merror.Division_by_zero (context st);
-        Int64.unsigned_rem (Irtype.unsigned_of s x) (Irtype.unsigned_of s y)
-      | Instr.Shl -> Int64.shift_left x (Int64.to_int y land 63)
-      | Instr.Lshr ->
-        Int64.shift_right_logical (Irtype.unsigned_of s x)
-          (Int64.to_int y land 63)
-      | Instr.Ashr -> Int64.shift_right x (Int64.to_int y land 63)
-      | Instr.And -> Int64.logand x y
-      | Instr.Or -> Int64.logor x y
-      | Instr.Xor -> Int64.logxor x y
-      | Instr.FAdd | Instr.FSub | Instr.FMul | Instr.FDiv -> assert false
+  | Instr.Inttoptr -> fun v -> Mval.Vptr (Mobject.int_to_ptr (Mval.as_int v))
+  | Instr.Bitcast
+    when Irtype.is_float_scalar from = Irtype.is_float_scalar into ->
+    fun v -> v
+  | _ -> (
+    let conv =
+      match Scalar.cast op from into with
+      | Scalar.Int_to_int f -> fun v -> Mval.Vint (f (Mval.as_int v))
+      | Scalar.Int_to_float f -> fun v -> Mval.Vfloat (f (Mval.as_int v))
+      | Scalar.Float_to_int f -> fun v -> Mval.Vint (f (Mval.as_float v))
+      | Scalar.Float_to_float f -> fun v -> Mval.Vfloat (f (Mval.as_float v))
     in
-    Mval.Vint (Irtype.normalize_int s result)
-
-let exec_icmp (op : Instr.icmp) (s : Irtype.scalar) (a : Mval.t) (b : Mval.t) :
-    Mval.t =
-  let x = Mval.as_int a and y = Mval.as_int b in
-  let r =
     match op with
-    | Instr.Ieq -> x = y
-    | Instr.Ine -> x <> y
-    | Instr.Islt -> x < y
-    | Instr.Isle -> x <= y
-    | Instr.Isgt -> x > y
-    | Instr.Isge -> x >= y
-    | Instr.Iult ->
-      Int64.unsigned_compare (Irtype.unsigned_of s x) (Irtype.unsigned_of s y) < 0
-    | Instr.Iule ->
-      Int64.unsigned_compare (Irtype.unsigned_of s x) (Irtype.unsigned_of s y) <= 0
-    | Instr.Iugt ->
-      Int64.unsigned_compare (Irtype.unsigned_of s x) (Irtype.unsigned_of s y) > 0
-    | Instr.Iuge ->
-      Int64.unsigned_compare (Irtype.unsigned_of s x) (Irtype.unsigned_of s y) >= 0
-  in
-  Mval.Vint (if r then 1L else 0L)
-
-let exec_fcmp (op : Instr.fcmp) (a : Mval.t) (b : Mval.t) : Mval.t =
-  let x = Mval.as_float a and y = Mval.as_float b in
-  let r =
-    match op with
-    | Instr.Feq -> x = y
-    | Instr.Fne -> x <> y
-    | Instr.Flt -> x < y
-    | Instr.Fle -> x <= y
-    | Instr.Fgt -> x > y
-    | Instr.Fge -> x >= y
-  in
-  Mval.Vint (if r then 1L else 0L)
-
-let exec_cast (op : Instr.cast) (from : Irtype.scalar) (into : Irtype.scalar)
-    (v : Mval.t) : Mval.t =
-  match op with
-  | Instr.Trunc -> Mval.Vint (Irtype.normalize_int into (Mval.as_int v))
-  | Instr.Zext ->
-    Mval.Vint (Irtype.normalize_int into (Irtype.unsigned_of from (Mval.as_int v)))
-  | Instr.Sext -> Mval.Vint (Irtype.normalize_int into (Mval.as_int v))
-  | Instr.Fptrunc -> Mval.Vfloat (Irtype.round_to_f32 (Mval.as_float v))
-  | Instr.Fpext -> Mval.Vfloat (Mval.as_float v)
-  | Instr.Fptosi | Instr.Fptoui ->
-    let f = Mval.as_float v in
-    Mval.Vint (Irtype.normalize_int into (Irtype.float_to_int f))
-  | Instr.Sitofp ->
-    Mval.Vfloat (Irtype.round_result into (Int64.to_float (Mval.as_int v)))
-  | Instr.Uitofp ->
-    let u = Irtype.unsigned_of from (Mval.as_int v) in
-    let f =
-      if u >= 0L then Int64.to_float u
-      else Int64.to_float u +. 18446744073709551616.0
-    in
-    Mval.Vfloat (Irtype.round_result into f)
-  | Instr.Ptrtoint -> begin
-    match v with
-    | Mval.Vptr (Mobject.Pobj a) ->
-      Mobject.register a.Mobject.obj;
-      Mval.Vint (Irtype.normalize_int into (Mobject.ptr_to_int (Mobject.Pobj a)))
-    | Mval.Vptr (Mobject.Pfunc name) ->
-      Mval.Vint (Mobject.register_func_cookie name)
-    | v -> Mval.Vint (Irtype.normalize_int into (Mval.as_int v))
-  end
-  | Instr.Inttoptr -> Mval.Vptr (Mobject.int_to_ptr (Mval.as_int v))
-  | Instr.Bitcast -> begin
-    match (Irtype.is_float_scalar from, Irtype.is_float_scalar into) with
-    | true, false ->
-      let f = Mval.as_float v in
-      let bits =
-        if into = Irtype.I32 then Int64.of_int32 (Int32.bits_of_float f)
-        else Int64.bits_of_float f
-      in
-      Mval.Vint (Irtype.normalize_int into bits)
-    | false, true ->
-      let bits = Mval.as_int v in
-      if into = Irtype.F32 then
-        Mval.Vfloat (Int32.float_of_bits (Int64.to_int32 bits))
-      else Mval.Vfloat (Int64.float_of_bits bits)
-    | _ -> v
-  end
+    | Instr.Ptrtoint -> (
+      function
+      | Mval.Vptr (Mobject.Pobj a) as v ->
+        Mobject.register a.Mobject.obj;
+        conv v
+      | Mval.Vptr (Mobject.Pfunc name) ->
+        Mval.Vint (Mobject.register_func_cookie name)
+      | v -> conv v)
+    | _ -> conv)
 
 (* ------------------------------------------------------------------ *)
 (* Memory access                                                       *)
@@ -574,7 +501,7 @@ let exec_load st (s : Irtype.scalar) (p : Mval.t) : Mval.t =
     Mval.Vfloat (Mobject.load_float a ~size:(Irtype.scalar_size s) (context st))
   | _ ->
     let raw = Mobject.load_int a ~size:(Irtype.scalar_size s) (context st) in
-    Mval.Vint (Irtype.normalize_int s raw)
+    Mval.Vint (Scalar.normalize_int s raw)
 
 let exec_store st (s : Irtype.scalar) (v : Mval.t) (p : Mval.t) : unit =
   let a = deref st (Mval.as_ptr (context st) p) in
@@ -847,7 +774,7 @@ let switch_table_threshold = 8
 let prepare_value st (v : Instr.value) : pval =
   match v with
   | Instr.Reg r -> Preg r
-  | Instr.ImmInt (v, s) -> Pimm (Mval.Vint (Irtype.normalize_int s v))
+  | Instr.ImmInt (v, s) -> Pimm (Mval.Vint (Scalar.normalize_int s v))
   | Instr.ImmFloat (f, _) -> Pimm (Mval.Vfloat f)
   | Instr.Null -> Pimm Mval.vnull
   | Instr.GlobalAddr name -> begin
@@ -857,7 +784,7 @@ let prepare_value st (v : Instr.value) : pval =
   end
   | Instr.FuncAddr name -> Pimm (Mval.Vptr (Mobject.Pfunc name))
 
-let prepare_instr st (i : Instr.instr) : pinstr =
+let prepare_instr st ctx (i : Instr.instr) : pinstr =
   match i with
   | Instr.Alloca (r, mty) -> Palloca (r, mty, Irtype.mty_size mty)
   | Instr.Load (r, s, p) -> Pload (r, s, prepare_value st p)
@@ -884,13 +811,15 @@ let prepare_instr st (i : Instr.instr) : pinstr =
       | Instr.FAdd | Instr.FSub | Instr.FMul | Instr.FDiv -> Cfp
       | _ -> Cop
     in
-    Pbinop (r, op, s, prepare_value st a, prepare_value st b, cls)
+    Pbinop
+      ( r, op, s, prepare_value st a, prepare_value st b, cls,
+        binop_fn ctx op s )
   | Instr.Icmp (r, op, s, a, b) ->
-    Picmp (r, op, s, prepare_value st a, prepare_value st b)
+    Picmp (r, op, s, prepare_value st a, prepare_value st b, Scalar.icmp op s)
   | Instr.Fcmp (r, op, _, a, b) ->
-    Pfcmp (r, op, prepare_value st a, prepare_value st b)
+    Pfcmp (r, op, prepare_value st a, prepare_value st b, Scalar.fcmp op)
   | Instr.Cast (r, op, from, into, v) ->
-    Pcast (r, op, from, into, prepare_value st v)
+    Pcast (r, op, from, into, prepare_value st v, cast_fn op from into)
   | Instr.Select (r, _, c, a, b) ->
     Pselect (r, prepare_value st c, prepare_value st a, prepare_value st b)
   | Instr.Call (r, _, callee, cargs) ->
@@ -913,6 +842,7 @@ let prepare_instr st (i : Instr.instr) : pinstr =
     assert false
 
 let prepare_func (st : state) (f : Irfunc.t) : pfunc =
+  let ctx = "in function " ^ f.Irfunc.name in
   let blocks = Array.of_list f.Irfunc.blocks in
   let nblocks = Array.length blocks in
   let index = Hashtbl.create (max nblocks 1) in
@@ -996,7 +926,7 @@ let prepare_func (st : state) (f : Irfunc.t) : pfunc =
     in
     {
       pb_label = from_label;
-      pb_instrs = Array.of_list (List.map (prepare_instr st) body);
+      pb_instrs = Array.of_list (List.map (prepare_instr st ctx) body);
       pb_term = term;
       pb_index = bidx;
       pb_osr = false;
@@ -1029,7 +959,7 @@ let prepare_func (st : state) (f : Irfunc.t) : pfunc =
   {
     pf_ir = f;
     pf_name = f.Irfunc.name;
-    pf_context = "in function " ^ f.Irfunc.name;
+    pf_context = ctx;
     pf_blocks = pblocks;
     pf_entry_copies =
       (if nblocks > 0 && phis.(0) <> [] then Pc_missing else Pc_none);
@@ -1319,22 +1249,28 @@ and exec_instrs st (fr : frame) (blk : pblock) : Mval.t option =
         charge st fr Cop;
         if st.obs then st.opstats.os_gep <- st.opstats.os_gep + 1;
         fr.fr_regs.(r) <- exec_gep st fr (pv fr base) g
-      | Pbinop (r, op, s, a, b, cls) ->
+      | Pbinop (r, _, _, a, b, cls, f) ->
         charge st fr cls;
         if st.obs then st.opstats.os_binop <- st.opstats.os_binop + 1;
-        fr.fr_regs.(r) <- exec_binop st op s (pv fr a) (pv fr b)
-      | Picmp (r, op, s, a, b) ->
+        fr.fr_regs.(r) <- f (pv fr a) (pv fr b)
+      | Picmp (r, _, _, a, b, f) ->
         charge st fr Cop;
         if st.obs then st.opstats.os_icmp <- st.opstats.os_icmp + 1;
-        fr.fr_regs.(r) <- exec_icmp op s (pv fr a) (pv fr b)
-      | Pfcmp (r, op, a, b) ->
+        let vb = pv fr b in
+        let x = Mval.as_int (pv fr a) in
+        fr.fr_regs.(r) <-
+          (if f x (Mval.as_int vb) then Mval.Vint 1L else Mval.Vint 0L)
+      | Pfcmp (r, _, a, b, f) ->
         charge st fr Cfp;
         if st.obs then st.opstats.os_fcmp <- st.opstats.os_fcmp + 1;
-        fr.fr_regs.(r) <- exec_fcmp op (pv fr a) (pv fr b)
-      | Pcast (r, op, from, into, v) ->
+        let vb = pv fr b in
+        let x = Mval.as_float (pv fr a) in
+        fr.fr_regs.(r) <-
+          (if f x (Mval.as_float vb) then Mval.Vint 1L else Mval.Vint 0L)
+      | Pcast (r, _, _, _, v, f) ->
         charge st fr Cop;
         if st.obs then st.opstats.os_cast <- st.opstats.os_cast + 1;
-        fr.fr_regs.(r) <- exec_cast op from into (pv fr v)
+        fr.fr_regs.(r) <- f (pv fr v)
       | Pselect (r, c, a, b) ->
         charge st fr Cop;
         if st.obs then st.opstats.os_select <- st.opstats.os_select + 1;

@@ -93,10 +93,16 @@ type pinstr =
   | Pload of int * Irtype.scalar * pval
   | Pstore of Irtype.scalar * pval * pval
   | Pgep of int * pval * pgep
-  | Pbinop of int * Instr.binop * Irtype.scalar * pval * pval * opclass
-  | Picmp of int * Instr.icmp * Irtype.scalar * pval * pval
-  | Pfcmp of int * Instr.fcmp * pval * pval
-  | Pcast of int * Instr.cast * Irtype.scalar * Irtype.scalar * pval
+  | Pbinop of
+      int * Instr.binop * Irtype.scalar * pval * pval * opclass
+      * (Mval.t -> Mval.t -> Mval.t)
+      (** the last field of a scalar operation is its [Scalar] kernel
+          operation, staged at prepare time *)
+  | Picmp of
+      int * Instr.icmp * Irtype.scalar * pval * pval * (int64 -> int64 -> bool)
+  | Pfcmp of int * Instr.fcmp * pval * pval * (float -> float -> bool)
+  | Pcast of
+      int * Instr.cast * Irtype.scalar * Irtype.scalar * pval * (Mval.t -> Mval.t)
   | Pselect of int * pval * pval * pval
   | Psancheck
   | Pcall of int * pcallee * pval array * Irtype.scalar array
@@ -243,14 +249,6 @@ val pv : frame -> pval -> Mval.t
     budget and the frame's function counters; raises
     [Step_limit_exceeded] past the limit. *)
 val charge : state -> frame -> opclass -> unit
-
-val exec_binop :
-  state -> Instr.binop -> Irtype.scalar -> Mval.t -> Mval.t -> Mval.t
-
-val exec_icmp : Instr.icmp -> Irtype.scalar -> Mval.t -> Mval.t -> Mval.t
-val exec_fcmp : Instr.fcmp -> Mval.t -> Mval.t -> Mval.t
-val exec_cast :
-  Instr.cast -> Irtype.scalar -> Irtype.scalar -> Mval.t -> Mval.t
 
 val exec_load : state -> Irtype.scalar -> Mval.t -> Mval.t
 val exec_store : state -> Irtype.scalar -> Mval.t -> Mval.t -> unit

@@ -200,7 +200,7 @@ let parse_value env ~globals ~funcs st : Instr.value =
     let s = scalar_of_word st w in
     let lit = expect_word st in
     if Irtype.is_float_scalar s then Instr.ImmFloat (float_of_string lit, s)
-    else Instr.ImmInt (Int64.of_string lit, s)
+    else Instr.ImmInt (Scalar.normalize_int s (Int64.of_string lit), s)
   end
   else fail st.line "expected a value, got %S" w
 

@@ -70,57 +70,3 @@ let rec mty_to_string = function
   | MScalar s -> scalar_to_string s
   | MArray (elem, n) -> Printf.sprintf "[%d x %s]" n (mty_to_string elem)
   | MStruct s -> "%struct." ^ s.s_tag
-
-(** Truncate / sign-extend an int64 so it is a valid value of scalar
-    type [s] (canonical representation: sign-extended to 64 bits for
-    signed widths; we store all integer registers as int64 and normalize
-    through this on every write). *)
-let normalize_int (s : scalar) (v : int64) : int64 =
-  match s with
-  | I1 -> if Int64.logand v 1L = 1L then 1L else 0L
-  | I8 -> Int64.shift_right (Int64.shift_left v 56) 56
-  | I16 -> Int64.shift_right (Int64.shift_left v 48) 48
-  | I32 -> Int64.shift_right (Int64.shift_left v 32) 32
-  | I64 | Ptr -> v
-  | F32 | F64 -> invalid_arg "normalize_int on float type"
-
-(** Defined float-to-integer conversion shared by the constant folder and
-    both execution engines: truncation toward zero, NaN maps to 0, and
-    values outside the i64 range saturate.  C leaves these cases
-    undefined; what matters here is that every pipeline configuration
-    agrees, otherwise folded and unfolded runs of a correct program
-    diverge ([Int64.of_float] alone is unspecified on exactly these
-    inputs).  Callers normalize the result to the destination width. *)
-let float_to_int (f : float) : int64 =
-  if f <> f then 0L
-  else if f >= Int64.to_float Int64.max_int then Int64.max_int
-  else if f <= Int64.to_float Int64.min_int then Int64.min_int
-  else Int64.of_float f
-
-(** Round a double to the nearest representable single-precision value
-    (round-to-nearest-even, the IEEE default), by storing through
-    binary32 bits and loading back.  This is the one definition shared
-    by every engine — Fptrunc, F32 arithmetic, and int->F32 conversions
-    all go through here. *)
-let round_to_f32 (f : float) : float =
-  Int32.float_of_bits (Int32.bits_of_float f)
-
-(** Round an arithmetic result to the precision of its scalar type.
-    C requires `float` operations to produce values rounded to single
-    precision; computing in double and rounding each result is exact
-    for [+ - * /] (no double rounding: each is correctly rounded in
-    double, then correctly rounded to float, which for these operations
-    equals direct single-precision evaluation per Figueroa's theorem on
-    formats with >= 2p+2 significand bits). *)
-let round_result (s : scalar) (f : float) : float =
-  match s with F32 -> round_to_f32 f | _ -> f
-
-(** Reinterpret [v] as an unsigned value of width [s] (zero-extended). *)
-let unsigned_of (s : scalar) (v : int64) : int64 =
-  match s with
-  | I1 -> Int64.logand v 1L
-  | I8 -> Int64.logand v 0xFFL
-  | I16 -> Int64.logand v 0xFFFFL
-  | I32 -> Int64.logand v 0xFFFFFFFFL
-  | I64 | Ptr -> v
-  | F32 | F64 -> invalid_arg "unsigned_of on float type"

@@ -42,7 +42,12 @@ let verify_func (m : Irmod.t) (f : Irfunc.t) =
         Irmod.find_func m fn = None
         && Irmod.find_extern m fn = None
       then fail "%s: %s references unknown function @%s" f.Irfunc.name where fn
-    | Instr.ImmInt _ | Instr.ImmFloat _ | Instr.Null -> ()
+    | Instr.ImmInt (v, s) ->
+      (* every engine and folder computes on canonical values only *)
+      if Irtype.is_float_scalar s || Scalar.normalize_int s v <> v then
+        fail "%s: %s has non-canonical immediate %s %Ld" f.Irfunc.name where
+          (Irtype.scalar_to_string s) v
+    | Instr.ImmFloat _ | Instr.Null -> ()
   in
   List.iter
     (fun (b : Irfunc.block) ->

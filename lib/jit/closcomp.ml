@@ -74,13 +74,6 @@ let vfalse = Mval.Vint 0L
 (* Compile-time specialization helpers                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Width normalization with the identity widths resolved at compile
-    time ([Irtype.normalize_int] is the identity on I64/Ptr). *)
-let normalizer (s : Irtype.scalar) : int64 -> int64 =
-  match s with
-  | Irtype.I64 | Irtype.Ptr -> fun v -> v
-  | s -> Irtype.normalize_int s
-
 (** [Interp.deref] with the error-context string captured at compile
     time instead of recovered from the frame stack per access. *)
 let deref_c (ctx : string) (pm : Mval.t) : Mobject.addr =
@@ -97,224 +90,24 @@ let deref_c (ctx : string) (pm : Mval.t) : Mobject.addr =
          (Printf.sprintf "dereference of forged pointer 0x%Lx" c))
       ctx
 
-(* ------------- boxed (int64) operator specialization ------------- *)
+(* ------------- scalar operations on the unboxed carriers ---------- *)
 
-(** One fully resolved integer/float binop, dispatched once at compile
-    time (the interpreter re-matches the opcode per execution).  The
-    semantics — including the division-by-zero check, unsigned
-    reinterpretation and result normalization — mirror
-    [Interp.exec_binop] exactly. *)
-let binop_fn (ctx : string) (op : Instr.binop) (s : Irtype.scalar) :
-    Mval.t -> Mval.t -> Mval.t =
-  let norm = normalizer s in
-  match op with
-  | Instr.FAdd when s = Irtype.F32 ->
-    fun a b ->
-      Mval.Vfloat (Irtype.round_to_f32 (Mval.as_float a +. Mval.as_float b))
-  | Instr.FSub when s = Irtype.F32 ->
-    fun a b ->
-      Mval.Vfloat (Irtype.round_to_f32 (Mval.as_float a -. Mval.as_float b))
-  | Instr.FMul when s = Irtype.F32 ->
-    fun a b ->
-      Mval.Vfloat (Irtype.round_to_f32 (Mval.as_float a *. Mval.as_float b))
-  | Instr.FDiv when s = Irtype.F32 ->
-    fun a b ->
-      Mval.Vfloat (Irtype.round_to_f32 (Mval.as_float a /. Mval.as_float b))
-  | Instr.FAdd -> fun a b -> Mval.Vfloat (Mval.as_float a +. Mval.as_float b)
-  | Instr.FSub -> fun a b -> Mval.Vfloat (Mval.as_float a -. Mval.as_float b)
-  | Instr.FMul -> fun a b -> Mval.Vfloat (Mval.as_float a *. Mval.as_float b)
-  | Instr.FDiv -> fun a b -> Mval.Vfloat (Mval.as_float a /. Mval.as_float b)
-  | Instr.Add ->
-    fun a b -> Mval.Vint (norm (Int64.add (Mval.as_int a) (Mval.as_int b)))
-  | Instr.Sub ->
-    fun a b -> Mval.Vint (norm (Int64.sub (Mval.as_int a) (Mval.as_int b)))
-  | Instr.Mul ->
-    fun a b -> Mval.Vint (norm (Int64.mul (Mval.as_int a) (Mval.as_int b)))
-  | Instr.Sdiv ->
-    fun a b ->
-      let x = Mval.as_int a and y = Mval.as_int b in
-      if Int64.equal y 0L then Merror.raise_error Merror.Division_by_zero ctx;
-      Mval.Vint (norm (Int64.div x y))
-  | Instr.Udiv ->
-    let u = Irtype.unsigned_of s in
-    fun a b ->
-      let x = Mval.as_int a and y = Mval.as_int b in
-      if Int64.equal y 0L then Merror.raise_error Merror.Division_by_zero ctx;
-      Mval.Vint (norm (Int64.unsigned_div (u x) (u y)))
-  | Instr.Srem ->
-    fun a b ->
-      let x = Mval.as_int a and y = Mval.as_int b in
-      if Int64.equal y 0L then Merror.raise_error Merror.Division_by_zero ctx;
-      Mval.Vint (norm (Int64.rem x y))
-  | Instr.Urem ->
-    let u = Irtype.unsigned_of s in
-    fun a b ->
-      let x = Mval.as_int a and y = Mval.as_int b in
-      if Int64.equal y 0L then Merror.raise_error Merror.Division_by_zero ctx;
-      Mval.Vint (norm (Int64.unsigned_rem (u x) (u y)))
-  | Instr.Shl ->
-    fun a b ->
-      Mval.Vint
-        (norm
-           (Int64.shift_left (Mval.as_int a)
-              (Int64.to_int (Mval.as_int b) land 63)))
-  | Instr.Lshr ->
-    let u = Irtype.unsigned_of s in
-    fun a b ->
-      Mval.Vint
-        (norm
-           (Int64.shift_right_logical
-              (u (Mval.as_int a))
-              (Int64.to_int (Mval.as_int b) land 63)))
-  | Instr.Ashr ->
-    fun a b ->
-      Mval.Vint
-        (norm
-           (Int64.shift_right (Mval.as_int a)
-              (Int64.to_int (Mval.as_int b) land 63)))
-  | Instr.And ->
-    fun a b -> Mval.Vint (norm (Int64.logand (Mval.as_int a) (Mval.as_int b)))
-  | Instr.Or ->
-    fun a b -> Mval.Vint (norm (Int64.logor (Mval.as_int a) (Mval.as_int b)))
-  | Instr.Xor ->
-    fun a b -> Mval.Vint (norm (Int64.logxor (Mval.as_int a) (Mval.as_int b)))
+(* Every operation comes from the [Scalar] kernel, staged at compile
+   time: boxed registers use the closure [Interp] staged at prepare
+   time, unboxed ones the kernel's native-int and float carriers.
+   [small] widths are the ones the native-int register file holds. *)
 
-(** Integer comparison as a raw [bool], opcode resolved at compile time.
-    [Int64.equal]/[Int64.compare] agree with the interpreter's
-    polymorphic comparisons on int64 but skip the generic entry. *)
-let icmp_fn (op : Instr.icmp) (s : Irtype.scalar) : int64 -> int64 -> bool =
-  match op with
-  | Instr.Ieq -> fun x y -> Int64.equal x y
-  | Instr.Ine -> fun x y -> not (Int64.equal x y)
-  | Instr.Islt -> fun x y -> Int64.compare x y < 0
-  | Instr.Isle -> fun x y -> Int64.compare x y <= 0
-  | Instr.Isgt -> fun x y -> Int64.compare x y > 0
-  | Instr.Isge -> fun x y -> Int64.compare x y >= 0
-  | Instr.Iult ->
-    let u = Irtype.unsigned_of s in
-    fun x y -> Int64.unsigned_compare (u x) (u y) < 0
-  | Instr.Iule ->
-    let u = Irtype.unsigned_of s in
-    fun x y -> Int64.unsigned_compare (u x) (u y) <= 0
-  | Instr.Iugt ->
-    let u = Irtype.unsigned_of s in
-    fun x y -> Int64.unsigned_compare (u x) (u y) > 0
-  | Instr.Iuge ->
-    let u = Irtype.unsigned_of s in
-    fun x y -> Int64.unsigned_compare (u x) (u y) >= 0
+let small = Scalar.Small.fits
 
-(* ------------- unboxed (native float) operator specialization ----- *)
+let div0 ctx () = Merror.raise_error Merror.Division_by_zero ctx
 
-(** [Interp.exec_binop] on raw floats: F32 results round through
-    [Irtype.round_to_f32] exactly like [Irtype.round_result], F64
-    results are untouched.  Only defined for the four float opcodes. *)
-let fbinop_fn (op : Instr.binop) (s : Irtype.scalar) : float -> float -> float
-    =
-  if s = Irtype.F32 then
-    match op with
-    | Instr.FAdd -> fun a b -> Irtype.round_to_f32 (a +. b)
-    | Instr.FSub -> fun a b -> Irtype.round_to_f32 (a -. b)
-    | Instr.FMul -> fun a b -> Irtype.round_to_f32 (a *. b)
-    | Instr.FDiv -> fun a b -> Irtype.round_to_f32 (a /. b)
-    | _ -> invalid_arg "Closcomp.fbinop_fn: integer op"
-  else
-    match op with
-    | Instr.FAdd -> fun a b -> a +. b
-    | Instr.FSub -> fun a b -> a -. b
-    | Instr.FMul -> fun a b -> a *. b
-    | Instr.FDiv -> fun a b -> a /. b
-    | _ -> invalid_arg "Closcomp.fbinop_fn: integer op"
+let ints = function
+  | Scalar.Ints f -> f
+  | Scalar.Floats _ -> invalid_arg "Closcomp: float operation"
 
-(** [Interp.exec_fcmp] as a raw [bool] on raw floats.  The operands are
-    float-typed so OCaml compiles IEEE comparisons (NaN-correct, no
-    polymorphic compare). *)
-let fcmp_fn (op : Instr.fcmp) : float -> float -> bool =
-  match op with
-  | Instr.Feq -> fun (x : float) (y : float) -> x = y
-  | Instr.Fne -> fun (x : float) (y : float) -> x <> y
-  | Instr.Flt -> fun (x : float) (y : float) -> x < y
-  | Instr.Fle -> fun (x : float) (y : float) -> x <= y
-  | Instr.Fgt -> fun (x : float) (y : float) -> x > y
-  | Instr.Fge -> fun (x : float) (y : float) -> x >= y
-
-(* ------------- unboxed (native int) operator specialization ------- *)
-
-(** Scalars whose normalized values always fit an OCaml native [int]
-    (63 bits) with room to spare: the unboxed register file holds
-    exactly the int64 the interpreter's [Vint] would hold. *)
-let small = function
-  | Irtype.I1 | Irtype.I8 | Irtype.I16 | Irtype.I32 -> true
-  | Irtype.I64 | Irtype.Ptr | Irtype.F32 | Irtype.F64 -> false
-
-let ibits = function
-  | Irtype.I1 -> 1
-  | Irtype.I8 -> 8
-  | Irtype.I16 -> 16
-  | Irtype.I32 -> 32
-  | _ -> invalid_arg "Closcomp.ibits: not a small scalar"
-
-let imask s = (1 lsl ibits s) - 1
-
-(** [Irtype.normalize_int] on native ints: sign-extend from the low
-    [ibits s] bits (I1 normalizes to 0/1, not a sign bit). *)
-let inorm (s : Irtype.scalar) : int -> int =
-  if s = Irtype.I1 then fun v -> v land 1
-  else
-    let sh = 63 - ibits s in
-    fun v -> (v lsl sh) asr sh
-
-(** [Interp.exec_binop] on native ints, valid for small scalars: on
-    normalized <=32-bit inputs every intermediate fits 63 bits (a
-    product only needs its low 32 bits, which wrap identically mod 2^63
-    and mod 2^64), so the normalized result is bit-identical to the
-    interpreter's int64 computation. *)
-let ibinop_fn (ctx : string) (op : Instr.binop) (s : Irtype.scalar) :
-    int -> int -> int =
-  let norm = inorm s in
-  let mask = imask s in
-  match op with
-  | Instr.Add -> fun x y -> norm (x + y)
-  | Instr.Sub -> fun x y -> norm (x - y)
-  | Instr.Mul -> fun x y -> norm (x * y)
-  | Instr.Sdiv ->
-    fun x y ->
-      if y = 0 then Merror.raise_error Merror.Division_by_zero ctx;
-      norm (x / y)
-  | Instr.Udiv ->
-    fun x y ->
-      if y = 0 then Merror.raise_error Merror.Division_by_zero ctx;
-      norm ((x land mask) / (y land mask))
-  | Instr.Srem ->
-    fun x y ->
-      if y = 0 then Merror.raise_error Merror.Division_by_zero ctx;
-      norm (x mod y)
-  | Instr.Urem ->
-    fun x y ->
-      if y = 0 then Merror.raise_error Merror.Division_by_zero ctx;
-      norm ((x land mask) mod (y land mask))
-  | Instr.Shl -> fun x y -> norm (x lsl (y land 63))
-  | Instr.Lshr -> fun x y -> norm ((x land mask) lsr (y land 63))
-  | Instr.Ashr -> fun x y -> norm (x asr (y land 63))
-  | Instr.And -> fun x y -> norm (x land y)
-  | Instr.Or -> fun x y -> norm (x lor y)
-  | Instr.Xor -> fun x y -> norm (x lxor y)
-  | Instr.FAdd | Instr.FSub | Instr.FMul | Instr.FDiv ->
-    invalid_arg "Closcomp.ibinop_fn: float op"
-
-(** [Interp.exec_icmp] on native ints, valid for small scalars. *)
-let iicmp_fn (op : Instr.icmp) (s : Irtype.scalar) : int -> int -> bool =
-  let mask = imask s in
-  match op with
-  | Instr.Ieq -> fun x y -> x = y
-  | Instr.Ine -> fun x y -> x <> y
-  | Instr.Islt -> fun x y -> x < y
-  | Instr.Isle -> fun x y -> x <= y
-  | Instr.Isgt -> fun x y -> x > y
-  | Instr.Isge -> fun x y -> x >= y
-  | Instr.Iult -> fun x y -> x land mask < y land mask
-  | Instr.Iule -> fun x y -> x land mask <= y land mask
-  | Instr.Iugt -> fun x y -> x land mask > y land mask
-  | Instr.Iuge -> fun x y -> x land mask >= y land mask
+let floats = function
+  | Scalar.Floats f -> f
+  | Scalar.Ints _ -> invalid_arg "Closcomp: integer operation"
 
 (* ------------------------------------------------------------------ *)
 (* Register translation (inlined callee instances)                     *)
@@ -362,13 +155,14 @@ let shift_instr base = function
   | Pload (r, s, p) -> Pload (r + base, s, shift_pval base p)
   | Pstore (s, v, p) -> Pstore (s, shift_pval base v, shift_pval base p)
   | Pgep (r, b, g) -> Pgep (r + base, shift_pval base b, shift_gep base g)
-  | Pbinop (r, op, s, a, b, cls) ->
-    Pbinop (r + base, op, s, shift_pval base a, shift_pval base b, cls)
-  | Picmp (r, op, s, a, b) ->
-    Picmp (r + base, op, s, shift_pval base a, shift_pval base b)
-  | Pfcmp (r, op, a, b) ->
-    Pfcmp (r + base, op, shift_pval base a, shift_pval base b)
-  | Pcast (r, op, from, into, v) -> Pcast (r + base, op, from, into, shift_pval base v)
+  | Pbinop (r, op, s, a, b, cls, f) ->
+    Pbinop (r + base, op, s, shift_pval base a, shift_pval base b, cls, f)
+  | Picmp (r, op, s, a, b, f) ->
+    Picmp (r + base, op, s, shift_pval base a, shift_pval base b, f)
+  | Pfcmp (r, op, a, b, f) ->
+    Pfcmp (r + base, op, shift_pval base a, shift_pval base b, f)
+  | Pcast (r, op, from, into, v, f) ->
+    Pcast (r + base, op, from, into, shift_pval base v, f)
   | Pselect (r, c, a, b) ->
     Pselect (r + base, shift_pval base c, shift_pval base a, shift_pval base b)
   | Psancheck -> Psancheck
@@ -544,16 +338,16 @@ let reg_use_counts_of (blocks_list : pblock array list) (entry : phicopy)
     | Pgep (_, b, g) ->
       pv b;
       Array.iter (fun (v, _) -> pv v) g.pg_dyn
-    | Pbinop (_, _, _, a, b, _) ->
+    | Pbinop (_, _, _, a, b, _, _) ->
       pv a;
       pv b
-    | Picmp (_, _, _, a, b) ->
+    | Picmp (_, _, _, a, b, _) ->
       pv a;
       pv b
-    | Pfcmp (_, _, a, b) ->
+    | Pfcmp (_, _, a, b, _) ->
       pv a;
       pv b
-    | Pcast (_, _, _, _, v) -> pv v
+    | Pcast (_, _, _, _, v, _) -> pv v
     | Pselect (_, c, a, b) ->
       pv c;
       pv a;
@@ -653,10 +447,10 @@ let plan_slots (blocks_list : pblock array list) (entry : phicopy)
               end
               | Pload (r, _, _)
               | Pgep (r, _, _)
-              | Pbinop (r, _, _, _, _, _)
-              | Picmp (r, _, _, _, _)
-              | Pfcmp (r, _, _, _)
-              | Pcast (r, _, _, _, _)
+              | Pbinop (r, _, _, _, _, _, _)
+              | Picmp (r, _, _, _, _, _)
+              | Pfcmp (r, _, _, _, _)
+              | Pcast (r, _, _, _, _, _)
               | Pselect (r, _, _, _) -> wr r
               | Pcall (r, _, _, _) -> if r >= 0 then wr r
               | Pstore _ | Psancheck | Ploc _ -> ())
@@ -703,16 +497,16 @@ let plan_slots (blocks_list : pblock array list) (entry : phicopy)
               | Pgep (_, b, g) ->
                 pv b;
                 Array.iter (fun (v, _) -> pv v) g.pg_dyn
-              | Pbinop (_, _, _, a, b, _) ->
+              | Pbinop (_, _, _, a, b, _, _) ->
                 pv a;
                 pv b
-              | Picmp (_, _, _, a, b) ->
+              | Picmp (_, _, _, a, b, _) ->
                 pv a;
                 pv b
-              | Pfcmp (_, _, a, b) ->
+              | Pfcmp (_, _, a, b, _) ->
                 pv a;
                 pv b
-              | Pcast (_, _, _, _, v) -> pv v
+              | Pcast (_, _, _, _, v, _) -> pv v
               | Pselect (_, c, a, b) ->
                 pv c;
                 pv a;
@@ -876,13 +670,13 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
         | Preg rb -> Wdep rb
         | Pimm (Mval.Vptr (Mobject.Pobj _)) -> Wyes
         | Pimm _ | Pfail _ -> Wno)
-    | Pbinop (r, _, s, _, _, cls) ->
+    | Pbinop (r, _, s, _, _, cls, _) ->
       if cls = Cfp then float_res r
       else if small s then int_res r
       else boxed r
-    | Picmp (r, _, _, _, _) -> int_res r
-    | Pfcmp (r, _, _, _) -> int_res r
-    | Pcast (r, op, from, into, _) -> begin
+    | Picmp (r, _, _, _, _, _) -> int_res r
+    | Pfcmp (r, _, _, _, _) -> int_res r
+    | Pcast (r, op, from, into, _, _) -> begin
       match op with
       | (Instr.Trunc | Instr.Sext | Instr.Zext) when small into -> int_res r
       | (Instr.Fptosi | Instr.Fptoui) when small into -> int_res r
@@ -1113,8 +907,8 @@ let compile (st0 : state) (pf : pfunc) : compiled =
     let iload_fast (s : Irtype.scalar) : Bytes.t -> int -> int =
       match s with
       | Irtype.I1 -> fun b off -> Char.code (Bytes.get b off) land 1
-      | Irtype.I8 -> fun b off -> (Char.code (Bytes.get b off) lsl 55) asr 55
-      | Irtype.I16 -> fun b off -> (Bytes.get_uint16_le b off lsl 47) asr 47
+      | Irtype.I8 -> fun b off -> Bytes.get_int8 b off
+      | Irtype.I16 -> fun b off -> Bytes.get_int16_le b off
       | Irtype.I32 -> fun b off -> Int32.to_int (Bytes.get_int32_le b off)
       | _ -> invalid_arg "Closcomp.iload_fast: not a small scalar"
     in
@@ -1600,22 +1394,19 @@ let compile (st0 : state) (pf : pfunc) : compiled =
              interpreter's store). *)
           match cls.(rp) with
           | Rint -> begin
-            (* specialize the hot shapes: register and immediate sources
-               store straight-line, with the sign-extension shifts of
-               [inorm] inlined (I1 masks instead) *)
-            let sh = if s = Irtype.I1 then 0 else 63 - ibits s in
+            let nrm = Scalar.Small.normalize s in
             match v with
-            | Preg rv when cls.(rv) = Rint && s <> Irtype.I1 ->
+            | Preg rv when cls.(rv) = Rint ->
               fun st fr ->
                 st.steps <- st.steps + 1;
                 ctrs.c_mem <- ctrs.c_mem + 1;
                 if st.steps > limit then raise Step_limit_exceeded;
                 if obs then os.os_store <- os.os_store + 1;
-                let x = Array.unsafe_get fr.fr_iregs rv in
-                Array.unsafe_set fr.fr_iregs rp ((x lsl sh) asr sh);
+                let ir = fr.fr_iregs in
+                Array.unsafe_set ir rp (nrm (Array.unsafe_get ir rv));
                 next st fr
             | Pimm (Mval.Vint imm) ->
-              let c = inorm s (Int64.to_int imm) in
+              let c = nrm (Int64.to_int imm) in
               fun st fr ->
                 st.steps <- st.steps + 1;
                 ctrs.c_mem <- ctrs.c_mem + 1;
@@ -1625,7 +1416,6 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                 next st fr
             | _ ->
               let g = iget v in
-              let nrm = inorm s in
               fun st fr ->
                 st.steps <- st.steps + 1;
                 ctrs.c_mem <- ctrs.c_mem + 1;
@@ -1642,7 +1432,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                 ctrs.c_mem <- ctrs.c_mem + 1;
                 if st.steps > limit then raise Step_limit_exceeded;
                 if obs then os.os_store <- os.os_store + 1;
-                Array.unsafe_set fr.fr_fregs rp (Irtype.round_to_f32 (g fr));
+                Array.unsafe_set fr.fr_fregs rp (Scalar.round_to_f32 (g fr));
                 next st fr
             else
               fun st fr ->
@@ -1687,7 +1477,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
         | Pload (r, s, p) when small s ->
           let size = Irtype.scalar_size s in
           let fast = iload_fast s in
-          let norm = inorm s in
+          let norm = Scalar.Small.normalize s in
           let observe = s <> Irtype.I8 in
           let set = iset r in
           (* the hottest operation in alloca-based code (every read of a
@@ -2179,8 +1969,8 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               done;
               fr.fr_regs.(r) <- apply !d b;
               next st fr)
-        | Pbinop (r, op, s, a, b, cls_op) when cls_op <> Cfp && small s ->
-          let f = ibinop_fn ctx op s in
+        | Pbinop (r, op, s, a, b, cls_op, _) when cls_op <> Cfp && small s ->
+          let f = ints (Scalar.Small.binop ~div0:(div0 ctx) op s) in
           (match (a, b) with
           | Preg ra, Preg rb
             when cls.(ra) = Rint && cls.(rb) = Rint && cls.(r) = Rint ->
@@ -2205,11 +1995,11 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               let y = gb fr in
               set fr (f (ga fr) y);
               next st fr)
-        | Pbinop (r, op, s, a, b, Cfp)
+        | Pbinop (r, op, s, a, b, Cfp, _)
           when (match op with
                | Instr.FAdd | Instr.FSub | Instr.FMul | Instr.FDiv -> true
                | _ -> false) ->
-          let f = fbinop_fn op s in
+          let f = floats (Scalar.binop ~div0:(div0 ctx) op s) in
           (match (a, b) with
           | Preg ra, Preg rb
             when cls.(ra) = Rfloat && cls.(rb) = Rfloat && cls.(r) = Rfloat ->
@@ -2233,8 +2023,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               let y = gb fr in
               set fr (f (ga fr) y);
               next st fr)
-        | Pbinop (r, op, s, a, b, cls_op) ->
-          let f = binop_fn ctx op s in
+        | Pbinop (r, _, _, a, b, cls_op, f) ->
           let fp = cls_op = Cfp in
           let ga = getter a and gb = getter b in
           fun st fr ->
@@ -2246,8 +2035,8 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let y = gb fr in
             fr.fr_regs.(r) <- f (ga fr) y;
             next st fr
-        | Picmp (r, op, s, a, b) when small s ->
-          let cmp = iicmp_fn op s in
+        | Picmp (r, op, s, a, b, _) when small s ->
+          let cmp = Scalar.Small.icmp op s in
           (match (a, b) with
           | Preg ra, Preg rb
             when cls.(ra) = Rint && cls.(rb) = Rint && cls.(r) = Rint ->
@@ -2281,8 +2070,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                 let y = gb fr in
                 fr.fr_regs.(r) <- (if cmp (ga fr) y then vtrue else vfalse);
                 next st fr)
-        | Picmp (r, op, s, a, b) ->
-          let cmp = icmp_fn op s in
+        | Picmp (r, _, _, a, b, cmp) ->
           let ga = getter a and gb = getter b in
           let set = iset r in
           fun st fr ->
@@ -2293,8 +2081,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let y = Mval.as_int (gb fr) in
             set fr (if cmp (Mval.as_int (ga fr)) y then 1 else 0)
             |> fun () -> next st fr
-        | Pfcmp (r, op, a, b) ->
-          let cmp = fcmp_fn op in
+        | Pfcmp (r, _, a, b, cmp) ->
           (match (a, b) with
           | Preg ra, Preg rb
             when cls.(ra) = Rfloat && cls.(rb) = Rfloat && cls.(r) = Rint ->
@@ -2328,197 +2115,50 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                 let y = gb fr in
                 fr.fr_regs.(r) <- (if cmp (ga fr) y then vtrue else vfalse);
                 next st fr)
-        | Pcast (r, op, from, into, v) ->
-          (match op with
-          | (Instr.Trunc | Instr.Sext | Instr.Zext) when small into ->
-            let ig = iget v in
-            let set = iset r in
-            let n = inorm into in
-            let conv =
-              match op with
-              | Instr.Zext when small from ->
-                let mf = imask from in
-                fun x -> n (x land mf)
-              | _ -> n
-            in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_cast <- os.os_cast + 1;
-              set fr (conv (ig fr));
-              next st fr
-          | (Instr.Fptosi | Instr.Fptoui) when small into ->
-            let g = fget v in
-            let set = iset r in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_cast <- os.os_cast + 1;
-              set fr
-                (Int64.to_int
-                   (Irtype.normalize_int into (Irtype.float_to_int (g fr))));
-              next st fr
-          | Instr.Fptrunc ->
-            let g = fget v in
-            let set = fset r in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_cast <- os.os_cast + 1;
-              set fr (Irtype.round_to_f32 (g fr));
-              next st fr
-          | Instr.Fpext ->
-            let g = fget v in
-            let set = fset r in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_cast <- os.os_cast + 1;
-              set fr (g fr);
-              next st fr
-          | Instr.Sitofp ->
-            let set = fset r in
-            let rr : float -> float =
-              if into = Irtype.F32 then Irtype.round_to_f32 else fun f -> f
-            in
-            (match v with
-            | Preg rv when cls.(rv) = Rint ->
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_cast <- os.os_cast + 1;
-                set fr (rr (float_of_int (Array.unsafe_get fr.fr_iregs rv)));
-                next st fr
-            | v ->
+        | Pcast (r, op, from, into, v, boxed) ->
+          (* one charge, then [set (f (get))]; the carriers mirror the
+             classification of the result register above *)
+          let conv get f set : cont =
+           fun st fr ->
+            st.steps <- st.steps + 1;
+            ctrs.c_ops <- ctrs.c_ops + 1;
+            if st.steps > limit then raise Step_limit_exceeded;
+            if obs then os.os_cast <- os.os_cast + 1;
+            set fr (f (get fr));
+            next st fr
+          in
+          let fl = Irtype.is_float_scalar in
+          let rint = match v with Preg rv -> cls.(rv) = Rint | _ -> false in
+          let unboxed =
+            match op with
+            | Instr.Trunc | Instr.Sext | Instr.Zext | Instr.Fptosi
+            | Instr.Fptoui ->
+              small into
+            | Instr.Fptrunc | Instr.Fpext -> true
+            | Instr.Sitofp | Instr.Uitofp -> rint && small from
+            | Instr.Bitcast ->
+              (fl from && into = Irtype.I32)
+              || ((not (fl from)) && into = Irtype.F32 && rint)
+            | Instr.Ptrtoint | Instr.Inttoptr -> false
+          in
+          if unboxed then
+            match Scalar.Small.cast op from into with
+            | Scalar.Int_to_int f -> conv (iget v) f (iset r)
+            | Scalar.Float_to_int f -> conv (fget v) f (iset r)
+            | Scalar.Int_to_float f -> conv (iget v) f (fset r)
+            | Scalar.Float_to_float f -> conv (fget v) f (fset r)
+          else (
+            let boxed_int =
               let g = getter v in
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_cast <- os.os_cast + 1;
-                set fr (rr (Int64.to_float (Mval.as_int (g fr))));
-                next st fr)
-          | Instr.Uitofp ->
-            let set = fset r in
-            let rr : float -> float =
-              if into = Irtype.F32 then Irtype.round_to_f32 else fun f -> f
+              fun fr -> Mval.as_int (g fr)
             in
-            (match v with
-            | Preg rv when cls.(rv) = Rint && small from ->
-              let mask = imask from in
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_cast <- os.os_cast + 1;
-                set fr
-                  (rr (float_of_int (Array.unsafe_get fr.fr_iregs rv land mask)));
-                next st fr
-            | v ->
-              let g = getter v in
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_cast <- os.os_cast + 1;
-                let u = Irtype.unsigned_of from (Mval.as_int (g fr)) in
-                let f =
-                  if u >= 0L then Int64.to_float u
-                  else Int64.to_float u +. 18446744073709551616.0
-                in
-                set fr (rr f);
-                next st fr)
-          | Instr.Bitcast when Irtype.is_float_scalar from && into = Irtype.I32
-            ->
-            let g = fget v in
-            let set = iset r in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_cast <- os.os_cast + 1;
-              set fr (Int32.to_int (Int32.bits_of_float (g fr)));
-              next st fr
-          | Instr.Bitcast
-            when (not (Irtype.is_float_scalar from))
-                 && Irtype.is_float_scalar into ->
-            let set = fset r in
-            if into = Irtype.F32 then (
-              match v with
-              | Preg rv when cls.(rv) = Rint ->
-                fun st fr ->
-                  st.steps <- st.steps + 1;
-                  ctrs.c_ops <- ctrs.c_ops + 1;
-                  if st.steps > limit then raise Step_limit_exceeded;
-                  if obs then os.os_cast <- os.os_cast + 1;
-                  set fr
-                    (Int32.float_of_bits
-                       (Int32.of_int (Array.unsafe_get fr.fr_iregs rv)));
-                  next st fr
-              | v ->
-                let g = getter v in
-                fun st fr ->
-                  st.steps <- st.steps + 1;
-                  ctrs.c_ops <- ctrs.c_ops + 1;
-                  if st.steps > limit then raise Step_limit_exceeded;
-                  if obs then os.os_cast <- os.os_cast + 1;
-                  set fr
-                    (Int32.float_of_bits (Int64.to_int32 (Mval.as_int (g fr))));
-                  next st fr)
-            else
-              let g = getter v in
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_cast <- os.os_cast + 1;
-                set fr (Int64.float_of_bits (Mval.as_int (g fr)));
-                next st fr
-          | Instr.Sext ->
-            (* into I64/Ptr: the operand's normalized value IS the result *)
-            let g = getter v in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_cast <- os.os_cast + 1;
-              fr.fr_regs.(r) <- Mval.Vint (Mval.as_int (g fr));
-              next st fr
-          | Instr.Trunc ->
-            let n = normalizer into in
-            let g = getter v in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_cast <- os.os_cast + 1;
-              fr.fr_regs.(r) <- Mval.Vint (n (Mval.as_int (g fr)));
-              next st fr
-          | Instr.Zext ->
-            let u = Irtype.unsigned_of from in
-            let n = normalizer into in
-            let g = getter v in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_cast <- os.os_cast + 1;
-              fr.fr_regs.(r) <- Mval.Vint (n (u (Mval.as_int (g fr))));
-              next st fr
-          | op ->
-            let g = getter v in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_cast <- os.os_cast + 1;
-              fr.fr_regs.(r) <- exec_cast op from into (g fr);
-              next st fr)
+            match (op, Scalar.cast op from into) with
+            | (Instr.Sitofp | Instr.Uitofp | Instr.Bitcast), Scalar.Int_to_float f
+              ->
+              conv boxed_int f (fset r)
+            | (Instr.Trunc | Instr.Sext | Instr.Zext), Scalar.Int_to_int f ->
+              conv boxed_int f (fun fr x -> fr.fr_regs.(r) <- Mval.Vint x)
+            | _ -> conv (getter v) boxed (fun fr x -> fr.fr_regs.(r) <- x))
         | Pselect (r, c, a, b) -> begin
           match cls.(r) with
           | Rint ->
@@ -2731,9 +2371,9 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           if n = 0 then None
           else
             match (blk.pb_instrs.(n - 1), blk.pb_term) with
-            | Picmp (r, op, s, a, b), Pcondbr (Preg rc, ta, tb)
+            | Picmp (r, op, s, a, b, _), Pcondbr (Preg rc, ta, tb)
               when rc = r && uses.(r) = 1 && small s ->
-              let cmp = iicmp_fn op s in
+              let cmp = Scalar.Small.icmp op s in
               (* two charges, exactly like the unfused icmp + terminator *)
               (match (a, b, edge_plain ta, edge_plain tb) with
               | Preg ra, Preg rb, Some ca, Some cb
@@ -2804,9 +2444,8 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                       if st.steps > limit then raise Step_limit_exceeded;
                       if obs then os.os_term <- os.os_term + 1;
                       if taken then ka st fr else kb st fr)))
-            | Picmp (r, op, s, a, b), Pcondbr (Preg rc, ta, tb)
+            | Picmp (r, _, _, a, b, cmp), Pcondbr (Preg rc, ta, tb)
               when rc = r && uses.(r) = 1 ->
-              let cmp = icmp_fn op s in
               let ka = compile_edge ta and kb = compile_edge tb in
               let ga = getter a and gb = getter b in
               Some
@@ -2822,11 +2461,10 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                   if st.steps > limit then raise Step_limit_exceeded;
                   if obs then os.os_term <- os.os_term + 1;
                   if taken then ka st fr else kb st fr)
-            | Pfcmp (r, op, a, b), Pcondbr (Preg rc, ta, tb)
+            | Pfcmp (r, _, a, b, cmp), Pcondbr (Preg rc, ta, tb)
               when rc = r && uses.(r) = 1 ->
               (* float loop controls (whetstone, fig15-float): compare
                  two unboxed floats and branch in one closure *)
-              let cmp = fcmp_fn op in
               (match (a, b, edge_plain ta, edge_plain tb) with
               | Preg ra, Preg rb, Some ca, Some cb
                 when cls.(ra) = Rfloat && cls.(rb) = Rfloat ->
@@ -3041,7 +2679,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                     | Rint ->
                       fr.fr_iregs.(r) <-
                         Int64.to_int
-                          (Irtype.normalize_int s
+                          (Scalar.normalize_int s
                              (Mobject.load_int a ~size pf.pf_context))
                     | Rfloat ->
                       fr.fr_fregs.(r) <- Mobject.load_float a ~size pf.pf_context

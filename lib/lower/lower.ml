@@ -20,17 +20,11 @@ let unsupported pos fmt =
 (* ------------------------------------------------------------------ *)
 
 let scalar_of_ctype pos (ty : Ctype.t) : Irtype.scalar =
-  match Ctype.decay ty with
-  | Ctype.Int (Ctype.IChar, _) -> Irtype.I8
-  | Ctype.Int (Ctype.IShort, _) -> Irtype.I16
-  | Ctype.Int (Ctype.IInt, _) -> Irtype.I32
-  | Ctype.Int (Ctype.ILong, _) -> Irtype.I64
-  | Ctype.Float Ctype.FFloat -> Irtype.F32
-  | Ctype.Float Ctype.FDouble -> Irtype.F64
-  | Ctype.Ptr _ -> Irtype.Ptr
-  | Ctype.Void -> unsupported pos "void value in scalar position"
-  | Ctype.Struct tag -> unsupported pos "struct %s by value is not supported" tag
-  | Ctype.Array _ | Ctype.Func _ -> assert false (* removed by decay *)
+  match (Cscalar.scalar ty, ty) with
+  | Some s, _ -> s
+  | None, Ctype.Struct tag ->
+    unsupported pos "struct %s by value is not supported" tag
+  | None, _ -> unsupported pos "void value in scalar position"
 
 let ret_scalar pos (ty : Ctype.t) : Irtype.scalar option =
   match ty with Ctype.Void -> None | _ -> Some (scalar_of_ctype pos ty)
@@ -61,12 +55,6 @@ let rec mty_of_ctype (lenv : Layout.env) (ty : Ctype.t) : Irtype.mty =
         s_size = Layout.size lenv (Ctype.Struct tag);
         s_align = Layout.align lenv (Ctype.Struct tag);
       }
-
-let is_unsigned (ty : Ctype.t) =
-  match Ctype.decay ty with
-  | Ctype.Int (_, Ctype.Unsigned) -> true
-  | Ctype.Ptr _ -> true
-  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Lowering state                                                      *)
@@ -151,59 +139,34 @@ let coerce ctx pos ~(from_ty : Ctype.t) ~(to_ty : Ctype.t) (v : Instr.value) :
   else begin
     let fs = scalar_of_ctype pos from_ty in
     let ts = scalar_of_ctype pos to_ty in
-    let b = ctx.b in
-    match (v, fs, ts) with
+    let op =
+      try Cscalar.cast ~from_ty ~to_ty
+      with Invalid_argument _ ->
+        unsupported pos "cannot convert %s to %s" (Ctype.to_string from_ty)
+          (Ctype.to_string to_ty)
+    in
     (* Immediate conversions fold in the front end — Clang does this
        even at -O0, which is what lets its backend delete constant-index
        out-of-bounds accesses (paper case study 3). *)
-    | Instr.ImmInt (x, _), _, _
-      when !fold_immediates && Irtype.is_int_scalar fs
-           && Irtype.is_int_scalar ts ->
-      let widened =
-        if Irtype.scalar_size ts > Irtype.scalar_size fs && is_unsigned from_ty
-        then Irtype.unsigned_of fs x
-        else x
-      in
-      Instr.ImmInt (Irtype.normalize_int ts widened, ts)
-    | Instr.ImmInt (x, _), _, (Irtype.F32 | Irtype.F64) when !fold_immediates ->
-      Instr.ImmFloat
-        ( Irtype.round_result ts
-            (if is_unsigned from_ty then
-               let u = Irtype.unsigned_of fs x in
-               if u >= 0L then Int64.to_float u
-               else Int64.to_float u +. 18446744073709551616.0
-             else Int64.to_float x),
-          ts )
-    | Instr.ImmFloat (f, _), _, (Irtype.F32 | Irtype.F64) when !fold_immediates ->
-      Instr.ImmFloat (Irtype.round_result ts f, ts)
-    | Instr.ImmInt (0L, _), _, Irtype.Ptr -> Instr.Null
-    | _ ->
-    match (fs, ts) with
-    | a, b' when a = b' -> v
-    | (Irtype.F32 | Irtype.F64), (Irtype.F32 | Irtype.F64) ->
-      let op = if fs = Irtype.F32 then Instr.Fpext else Instr.Fptrunc in
-      Builder.cast b op ~from:fs ~into:ts v
-    | (Irtype.F32 | Irtype.F64), _ when Irtype.is_int_scalar ts ->
-      let op = if is_unsigned to_ty then Instr.Fptoui else Instr.Fptosi in
-      Builder.cast b op ~from:fs ~into:ts v
-    | _, (Irtype.F32 | Irtype.F64) when Irtype.is_int_scalar fs ->
-      let op = if is_unsigned from_ty then Instr.Uitofp else Instr.Sitofp in
-      Builder.cast b op ~from:fs ~into:ts v
-    | Irtype.Ptr, _ when Irtype.is_int_scalar ts ->
-      Builder.cast b Instr.Ptrtoint ~from:fs ~into:ts v
-    | _, Irtype.Ptr when Irtype.is_int_scalar fs ->
-      Builder.cast b Instr.Inttoptr ~from:fs ~into:ts v
-    | _, _ when Irtype.is_int_scalar fs && Irtype.is_int_scalar ts ->
-      let fw = Irtype.scalar_size fs and tw = Irtype.scalar_size ts in
-      if fw = tw then v
-      else if fw > tw then Builder.cast b Instr.Trunc ~from:fs ~into:ts v
-      else begin
-        let op = if is_unsigned from_ty then Instr.Zext else Instr.Sext in
-        Builder.cast b op ~from:fs ~into:ts v
-      end
-    | _ ->
-      unsupported pos "cannot convert %s to %s" (Ctype.to_string from_ty)
-        (Ctype.to_string to_ty)
+    let folded =
+      match v with
+      | (Instr.ImmInt _ | Instr.ImmFloat _) when !fold_immediates -> (
+        match (v, Cscalar.conversion ~from_ty ~to_ty) with
+        | Instr.ImmInt (x, _), Scalar.Int_to_int f
+          when Irtype.is_int_scalar fs && Irtype.is_int_scalar ts ->
+          Some (Instr.ImmInt (f x, ts))
+        | Instr.ImmInt (x, _), Scalar.Int_to_float f ->
+          Some (Instr.ImmFloat (f x, ts))
+        | Instr.ImmFloat (x, _), Scalar.Float_to_float f ->
+          Some (Instr.ImmFloat (f x, ts))
+        | _ -> None)
+      | _ -> None
+    in
+    match (folded, v, op) with
+    | Some c, _, _ -> c
+    | None, Instr.ImmInt (0L, _), _ when ts = Irtype.Ptr -> Instr.Null
+    | None, _, None -> v
+    | None, _, Some op -> Builder.cast ctx.b op ~from:fs ~into:ts v
   end
 
 (** Produce an i1 "is true" flag from a scalar C value. *)
@@ -220,7 +183,7 @@ let truth ctx pos (ty : Ctype.t) (v : Instr.value) : Instr.value =
 (* Expressions                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let imm_int v s = Instr.ImmInt (Irtype.normalize_int s v, s)
+let imm_int v s = Instr.ImmInt (Scalar.normalize_int s v, s)
 
 let rec lower_lvalue ctx (e : A.expr) : Instr.value =
   match e.A.desc with
@@ -279,7 +242,7 @@ and lower_rvalue ctx (e : A.expr) : Instr.value =
     (* A `float` literal denotes the nearest binary32 value: the lexer
        parses to double, so round here (16777217.0f must be 16777216). *)
     let s = scalar_of_ctype e.A.pos (Ctype.Float k) in
-    Instr.ImmFloat (Irtype.round_result s f, s)
+    Instr.ImmFloat (Scalar.round_result s f, s)
   | A.StrLit s -> Instr.GlobalAddr (intern_string ctx s)
   | A.Ident name -> begin
     match Ctype.decay e.A.ty <> e.A.ty, e.A.ty with
@@ -338,9 +301,10 @@ and lower_unop ctx (e : A.expr) op (a : A.expr) : Instr.value =
     let ty = e.A.ty in
     let s = scalar_of_ctype pos ty in
     let v = coerce ctx pos ~from_ty:a.A.ty ~to_ty:ty (lower_rvalue ctx a) in
-    if Irtype.is_float_scalar s then
-      Builder.binop ctx.b Instr.FSub s (Instr.ImmFloat (0.0, s)) v
-    else Builder.binop ctx.b Instr.Sub s (imm_int 0L s) v
+    let zero =
+      if Irtype.is_float_scalar s then Instr.ImmFloat (0.0, s) else imm_int 0L s
+    in
+    Builder.binop ctx.b (Option.get (Cscalar.binop A.Sub ty)) s zero v
   | A.Bitnot ->
     let ty = e.A.ty in
     let s = scalar_of_ctype pos ty in
@@ -396,26 +360,7 @@ and lower_binop ctx (e : A.expr) op (a : A.expr) (b : A.expr) : Instr.value =
          the result type is harmless for the widths we support. *)
       coerce ctx pos ~from_ty:b.A.ty ~to_ty:ty (lower_rvalue ctx b)
     in
-    let unsigned = is_unsigned ty in
-    let iop =
-      match op with
-      | A.Add -> if Irtype.is_float_scalar s then Instr.FAdd else Instr.Add
-      | A.Sub -> if Irtype.is_float_scalar s then Instr.FSub else Instr.Sub
-      | A.Mul -> if Irtype.is_float_scalar s then Instr.FMul else Instr.Mul
-      | A.Div ->
-        if Irtype.is_float_scalar s then Instr.FDiv
-        else if unsigned then Instr.Udiv
-        else Instr.Sdiv
-      | A.Mod -> if unsigned then Instr.Urem else Instr.Srem
-      | A.Shl -> Instr.Shl
-      | A.Shr -> if unsigned then Instr.Lshr else Instr.Ashr
-      | A.Band -> Instr.And
-      | A.Bor -> Instr.Or
-      | A.Bxor -> Instr.Xor
-      | A.Lt | A.Gt | A.Le | A.Ge | A.Eq | A.Ne | A.Logand | A.Logor ->
-        assert false
-    in
-    Builder.binop ctx.b iop s va vb
+    Builder.binop ctx.b (Option.get (Cscalar.binop op ty)) s va vb
 
 and lower_comparison ctx (e : A.expr) op (a : A.expr) (b : A.expr) :
     Instr.value =
@@ -430,33 +375,8 @@ and lower_comparison ctx (e : A.expr) op (a : A.expr) (b : A.expr) :
   let vb = coerce ctx pos ~from_ty:b.A.ty ~to_ty:common (lower_rvalue ctx b) in
   let s = scalar_of_ctype pos common in
   let flag =
-    if Irtype.is_float_scalar s then begin
-      let fop =
-        match op with
-        | A.Lt -> Instr.Flt
-        | A.Gt -> Instr.Fgt
-        | A.Le -> Instr.Fle
-        | A.Ge -> Instr.Fge
-        | A.Eq -> Instr.Feq
-        | A.Ne -> Instr.Fne
-        | _ -> assert false
-      in
-      Builder.fcmp ctx.b fop s va vb
-    end
-    else begin
-      let unsigned = is_unsigned common in
-      let iop =
-        match op with
-        | A.Lt -> if unsigned then Instr.Iult else Instr.Islt
-        | A.Gt -> if unsigned then Instr.Iugt else Instr.Isgt
-        | A.Le -> if unsigned then Instr.Iule else Instr.Isle
-        | A.Ge -> if unsigned then Instr.Iuge else Instr.Isge
-        | A.Eq -> Instr.Ieq
-        | A.Ne -> Instr.Ine
-        | _ -> assert false
-      in
-      Builder.icmp ctx.b iop s va vb
-    end
+    if Irtype.is_float_scalar s then Builder.fcmp ctx.b (Cscalar.fcmp op) s va vb
+    else Builder.icmp ctx.b (Cscalar.icmp op common) s va vb
   in
   Builder.cast ctx.b Instr.Zext ~from:Irtype.I1 ~into:Irtype.I32 flag
 
@@ -555,23 +475,10 @@ and lower_assign ctx (e : A.expr) op (lhs : A.expr) (rhs : A.expr) :
         let cur = Builder.load ctx.b s ptr in
         let cur = coerce ctx pos ~from_ty:lt ~to_ty:opty cur in
         let rv = coerce ctx pos ~from_ty:rhs.A.ty ~to_ty:opty (lower_rvalue ctx rhs) in
-        let unsigned = is_unsigned opty in
         let iop =
-          match bop with
-          | A.Add -> if Irtype.is_float_scalar os then Instr.FAdd else Instr.Add
-          | A.Sub -> if Irtype.is_float_scalar os then Instr.FSub else Instr.Sub
-          | A.Mul -> if Irtype.is_float_scalar os then Instr.FMul else Instr.Mul
-          | A.Div ->
-            if Irtype.is_float_scalar os then Instr.FDiv
-            else if unsigned then Instr.Udiv
-            else Instr.Sdiv
-          | A.Mod -> if unsigned then Instr.Urem else Instr.Srem
-          | A.Shl -> Instr.Shl
-          | A.Shr -> if unsigned then Instr.Lshr else Instr.Ashr
-          | A.Band -> Instr.And
-          | A.Bor -> Instr.Or
-          | A.Bxor -> Instr.Xor
-          | _ -> unsupported pos "invalid compound assignment operator"
+          match Cscalar.binop bop opty with
+          | Some iop -> iop
+          | None -> unsupported pos "invalid compound assignment operator"
         in
         let res = Builder.binop ctx.b iop os cur rv in
         coerce ctx pos ~from_ty:opty ~to_ty:lhs.A.ty res
@@ -923,7 +830,7 @@ and lower_switch ctx (e : A.expr) (body : A.stmt list) pos =
       (function
         | A.Scase (value, cpos) ->
           let converted =
-            Ctype.convert_const ~from_ty:Ctype.long_t ~to_ty:sty value
+            Cscalar.convert ~from_ty:Ctype.long_t ~to_ty:sty value
           in
           if Hashtbl.mem seen_values converted then
             Diag.error cpos
@@ -1013,73 +920,39 @@ let rec lower_global_init ctx (ty : Ctype.t) (init : A.init) : Irmod.ginit =
       (Ctype.to_string ty)
 
 and lower_global_scalar ctx (ty : Ctype.t) (e : A.expr) : Irmod.ginit =
-  (* Sema has annotated every sub-expression, so this folder can follow
-     the engines' semantics exactly: operands convert to the annotated
-     result type, unsigned operands get logical shifts / unsigned
-     division, shift counts are masked [land 63], and every result is
-     normalized to the expression's width (the same rules as
-     lib/opt/fold.ml and both engines — a mismatch here bakes a wrong
-     constant into the image that no pipeline configuration can undo). *)
+  (* Sema has annotated every sub-expression, so this folder can pick
+     each operator's IR operation as the lowering does ([Cscalar]) and
+     compute it in the engines' [Scalar] kernel — a mismatch here bakes
+     a wrong constant into the image that no pipeline configuration can
+     undo.  A division by zero is not a constant. *)
   let ity (e : A.expr) =
     if Ctype.is_integer (Ctype.decay e.A.ty) then Ctype.decay e.A.ty
     else Ctype.long_t
   in
+  let exception Not_constant in
+  let div0 () = raise Not_constant in
   let rec const_int (e : A.expr) : int64 option =
     let conv (a : A.expr) into =
       Option.map
-        (fun v -> Ctype.convert_const ~from_ty:(ity a) ~to_ty:into v)
+        (fun v -> Cscalar.convert ~from_ty:(ity a) ~to_ty:into v)
         (const_int a)
     in
+    let fold op rty x y =
+      try Cscalar.fold ~div0 op rty x y with Not_constant -> None
+    in
     match e.A.desc with
-    | A.IntLit (v, k, s) -> Some (Ctype.normalize_const (Ctype.Int (k, s)) v)
+    | A.IntLit (v, k, s) -> Some (Cscalar.constant (Ctype.Int (k, s)) v)
     | A.CharLit c -> Some (Int64.of_int (Char.code c))
     | A.Unop (A.Neg, a) ->
       let rty = ity e in
-      Option.map (fun v -> Ctype.normalize_const rty (Int64.neg v)) (conv a rty)
+      Option.bind (conv a rty) (fold A.Sub rty 0L)
     | A.Cast (cty, a) ->
       if Ctype.is_integer cty then conv a cty else const_int a
-    | A.Binop ((A.Shl | A.Shr) as op, a, b) -> begin
-      let rty = ity e in
-      match (conv a rty, const_int b) with
-      | Some x, Some y ->
-        let count = Int64.to_int y land 63 in
-        let r =
-          match op with
-          | A.Shl -> Int64.shift_left x count
-          | _ ->
-            if is_unsigned rty then
-              Int64.shift_right_logical (Ctype.zext_const rty x) count
-            else Int64.shift_right x count
-        in
-        Some (Ctype.normalize_const rty r)
-      | _ -> None
-    end
     | A.Binop (op, a, b) -> begin
+      (* a shift count converts too, as in the lowering *)
       let rty = ity e in
       match (conv a rty, conv b rty) with
-      | Some x, Some y -> begin
-        let fold r = Some (Ctype.normalize_const rty r) in
-        match op with
-        | A.Add -> fold (Int64.add x y)
-        | A.Sub -> fold (Int64.sub x y)
-        | A.Mul -> fold (Int64.mul x y)
-        | A.Div when y <> 0L ->
-          fold
-            (if is_unsigned rty then
-               Int64.unsigned_div (Ctype.zext_const rty x)
-                 (Ctype.zext_const rty y)
-             else Int64.div x y)
-        | A.Mod when y <> 0L ->
-          fold
-            (if is_unsigned rty then
-               Int64.unsigned_rem (Ctype.zext_const rty x)
-                 (Ctype.zext_const rty y)
-             else Int64.rem x y)
-        | A.Bor -> fold (Int64.logor x y)
-        | A.Band -> fold (Int64.logand x y)
-        | A.Bxor -> fold (Int64.logxor x y)
-        | _ -> None
-      end
+      | Some x, Some y -> fold op rty x y
       | _ -> None
     end
     | _ -> None
@@ -1087,17 +960,13 @@ and lower_global_scalar ctx (ty : Ctype.t) (e : A.expr) : Irmod.ginit =
   let rec const_float (e : A.expr) : float option =
     match e.A.desc with
     | A.FloatLit (f, _) -> Some f
-    | A.IntLit (v, k, s) ->
-      (* Same conversion the runtime Sitofp/Uitofp performs. *)
+    | A.IntLit (v, k, s) -> begin
+      (* the runtime Sitofp/Uitofp to double *)
       let lty = Ctype.Int (k, s) in
-      let c = Ctype.normalize_const lty v in
-      Some
-        (if s = Ctype.Unsigned then begin
-           let u = Ctype.zext_const lty c in
-           if u >= 0L then Int64.to_float u
-           else Int64.to_float u +. 18446744073709551616.0
-         end
-         else Int64.to_float c)
+      match Cscalar.conversion ~from_ty:lty ~to_ty:Ctype.double_t with
+      | Scalar.Int_to_float f -> Some (f (Cscalar.constant lty v))
+      | _ -> None
+    end
     | A.Unop (A.Neg, a) -> Option.map (fun f -> -.f) (const_float a)
     | A.Cast (_, a) -> const_float a
     | _ -> None
@@ -1129,7 +998,7 @@ and lower_global_scalar ctx (ty : Ctype.t) (e : A.expr) : Irmod.ginit =
          configuration can undo (found by the differential oracle). *)
       let v =
         if Ctype.is_integer (Ctype.decay ty) then
-          Ctype.convert_const ~from_ty:(ity e) ~to_ty:(Ctype.decay ty) v
+          Cscalar.convert ~from_ty:(ity e) ~to_ty:(Ctype.decay ty) v
         else v
       in
       Irmod.Gint v

@@ -35,9 +35,17 @@ let fresh_profile () =
 
 exception Step_limit_exceeded
 
+(* A scalar instruction's [Scalar] operation, staged once when its
+   function is prepared and wrapped over [Nvalue]s. *)
+type scalar_op =
+  | No_op
+  | Op2 of (Nvalue.t -> Nvalue.t -> Nvalue.t)
+  | Op1 of (Nvalue.t -> Nvalue.t)
+
 type pblock = {
   pb_label : string;
   pb_instrs : Instr.instr array;
+  pb_ops : scalar_op array;  (** aligned with [pb_instrs] *)
   pb_term : Instr.terminator;
   mutable pb_seen : bool;  (** for the translation-count profile *)
 }
@@ -70,14 +78,44 @@ type state = {
 (* Setup                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A result is defined when every operand is; division by zero raises
+   SIGFPE. *)
+let stage (i : Instr.instr) : scalar_op =
+  let open Nvalue in
+  let both a b = defined a && defined b in
+  let sigfpe () = raise (Native_trap "SIGFPE") in
+  match i with
+  | Instr.Binop (_, op, s, _, _) -> (
+    match Scalar.binop ~div0:sigfpe op s with
+    | Scalar.Ints f -> Op2 (fun a b -> NI (f (as_int a) (as_int b), both a b))
+    | Scalar.Floats f ->
+      Op2 (fun a b -> NF (f (as_float a) (as_float b), both a b)))
+  | Instr.Icmp (_, op, s, _, _) ->
+    let f = Scalar.icmp op s in
+    Op2 (fun a b -> NI ((if f (as_int a) (as_int b) then 1L else 0L), both a b))
+  | Instr.Fcmp (_, op, _, _, _) ->
+    let f = Scalar.fcmp op in
+    Op2
+      (fun a b -> NI ((if f (as_float a) (as_float b) then 1L else 0L), both a b))
+  | Instr.Cast (_, op, from, into, _) ->
+    Op1
+      (match Scalar.cast op from into with
+      | Scalar.Int_to_int f -> fun v -> NI (f (as_int v), defined v)
+      | Scalar.Int_to_float f -> fun v -> NF (f (as_int v), defined v)
+      | Scalar.Float_to_int f -> fun v -> NI (f (as_float v), defined v)
+      | Scalar.Float_to_float f -> fun v -> NF (f (as_float v), defined v))
+  | _ -> No_op
+
 let prepare_func (f : Irfunc.t) : pfunc =
   let blocks =
     Array.of_list
       (List.map
          (fun (b : Irfunc.block) ->
+           let instrs = Array.of_list b.Irfunc.instrs in
            {
              pb_label = b.Irfunc.label;
-             pb_instrs = Array.of_list b.Irfunc.instrs;
+             pb_instrs = instrs;
+             pb_ops = Array.map stage instrs;
              pb_term = b.Irfunc.term;
              pb_seen = false;
            })
@@ -187,123 +225,14 @@ open Nvalue
 let eval_value st (regs : Nvalue.t array) (v : Instr.value) : Nvalue.t =
   match v with
   | Instr.Reg r -> regs.(r)
-  | Instr.ImmInt (x, s) -> NI (Irtype.normalize_int s x, true)
+  | Instr.ImmInt (x, s) -> NI (Scalar.normalize_int s x, true)
   | Instr.ImmFloat (f, _) -> NF (f, true)
   | Instr.Null -> NI (0L, true)
   | Instr.GlobalAddr name -> NI (Hashtbl.find st.globals name, true)
   | Instr.FuncAddr name -> NI (func_addr st name, true)
 
-let exec_binop (op : Instr.binop) (s : Irtype.scalar) (a : Nvalue.t)
-    (b : Nvalue.t) : Nvalue.t =
-  let d = defined a && defined b in
-  match op with
-  | Instr.FAdd -> NF (Irtype.round_result s (as_float a +. as_float b), d)
-  | Instr.FSub -> NF (Irtype.round_result s (as_float a -. as_float b), d)
-  | Instr.FMul -> NF (Irtype.round_result s (as_float a *. as_float b), d)
-  | Instr.FDiv -> NF (Irtype.round_result s (as_float a /. as_float b), d)
-  | _ ->
-    let x = as_int a and y = as_int b in
-    let div_check () = if y = 0L then raise (Native_trap "SIGFPE") in
-    let r =
-      match op with
-      | Instr.Add -> Int64.add x y
-      | Instr.Sub -> Int64.sub x y
-      | Instr.Mul -> Int64.mul x y
-      | Instr.Sdiv ->
-        div_check ();
-        Int64.div x y
-      | Instr.Udiv ->
-        div_check ();
-        Int64.unsigned_div (Irtype.unsigned_of s x) (Irtype.unsigned_of s y)
-      | Instr.Srem ->
-        div_check ();
-        Int64.rem x y
-      | Instr.Urem ->
-        div_check ();
-        Int64.unsigned_rem (Irtype.unsigned_of s x) (Irtype.unsigned_of s y)
-      | Instr.Shl -> Int64.shift_left x (Int64.to_int y land 63)
-      | Instr.Lshr ->
-        Int64.shift_right_logical (Irtype.unsigned_of s x) (Int64.to_int y land 63)
-      | Instr.Ashr -> Int64.shift_right x (Int64.to_int y land 63)
-      | Instr.And -> Int64.logand x y
-      | Instr.Or -> Int64.logor x y
-      | Instr.Xor -> Int64.logxor x y
-      | Instr.FAdd | Instr.FSub | Instr.FMul | Instr.FDiv -> assert false
-    in
-    NI (Irtype.normalize_int s r, d)
-
-let exec_icmp (op : Instr.icmp) (s : Irtype.scalar) (a : Nvalue.t) (b : Nvalue.t)
-    : Nvalue.t =
-  let d = defined a && defined b in
-  let x = as_int a and y = as_int b in
-  let r =
-    match op with
-    | Instr.Ieq -> x = y
-    | Instr.Ine -> x <> y
-    | Instr.Islt -> x < y
-    | Instr.Isle -> x <= y
-    | Instr.Isgt -> x > y
-    | Instr.Isge -> x >= y
-    | Instr.Iult ->
-      Int64.unsigned_compare (Irtype.unsigned_of s x) (Irtype.unsigned_of s y) < 0
-    | Instr.Iule ->
-      Int64.unsigned_compare (Irtype.unsigned_of s x) (Irtype.unsigned_of s y) <= 0
-    | Instr.Iugt ->
-      Int64.unsigned_compare (Irtype.unsigned_of s x) (Irtype.unsigned_of s y) > 0
-    | Instr.Iuge ->
-      Int64.unsigned_compare (Irtype.unsigned_of s x) (Irtype.unsigned_of s y) >= 0
-  in
-  NI ((if r then 1L else 0L), d)
-
-let exec_fcmp (op : Instr.fcmp) (a : Nvalue.t) (b : Nvalue.t) : Nvalue.t =
-  let d = defined a && defined b in
-  let x = as_float a and y = as_float b in
-  let r =
-    match op with
-    | Instr.Feq -> x = y
-    | Instr.Fne -> x <> y
-    | Instr.Flt -> x < y
-    | Instr.Fle -> x <= y
-    | Instr.Fgt -> x > y
-    | Instr.Fge -> x >= y
-  in
-  NI ((if r then 1L else 0L), d)
-
-let exec_cast (op : Instr.cast) (from : Irtype.scalar) (into : Irtype.scalar)
-    (v : Nvalue.t) : Nvalue.t =
-  let d = defined v in
-  match op with
-  | Instr.Trunc | Instr.Ptrtoint | Instr.Inttoptr ->
-    NI (Irtype.normalize_int into (as_int v), d)
-  | Instr.Zext -> NI (Irtype.normalize_int into (Irtype.unsigned_of from (as_int v)), d)
-  | Instr.Sext -> NI (Irtype.normalize_int into (as_int v), d)
-  | Instr.Fptrunc -> NF (Irtype.round_to_f32 (as_float v), d)
-  | Instr.Fpext -> NF (as_float v, d)
-  | Instr.Fptosi | Instr.Fptoui ->
-    NI (Irtype.normalize_int into (Irtype.float_to_int (as_float v)), d)
-  | Instr.Sitofp -> NF (Irtype.round_result into (Int64.to_float (as_int v)), d)
-  | Instr.Uitofp ->
-    let u = Irtype.unsigned_of from (as_int v) in
-    let f =
-      if u >= 0L then Int64.to_float u
-      else Int64.to_float u +. 18446744073709551616.0
-    in
-    NF (Irtype.round_result into f, d)
-  | Instr.Bitcast -> begin
-    match (Irtype.is_float_scalar from, Irtype.is_float_scalar into) with
-    | true, false ->
-      let f = as_float v in
-      let bits =
-        if into = Irtype.I32 then Int64.of_int32 (Int32.bits_of_float f)
-        else Int64.bits_of_float f
-      in
-      NI (Irtype.normalize_int into bits, d)
-    | false, true ->
-      let bits = as_int v in
-      if into = Irtype.F32 then NF (Int32.float_of_bits (Int64.to_int32 bits), d)
-      else NF (Int64.float_of_bits bits, d)
-    | _ -> v
-  end
+let op2 = function Op2 f -> f | No_op | Op1 _ -> invalid_arg "Nexec.op2"
+let op1 = function Op1 f -> f | No_op | Op2 _ -> invalid_arg "Nexec.op1"
 
 type opclass = Cop | Cfp | Cmem | Ccheck
 
@@ -372,7 +301,7 @@ and exec_block st (pf : pfunc) (regs : Nvalue.t array) (block_idx : int)
         let v =
           match s with
           | Irtype.F32 | Irtype.F64 -> NF (Mem.load_float st.mem addr ~size, d)
-          | _ -> NI (Irtype.normalize_int s (Mem.load_int st.mem addr ~size), d)
+          | _ -> NI (Scalar.normalize_int s (Mem.load_int st.mem addr ~size), d)
         in
         regs.(r) <- v
       | Instr.Store (s, v, p) ->
@@ -398,21 +327,21 @@ and exec_block st (pf : pfunc) (regs : Nvalue.t array) (block_idx : int)
             0L idx
         in
         regs.(r) <- NI (Int64.add (as_int bv) delta, defined bv)
-      | Instr.Binop (r, op, s, a, b) ->
+      | Instr.Binop (r, op, _, a, b) ->
         charge st
           (match op with
           | Instr.FAdd | Instr.FSub | Instr.FMul | Instr.FDiv -> Cfp
           | _ -> Cop);
-        regs.(r) <- exec_binop op s (ev a) (ev b)
-      | Instr.Icmp (r, op, s, a, b) ->
+        regs.(r) <- op2 blk.pb_ops.(i) (ev a) (ev b)
+      | Instr.Icmp (r, _, _, a, b) ->
         charge st Cop;
-        regs.(r) <- exec_icmp op s (ev a) (ev b)
-      | Instr.Fcmp (r, op, _, a, b) ->
+        regs.(r) <- op2 blk.pb_ops.(i) (ev a) (ev b)
+      | Instr.Fcmp (r, _, _, a, b) ->
         charge st Cfp;
-        regs.(r) <- exec_fcmp op (ev a) (ev b)
-      | Instr.Cast (r, op, from, into, v) ->
+        regs.(r) <- op2 blk.pb_ops.(i) (ev a) (ev b)
+      | Instr.Cast (r, _, _, _, v) ->
         charge st Cop;
-        regs.(r) <- exec_cast op from into (ev v)
+        regs.(r) <- op1 blk.pb_ops.(i) (ev v)
       | Instr.Select (r, _, c, a, b) ->
         charge st Cop;
         let cv = ev c in

@@ -6,7 +6,7 @@
     the faulting code was running.  Every consequential engine decision
     — tier-up with the hotness numbers that triggered it, deopt with the
     managed-error kind, OSR entry, inline accept/reject with the cost
-    model's inputs, compiled-body cache hit/miss, managed-error raise —
+    model's inputs, managed-error raise —
     is recorded here.  The ring is tiny (a few hundred entries), the
     record path is a couple of stores plus a counter bump, and every
     recorded kind is rare by construction (they happen per function or
@@ -48,8 +48,6 @@ type event =
       ev_budget : int;
       ev_reason : string;
     }
-  | Cache_hit of { ev_key : string }
-  | Cache_miss of { ev_key : string }
   | Error_raised of { ev_kind : string; ev_msg : string }
 
 type entry = { e_seq : int; e_event : event }
@@ -66,8 +64,6 @@ let kind_name = function
   | Osr_enter _ -> "osr_enter"
   | Inline_accept _ -> "inline_accept"
   | Inline_reject _ -> "inline_reject"
-  | Cache_hit _ -> "cache_hit"
-  | Cache_miss _ -> "cache_miss"
   | Error_raised _ -> "error_raised"
 
 (** Record [ev] (a no-op under [mask]).  Also bumps the per-kind
@@ -123,8 +119,6 @@ let render (e : entry) : string =
     | Inline_reject i ->
       Printf.sprintf "%-14s %s <- %s (size=%d, budget=%d): %s" "inline-reject"
         i.ev_caller i.ev_callee i.ev_size i.ev_budget i.ev_reason
-    | Cache_hit c -> Printf.sprintf "%-14s %s" "cache-hit" c.ev_key
-    | Cache_miss c -> Printf.sprintf "%-14s %s" "cache-miss" c.ev_key
     | Error_raised r -> Printf.sprintf "%-14s %s: %s" "error" r.ev_kind r.ev_msg
   in
   Printf.sprintf "#%-5d %s" e.e_seq body

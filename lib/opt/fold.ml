@@ -1,114 +1,57 @@
-(** Constant folding and algebraic simplification.  Semantics must match
-    the engines exactly (same normalization), otherwise optimized and
-    unoptimized runs would diverge on correct programs. *)
-
-let imm s v = Instr.ImmInt (Irtype.normalize_int s v, s)
+(** Constant folding and algebraic simplification.  Every fold computes
+    through [Scalar], the kernel the engines execute, on immediates that
+    [Verify] guarantees canonical; a division by zero is left unfolded
+    so the running program still traps. *)
 
 let as_const (v : Instr.value) : int64 option =
   match v with Instr.ImmInt (x, _) -> Some x | _ -> None
 
-let as_fconst (v : Instr.value) : float option =
-  match v with
-  | Instr.ImmFloat (f, _) -> Some f
-  | _ -> None
+exception No_fold
 
-let fimm s f = Instr.ImmFloat (Irtype.round_result s f, s)
+let no_fold () = raise No_fold
 
 let fold_binop op s a b : Instr.value option =
-  match (op, as_const a, as_const b, as_fconst a, as_fconst b) with
-  | Instr.FAdd, _, _, Some x, Some y -> Some (fimm s (x +. y))
-  | Instr.FSub, _, _, Some x, Some y -> Some (fimm s (x -. y))
-  | Instr.FMul, _, _, Some x, Some y -> Some (fimm s (x *. y))
-  | Instr.FDiv, _, _, Some x, Some y -> Some (fimm s (x /. y))
-  | _, Some x, Some y, _, _ -> begin
-    let open Instr in
-    match op with
-    | Add -> Some (imm s (Int64.add x y))
-    | Sub -> Some (imm s (Int64.sub x y))
-    | Mul -> Some (imm s (Int64.mul x y))
-    | Sdiv when y <> 0L -> Some (imm s (Int64.div x y))
-    | Srem when y <> 0L -> Some (imm s (Int64.rem x y))
-    | Udiv when y <> 0L ->
-      Some
-        (imm s
-           (Int64.unsigned_div (Irtype.unsigned_of s x) (Irtype.unsigned_of s y)))
-    | Urem when y <> 0L ->
-      Some
-        (imm s
-           (Int64.unsigned_rem (Irtype.unsigned_of s x) (Irtype.unsigned_of s y)))
-    | Shl -> Some (imm s (Int64.shift_left x (Int64.to_int y land 63)))
-    | Lshr ->
-      Some
-        (imm s
-           (Int64.shift_right_logical (Irtype.unsigned_of s x)
-              (Int64.to_int y land 63)))
-    | Ashr -> Some (imm s (Int64.shift_right x (Int64.to_int y land 63)))
-    | And -> Some (imm s (Int64.logand x y))
-    | Or -> Some (imm s (Int64.logor x y))
-    | Xor -> Some (imm s (Int64.logxor x y))
-    | _ -> None
-  end
-  (* Algebraic identities with one constant side. *)
-  | Instr.Add, Some 0L, None, _, _ -> Some b
-  | Instr.Add, None, Some 0L, _, _ -> Some a
-  | Instr.Sub, None, Some 0L, _, _ -> Some a
-  | Instr.Mul, Some 1L, None, _, _ -> Some b
-  | Instr.Mul, None, Some 1L, _, _ -> Some a
-  | Instr.Mul, Some 0L, None, _, _ -> Some (imm s 0L)
-  | Instr.Mul, None, Some 0L, _, _ -> Some (imm s 0L)
-  | _ -> None
+  match (a, b) with
+  | Instr.ImmInt (x, _), Instr.ImmInt (y, _) -> (
+    match Scalar.binop ~div0:no_fold op s with
+    | Scalar.Ints f -> ( try Some (Instr.ImmInt (f x y, s)) with No_fold -> None)
+    | Scalar.Floats _ -> None)
+  | Instr.ImmFloat (x, _), Instr.ImmFloat (y, _) -> (
+    match Scalar.binop ~div0:no_fold op s with
+    | Scalar.Floats f -> Some (Instr.ImmFloat (f x y, s))
+    | Scalar.Ints _ -> None)
+  | _ -> (
+    (* Algebraic identities with one constant side. *)
+    match (op, as_const a, as_const b) with
+    | Instr.Add, Some 0L, None -> Some b
+    | Instr.Add, None, Some 0L -> Some a
+    | Instr.Sub, None, Some 0L -> Some a
+    | Instr.Mul, Some 1L, None -> Some b
+    | Instr.Mul, None, Some 1L -> Some a
+    | Instr.Mul, Some 0L, None -> Some (Instr.ImmInt (0L, s))
+    | Instr.Mul, None, Some 0L -> Some (Instr.ImmInt (0L, s))
+    | _ -> None)
 
 let fold_icmp op s a b : Instr.value option =
-  match (as_const a, as_const b) with
-  | Some x, Some y ->
-    let open Instr in
-    let u v = Irtype.unsigned_of s v in
-    let r =
-      match op with
-      | Ieq -> x = y
-      | Ine -> x <> y
-      | Islt -> x < y
-      | Isle -> x <= y
-      | Isgt -> x > y
-      | Isge -> x >= y
-      | Iult -> Int64.unsigned_compare (u x) (u y) < 0
-      | Iule -> Int64.unsigned_compare (u x) (u y) <= 0
-      | Iugt -> Int64.unsigned_compare (u x) (u y) > 0
-      | Iuge -> Int64.unsigned_compare (u x) (u y) >= 0
-    in
-    Some (imm Irtype.I1 (if r then 1L else 0L))
+  match (a, b) with
+  | Instr.ImmInt (x, _), Instr.ImmInt (y, _) ->
+    Some (Instr.ImmInt ((if Scalar.icmp op s x y then 1L else 0L), Irtype.I1))
   | _ -> None
 
-let fold_cast op from into v : Instr.value option =
-  match (v : Instr.value) with
-  | Instr.ImmInt (x, _) -> begin
-    match (op : Instr.cast) with
-    | Instr.Trunc | Instr.Inttoptr | Instr.Ptrtoint ->
-      Some (imm into x)
-    | Instr.Zext -> Some (imm into (Irtype.unsigned_of from x))
-    | Instr.Sext -> Some (imm into x)
-    | Instr.Sitofp -> Some (fimm into (Int64.to_float x))
-    | Instr.Uitofp ->
-      let u = Irtype.unsigned_of from x in
-      let f =
-        if u >= 0L then Int64.to_float u
-        else Int64.to_float u +. 18446744073709551616.0
-      in
-      Some (fimm into f)
-    | _ -> None
-  end
-  | Instr.ImmFloat (f, _) -> begin
-    match op with
-    | Instr.Fpext -> Some (Instr.ImmFloat (f, into))
-    | Instr.Fptrunc -> Some (Instr.ImmFloat (Irtype.round_to_f32 f, into))
-    | Instr.Fptosi | Instr.Fptoui -> Some (imm into (Irtype.float_to_int f))
-    | _ -> None
-  end
-  | Instr.Null -> begin
-    match op with
-    | Instr.Ptrtoint -> Some (imm into 0L)
-    | _ -> None
-  end
+let fold_cast op from into (v : Instr.value) : Instr.value option =
+  match ((op : Instr.cast), v) with
+  | Instr.Bitcast, _ -> None
+  | Instr.Ptrtoint, Instr.Null -> Some (Instr.ImmInt (0L, into))
+  | _, (Instr.ImmInt _ | Instr.ImmFloat _) -> (
+    match (Scalar.cast op from into, v) with
+    | Scalar.Int_to_int f, Instr.ImmInt (x, _) -> Some (Instr.ImmInt (f x, into))
+    | Scalar.Int_to_float f, Instr.ImmInt (x, _) ->
+      Some (Instr.ImmFloat (f x, into))
+    | Scalar.Float_to_int f, Instr.ImmFloat (x, _) ->
+      Some (Instr.ImmInt (f x, into))
+    | Scalar.Float_to_float f, Instr.ImmFloat (x, _) ->
+      Some (Instr.ImmFloat (f x, into))
+    | _ -> None)
   | _ -> None
 
 (** One folding sweep over [f]; returns true if anything changed. *)

@@ -6,7 +6,7 @@
 
 let test_float_to_int_edges () =
   let check what expected f =
-    Alcotest.(check int64) what expected (Irtype.float_to_int f)
+    Alcotest.(check int64) what expected (Scalar.float_to_int f)
   in
   check "NaN -> 0" 0L Float.nan;
   check "+inf saturates" Int64.max_int Float.infinity;
@@ -35,7 +35,7 @@ let test_fold_cast_matches_engines () =
     "folded -inf" Int64.min_int
     (fold Float.neg_infinity);
   Alcotest.(check int64)
-    "fold agrees with Irtype.float_to_int" (Irtype.float_to_int 1e19)
+    "fold agrees with Scalar.float_to_int" (Scalar.float_to_int 1e19)
     (fold 1e19)
 
 (* ---------------- checked-in regression reproducers ---------------- *)

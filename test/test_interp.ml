@@ -425,13 +425,13 @@ int main(void) {
 
 (* Pins the float semantics every engine must share, bit-exactly:
    - F32 arithmetic rounds each result to binary32 (reverting the
-     [Irtype.round_result] fix keeps the double-precision intermediate
+     [Scalar.round_result] fix keeps the double-precision intermediate
      and changes the first printed line);
    - int-to-F32 conversion rounds ((float)16777217 is 2^24);
    - NaN comparison semantics: ordered comparisons are false, [!=] is
-     true ([exec_fcmp]'s Fne on NaN);
+     true ([Scalar.fcmp]'s Fne on NaN);
    - float-to-int conversion is saturating with NaN -> 0
-     ([Irtype.float_to_int]).
+     ([Scalar.float_to_int]).
    Float values print as IEEE-754 bits through a double store, never
    through a decimal formatter. *)
 let f32_nan_src =

@@ -75,6 +75,48 @@ let test_verify_unknown_callee () =
            };
          ])
 
+(* Textual IR may spell an i8 constant as 255 or 200; every engine reads
+   those as -1 and -56.  A folder computing on the raw literals gets
+   255 sdiv 2 = 127 and 200 slt 0 = false, so the module exits 127 after
+   [Fold.run] instead of 100. *)
+let noncanonical_probe =
+  {|define i32 @main() {
+entry:
+  %0 = sdiv i8 i8 255, i8 2
+  %1 = icmp slt i8 i8 200, i8 0
+  %2 = sext i8 %0 to i32
+  %3 = zext i1 %1 to i32
+  %4 = mul i32 %3, i32 100
+  %5 = add i32 %2, %4
+  ret i32 %5
+}
+|}
+
+let test_noncanonical_immediates () =
+  let exit_code m = (Interp.run (Interp.create m)).Interp.exit_code in
+  let m = Irparse.parse noncanonical_probe in
+  Verify.verify m;
+  let unfolded = exit_code m in
+  Alcotest.(check int) "interpreter reads the canonical values" 100 unfolded;
+  ignore (Fold.run m);
+  Verify.verify m;
+  Alcotest.(check int) "same exit code after Fold.run" unfolded (exit_code m);
+  expect_invalid "non-canonical immediate"
+    (mk_func
+       ~blocks:
+         [
+           {
+             Irfunc.label = "entry";
+             instrs =
+               [
+                 Instr.Binop (1, Instr.Sdiv, Irtype.I8,
+                              Instr.ImmInt (255L, Irtype.I8),
+                              Instr.ImmInt (2L, Irtype.I8));
+               ];
+             term = Instr.Ret (Some (Irtype.I32, Instr.ImmInt (0L, Irtype.I32)));
+           };
+         ])
+
 let test_accepts_frontend_output () =
   let m = Loader.load_program "int main(void) { return 0; }" in
   Verify.verify m
@@ -628,6 +670,8 @@ let () =
           Alcotest.test_case "duplicate label" `Quick test_verify_duplicate_label;
           Alcotest.test_case "double definition" `Quick test_verify_double_def;
           Alcotest.test_case "unknown callee" `Quick test_verify_unknown_callee;
+          Alcotest.test_case "canonical immediates" `Quick
+            test_noncanonical_immediates;
           Alcotest.test_case "frontend output verifies" `Quick
             test_accepts_frontend_output;
         ] );

@@ -251,7 +251,7 @@ let test_events_ring_capacity () =
       Events.reset ();
       for i = 0 to 299 do
         Events.record
-          (Events.Cache_hit { ev_key = Printf.sprintf "k%d" i })
+          (Events.Osr_enter { ev_fn = "f"; ev_block = Printf.sprintf "b%d" i })
       done;
       let entries = Events.recent () in
       Alcotest.(check int) "ring keeps last capacity entries" Events.capacity
@@ -264,8 +264,8 @@ let test_events_ring_capacity () =
       let last = List.nth entries (List.length entries - 1) in
       Alcotest.(check int) "newest seq" 299 last.Events.e_seq;
       (* per-kind counters count every record, not just survivors *)
-      Alcotest.(check int) "events.cache_hit counter" 300
-        (Metrics.counter "events.cache_hit").Metrics.c_value;
+      Alcotest.(check int) "events.osr_enter counter" 300
+        (Metrics.counter "events.osr_enter").Metrics.c_value;
       Events.reset ();
       Alcotest.(check int) "reset empties the ring" 0
         (List.length (Events.recent ())))

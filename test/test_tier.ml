@@ -117,7 +117,7 @@ let test_default_threshold_stays_cold () =
 
 (* The closure-compiled tier goes through [Closcomp], whose float ops
    must round F32 results to binary32 exactly like the interpreter
-   ([Irtype.round_result]).  This pins the reproducers from
+   ([Scalar.round_result]).  This pins the reproducers from
    test_interp.ml on the forced-hot path: 16777216.0f + 1.0f, an F32
    division whose double intermediate differs, (float)16777217, NaN
    comparison truth table, and saturating float-to-int. *)
