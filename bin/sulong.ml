@@ -464,7 +464,9 @@ let do_difftest seeds seed_start features_str shrink json_file jobs chunk
       Printf.printf "  ...%d seeds checked\n%!" i
     end
   in
-  let campaign_needed = jobs > 1 || ledger <> None || resume_file <> None in
+  let campaign_needed =
+    jobs > 1 || ledger <> None || resume_file <> None || bugdb <> None
+  in
   let outcome =
     match resume_file with
     | Some file -> (
@@ -795,129 +797,45 @@ let bugdb_cmd =
 
 (* ---------------- bench ---------------- *)
 
-(* The always-on subset of bench/main.exe: time the Fig 15 meteor and
-   whetstone units of work under the interpreter and under the
-   closure-compiled tier, and append the wall-clock rows (plus the
-   per-benchmark interp/tiered speedups) to a JSON-array log so the
-   tiered-engine trajectory is tracked across PRs.  Each benchmark
-   prepares one state per engine and rewinds it with [Interp.reset]
-   between iterations: [pf_tier] survives the reset (the compiled-body
-   cache), so the tiered rows time warm execution, not recompilation —
-   the same shape as the paper's warmed-up measurements.  The full
-   microbenchmark suite stays in bench/main.exe.
+(* Time every [Microbench] row, print the rows, the per-benchmark
+   interp/tiered speedups and the metered rows, and with --json write
+   them all as one JSON array (the [BENCH_interp.json] log that tracks
+   the trajectory across changes).  With --profile, each reset-based
+   managed row's guest profile goes to stderr, so the rows on stdout
+   stay log-greppable.
 
    `sulong bench --compare OLD.json NEW.json` diffs two such logs and
    exits nonzero when any ns_per_op row regressed by more than 10%. *)
 
-let bench_time ?(quota_s = 0.5) ?(min_runs = 3) (thunk : unit -> unit) : float =
-  thunk ();
-  (* warm-up *)
-  let t0 = Sys.time () in
-  let runs = ref 0 in
-  while Sys.time () -. t0 < quota_s || !runs < min_runs do
-    thunk ();
-    incr runs
-  done;
-  (Sys.time () -. t0) *. 1e9 /. float_of_int !runs
-
-(* (label, interp ns/op, tiered ns/op) for one benchmark program.  With
-   [~profile], each engine gets a guest profiler whose attribution
-   accumulates across the timing iterations ([Interp.reset] rewinds the
-   delta markers but keeps the books); the top-N tables go to stderr so
-   the ns/op lines on stdout stay log-greppable. *)
-let bench_pair ~quota_s ?(profile = false) (label : string) (src : string) :
-    string * float * float =
-  let m = Loader.load_program src in
-  let mkprof () = if profile then Some (Profile.create ()) else None in
-  let profi = mkprof () in
-  let sti = Interp.create ?profile:profi m in
-  let interp_ns =
-    bench_time ~quota_s (fun () ->
-        Interp.reset sti;
-        ignore (Interp.run sti))
-  in
-  let proft = mkprof () in
-  let stt =
-    Interp.create ~tier:(Tier.controller ~threshold:0 ()) ?profile:proft m
-  in
-  let tiered_ns =
-    bench_time ~quota_s (fun () ->
-        Interp.reset stt;
-        ignore (Interp.run stt))
-  in
-  List.iter
-    (fun (engine, p) ->
-      match p with
-      | Some p ->
-        Printf.eprintf "%s (%s)\n%s" label engine (Profile.top_table p)
-      | None -> ())
-    [ ("managed interpreter", profi); ("closure-compiled tier", proft) ];
-  (label, interp_ns, tiered_ns)
-
 let do_bench_run quota_s profile json_file =
-  let pairs =
-    [
-      bench_pair ~quota_s ~profile "fig15 meteor"
-        Benchprogs.meteor.Benchprogs.b_source;
-      bench_pair ~quota_s ~profile "whetstone"
-        Benchprogs.whetstone.Benchprogs.b_source;
-    ]
-  in
   let rows =
-    List.concat_map
-      (fun (label, interp_ns, tiered_ns) ->
-        let speedup = interp_ns /. tiered_ns in
-        Printf.printf "%-12s managed interpreter:   %12.0f ns/op\n" label
-          interp_ns;
-        Printf.printf "%-12s closure-compiled tier: %12.0f ns/op\n" label
-          tiered_ns;
-        Printf.printf "%-12s interp/tiered speedup: %12.2f x\n" label speedup;
-        [
-          Printf.sprintf
-            "  {\"name\": \"bench: %s (managed interpreter)\", \"ns_per_op\": \
-             %.0f}"
-            label interp_ns;
-          Printf.sprintf
-            "  {\"name\": \"bench: %s (closure-compiled tier)\", \
-             \"ns_per_op\": %.0f}"
-            label tiered_ns;
-          Printf.sprintf
-            "  {\"name\": \"bench: %s interp/tiered speedup\", \"value\": \
-             %.2f}"
-            label speedup;
-        ])
-      pairs
+    List.map
+      (fun (u : Microbench.unit_of_work) ->
+        let ns, runs = Microbench.time ~quota_s u.Microbench.u_run in
+        Printf.printf "  %-52s %14.0f ns/op (%d runs)\n%!" u.Microbench.u_name
+          ns runs;
+        Option.iter
+          (fun p ->
+            Printf.eprintf "%s\n%s%!" u.Microbench.u_name (Profile.top_table p))
+          u.Microbench.u_profile;
+        { Microbench.name = u.Microbench.u_name; ns_per_op = ns; runs })
+      (Microbench.units ~profile)
   in
+  let speedups = Microbench.speedups rows in
+  List.iter (fun (n, x) -> Printf.printf "  %-52s %14.2f x\n" n x) speedups;
+  let obs = Microbench.obs_rows () in
+  List.iter (fun (n, v) -> Printf.printf "  %-52s %14s\n" n v) obs;
   (match json_file with
   | Some file ->
-    List.iter (Difftest.append_row ~file) rows;
-    Printf.printf "appended rows to %s\n" file
+    Out_channel.with_open_text file (fun oc ->
+        output_string oc (Microbench.to_json rows speedups obs));
+    Printf.printf "wrote %s\n" file
   | None -> ());
   0
 
-(* --compare: the ns_per_op rows of a bench log (a JSON array of row
-   objects, the schema both bench writers emit), in file order. *)
-let parse_ns_rows (file : string) : (string * float) list =
-  let ic = open_in_bin file in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Trace.parse_json s with
-  | Trace.Jarr rows ->
-    List.filter_map
-      (function
-        | Trace.Jobj fields -> (
-          match
-            (List.assoc_opt "name" fields, List.assoc_opt "ns_per_op" fields)
-          with
-          | Some (Trace.Jstr name), Some (Trace.Jnum ns) -> Some (name, ns)
-          | _ -> None)
-        | _ -> None)
-      rows
-  | _ -> raise (Trace.Bad (file ^ " is not a JSON array of rows"))
-
 let do_bench_compare old_file new_file =
-  let old_rows = parse_ns_rows old_file in
-  let new_rows = parse_ns_rows new_file in
+  let old_rows = Microbench.ns_rows old_file in
+  let new_rows = Microbench.ns_rows new_file in
   let tolerance = 1.10 in
   let regressions = ref 0 in
   List.iter
@@ -962,16 +880,17 @@ let bench_json_arg =
     & opt ~vopt:(Some "BENCH_interp.json") (some string) None
     & info [ "json" ] ~docv:"FILE"
         ~doc:
-          "Append the interp-vs-tiered rows to the JSON-array log $(docv) \
-           (default BENCH_interp.json).")
+          "Write every row as one JSON array to $(docv) (default \
+           BENCH_interp.json), replacing the file.")
 
 let bench_quota_arg =
   Arg.(
     value & opt float 0.5
     & info [ "quota" ] ~docv:"SECONDS"
         ~doc:
-          "Per-row timing quota; lower it (e.g. 0.05) for a smoke run that \
-           only checks the tiered engine still executes the benchmarks.")
+          "Per-row timing quota (each row also runs at least 5 times); \
+           lower it (e.g. 0.05) for a smoke run that only checks every \
+           row still executes.")
 
 let bench_compare_arg =
   Arg.(
@@ -988,12 +907,12 @@ let bench_profile_arg =
     value & flag
     & info [ "profile" ]
         ~doc:
-          "Print each benchmark's guest profile (top functions and hot \
-           blocks by managed steps) for both engines to stderr after \
-           timing.")
+          "Print the guest profile (top functions and hot blocks by \
+           managed steps) of each managed-interpreter and closure-compiled \
+           row to stderr after timing it.")
 
 let bench_cmd =
-  let doc = "time the interpreter vs. the closure-compiled tier (Fig 15 unit)" in
+  let doc = "time the unit of work behind each table and figure" in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(
       const do_bench $ bench_quota_arg $ bench_profile_arg $ bench_json_arg

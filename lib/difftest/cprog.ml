@@ -47,8 +47,6 @@ type fty = F32 | F64
     types an arithmetic operand ([well_formed] rejects those shapes). *)
 type sty = It of ity | Ft of fty | Pt of ity
 
-let all_itys = [ I8; U8; I16; U16; I32; U32; I64; U64 ]
-
 let bits = function
   | I8 | U8 -> 8
   | I16 | U16 -> 16
@@ -131,7 +129,7 @@ let as_long t v = if is_unsigned t && bits t < 64 then zext t v else v
 (* ---------------- float constant arithmetic ---------------- *)
 
 (** Round to the nearest binary32 value — deliberately the same
-    bit-store/load trick as [Irtype.round_to_f32], but written here
+    bit-store/load trick as [Scalar.round_to_f32], but written here
     independently: the reference evaluator shares no code with the
     engines it arbitrates. *)
 let round_f32 (f : float) : float = Int32.float_of_bits (Int32.bits_of_float f)
@@ -140,7 +138,7 @@ let round_f ft f = match ft with F32 -> round_f32 f | F64 -> f
 
 (** The defined float-to-integer conversion of our abstract machine
     (truncation toward zero, NaN to 0, saturation at the i64 range),
-    reimplemented independently of [Irtype.float_to_int]. *)
+    reimplemented independently of [Scalar.float_to_int]. *)
 let float_to_int_sat (f : float) : int64 =
   if f <> f then 0L
   else if f >= 9.223372036854775808e18 then Int64.max_int
@@ -296,32 +294,6 @@ type program = {
 type referent = RScalar of string | RArr of string * int  (** name, len *)
 
 let referent_extent = function RScalar _ -> 1 | RArr (_, len) -> len
-
-(** Resolve pointer [name] to its referent and element offset by
-    following the (acyclic, earlier-only) alias chain.  [None] when the
-    chain dangles — ill-formed programs only. *)
-let resolve_ptr (p : program) (name : string) : (referent * int) option =
-  let rec go ptrs name =
-    let rec find acc = function
-      | [] -> None
-      | (n, _, pi) :: _ when n = name -> Some (List.rev acc, pi)
-      | x :: rest -> find (x :: acc) rest
-    in
-    match find [] ptrs with
-    | None -> None
-    | Some (prefix, pi) -> (
-      match pi with
-      | PaddrScalar x -> Some (RScalar x, 0)
-      | PaddrArr (a, k) -> (
-        match List.find_opt (fun (n, _, _) -> n = a) p.arrays with
-        | Some (_, _, len) -> Some (RArr (a, len), k)
-        | None -> None)
-      | Palias (q, k) -> (
-        match go prefix q with
-        | Some (r, off) -> Some (r, off + k)
-        | None -> None))
-  in
-  go p.ptrs name
 
 let binop_str = function
   | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Rem -> "%"

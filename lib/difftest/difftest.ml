@@ -195,26 +195,6 @@ let run ?(features = Cgen.all_features) ?(shrink = false) ?(shrink_budget = 200)
   r
 
 (* ------------------------------------------------------------------ *)
-(* Sharded campaigns (--jobs N)                                        *)
-(* ------------------------------------------------------------------ *)
-
-(** Contiguous shard [i] of [seeds] seeds split [jobs] ways: the first
-    [seeds mod jobs] shards take one extra seed.
-
-    This was the unit of the original fork-per-shard driver, where one
-    dead worker aborted the whole campaign and discarded every finished
-    shard.  Multi-process campaigns now run through [Campaign.run],
-    which hands out small chunks from a work-stealing queue, respawns
-    dead workers, and requeues their in-flight chunk — [shard_range]
-    remains the static split used when a caller wants one contiguous
-    range per worker (and keeps its boundary tests). *)
-let shard_range ~seed_start ~seeds ~jobs i : int * int =
-  let base = seeds / jobs and rem = seeds mod jobs in
-  let len = base + if i < rem then 1 else 0 in
-  let start = seed_start + (i * base) + min i rem in
-  (start, len)
-
-(* ------------------------------------------------------------------ *)
 (* JSON log                                                            *)
 (* ------------------------------------------------------------------ *)
 

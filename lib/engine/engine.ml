@@ -153,13 +153,3 @@ let run ?(argv = [ "program" ]) ?(input = "") ?(step_limit = default_step_limit)
   | Asan level ->
     run_asan ~level ~options:asan_options ~argv ~input ~step_limit src
   | Valgrind level -> run_valgrind ~level ~argv ~input ~step_limit src
-
-(** All configurations the effectiveness experiment compares. *)
-let comparison_tools : tool list =
-  [
-    Safe_sulong;
-    Asan Pipeline.O0;
-    Asan Pipeline.O3;
-    Valgrind Pipeline.O0;
-    Valgrind Pipeline.O3;
-  ]

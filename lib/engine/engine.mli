@@ -69,6 +69,3 @@ val run_clang_module :
   level:Pipeline.level ->
   Irmod.t ->
   result
-
-(** The five configurations of the paper's effectiveness comparison. *)
-val comparison_tools : tool list

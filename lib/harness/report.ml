@@ -1,6 +1,6 @@
-(** One entry point per experiment, plus [run_all] — what `bench/main.exe`
-    and `bin/sulong.exe report` call.  Each function prints the same
-    rows/series the paper's corresponding table or figure shows. *)
+(** One entry point per experiment, plus [run_all] — what `sulong report`
+    calls.  Each function prints the same rows/series the paper's
+    corresponding table or figure shows. *)
 
 let hr title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')

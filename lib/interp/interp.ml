@@ -247,14 +247,10 @@ and compiled = {
   cb_entry : compiled_body;
   cb_osr : osr_body option;
   cb_frame : (Mval.t array -> Irtype.scalar array -> frame) option;
-      (** allocate-or-recycle a frame with the compiled register-file
-          layout installed and parameters copied; [None] falls back to
-          the generic frame construction in [call_function] (and then
-          [cb_entry] must install its own register files) *)
-  cb_release : (frame -> unit) option;
-      (** return a [cb_frame]-obtained frame to the free list after a
-          normal return.  Never called on the error path: the erroring
-          frame stays reachable from [frames] for reporting. *)
+      (** build a frame with the compiled register-file layout installed
+          and parameters copied; [None] falls back to the generic frame
+          construction in [call_function] (and then [cb_entry] must
+          install its own register files) *)
 }
 
 (** A compiled function body: runs the function from its entry block in
@@ -1053,7 +1049,7 @@ let rec call_function st (pf : pfunc) (args : Mval.t array)
   let fr =
     match pf.pf_tier with
     | Tier_compiled { cb_frame = Some acquire; _ } ->
-      (* pooled frame, register files installed and parameters copied *)
+      (* register files installed and parameters copied *)
       acquire args arg_scalars
     | Tier_compiled { cb_frame = None; _ } | Tier_interp | Tier_deopt ->
       let regs = Array.make pf.pf_nregs Mval.zero in
@@ -1106,15 +1102,6 @@ let rec call_function st (pf : pfunc) (args : Mval.t array)
   | None -> ());
   st.frames <- List.tl st.frames;
   st.depth <- st.depth - 1;
-  (* The frame is dead (popped, result extracted): recycle it.  An
-     OSR'd invocation can reach here with a generically-built frame
-     that tiered up mid-call; adopting it into the pool is fine — the
-     OSR transfer installed the same register-file layout [cb_frame]
-     would have. *)
-  (match pf.pf_tier with
-  | Tier_compiled { cb_release = Some release; cb_frame = Some _; _ } ->
-    release fr
-  | _ -> ());
   result
 
 (** Run a compiled body under the deopt contract: a managed error drops

@@ -152,19 +152,15 @@ and tier =
   | Tier_deopt
 
 (** A compiled function: normal entry plus an optional on-stack
-    replacement entry for functions with loop headers.  [cb_frame] /
-    [cb_release], when provided, let [call_function] recycle frames
-    through a per-function free list instead of allocating register
-    files on every invocation: [cb_frame args scalars] returns a frame
-    with the compiled register-file layout already installed (arrays
-    zeroed, parameters copied), and [cb_release] returns it to the pool
-    after a normal return — never after an error, since the erroring
-    frame stays reachable from [frames] for reporting. *)
+    replacement entry for functions with loop headers.  [cb_frame], when
+    provided, lets [call_function] build frames in the compiled layout
+    directly: [cb_frame args scalars] returns a frame with the compiled
+    register files already installed (arrays zeroed, parameters
+    copied). *)
 and compiled = {
   cb_entry : compiled_body;
   cb_osr : osr_body option;
   cb_frame : (Mval.t array -> Irtype.scalar array -> frame) option;
-  cb_release : (frame -> unit) option;
 }
 
 (** A compiled function body: runs the function from its entry block in

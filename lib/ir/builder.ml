@@ -57,8 +57,6 @@ let terminate b term =
     b.finished <- true
   end
 
-let current_label b = b.current.Irfunc.label
-
 (* Typed emission helpers; each returns the result register as a value. *)
 
 let alloca b mty =

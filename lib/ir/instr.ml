@@ -122,16 +122,3 @@ let term_successors = function
   | Br l -> [ l ]
   | Condbr (_, a, b) -> [ a; b ]
   | Switch (_, cases, default) -> default :: List.map snd cases
-
-(** Does this instruction have side effects that must be preserved even
-    when its result is unused?  Under *safe* semantics (Safe Sulong's
-    compiler), loads and stores can trap and are therefore side-effecting;
-    under *UB* semantics (Clang-style), an unused load or a store to dead
-    memory can be deleted.  The optimizer passes make this distinction
-    explicitly; this predicate is the conservative safe-semantics one. *)
-let has_side_effect = function
-  | Store _ | Call _ | Sancheck _ -> true
-  | Load _ -> true
-  | Alloca _ | Gep _ | Binop _ | Icmp _ | Fcmp _ | Cast _ | Select _ | Phi _
-  | Srcloc _ ->
-    false

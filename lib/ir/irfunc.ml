@@ -22,11 +22,6 @@ let entry f =
   | b :: _ -> b
   | [] -> failwith ("irfunc: empty function " ^ f.name)
 
-let find_block f label =
-  match List.find_opt (fun b -> b.label = label) f.blocks with
-  | Some b -> b
-  | None -> failwith (Printf.sprintf "irfunc: no block %s in %s" label f.name)
-
 let fresh_reg f =
   let r = f.next_reg in
   f.next_reg <- r + 1;

@@ -777,7 +777,6 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           assert false);
       cb_osr = None;
       cb_frame = None;
-      cb_release = None;
     }
   else begin
     let sites, nregs = plan_inlines st0 pf in
@@ -2691,6 +2690,6 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               slots;
             !(cells.(idx)) st fr)
     in
-    { cb_entry; cb_osr; cb_frame = Some acquire; cb_release = None }
+    { cb_entry; cb_osr; cb_frame = Some acquire }
   end
 

@@ -18,5 +18,3 @@ let zero = NI (0L, true)
 let as_int = function NI (v, _) -> v | NF (f, _) -> Int64.of_float f
 let as_float = function NF (f, _) -> f | NI (v, _) -> Int64.to_float v
 let defined = function NI (_, d) | NF (_, d) -> d
-
-let with_def d = function NI (v, _) -> NI (v, d) | NF (f, _) -> NF (f, d)

@@ -58,7 +58,3 @@ let boxplot_relative b ~denom =
     q3 = b.q3 /. denom;
     high = b.high /. denom;
   }
-
-let pp_boxplot ppf b =
-  Fmt.pf ppf "min=%.3f q1=%.3f med=%.3f q3=%.3f max=%.3f" b.low b.q1 b.med b.q3
-    b.high

@@ -25,5 +25,3 @@ val boxplot : float list -> boxplot
 (** Scale every field by [1/denom] (Figure 16's normalization to the
     Clang -O0 median). *)
 val boxplot_relative : boxplot -> denom:float -> boxplot
-
-val pp_boxplot : Format.formatter -> boxplot -> unit

@@ -36,22 +36,3 @@ let range a b =
 
 (** [sum_by f xs] sums [f x] over the list. *)
 let sum_by f xs = List.fold_left (fun acc x -> acc + f x) 0 xs
-
-let sum_by_f f xs = List.fold_left (fun acc x -> acc +. f x) 0.0 xs
-
-(** Escape [s] for embedding in a JSON string literal. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b

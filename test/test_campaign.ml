@@ -59,28 +59,6 @@ let test_chunks_of () =
   Alcotest.(check int) "remainder adds a short tail chunk" 5
     (List.length (chunks ~seed_start:0 ~seeds:23 ~chunk_size:5))
 
-let test_shard_range () =
-  let cover ~seed_start ~seeds ~jobs =
-    (* Shards must tile the range in order, exactly once. *)
-    let next = ref seed_start in
-    for i = 0 to jobs - 1 do
-      let s, n = Difftest.shard_range ~seed_start ~seeds ~jobs i in
-      if n > 0 then begin
-        Alcotest.(check int)
-          (Printf.sprintf "shard %d/%d starts where %d ended" i jobs (i - 1))
-          !next s;
-        next := s + n
-      end
-    done;
-    Alcotest.(check int)
-      (Printf.sprintf "shards of %d over %d cover the range" seeds jobs)
-      (seed_start + seeds) !next
-  in
-  cover ~seed_start:0 ~seeds:100 ~jobs:4;
-  cover ~seed_start:0 ~seeds:101 ~jobs:4;
-  cover ~seed_start:17 ~seeds:3 ~jobs:8;
-  cover ~seed_start:0 ~seeds:1 ~jobs:1
-
 (* ---------------- wire framing ---------------- *)
 
 let test_wire_roundtrip () =
@@ -413,7 +391,6 @@ let () =
       ( "chunking",
         [
           Alcotest.test_case "chunks_of boundaries" `Quick test_chunks_of;
-          Alcotest.test_case "shard_range boundaries" `Quick test_shard_range;
         ] );
       ( "wire",
         [

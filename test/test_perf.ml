@@ -228,9 +228,44 @@ let test_mementos_ablation () =
   Alcotest.(check string) "same output" with_m.Engine.output without_m.Engine.output;
   Alcotest.(check int) "same step count" with_m.Engine.steps without_m.Engine.steps
 
+(* ---------------- bench rows ---------------- *)
+
+(* `sulong bench` times exactly the rows of the checked-in log, in log
+   order, and derives exactly its speedup rows: a `--compare` against
+   BENCH_interp.json then matches every row, and a renamed row cannot
+   slip through as "(new row)". *)
+let test_bench_rows_match_log () =
+  let log = "../BENCH_interp.json" in
+  Alcotest.(check (list string))
+    "timed rows" (List.map fst (Microbench.ns_rows log))
+    (List.map (fun u -> u.Microbench.u_name) (Microbench.units ~profile:false));
+  let logged_speedups =
+    match Trace.parse_json (In_channel.with_open_bin log In_channel.input_all) with
+    | Trace.Jarr rows ->
+      List.filter_map
+        (function
+          | Trace.Jobj f when List.mem_assoc "value" f -> (
+            match List.assoc_opt "name" f with
+            | Some (Trace.Jstr n) when not (String.starts_with ~prefix:"obs: " n)
+              ->
+              Some n
+            | _ -> None)
+          | _ -> None)
+        rows
+    | _ -> Alcotest.fail (log ^ " is not a JSON array")
+  in
+  Alcotest.(check (list string))
+    "speedup rows" logged_speedups
+    (List.map (fun (n, _, _) -> n) Microbench.speedup_pairs)
+
 let () =
   Alcotest.run "perf"
     [
+      ( "bench log",
+        [
+          Alcotest.test_case "row names match BENCH_interp.json" `Quick
+            test_bench_rows_match_log;
+        ] );
       ("benchmark correctness", bench_tests);
       ( "benchmark values",
         [
