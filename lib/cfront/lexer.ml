@@ -2,9 +2,9 @@
     corpus and the managed libc rely on: [#include <...>] lines are
     skipped (libc declarations are injected by the loader instead of read
     from headers), and object-like [#define NAME tokens] macros are
-    expanded at the token level.  Anything fancier (function-like macros,
-    conditionals) is rejected: all sources in this repository are under
-    our control and avoid them. *)
+    expanded at the token level, from the [#define] line on.  Anything
+    fancier (function-like macros, conditionals) is rejected: all sources
+    in this repository are under our control and avoid them. *)
 
 type state = {
   src : string;
@@ -175,7 +175,6 @@ let lex_escape st pos =
     | 'n' -> '\n'
     | 't' -> '\t'
     | 'r' -> '\r'
-    | '0' -> '\000'
     | '\\' -> '\\'
     | '\'' -> '\''
     | '"' -> '"'
@@ -187,6 +186,19 @@ let lex_escape st pos =
       let hex = read_while st is_hex_digit in
       if hex = "" then Diag.error pos "malformed \\x escape"
       else Char.chr (int_of_string ("0x" ^ hex) land 0xff)
+    | '0' .. '7' ->
+      (* C11 6.4.4.4: one to three octal digits; a value above 0xff keeps
+         its low byte, like \x *)
+      let v = ref (Char.code c - Char.code '0') and digits = ref 1 in
+      while
+        !digits < 3
+        && match peek_char st with Some ('0' .. '7') -> true | _ -> false
+      do
+        v := (!v * 8) + Char.code st.src.[st.pos] - Char.code '0';
+        advance st;
+        incr digits
+      done;
+      Char.chr (!v land 0xff)
     | c -> Diag.error pos "unknown escape \\%c" c
   end
 
@@ -225,36 +237,57 @@ let lex_char st pos =
   | _ -> Diag.error pos "unterminated char literal");
   c
 
-(* Punctuators, longest first. *)
-let puncts3 = [ "..."; "<<="; ">>=" ]
-
-let puncts2 =
-  [
-    "->"; "++"; "--"; "<<"; ">>"; "<="; ">="; "=="; "!="; "&&"; "||"; "+=";
-    "-="; "*="; "/="; "%="; "&="; "|="; "^=";
-  ]
-
-let puncts1 =
-  [
-    "+"; "-"; "*"; "/"; "%"; "="; "<"; ">"; "!"; "~"; "&"; "|"; "^"; "?"; ":";
-    ";"; ","; "."; "("; ")"; "["; "]"; "{"; "}";
-  ]
-
+(* The punctuator starting at the current position, longest match first
+   (C11 6.4.6p1).  Dispatches on its first characters: no copy of the
+   source is made, and each result is a shared constant. *)
 let try_punct st =
-  let try_at n candidates =
-    if st.pos + n <= String.length st.src then begin
-      let s = String.sub st.src st.pos n in
-      if List.mem s candidates then Some s else None
-    end
-    else None
+  let at k =
+    if st.pos + k < String.length st.src then st.src.[st.pos + k] else '\000'
   in
-  match try_at 3 puncts3 with
-  | Some s -> Some s
-  | None -> begin
-    match try_at 2 puncts2 with
-    | Some s -> Some s
-    | None -> try_at 1 puncts1
-  end
+  (* [c] alone, or [c] followed by '=' *)
+  let with_eq one two = if at 1 = '=' then Some two else Some one in
+  match at 0 with
+  | '.' -> if at 1 = '.' && at 2 = '.' then Some "..." else Some "."
+  | '<' -> (
+    match at 1 with
+    | '<' -> if at 2 = '=' then Some "<<=" else Some "<<"
+    | '=' -> Some "<="
+    | _ -> Some "<")
+  | '>' -> (
+    match at 1 with
+    | '>' -> if at 2 = '=' then Some ">>=" else Some ">>"
+    | '=' -> Some ">="
+    | _ -> Some ">")
+  | '-' -> (
+    match at 1 with
+    | '>' -> Some "->"
+    | '-' -> Some "--"
+    | '=' -> Some "-="
+    | _ -> Some "-")
+  | '+' -> (
+    match at 1 with '+' -> Some "++" | '=' -> Some "+=" | _ -> Some "+")
+  | '&' -> (
+    match at 1 with '&' -> Some "&&" | '=' -> Some "&=" | _ -> Some "&")
+  | '|' -> (
+    match at 1 with '|' -> Some "||" | '=' -> Some "|=" | _ -> Some "|")
+  | '=' -> with_eq "=" "=="
+  | '!' -> with_eq "!" "!="
+  | '*' -> with_eq "*" "*="
+  | '/' -> with_eq "/" "/="
+  | '%' -> with_eq "%" "%="
+  | '^' -> with_eq "^" "^="
+  | '~' -> Some "~"
+  | '?' -> Some "?"
+  | ':' -> Some ":"
+  | ';' -> Some ";"
+  | ',' -> Some ","
+  | '(' -> Some "("
+  | ')' -> Some ")"
+  | '[' -> Some "["
+  | ']' -> Some "]"
+  | '{' -> Some "{"
+  | '}' -> Some "}"
+  | _ -> None
 
 (* Preprocessor directive at start of a '#' line.  The '#' has already
    been peeked (not consumed). *)
@@ -346,31 +379,27 @@ and tokens_of_text macros text : Token.t list =
   in
   go []
 
-(** Expand object-like macros, with a depth limit to stop accidental
-    recursion. *)
-let expand_macros macros (toks : Token.spanned list) : Token.spanned list =
-  let rec expand depth (t : Token.spanned) : Token.spanned list =
-    match t.tok with
-    | Token.IDENT name when depth < 8 && Hashtbl.mem macros name ->
-      let body = Hashtbl.find macros name in
-      List.concat_map
-        (fun tok -> expand (depth + 1) { Token.tok; pos = t.pos })
-        body
-    | _ -> [ t ]
-  in
-  List.concat_map (expand 0) toks
-
 (** Tokenize a full translation unit.  [start_line] renumbers the first
     line (it may be zero or negative: the loader uses this so user code
     compiled behind the libc prelude still reports its own 1-based
-    lines). *)
+    lines).  Each raw token is macro-expanded as it is produced, with the
+    macro table as it stands at that point (C11 6.10.3): a [#define]
+    takes effect from its own line on.  A macro's body is rescanned at
+    each use, with a depth limit to stop accidental recursion. *)
 let tokenize ?(start_line = 1) src : Token.spanned list =
   let st = make src in
   st.line <- start_line;
+  let rec expand depth (t : Token.spanned) acc =
+    match t.tok with
+    | Token.IDENT name when depth < 8 && Hashtbl.mem st.macros name ->
+      List.fold_left
+        (fun acc tok -> expand (depth + 1) { Token.tok; pos = t.pos } acc)
+        acc (Hashtbl.find st.macros name)
+    | _ -> t :: acc
+  in
   let rec go acc =
     match next_raw st with
     | None -> List.rev ({ Token.tok = Token.EOF; pos = current_pos st } :: acc)
-    | Some t -> go (t :: acc)
+    | Some t -> go (expand 0 t acc)
   in
-  let raw = go [] in
-  expand_macros st.macros raw
+  go []

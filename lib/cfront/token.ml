@@ -16,15 +16,14 @@ type t =
 
 type spanned = { tok : t; pos : pos }
 
-let keywords =
-  [
-    "void"; "char"; "short"; "int"; "long"; "float"; "double"; "signed";
-    "unsigned"; "struct"; "enum"; "union"; "typedef"; "if"; "else"; "while";
-    "do"; "for"; "return"; "break"; "continue"; "switch"; "case"; "default";
-    "sizeof"; "const"; "static"; "extern"; "volatile";
-  ]
-
-let is_keyword s = List.mem s keywords
+let is_keyword = function
+  | "void" | "char" | "short" | "int" | "long" | "float" | "double" | "signed"
+  | "unsigned" | "struct" | "enum" | "union" | "typedef" | "if" | "else"
+  | "while" | "do" | "for" | "return" | "break" | "continue" | "switch"
+  | "case" | "default" | "sizeof" | "const" | "static" | "extern" | "volatile"
+    ->
+    true
+  | _ -> false
 
 let to_string = function
   | INT_LIT (v, _, _) -> Int64.to_string v

@@ -54,6 +54,21 @@ let test_lex_strings_chars () =
   check_tokens "nul escape" [ Token.CHAR_LIT '\000' ] {|'\0'|};
   check_tokens "hex escape" [ Token.CHAR_LIT '\065' ] {|'\x41'|}
 
+(* C11 6.4.4.4: an octal escape is one to three octal digits. *)
+let test_lex_octal_escapes () =
+  check_tokens "three digits" [ Token.CHAR_LIT 'A' ] {|'\101'|};
+  check_tokens "inside a string" [ Token.STR_LIT "a\nb" ] {|"a\012b"|};
+  check_tokens "at most three digits" [ Token.STR_LIT "S4" ] {|"\1234"|};
+  check_tokens "stops at a non-octal digit" [ Token.STR_LIT "\0018" ] {|"\18"|};
+  check_tokens "bare \\0 is NUL" [ Token.STR_LIT "\000x" ] {|"\0x"|};
+  let r =
+    Loader.run_source
+      {|int main(void) { printf("a\012b"); return sizeof("\012"); }|}
+  in
+  Alcotest.(check string) "printf prints the newline and what follows" "a\nb"
+    r.Interp.output;
+  Alcotest.(check int) "sizeof(\"\\012\") == 2" 2 r.Interp.exit_code
+
 let test_lex_comments () =
   check_tokens "line comment" [ Token.KW "int" ] "int // trailing\n";
   check_tokens "block comment" [ Token.KW "int"; Token.KW "int" ]
@@ -61,11 +76,23 @@ let test_lex_comments () =
 
 let test_lex_punct_longest_match () =
   check_tokens "shift assign" [ Token.PUNCT "<<=" ] "<<=";
+  check_tokens "a+++b"
+    [ Token.IDENT "a"; Token.PUNCT "++"; Token.PUNCT "+"; Token.IDENT "b" ]
+    "a+++b";
+  check_tokens "x->y" [ Token.IDENT "x"; Token.PUNCT "->"; Token.IDENT "y" ] "x->y";
+  check_tokens "two dots are two punctuators" [ Token.PUNCT "."; Token.PUNCT "." ] "..";
+  check_tokens "shift then assign" [ Token.PUNCT ">>"; Token.PUNCT "=" ] ">> =";
   check_tokens "arrow" [ Token.IDENT "a"; Token.PUNCT "->"; Token.IDENT "b" ] "a->b";
   check_tokens "decrement"
     [ Token.IDENT "a"; Token.PUNCT "--"; Token.PUNCT "-"; Token.IDENT "b" ]
     "a-- -b";
   check_tokens "ellipsis" [ Token.PUNCT "..." ] "..."
+
+let test_lex_keyword_boundaries () =
+  check_tokens "keyword" [ Token.KW "int" ] "int";
+  check_tokens "keyword prefix" [ Token.IDENT "int_" ] "int_";
+  check_tokens "longer identifier" [ Token.IDENT "integer" ] "integer";
+  check_tokens "keyword then punctuator" [ Token.KW "int"; Token.PUNCT "*" ] "int*"
 
 let test_lex_define () =
   check_tokens "object macro"
@@ -79,7 +106,31 @@ let test_lex_define () =
     [ Token.INT_LIT (4L, Ctype.IInt, Ctype.Signed);
       Token.PUNCT "+";
       Token.INT_LIT (4L, Ctype.IInt, Ctype.Signed) ]
-    "#define A 4\n#define B A\nB+B"
+    "#define A 4\n#define B A\nB+B";
+  (* C11 6.10.3: a macro takes effect from its #define on *)
+  check_tokens "use before #define"
+    [
+      Token.KW "int"; Token.IDENT "N"; Token.PUNCT "=";
+      Token.INT_LIT (3L, Ctype.IInt, Ctype.Signed); Token.PUNCT ";";
+      Token.IDENT "x"; Token.PUNCT "=";
+      Token.INT_LIT (5L, Ctype.IInt, Ctype.Signed); Token.PUNCT "*"; Token.IDENT "N";
+    ]
+    "int N = 3;\n#define M 5 * N\nx = M";
+  check_tokens "redefinition applies from its line on"
+    [ Token.INT_LIT (1L, Ctype.IInt, Ctype.Signed);
+      Token.INT_LIT (2L, Ctype.IInt, Ctype.Signed) ]
+    "#define K 1\nK\n#define K 2\nK";
+  (* the body is rescanned at each use, with the table at that point *)
+  check_tokens "body names a later macro"
+    [ Token.INT_LIT (7L, Ctype.IInt, Ctype.Signed) ]
+    "#define B A\n#define A 7\nB";
+  (* the libc prelude, lexed before the user's source, keeps its own
+     parameter names *)
+  let r =
+    Loader.run_source
+      "#define size 3\nint main(void) { char *p = malloc(size); free(p); return size; }"
+  in
+  Alcotest.(check int) "user #define leaves the prelude alone" 3 r.Interp.exit_code
 
 let test_lex_include_skipped () =
   check_tokens "include line ignored" [ Token.KW "int" ] "#include <stdio.h>\nint"
@@ -96,6 +147,242 @@ let test_lex_errors () =
   expect_error "#define F(x) x";
   expect_error "#pragma once";
   expect_error "@"
+
+(* ---------------- lexer vs. a reference lexer ---------------- *)
+
+(* A slow specification of the lexer on keywords, identifiers, decimal
+   integers, char and string literals, punctuators, whitespace and
+   comments.  Punctuators are matched by brute force, longest first: a
+   copy of the next 3, 2, then 1 characters looked up in a list. *)
+let spec_keywords =
+  [
+    "void"; "char"; "short"; "int"; "long"; "float"; "double"; "signed";
+    "unsigned"; "struct"; "enum"; "union"; "typedef"; "if"; "else"; "while";
+    "do"; "for"; "return"; "break"; "continue"; "switch"; "case"; "default";
+    "sizeof"; "const"; "static"; "extern"; "volatile";
+  ]
+
+let spec_puncts3 = [ "..."; "<<="; ">>=" ]
+
+let spec_puncts2 =
+  [
+    "->"; "++"; "--"; "<<"; ">>"; "<="; ">="; "=="; "!="; "&&"; "||"; "+=";
+    "-="; "*="; "/="; "%="; "&="; "|="; "^=";
+  ]
+
+let spec_puncts1 =
+  [
+    "+"; "-"; "*"; "/"; "%"; "="; "<"; ">"; "!"; "~"; "&"; "|"; "^"; "?"; ":";
+    ";"; ","; "."; "("; ")"; "["; "]"; "{"; "}";
+  ]
+
+let spec_punct src i =
+  let try_at n candidates =
+    if i + n <= String.length src then begin
+      let s = String.sub src i n in
+      if List.mem s candidates then Some s else None
+    end
+    else None
+  in
+  match try_at 3 spec_puncts3 with
+  | Some s -> Some s
+  | None -> (
+    match try_at 2 spec_puncts2 with
+    | Some s -> Some s
+    | None -> try_at 1 spec_puncts1)
+
+let spec_tokenize src : Token.spanned list =
+  let n = String.length src in
+  let i = ref 0 and line = ref 1 and col = ref 1 in
+  let at k = if !i + k < n then src.[!i + k] else '\000' in
+  let adv () =
+    if src.[!i] = '\n' then begin
+      incr line;
+      col := 1
+    end
+    else incr col;
+    incr i
+  in
+  let take pred =
+    let start = !i in
+    while !i < n && pred src.[!i] do
+      adv ()
+    done;
+    String.sub src start (!i - start)
+  in
+  let is_digit c = c >= '0' && c <= '9' in
+  let is_word c =
+    is_digit c || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+  in
+  let rec skip () =
+    match (at 0, at 1) with
+    | (' ' | '\t' | '\r' | '\n'), _ ->
+      adv ();
+      skip ()
+    | '/', '/' ->
+      ignore (take (fun c -> c <> '\n'));
+      skip ()
+    | '/', '*' ->
+      adv ();
+      adv ();
+      while not (at 0 = '*' && at 1 = '/') do
+        adv ()
+      done;
+      adv ();
+      adv ();
+      skip ()
+    | _ -> ()
+  in
+  (* one character of a literal, escapes decoded *)
+  let lit_char () =
+    if at 0 <> '\\' then begin
+      let c = at 0 in
+      adv ();
+      c
+    end
+    else begin
+      adv ();
+      let e = at 0 in
+      adv ();
+      match e with
+      | 'n' -> '\n'
+      | 't' -> '\t'
+      | 'x' ->
+        let hex = take (String.contains "0123456789abcdefABCDEF") in
+        Char.chr (int_of_string ("0x" ^ hex) land 0xff)
+      | '0' .. '7' ->
+        let digits = ref (String.make 1 e) in
+        while String.length !digits < 3 && at 0 >= '0' && at 0 <= '7' do
+          digits := !digits ^ String.make 1 (at 0);
+          adv ()
+        done;
+        Char.chr (int_of_string ("0o" ^ !digits) land 0xff)
+      | c -> c
+    end
+  in
+  let string_lit () =
+    adv ();
+    let buf = Buffer.create 8 in
+    while at 0 <> '"' do
+      Buffer.add_char buf (lit_char ())
+    done;
+    adv ();
+    Buffer.contents buf
+  in
+  let rec go acc =
+    skip ();
+    let pos = { Token.line = !line; col = !col } in
+    if !i >= n then List.rev ({ Token.tok = Token.EOF; pos } :: acc)
+    else
+      let tok =
+        match at 0 with
+        | c when is_digit c ->
+          Token.INT_LIT (Int64.of_string (take is_digit), Ctype.IInt, Ctype.Signed)
+        | c when is_word c ->
+          let w = take is_word in
+          if List.mem w spec_keywords then Token.KW w else Token.IDENT w
+        | '\'' ->
+          adv ();
+          let c = lit_char () in
+          adv ();
+          Token.CHAR_LIT c
+        | '"' ->
+          (* adjacent string literals concatenate *)
+          let s = ref (string_lit ()) in
+          skip ();
+          while at 0 = '"' do
+            s := !s ^ string_lit ();
+            skip ()
+          done;
+          Token.STR_LIT !s
+        | c -> (
+          match spec_punct src !i with
+          | Some p ->
+            for _ = 1 to String.length p do
+              adv ()
+            done;
+            Token.PUNCT p
+          | None -> Alcotest.failf "reference lexer: unexpected %C" c)
+      in
+      go ({ Token.tok; pos } :: acc)
+  in
+  go []
+
+(* Random token texts, each tagged by what may not follow it directly. *)
+type piece = Word | Number | Literal | Punct of string
+
+let gen_piece =
+  let open QCheck.Gen in
+  let word =
+    oneofl
+      ([ "x"; "y1"; "_t"; "int_"; "integer"; "iff"; "do2"; "for_"; "whilex";
+         "sizeof_"; "Long"; "a" ] @ spec_keywords)
+  in
+  let chars = "ab z09+/*#{" in
+  let plain =
+    map (String.make 1) (oneofl (List.init (String.length chars) (String.get chars)))
+  in
+  let escape =
+    oneofl
+      [ {|\n|}; {|\t|}; {|\0|}; {|\7|}; {|\12|}; {|\101|}; {|\x41|}; {|\\|};
+        {|\'|}; {|\"|} ]
+  in
+  let lit_char = frequency [ (3, plain); (1, escape) ] in
+  (* an escape that stops after three octal digits *)
+  let str_char =
+    frequency [ (6, lit_char); (1, oneofl [ {|\0123|}; {|\1018|} ]) ]
+  in
+  frequency
+    [
+      (3, map (fun w -> (w, Word)) word);
+      (2, map (fun v -> (string_of_int v, Number)) (int_bound 99999));
+      (1, map (fun c -> ("'" ^ c ^ "'", Literal)) lit_char);
+      (1, map (fun cs -> ("\"" ^ String.concat "" cs ^ "\"", Literal))
+            (list_size (int_bound 4) str_char));
+      (6, map (fun p -> (p, Punct p))
+            (oneofl (spec_puncts3 @ spec_puncts2 @ spec_puncts1)));
+    ]
+
+let gen_sep =
+  QCheck.Gen.oneofl
+    [ ""; ""; ""; " "; "  "; "\t"; "\n"; "\r\n"; " \n\t "; "/* c */";
+      "/* two\n lines */"; "// line\n"; " /**/ "; "\n// a\n/* b */\n" ]
+
+(* Joins (separator, piece) pairs, adding a space wherever gluing a
+   piece to the one before would make other tokens: two words or numbers,
+   a number and a dot, or a slash and a comment. *)
+let render pieces trailer =
+  let buf = Buffer.create 64 in
+  let ends_with c s = s <> "" && s.[String.length s - 1] = c in
+  let starts_with c s = s <> "" && s.[0] = c in
+  ignore
+    (List.fold_left
+       (fun prev (sep, (text, kind)) ->
+         let space =
+           match (prev, kind) with
+           | Some (Punct p), _ when ends_with '/' p -> true
+           | _ when sep <> "" -> false
+           | Some (Word | Number), (Word | Number) -> true
+           | Some Number, Punct p -> starts_with '.' p
+           | Some (Punct p), Number -> ends_with '.' p
+           | _ -> false
+         in
+         if space then Buffer.add_char buf ' ';
+         Buffer.add_string buf sep;
+         Buffer.add_string buf text;
+         Some kind)
+       None pieces);
+  Buffer.add_string buf trailer;
+  Buffer.contents buf
+
+let prop_matches_reference =
+  QCheck.Test.make ~count:2000 ~name:"tokens and line:col match the reference lexer"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         map2 render (list_size (int_bound 30) (pair gen_sep gen_piece)) gen_sep))
+    (fun src ->
+      let spanned = List.map (fun t -> (t.Token.tok, t.Token.pos)) in
+      spanned (lex src) = spanned (spec_tokenize src))
 
 (* ---------------- parser ---------------- *)
 
@@ -308,9 +595,13 @@ let () =
           Alcotest.test_case "comments" `Quick test_lex_comments;
           Alcotest.test_case "punct longest match" `Quick
             test_lex_punct_longest_match;
+          Alcotest.test_case "keyword boundaries" `Quick
+            test_lex_keyword_boundaries;
+          Alcotest.test_case "octal escapes" `Quick test_lex_octal_escapes;
           Alcotest.test_case "#define" `Quick test_lex_define;
           Alcotest.test_case "#include skipped" `Quick test_lex_include_skipped;
           Alcotest.test_case "errors" `Quick test_lex_errors;
+          QCheck_alcotest.to_alcotest prop_matches_reference;
         ] );
       ( "parser",
         [

@@ -13,29 +13,47 @@ let mk_func ~blocks : Irfunc.t =
 let mk_mod f : Irmod.t =
   { Irmod.globals = []; funcs = [ f ]; externs = [] }
 
-let expect_invalid msg f =
-  try
-    Verify.verify (mk_mod f);
-    Alcotest.fail ("expected Verify.Invalid: " ^ msg)
-  with Verify.Invalid _ -> ()
+(* [Oracle.guard] renders a [Verify.Invalid] into divergence keys, so
+   bug-store signatures depend on its exact text. *)
+let expect_invalid_mod expected m =
+  match Verify.verify m with
+  | () -> Alcotest.fail ("expected Verify.Invalid: " ^ expected)
+  | exception Verify.Invalid msg ->
+    Alcotest.(check string) "Verify.Invalid text" expected msg
+
+let expect_invalid expected f = expect_invalid_mod expected (mk_mod f)
+
+let entry_block instrs =
+  { Irfunc.label = "entry"; instrs;
+    term = Instr.Ret (Some (Irtype.I32, Instr.ImmInt (0L, Irtype.I32))) }
 
 let test_verify_undefined_reg () =
-  expect_invalid "use of undefined register"
+  expect_invalid "f: terminator uses undefined register %7"
     (mk_func
        ~blocks:
          [
            { Irfunc.label = "entry"; instrs = [];
              term = Instr.Ret (Some (Irtype.I32, Instr.Reg 7)) };
+         ]);
+  expect_invalid "f: %1 = add i32 %7, i32 1 uses undefined register %7"
+    (mk_func
+       ~blocks:
+         [
+           entry_block
+             [
+               Instr.Binop (1, Instr.Add, Irtype.I32, Instr.Reg 7,
+                            Instr.ImmInt (1L, Irtype.I32));
+             ];
          ])
 
 let test_verify_unknown_block () =
-  expect_invalid "branch to unknown block"
+  expect_invalid "f: branch to unknown block nowhere"
     (mk_func
        ~blocks:
          [ { Irfunc.label = "entry"; instrs = []; term = Instr.Br "nowhere" } ])
 
 let test_verify_duplicate_label () =
-  expect_invalid "duplicate label"
+  expect_invalid "f: duplicate block label a"
     (mk_func
        ~blocks:
          [
@@ -44,7 +62,7 @@ let test_verify_duplicate_label () =
          ])
 
 let test_verify_double_def () =
-  expect_invalid "register defined twice"
+  expect_invalid "f: register %1 defined twice"
     (mk_func
        ~blocks:
          [
@@ -64,16 +82,50 @@ let test_verify_double_def () =
          ])
 
 let test_verify_unknown_callee () =
-  expect_invalid "unknown callee"
+  expect_invalid "f: call to unknown function @ghost"
+    (mk_func
+       ~blocks:[ entry_block [ Instr.Call (None, None, Instr.Direct "ghost", []) ] ])
+
+let test_verify_unknown_global () =
+  let load g = entry_block [ Instr.Load (1, Irtype.I32, Instr.GlobalAddr g) ] in
+  expect_invalid "f: %1 = load i32, @nope references unknown global @nope"
+    (mk_func ~blocks:[ load "nope" ]);
+  (* [@name] may also name a function *)
+  Verify.verify (mk_mod (mk_func ~blocks:[ load "f" ]))
+
+let test_verify_unknown_function_address () =
+  let cast fn =
+    entry_block
+      [ Instr.Cast (1, Instr.Ptrtoint, Irtype.Ptr, Irtype.I64, Instr.FuncAddr fn) ]
+  in
+  expect_invalid
+    "f: %1 = ptrtoint ptr @ghost to i64 references unknown function @ghost"
+    (mk_func ~blocks:[ cast "ghost" ]);
+  (* a function address may name an extern, a direct callee too *)
+  let m = mk_mod (mk_func ~blocks:[ cast "ext" ]) in
+  m.Irmod.externs <-
+    [ { Irmod.e_name = "ext"; e_ret = None; e_params = []; e_variadic = false } ];
+  Verify.verify m;
+  (List.hd m.Irmod.funcs).Irfunc.blocks <-
+    [ entry_block [ Instr.Call (None, None, Instr.Direct "ext", []) ] ];
+  Verify.verify m
+
+let test_verify_phi_unknown_block () =
+  expect_invalid "f: phi references unknown block nowhere"
     (mk_func
        ~blocks:
          [
-           {
-             Irfunc.label = "entry";
-             instrs = [ Instr.Call (None, None, Instr.Direct "ghost", []) ];
-             term = Instr.Ret (Some (Irtype.I32, Instr.ImmInt (0L, Irtype.I32)));
-           };
+           entry_block
+             [
+               Instr.Phi (1, Irtype.I32,
+                          [ ("nowhere", Instr.ImmInt (0L, Irtype.I32)) ]);
+             ];
          ])
+
+let test_verify_duplicate_function () =
+  let f = mk_func ~blocks:[ entry_block [] ] in
+  expect_invalid_mod "duplicate function @f"
+    { Irmod.globals = []; funcs = [ f; f ]; externs = [] }
 
 (* Textual IR may spell an i8 constant as 255 or 200; every engine reads
    those as -1 and -56.  A folder computing on the raw literals gets
@@ -101,7 +153,7 @@ let test_noncanonical_immediates () =
   ignore (Fold.run m);
   Verify.verify m;
   Alcotest.(check int) "same exit code after Fold.run" unfolded (exit_code m);
-  expect_invalid "non-canonical immediate"
+  expect_invalid "f: %1 = sdiv i8 i8 255, i8 2 has non-canonical immediate i8 255"
     (mk_func
        ~blocks:
          [
@@ -670,6 +722,13 @@ let () =
           Alcotest.test_case "duplicate label" `Quick test_verify_duplicate_label;
           Alcotest.test_case "double definition" `Quick test_verify_double_def;
           Alcotest.test_case "unknown callee" `Quick test_verify_unknown_callee;
+          Alcotest.test_case "unknown global" `Quick test_verify_unknown_global;
+          Alcotest.test_case "unknown function address" `Quick
+            test_verify_unknown_function_address;
+          Alcotest.test_case "phi unknown block" `Quick
+            test_verify_phi_unknown_block;
+          Alcotest.test_case "duplicate function" `Quick
+            test_verify_duplicate_function;
           Alcotest.test_case "canonical immediates" `Quick
             test_noncanonical_immediates;
           Alcotest.test_case "frontend output verifies" `Quick
