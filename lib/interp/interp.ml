@@ -287,11 +287,6 @@ and frame = {
           [[||]] in interpreted frames *)
   mutable fr_fregs : float array;
       (** unboxed F32/F64 register file (compiled bodies only) *)
-  mutable fr_pobj : Mobject.t array;
-  mutable fr_poff : int array;
-      (** unboxed pointer register file, split pointee/offset; holds only
-          object pointers for registers the compiler proved
-          write-before-read ([Mobject.dummy] elsewhere) *)
   mutable fr_args : Mval.t array;  (** all incoming arguments *)
   mutable fr_arg_scalars : Irtype.scalar array;
   fr_variadic : bool;
@@ -1059,8 +1054,6 @@ let rec call_function st (pf : pfunc) (args : Mval.t array)
           fr_regs = regs;
           fr_iregs = [||];
           fr_fregs = [||];
-          fr_pobj = [||];
-          fr_poff = [||];
           fr_args = args;
           fr_arg_scalars = arg_scalars;
           fr_variadic = pf.pf_variadic;
@@ -1116,7 +1109,6 @@ and exec_compiled st (pf : pfunc) (fr : frame) (body : compiled_body) :
   try body st fr
   with Merror.Error (cat, _) as e ->
     pf.pf_tier <- Tier_deopt;
-    Metrics.incr (Metrics.counter "jit.deopts");
     Events.record
       (Events.Deopt
          {
@@ -1184,14 +1176,12 @@ and exec_block st (fr : frame) (blk : pblock) (copies : phicopy) :
     [exec_compiled]. *)
 and exec_compiled_osr st (pf : pfunc) (fr : frame) (osr : osr_body)
     (idx : int) : Mval.t option =
-  Metrics.incr (Metrics.counter "jit.osr_entries");
   Events.record
     (Events.Osr_enter
        { ev_fn = pf.pf_name; ev_block = pf.pf_blocks.(idx).pb_label });
   try osr st fr idx
   with Merror.Error (cat, _) as e ->
     pf.pf_tier <- Tier_deopt;
-    Metrics.incr (Metrics.counter "jit.deopts");
     Events.record
       (Events.Deopt
          {

@@ -190,9 +190,6 @@ and frame = {
           [[||]] in interpreted frames *)
   mutable fr_fregs : float array;
       (** unboxed F32/F64 register file (compiled bodies only) *)
-  mutable fr_pobj : Mobject.t array;
-  mutable fr_poff : int array;
-      (** unboxed pointer register file, split pointee/offset *)
   mutable fr_args : Mval.t array;
   mutable fr_arg_scalars : Irtype.scalar array;
   fr_variadic : bool;

@@ -106,15 +106,4 @@ let call b ret callee args =
     emit b (Instr.Call (Some r, Some scalar, callee, args));
     Some (Instr.Reg r)
 
-let select b scalar c a v =
-  let r = fresh_reg b in
-  emit b (Instr.Select (r, scalar, c, a, v));
-  Instr.Reg r
-
-let phi b scalar incoming =
-  let r = fresh_reg b in
-  (* Phis must be at the head of the block. *)
-  b.current.Irfunc.instrs <- Instr.Phi (r, scalar, incoming) :: b.current.Irfunc.instrs;
-  Instr.Reg r
-
 let finish b = b.func

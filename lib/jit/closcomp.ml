@@ -21,11 +21,6 @@
       (F32/F64 load, float binop, float cast).  The array holds exactly
       the float a [Vfloat] box would (F32 results stored pre-rounded),
       so re-boxing on escape is bit-identical.
-    - [Rptr] ([frame.fr_pobj]/[fr_poff], pointee and byte offset split):
-      every writer provably produces an object pointer — an alloca, a
-      GEP whose base is itself [Rptr] or a global immediate, or a move
-      of such a register.  Loads through these skip the pointer-shape
-      dispatch entirely.
 
     Unboxed registers never allocate a box and never pay the OCaml
     write barrier, and narrow/float loads and stores hit an inlined
@@ -39,8 +34,9 @@
 
     Two more §11 features ride on the same machinery:
 
-    - *Hot-call inlining*: a direct call to a small leaf callee is
-      compiled as a register-translated instance of the callee's blocks
+    - *Tiny-callee inlining*: a direct call to a leaf callee of at most
+      [Costmodel.inline_always_instrs] instructions is compiled as a
+      register-translated instance of the callee's blocks
       living at a disjoint window of the caller's (enlarged) register
       file, replicating the interpreter's call protocol — argument
       evaluation, the depth guard, per-callee counters and step charges
@@ -56,10 +52,8 @@
     charges the step budget individually, so a step-limit timeout fires
     at exactly the same point in either tier.  What compiled code is
     allowed to drop is pure interpreter overhead: dispatch matches,
-    per-op metrics branches when metrics are off, value boxing that no
-    observer can distinguish, and dead compare registers (the
-    icmp/fcmp+condbr fusion below, applied only when the compare
-    register has no other reader). *)
+    per-op metrics branches when metrics are off, and value boxing that
+    no observer can distinguish. *)
 
 open Interp
 
@@ -89,6 +83,40 @@ let deref_c (ctx : string) (pm : Mval.t) : Mobject.addr =
       (Merror.Type_violation
          (Printf.sprintf "dereference of forged pointer 0x%Lx" c))
       ctx
+
+(* Every compiled operation opens with a step charge: the same writes,
+   in the same order, with the same raise point as [Interp.charge] —
+   the step counter, the instance's hotness counter ([c], captured at
+   compile time: a compiled body only ever runs in the state that
+   compiled it), then the limit check.  The site's opstat bump follows,
+   so a timeout leaves the stats exactly as the interpreter would.
+
+   The helpers are closed top-level functions marked [@inline], so each
+   site compiles to the three writes in place: no closure, no call.
+   They live here rather than in [Interp] because dune's dev profile
+   compiles with -opaque, which keeps a cross-module function a real
+   call on the hot path. *)
+let[@inline] charge_op (st : state) (c : counters) limit =
+  st.steps <- st.steps + 1;
+  c.c_ops <- c.c_ops + 1;
+  if st.steps > limit then raise Step_limit_exceeded
+
+let[@inline] charge_mem (st : state) (c : counters) limit =
+  st.steps <- st.steps + 1;
+  c.c_mem <- c.c_mem + 1;
+  if st.steps > limit then raise Step_limit_exceeded
+
+let[@inline] charge_fp (st : state) (c : counters) limit =
+  st.steps <- st.steps + 1;
+  c.c_fp <- c.c_fp + 1;
+  if st.steps > limit then raise Step_limit_exceeded
+
+(* Allocation-memento observation of a heap access, inlined the same
+   way: only the heap case calls out. *)
+let[@inline] observe_memento heap (obj : Mobject.t) s =
+  match obj.Mobject.storage with
+  | Merror.Heap -> Mheap.observe heap obj s
+  | _ -> ()
 
 (* ------------- scalar operations on the unboxed carriers ---------- *)
 
@@ -211,12 +239,11 @@ let static_size (pf : pfunc) : int =
     0 pf.pf_blocks
 
 (** Pick the direct-call sites to inline (DESIGN.md §11 cost model):
-    leaf, non-variadic callees with a plain entry — tiny ones always,
-    mid-sized ones once their profile is hot — within a per-caller
-    instruction budget.  Inlining elides the [call_function] frame
-    push, which is only sound because a leaf callee can never observe
-    the frame stack (no builtins, no varargs, no nested calls) — and
-    call tracing / eager provenance, which do observe it, disable
+    tiny leaf, non-variadic callees with a plain entry, within a
+    per-caller instruction budget.  Inlining elides the [call_function]
+    frame push, which is only sound because a leaf callee can never
+    observe the frame stack (no builtins, no varargs, no nested calls)
+    — and call tracing / eager provenance, which do observe it, disable
     inlining wholesale. *)
 let plan_inlines (st0 : state) (pf : pfunc) :
     (int * int, inline_site) Hashtbl.t * int =
@@ -241,14 +268,7 @@ let plan_inlines (st0 : state) (pf : pfunc) :
                      && Array.length callee.pf_blocks > 0
                      && is_leaf callee ->
                 let size = static_size callee in
-                let hot =
-                  Hotness.total_ops callee.pf_counters
-                  >= Costmodel.inline_hot_callee_ops
-                in
-                if
-                  (size <= Costmodel.inline_always_instrs
-                  || (hot && size <= Costmodel.inline_max_callee_instrs))
-                  && size <= !budget
+                if size <= Costmodel.inline_always_instrs && size <= !budget
                 then begin
                   Events.record
                     (Events.Inline_accept
@@ -282,9 +302,7 @@ let plan_inlines (st0 : state) (pf : pfunc) :
                          ev_budget = !budget;
                          ev_reason =
                            (if size > !budget then "over caller budget"
-                            else if hot then
-                              "hot but over inline_max_callee_instrs"
-                            else "cold and over inline_always_instrs");
+                            else "over inline_always_instrs");
                        })
               | _ -> ()
             end
@@ -292,77 +310,6 @@ let plan_inlines (st0 : state) (pf : pfunc) :
           blk.pb_instrs)
       pf.pf_blocks;
   (sites, !next_base)
-
-(* ------------------------------------------------------------------ *)
-(* Register classification                                             *)
-(* ------------------------------------------------------------------ *)
-
-(** How many prepared operands read register [r] anywhere in the merged
-    function (instruction operands, terminators, phi-copy sources,
-    dynamic GEP indices, across the caller and every inlined instance).
-    Used to prove a compare register dead for the cmp+condbr fusion;
-    sound across instances because register windows are disjoint. *)
-let reg_use_counts_of (blocks_list : pblock array list) (entry : phicopy)
-    (nregs : int) : int array =
-  let uses = Array.make nregs 0 in
-  let pv = function
-    | Preg r -> uses.(r) <- uses.(r) + 1
-    | Pimm _ | Pfail _ -> ()
-  in
-  let copies = function
-    | Pc_copy (_, srcs) -> Array.iter pv srcs
-    | Pc_none | Pc_missing -> ()
-  in
-  let edge = function Edge (_, c) -> copies c | Edge_unknown _ -> () in
-  let term = function
-    | Pret (Some v) -> pv v
-    | Pret None | Punreachable -> ()
-    | Pbr e -> edge e
-    | Pcondbr (c, a, b) ->
-      pv c;
-      edge a;
-      edge b
-    | Pswitch (v, impl, d) ->
-      pv v;
-      edge d;
-      (match impl with
-      | Sw_linear (_, es) -> Array.iter edge es
-      | Sw_table tbl -> Hashtbl.iter (fun _ e -> edge e) tbl)
-  in
-  let instr = function
-    | Palloca _ | Psancheck | Ploc _ -> ()
-    | Pload (_, _, p) -> pv p
-    | Pstore (_, v, p) ->
-      pv v;
-      pv p
-    | Pgep (_, b, g) ->
-      pv b;
-      Array.iter (fun (v, _) -> pv v) g.pg_dyn
-    | Pbinop (_, _, _, a, b, _, _) ->
-      pv a;
-      pv b
-    | Picmp (_, _, _, a, b, _) ->
-      pv a;
-      pv b
-    | Pfcmp (_, _, a, b, _) ->
-      pv a;
-      pv b
-    | Pcast (_, _, _, _, v, _) -> pv v
-    | Pselect (_, c, a, b) ->
-      pv c;
-      pv a;
-      pv b
-    | Pcall (_, callee, args, _) ->
-      (match callee with Pindirect (v, _) -> pv v | Pdirect _ -> ());
-      Array.iter pv args
-  in
-  List.iter
-    (Array.iter (fun blk ->
-         Array.iter instr blk.pb_instrs;
-         term blk.pb_term))
-    blocks_list;
-  copies entry;
-  uses
 
 (* ------------------------------------------------------------------ *)
 (* Scalar replacement of allocas (virtual stack slots)                 *)
@@ -542,6 +489,10 @@ let plan_slots (blocks_list : pblock array list) (entry : phicopy)
     scalar_of;
   slots
 
+(* ------------------------------------------------------------------ *)
+(* Register classification                                             *)
+(* ------------------------------------------------------------------ *)
+
 (* A register's writer, for the unboxed classification analyses. *)
 type writer =
   | Wyes  (** produces a value of the analysis' class *)
@@ -552,24 +503,22 @@ type writer =
 type rclass =
   | Rint  (** unboxed native int in [fr_iregs] *)
   | Rfloat  (** unboxed float in [fr_fregs] *)
-  | Rptr  (** unboxed object pointer in [fr_pobj]/[fr_poff] *)
   | Rbox  (** boxed [Mval.t] in [fr_regs] *)
 
-(** Classify every register of the merged file.  Three independent
-    writer analyses (int / float / object-pointer) share one walk; each
-    runs the same fixpoint as the original small-int analysis — a
+(** Classify every register of the merged file.  Two independent
+    writer analyses (int / float) share one walk and one fixpoint: a
     register is unboxed in a class iff it has at least one writer,
     every concrete writer produces that class, and every register it
     is moved from is unboxed in that class too.  The classes' concrete
     writer sets are disjoint, so at most one analysis marks a register
     with a concrete writer; pure-move cycles (no concrete writer
     anywhere) can satisfy several analyses at once and are resolved by
-    priority int > float > ptr — such registers only ever hold their
+    priority int > float — such registers only ever hold their
     initial zero, which every class represents identically.
     [boxed_roots] (parameter registers: caller's and each inlined
     instance's, written boxed by the call protocol) are forced [Rbox].
     [slots] (scalar-replaced allocas, see [plan_slots]) classify by
-    their scalar instead of as object pointers: a small-int slot's only
+    their scalar instead of as pointers: a small-int slot's only
     writers are the alloca's zero and whole-slot integer stores, so it
     lands in [Rint]; float slots land in [Rfloat]; I64 slots stay
     boxed ([Vint]-only by construction — the store re-boxes through
@@ -580,7 +529,6 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
     (nregs : int) : rclass array =
   let wi : writer list array = Array.make nregs [] in
   let wf : writer list array = Array.make nregs [] in
-  let wp : writer list array = Array.make nregs [] in
   let add tbl r w = if r >= 0 && r < nregs then tbl.(r) <- w :: tbl.(r) in
   let fits_imm = function
     (* the value survives an int round trip, so re-boxing is exact *)
@@ -597,30 +545,21 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
     | Pimm (Mval.Vfloat _) -> Wyes
     | Pimm _ | Pfail _ -> Wno
   in
-  let pk = function
-    | Preg r -> Wdep r
-    | Pimm (Mval.Vptr (Mobject.Pobj _)) -> Wyes
-    | Pimm _ | Pfail _ -> Wno
-  in
   let move r src =
     add wi r (ik src);
-    add wf r (fk src);
-    add wp r (pk src)
+    add wf r (fk src)
   in
   let boxed r =
     add wi r Wno;
-    add wf r Wno;
-    add wp r Wno
+    add wf r Wno
   in
   let int_res r =
     add wi r Wyes;
-    add wf r Wno;
-    add wp r Wno
+    add wf r Wno
   in
   let float_res r =
     add wi r Wno;
-    add wf r Wyes;
-    add wp r Wno
+    add wf r Wyes
   in
   let copies = function
     | Pc_copy (dests, srcs) -> Array.iteri (fun i d -> move d srcs.(i)) dests
@@ -642,10 +581,7 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
   let instr = function
     | Palloca (r, _, _) -> begin
       match Hashtbl.find_opt slots r with
-      | None ->
-        add wi r Wno;
-        add wf r Wno;
-        add wp r Wyes
+      | None -> boxed r
       | Some s ->
         (* the alloca writes the slot's zero in the slot's class *)
         if small s then int_res r
@@ -662,14 +598,7 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
       else if s = Irtype.F32 || s = Irtype.F64 then float_res rp
       else boxed rp
     | Pstore _ | Psancheck | Ploc _ -> ()
-    | Pgep (r, base, _) ->
-      add wi r Wno;
-      add wf r Wno;
-      add wp r
-        (match base with
-        | Preg rb -> Wdep rb
-        | Pimm (Mval.Vptr (Mobject.Pobj _)) -> Wyes
-        | Pimm _ | Pfail _ -> Wno)
+    | Pgep (r, _, _) -> boxed r
     | Pbinop (r, _, s, _, _, cls, _) ->
       if cls = Cfp then float_res r
       else if small s then int_res r
@@ -725,34 +654,13 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
     done;
     unboxed
   in
-  let ui = solve wi and uf = solve wf and up = solve wp in
+  let ui = solve wi and uf = solve wf in
   Array.init nregs (fun r ->
-      if ui.(r) then Rint
-      else if uf.(r) then Rfloat
-      else if up.(r) then Rptr
-      else Rbox)
+      if ui.(r) then Rint else if uf.(r) then Rfloat else Rbox)
 
 (* ------------------------------------------------------------------ *)
 (* The compiler                                                        *)
 (* ------------------------------------------------------------------ *)
-
-(* Every compiled instruction opens with the same inlined step-charge
-   sequence — the same writes, in the same order, with the same raise
-   point as [Interp.charge]:
-
-     st.steps <- st.steps + 1;
-     ctrs.c_X <- ctrs.c_X + 1;          (* instance's hotness counter *)
-     if st.steps > limit then raise Step_limit_exceeded;
-     if obs then os.os_X <- os.os_X + 1;
-
-   It is spelled out at each site rather than shared through a closure
-   record: without flambda a `charge st` call is an indirect call per
-   executed operation, which at ~3M operations per benchmark run is a
-   measurable share of tier-2 time.  [ctrs] is the instance's counter
-   record (captured at compile time — a compiled body only ever runs in
-   the state that compiled it), and the opstat bump comes after the
-   limit check so a timeout leaves the stats exactly as the interpreter
-   would. *)
 
 (** How an instance's [Pret] is compiled: a real function return, or —
     for an inlined callee — the interpreter's post-call protocol (depth
@@ -787,7 +695,6 @@ let compile (st0 : state) (pf : pfunc) : compiled =
       pf.pf_param_regs
       :: Hashtbl.fold (fun _ s acc -> s.is_params :: acc) sites []
     in
-    let uses = reg_use_counts_of blocks_list pf.pf_entry_copies nregs in
     (* Uninitialized-read detection watches the real init bitmap, so
        allocas must stay real objects when it is on. *)
     let slots =
@@ -809,14 +716,6 @@ let compile (st0 : state) (pf : pfunc) : compiled =
         | Rint ->
           fun fr -> Mval.Vint (Int64.of_int (Array.unsafe_get fr.fr_iregs r))
         | Rfloat -> fun fr -> Mval.Vfloat (Array.unsafe_get fr.fr_fregs r)
-        | Rptr ->
-          fun fr ->
-            Mval.Vptr
-              (Mobject.Pobj
-                 {
-                   Mobject.obj = Array.unsafe_get fr.fr_pobj r;
-                   moff = Array.unsafe_get fr.fr_poff r;
-                 })
         | Rbox -> fun fr -> Array.unsafe_get fr.fr_regs r
       end
       | Pimm v -> fun _ -> v
@@ -827,7 +726,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
        well-typed small operand (normalized <=32-bit values), and for
        any other int64 every consumer below re-masks/re-normalizes to
        <=32 bits, which only depends on the low bits [to_int]
-       preserves.  Float/pointer-classified operands fall through the
+       preserves.  Float-classified operands fall through the
        boxed view so [Mval.as_int] raises or cookies exactly like the
        interpreter. *)
     let iget (v : pval) : frame -> int =
@@ -874,27 +773,6 @@ let compile (st0 : state) (pf : pfunc) : compiled =
       if cls.(r) = Rfloat then fun fr v -> Array.unsafe_set fr.fr_fregs r v
       else fun fr v -> Array.unsafe_set fr.fr_regs r (Mval.Vfloat v)
     in
-    (* Split views of a proven object-pointer operand.  Precondition
-       (enforced by classification): the operand is an [Rptr] register
-       or an object-pointer immediate — anything else cannot reach an
-       [Rptr] destination. *)
-    let pget_obj (v : pval) : frame -> Mobject.t =
-      match v with
-      | Preg r when cls.(r) = Rptr -> fun fr -> Array.unsafe_get fr.fr_pobj r
-      | Pimm (Mval.Vptr (Mobject.Pobj a)) ->
-        let o = a.Mobject.obj in
-        fun _ -> o
-      | _ -> assert false
-    in
-    let pget_off (v : pval) : frame -> int =
-      match v with
-      | Preg r when cls.(r) = Rptr -> fun fr -> Array.unsafe_get fr.fr_poff r
-      | Pimm (Mval.Vptr (Mobject.Pobj a)) ->
-        let off = a.Mobject.moff in
-        fun _ -> off
-      | _ -> assert false
-    in
-
     (* --- narrow memory access fast paths ---
 
        The inlined path performs the interpreter's checks on the managed
@@ -956,47 +834,29 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             | Rint ->
               let ig = iget srcs.(0) in
               fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
+                charge_op st ctrs limit;
                 if obs then os.os_phi_copy <- os.os_phi_copy + 1;
                 Array.unsafe_set fr.fr_iregs d (ig fr);
                 !jump st fr
             | Rfloat ->
               let fg = fget srcs.(0) in
               fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
+                charge_op st ctrs limit;
                 if obs then os.os_phi_copy <- os.os_phi_copy + 1;
                 Array.unsafe_set fr.fr_fregs d (fg fr);
-                !jump st fr
-            | Rptr ->
-              let go = pget_obj srcs.(0) and gf = pget_off srcs.(0) in
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_phi_copy <- os.os_phi_copy + 1;
-                Array.unsafe_set fr.fr_pobj d (go fr);
-                Array.unsafe_set fr.fr_poff d (gf fr);
                 !jump st fr
             | Rbox -> begin
               match srcs.(0) with
               | Preg rs when cls.(rs) = Rbox ->
                 fun st fr ->
-                  st.steps <- st.steps + 1;
-                  ctrs.c_ops <- ctrs.c_ops + 1;
-                  if st.steps > limit then raise Step_limit_exceeded;
+                  charge_op st ctrs limit;
                   if obs then os.os_phi_copy <- os.os_phi_copy + 1;
                   fr.fr_regs.(d) <- fr.fr_regs.(rs);
                   !jump st fr
               | src ->
                 let g = getter src in
                 fun st fr ->
-                  st.steps <- st.steps + 1;
-                  ctrs.c_ops <- ctrs.c_ops + 1;
-                  if st.steps > limit then raise Step_limit_exceeded;
+                  charge_op st ctrs limit;
                   if obs then os.os_phi_copy <- os.os_phi_copy + 1;
                   fr.fr_regs.(d) <- g fr;
                   !jump st fr
@@ -1017,18 +877,6 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                 (fun i s -> if kinds.(i) = Rfloat then fget s else fun _ -> 0.0)
                 srcs
             in
-            let pos =
-              Array.mapi
-                (fun i s ->
-                  if kinds.(i) = Rptr then pget_obj s
-                  else fun _ -> Mobject.dummy)
-                srcs
-            in
-            let poffs =
-              Array.mapi
-                (fun i s -> if kinds.(i) = Rptr then pget_off s else fun _ -> 0)
-                srcs
-            in
             let gs =
               Array.mapi
                 (fun i s ->
@@ -1038,28 +886,18 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             fun st fr ->
               let tmpi = Array.make n 0 in
               let tmpf = Array.make n 0.0 in
-              let tmpo = Array.make n Mobject.dummy in
-              let tmpoff = Array.make n 0 in
               let tmpv = Array.make n Mval.zero in
               for i = 0 to n - 1 do
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
+                charge_op st ctrs limit;
                 match kinds.(i) with
                 | Rint -> tmpi.(i) <- igs.(i) fr
                 | Rfloat -> tmpf.(i) <- fgs.(i) fr
-                | Rptr ->
-                  tmpo.(i) <- pos.(i) fr;
-                  tmpoff.(i) <- poffs.(i) fr
                 | Rbox -> tmpv.(i) <- gs.(i) fr
               done;
               for i = 0 to n - 1 do
                 match kinds.(i) with
                 | Rint -> Array.unsafe_set fr.fr_iregs dests.(i) tmpi.(i)
                 | Rfloat -> Array.unsafe_set fr.fr_fregs dests.(i) tmpf.(i)
-                | Rptr ->
-                  Array.unsafe_set fr.fr_pobj dests.(i) tmpo.(i);
-                  Array.unsafe_set fr.fr_poff dests.(i) tmpoff.(i)
                 | Rbox -> fr.fr_regs.(dests.(i)) <- tmpv.(i)
               done;
               if obs then os.os_phi_copy <- os.os_phi_copy + n;
@@ -1089,16 +927,12 @@ let compile (st0 : state) (pf : pfunc) : compiled =
         | Ret_fun, Some v ->
           let g = getter v in
           fun st fr ->
-            st.steps <- st.steps + 1;
-            ctrs.c_ops <- ctrs.c_ops + 1;
-            if st.steps > limit then raise Step_limit_exceeded;
+            charge_op st ctrs limit;
             if obs then os.os_term <- os.os_term + 1;
             Some (g fr)
         | Ret_fun, None ->
           fun st _fr ->
-            st.steps <- st.steps + 1;
-            ctrs.c_ops <- ctrs.c_ops + 1;
-            if st.steps > limit then raise Step_limit_exceeded;
+            charge_op st ctrs limit;
             if obs then os.os_term <- os.os_term + 1;
             None
         | Ret_inline (rres, next), Some v -> (
@@ -1112,27 +946,21 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           match prof with
           | None ->
             if rres >= 0 then fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_term <- os.os_term + 1;
               let res = g fr in
               st.depth <- st.depth - 1;
               fr.fr_regs.(rres) <- res;
               next st fr
             else fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_term <- os.os_term + 1;
               ignore (g fr);
               st.depth <- st.depth - 1;
               next st fr
           | Some p ->
             if rres >= 0 then fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_term <- os.os_term + 1;
               Profile.leave p ~steps:st.steps;
               let res = g fr in
@@ -1140,9 +968,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               fr.fr_regs.(rres) <- res;
               next st fr
             else fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_term <- os.os_term + 1;
               Profile.leave p ~steps:st.steps;
               ignore (g fr);
@@ -1152,34 +978,26 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           match prof with
           | None ->
             if rres >= 0 then fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_term <- os.os_term + 1;
               st.depth <- st.depth - 1;
               fr.fr_regs.(rres) <- Mval.zero;
               next st fr
             else fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_term <- os.os_term + 1;
               st.depth <- st.depth - 1;
               next st fr
           | Some p ->
             if rres >= 0 then fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_term <- os.os_term + 1;
               Profile.leave p ~steps:st.steps;
               st.depth <- st.depth - 1;
               fr.fr_regs.(rres) <- Mval.zero;
               next st fr
             else fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_term <- os.os_term + 1;
               Profile.leave p ~steps:st.steps;
               st.depth <- st.depth - 1;
@@ -1192,17 +1010,13 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           match edge_plain e with
           | Some cell ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_term <- os.os_term + 1;
               !cell st fr
           | None ->
             let k = compile_edge e in
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_term <- os.os_term + 1;
               k st fr
         end
@@ -1210,17 +1024,13 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           match (c, edge_plain a, edge_plain b) with
           | Preg rc, Some ca, Some cb when cls.(rc) = Rint ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_term <- os.os_term + 1;
               if Array.unsafe_get fr.fr_iregs rc = 0 then !cb st fr
               else !ca st fr
           | Preg rc, Some ca, Some cb when cls.(rc) = Rbox ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_term <- os.os_term + 1;
               if Int64.equal (Mval.as_int fr.fr_regs.(rc)) 0L then !cb st fr
               else !ca st fr
@@ -1229,26 +1039,20 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             (match c with
             | Preg rc when cls.(rc) = Rint ->
               fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
+                charge_op st ctrs limit;
                 if obs then os.os_term <- os.os_term + 1;
                 if Array.unsafe_get fr.fr_iregs rc = 0 then kb st fr
                 else ka st fr
             | Preg rc when cls.(rc) = Rbox ->
               fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
+                charge_op st ctrs limit;
                 if obs then os.os_term <- os.os_term + 1;
                 if Int64.equal (Mval.as_int fr.fr_regs.(rc)) 0L then kb st fr
                 else ka st fr
             | c ->
               let g = getter c in
               fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
+                charge_op st ctrs limit;
                 if obs then os.os_term <- os.os_term + 1;
                 if Int64.equal (Mval.as_int (g fr)) 0L then kb st fr
                 else ka st fr)
@@ -1261,9 +1065,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let ks = Array.map compile_edge edges in
             let nk = Array.length keys in
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_term <- os.os_term + 1;
               let x = Mval.as_int (gv fr) in
               let rec find i =
@@ -1276,18 +1078,14 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let ctbl = Hashtbl.create (2 * Hashtbl.length tbl) in
             Hashtbl.iter (fun k e -> Hashtbl.replace ctbl k (compile_edge e)) tbl;
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_term <- os.os_term + 1;
               let x = Mval.as_int (gv fr) in
               (match Hashtbl.find_opt ctbl x with Some k -> k | None -> kd)
                 st fr)
         | Punreachable ->
           fun st _fr ->
-            st.steps <- st.steps + 1;
-            ctrs.c_ops <- ctrs.c_ops + 1;
-            if st.steps > limit then raise Step_limit_exceeded;
+            charge_op st ctrs limit;
             if obs then os.os_term <- os.os_term + 1;
             Merror.raise_error
               (Merror.Type_violation "reached an unreachable instruction")
@@ -1308,27 +1106,21 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           match cls.(r) with
           | Rint ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_alloca <- os.os_alloca + 1;
               ignore (Mobject.fresh_id ());
               Array.unsafe_set fr.fr_iregs r 0;
               next st fr
           | Rfloat ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_alloca <- os.os_alloca + 1;
               ignore (Mobject.fresh_id ());
               Array.unsafe_set fr.fr_fregs r 0.0;
               next st fr
-          | Rbox | Rptr ->
+          | Rbox ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_alloca <- os.os_alloca + 1;
               ignore (Mobject.fresh_id ());
               Array.unsafe_set fr.fr_regs r Mval.zero;
@@ -1342,45 +1134,35 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           match cls.(rp) with
           | Rint when cls.(r) = Rint ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_mem st ctrs limit;
               if obs then os.os_load <- os.os_load + 1;
               let ir = fr.fr_iregs in
               Array.unsafe_set ir r (Array.unsafe_get ir rp);
               next st fr
           | Rint ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_mem st ctrs limit;
               if obs then os.os_load <- os.os_load + 1;
               fr.fr_regs.(r) <-
                 Mval.Vint (Int64.of_int (Array.unsafe_get fr.fr_iregs rp));
               next st fr
           | Rfloat when cls.(r) = Rfloat ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_mem st ctrs limit;
               if obs then os.os_load <- os.os_load + 1;
               let fl = fr.fr_fregs in
               Array.unsafe_set fl r (Array.unsafe_get fl rp);
               next st fr
           | Rfloat ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_mem st ctrs limit;
               if obs then os.os_load <- os.os_load + 1;
               fr.fr_regs.(r) <-
                 Mval.Vfloat (Array.unsafe_get fr.fr_fregs rp);
               next st fr
-          | Rbox | Rptr ->
+          | Rbox ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_mem st ctrs limit;
               if obs then os.os_load <- os.os_load + 1;
               Array.unsafe_set fr.fr_regs r (Array.unsafe_get fr.fr_regs rp);
               next st fr
@@ -1397,9 +1179,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             match v with
             | Preg rv when cls.(rv) = Rint ->
               fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_mem <- ctrs.c_mem + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
+                charge_mem st ctrs limit;
                 if obs then os.os_store <- os.os_store + 1;
                 let ir = fr.fr_iregs in
                 Array.unsafe_set ir rp (nrm (Array.unsafe_get ir rv));
@@ -1407,18 +1187,14 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             | Pimm (Mval.Vint imm) ->
               let c = nrm (Int64.to_int imm) in
               fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_mem <- ctrs.c_mem + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
+                charge_mem st ctrs limit;
                 if obs then os.os_store <- os.os_store + 1;
                 Array.unsafe_set fr.fr_iregs rp c;
                 next st fr
             | _ ->
               let g = iget v in
               fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_mem <- ctrs.c_mem + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
+                charge_mem st ctrs limit;
                 if obs then os.os_store <- os.os_store + 1;
                 Array.unsafe_set fr.fr_iregs rp (nrm (g fr));
                 next st fr
@@ -1427,52 +1203,31 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let g = fget v in
             if s = Irtype.F32 then
               fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_mem <- ctrs.c_mem + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
+                charge_mem st ctrs limit;
                 if obs then os.os_store <- os.os_store + 1;
                 Array.unsafe_set fr.fr_fregs rp (Scalar.round_to_f32 (g fr));
                 next st fr
             else
               fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_mem <- ctrs.c_mem + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
+                charge_mem st ctrs limit;
                 if obs then os.os_store <- os.os_store + 1;
                 Array.unsafe_set fr.fr_fregs rp (g fr);
                 next st fr
-          | Rbox | Rptr ->
+          | Rbox ->
             let g = getter v in
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_mem st ctrs limit;
               if obs then os.os_store <- os.os_store + 1;
               Array.unsafe_set fr.fr_regs rp (Mval.Vint (Mval.as_int (g fr)));
               next st fr
         end
-        | Palloca (r, mty, size) -> begin
-          match cls.(r) with
-          | Rptr ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_alloca <- os.os_alloca + 1;
-              let obj = Mobject.alloc ~storage:Merror.Stack ~mty size in
-              Array.unsafe_set fr.fr_pobj r obj;
-              Array.unsafe_set fr.fr_poff r 0;
-              next st fr
-          | _ ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_alloca <- os.os_alloca + 1;
-              let obj = Mobject.alloc ~storage:Merror.Stack ~mty size in
-              fr.fr_regs.(r) <- Mval.Vptr (Mobject.Pobj { Mobject.obj; moff = 0 });
-              next st fr
-        end
+        | Palloca (r, mty, size) ->
+          fun st fr ->
+            charge_op st ctrs limit;
+            if obs then os.os_alloca <- os.os_alloca + 1;
+            let obj = Mobject.alloc ~storage:Merror.Stack ~mty size in
+            fr.fr_regs.(r) <- Mval.Vptr (Mobject.Pobj { Mobject.obj; moff = 0 });
+            next st fr
         | Pload (r, s, p) when small s ->
           let size = Irtype.scalar_size s in
           let fast = iload_fast s in
@@ -1484,59 +1239,9 @@ let compile (st0 : state) (pf : pfunc) : compiled =
              shapes everything is inlined — the register reads, the
              pointer access, the byte load and the result write *)
           (match p with
-          | Preg rp when cls.(rp) = Rptr && cls.(r) = Rint ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              let obj = Array.unsafe_get fr.fr_pobj rp in
-              let off = Array.unsafe_get fr.fr_poff rp in
-              if observe then (
-                match obj.Mobject.storage with
-                | Merror.Heap -> Mheap.observe heap obj s
-                | _ -> ());
-              let v =
-                match (obj.Mobject.data, obj.Mobject.init_map) with
-                | Some b, None
-                  when off >= 0 && off + size <= obj.Mobject.byte_size ->
-                  fast b off
-                | _ ->
-                  norm
-                    (Int64.to_int
-                       (Mobject.load_int { Mobject.obj; moff = off } ~size ctx))
-              in
-              Array.unsafe_set fr.fr_iregs r v;
-              next st fr
-          | Preg rp when cls.(rp) = Rptr ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              let obj = Array.unsafe_get fr.fr_pobj rp in
-              let off = Array.unsafe_get fr.fr_poff rp in
-              if observe then (
-                match obj.Mobject.storage with
-                | Merror.Heap -> Mheap.observe heap obj s
-                | _ -> ());
-              let v =
-                match (obj.Mobject.data, obj.Mobject.init_map) with
-                | Some b, None
-                  when off >= 0 && off + size <= obj.Mobject.byte_size ->
-                  fast b off
-                | _ ->
-                  norm
-                    (Int64.to_int
-                       (Mobject.load_int { Mobject.obj; moff = off } ~size ctx))
-              in
-              set fr v;
-              next st fr
           | Preg rp when cls.(rp) = Rbox && cls.(r) = Rint ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_mem st ctrs limit;
               if obs then os.os_load <- os.os_load + 1;
               let a =
                 match Array.unsafe_get fr.fr_regs rp with
@@ -1544,10 +1249,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                 | pm -> deref_c ctx pm
               in
               let obj = a.Mobject.obj in
-              if observe then (
-                match obj.Mobject.storage with
-                | Merror.Heap -> Mheap.observe heap obj s
-                | _ -> ());
+              if observe then observe_memento heap obj s;
               let off = a.Mobject.moff in
               let v =
                 match (obj.Mobject.data, obj.Mobject.init_map) with
@@ -1561,9 +1263,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | p ->
             let g = getter p in
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_mem st ctrs limit;
               if obs then os.os_load <- os.os_load + 1;
               let a =
                 match g fr with
@@ -1571,10 +1271,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                 | pm -> deref_c ctx pm
               in
               let obj = a.Mobject.obj in
-              if observe then (
-                match obj.Mobject.storage with
-                | Merror.Heap -> Mheap.observe heap obj s
-                | _ -> ());
+              if observe then observe_memento heap obj s;
               let off = a.Mobject.moff in
               let v =
                 match (obj.Mobject.data, obj.Mobject.init_map) with
@@ -1590,32 +1287,10 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           let fast = fload_fast s in
           (* float loads always observe heap mementos (s <> I8) *)
           (match p with
-          | Preg rp when cls.(rp) = Rptr ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              let obj = Array.unsafe_get fr.fr_pobj rp in
-              let off = Array.unsafe_get fr.fr_poff rp in
-              (match obj.Mobject.storage with
-              | Merror.Heap -> Mheap.observe heap obj s
-              | _ -> ());
-              let v =
-                match (obj.Mobject.data, obj.Mobject.init_map) with
-                | Some b, None
-                  when off >= 0 && off + size <= obj.Mobject.byte_size ->
-                  fast b off
-                | _ -> Mobject.load_float { Mobject.obj; moff = off } ~size ctx
-              in
-              Array.unsafe_set fr.fr_fregs r v;
-              next st fr
           | p ->
             let g = getter p in
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_mem st ctrs limit;
               if obs then os.os_load <- os.os_load + 1;
               let a =
                 match g fr with
@@ -1623,9 +1298,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                 | pm -> deref_c ctx pm
               in
               let obj = a.Mobject.obj in
-              (match obj.Mobject.storage with
-              | Merror.Heap -> Mheap.observe heap obj s
-              | _ -> ());
+              observe_memento heap obj s;
               let off = a.Mobject.moff in
               let v =
                 match (obj.Mobject.data, obj.Mobject.init_map) with
@@ -1657,54 +1330,29 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           (* allocation-memento observation applies to non-i8 heap
              accesses only; the predicate on the scalar is compile-time *)
           (match p with
-          | Preg rp when cls.(rp) = Rptr ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              let a =
-                {
-                  Mobject.obj = Array.unsafe_get fr.fr_pobj rp;
-                  moff = Array.unsafe_get fr.fr_poff rp;
-                }
-              in
-              (match a.Mobject.obj.Mobject.storage with
-              | Merror.Heap -> Mheap.observe heap a.Mobject.obj s
-              | _ -> ());
-              fr.fr_regs.(r) <- load a;
-              next st fr
           | Preg rp when cls.(rp) = Rbox ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_mem st ctrs limit;
               if obs then os.os_load <- os.os_load + 1;
               let a =
                 match Array.unsafe_get fr.fr_regs rp with
                 | Mval.Vptr (Mobject.Pobj a) -> a
                 | pm -> deref_c ctx pm
               in
-              (match a.Mobject.obj.Mobject.storage with
-              | Merror.Heap -> Mheap.observe heap a.Mobject.obj s
-              | _ -> ());
+              observe_memento heap a.Mobject.obj s;
               fr.fr_regs.(r) <- load a;
               next st fr
           | p ->
             let g = getter p in
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_mem st ctrs limit;
               if obs then os.os_load <- os.os_load + 1;
               let a =
                 match g fr with
                 | Mval.Vptr (Mobject.Pobj a) -> a
                 | pm -> deref_c ctx pm
               in
-              (match a.Mobject.obj.Mobject.storage with
-              | Merror.Heap -> Mheap.observe heap a.Mobject.obj s
-              | _ -> ());
+              observe_memento heap a.Mobject.obj s;
               fr.fr_regs.(r) <- load a;
               next st fr)
         | Pstore (s, v, p) when small s ->
@@ -1716,34 +1364,9 @@ let compile (st0 : state) (pf : pfunc) : compiled =
              — and a plain register read cannot raise, so inlining the
              pointer read keeps every raise point in place *)
           (match p with
-          | Preg rp when cls.(rp) = Rptr ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_store <- os.os_store + 1;
-              let obj = Array.unsafe_get fr.fr_pobj rp in
-              let off = Array.unsafe_get fr.fr_poff rp in
-              let vv = gv fr in
-              if observe then (
-                match obj.Mobject.storage with
-                | Merror.Heap -> Mheap.observe heap obj s
-                | _ -> ());
-              (match (obj.Mobject.data, obj.Mobject.init_map) with
-              | Some b, None
-                when off >= 0
-                     && off + size <= obj.Mobject.byte_size
-                     && obj.Mobject.ptr_slots = None ->
-                fast b off vv
-              | _ ->
-                Mobject.store_int { Mobject.obj; moff = off } ~size
-                  (Int64.of_int vv) ctx);
-              next st fr
           | Preg rp when cls.(rp) = Rbox ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_mem st ctrs limit;
               if obs then os.os_store <- os.os_store + 1;
               let pm = Array.unsafe_get fr.fr_regs rp in
               let vv = gv fr in
@@ -1753,10 +1376,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                 | pm -> deref_c ctx pm
               in
               let obj = a.Mobject.obj in
-              if observe then (
-                match obj.Mobject.storage with
-                | Merror.Heap -> Mheap.observe heap obj s
-                | _ -> ());
+              if observe then observe_memento heap obj s;
               let off = a.Mobject.moff in
               (match (obj.Mobject.data, obj.Mobject.init_map) with
               | Some b, None
@@ -1769,9 +1389,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | p ->
             let gp = getter p in
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_mem st ctrs limit;
               if obs then os.os_store <- os.os_store + 1;
               let pp = gp fr in
               let vv = gv fr in
@@ -1781,10 +1399,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                 | pm -> deref_c ctx pm
               in
               let obj = a.Mobject.obj in
-              if observe then (
-                match obj.Mobject.storage with
-                | Merror.Heap -> Mheap.observe heap obj s
-                | _ -> ());
+              if observe then observe_memento heap obj s;
               let off = a.Mobject.moff in
               (match (obj.Mobject.data, obj.Mobject.init_map) with
               | Some b, None
@@ -1800,33 +1415,10 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           let fast = fstore_fast s in
           (* float stores always observe heap mementos (s <> I8) *)
           (match p with
-          | Preg rp when cls.(rp) = Rptr ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_store <- os.os_store + 1;
-              let obj = Array.unsafe_get fr.fr_pobj rp in
-              let off = Array.unsafe_get fr.fr_poff rp in
-              let vv = gv fr in
-              (match obj.Mobject.storage with
-              | Merror.Heap -> Mheap.observe heap obj s
-              | _ -> ());
-              (match (obj.Mobject.data, obj.Mobject.init_map) with
-              | Some b, None
-                when off >= 0
-                     && off + size <= obj.Mobject.byte_size
-                     && obj.Mobject.ptr_slots = None ->
-                fast b off vv
-              | _ ->
-                Mobject.store_float { Mobject.obj; moff = off } ~size vv ctx);
-              next st fr
           | p ->
             let gp = getter p in
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_mem st ctrs limit;
               if obs then os.os_store <- os.os_store + 1;
               let pp = gp fr in
               let vv = gv fr in
@@ -1836,9 +1428,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                 | pm -> deref_c ctx pm
               in
               let obj = a.Mobject.obj in
-              (match obj.Mobject.storage with
-              | Merror.Heap -> Mheap.observe heap obj s
-              | _ -> ());
+              observe_memento heap obj s;
               let off = a.Mobject.moff in
               (match (obj.Mobject.data, obj.Mobject.init_map) with
               | Some b, None
@@ -1857,9 +1447,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             | _ -> fun a x -> Mobject.store_int a ~size (Mval.as_int x) ctx
           in
           fun st fr ->
-            st.steps <- st.steps + 1;
-            ctrs.c_mem <- ctrs.c_mem + 1;
-            if st.steps > limit then raise Step_limit_exceeded;
+            charge_mem st ctrs limit;
             if obs then os.os_store <- os.os_store + 1;
             let pp = gp fr in
             let vv = gv fr in
@@ -1868,55 +1456,9 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               | Mval.Vptr (Mobject.Pobj a) -> a
               | pm -> deref_c ctx pm
             in
-            (match a.Mobject.obj.Mobject.storage with
-            | Merror.Heap -> Mheap.observe heap a.Mobject.obj s
-            | _ -> ());
+            observe_memento heap a.Mobject.obj s;
             store a vv;
             next st fr
-        | Pgep (r, base, g) when cls.(r) = Rptr ->
-          (* classification proved the base an object pointer, so the
-             pointer-shape dispatch of [exec_gep] vanishes: the result
-             is the base's pointee with an adjusted offset *)
-          let go = pget_obj base and gf = pget_off base in
-          let static = g.pg_static in
-          (match g.pg_dyn with
-          | [||] ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_gep <- os.os_gep + 1;
-              Array.unsafe_set fr.fr_pobj r (go fr);
-              Array.unsafe_set fr.fr_poff r (gf fr + static);
-              next st fr
-          | [| (iv, stride) |] ->
-            let gi = iget iv in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_gep <- os.os_gep + 1;
-              let obj = go fr in
-              let off = gf fr + static + (gi fr * stride) in
-              Array.unsafe_set fr.fr_pobj r obj;
-              Array.unsafe_set fr.fr_poff r off;
-              next st fr
-          | dyn ->
-            let gis = Array.map (fun (v, stride) -> (iget v, stride)) dyn in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_gep <- os.os_gep + 1;
-              let obj = go fr in
-              let d = ref (gf fr + static) in
-              for i = 0 to Array.length gis - 1 do
-                let gi, stride = gis.(i) in
-                d := !d + (gi fr * stride)
-              done;
-              Array.unsafe_set fr.fr_pobj r obj;
-              Array.unsafe_set fr.fr_poff r !d;
-              next st fr)
         | Pgep (r, base, g) ->
           let gb = getter base in
           let apply delta (pm : Mval.t) : Mval.t =
@@ -1936,18 +1478,14 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           (match g.pg_dyn with
           | [||] ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_gep <- os.os_gep + 1;
               fr.fr_regs.(r) <- apply static (gb fr);
               next st fr
           | [| (iv, stride) |] ->
             let gi = iget iv in
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_gep <- os.os_gep + 1;
               let b = gb fr in
               let d = static + (gi fr * stride) in
@@ -1956,9 +1494,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | dyn ->
             let gis = Array.map (fun (v, stride) -> (iget v, stride)) dyn in
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_gep <- os.os_gep + 1;
               let b = gb fr in
               let d = ref static in
@@ -1974,9 +1510,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | Preg ra, Preg rb
             when cls.(ra) = Rint && cls.(rb) = Rint && cls.(r) = Rint ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_binop <- os.os_binop + 1;
               let ir = fr.fr_iregs in
               Array.unsafe_set ir r
@@ -1986,9 +1520,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let ga = iget a and gb = iget b in
             let set = iset r in
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_binop <- os.os_binop + 1;
               (* right-to-left like the interpreter's application order *)
               let y = gb fr in
@@ -2003,9 +1535,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | Preg ra, Preg rb
             when cls.(ra) = Rfloat && cls.(rb) = Rfloat && cls.(r) = Rfloat ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_fp <- ctrs.c_fp + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_fp st ctrs limit;
               if obs then os.os_binop <- os.os_binop + 1;
               let fl = fr.fr_fregs in
               Array.unsafe_set fl r
@@ -2015,9 +1545,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let ga = fget a and gb = fget b in
             let set = fset r in
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_fp <- ctrs.c_fp + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_fp st ctrs limit;
               if obs then os.os_binop <- os.os_binop + 1;
               let y = gb fr in
               set fr (f (ga fr) y);
@@ -2026,10 +1554,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           let fp = cls_op = Cfp in
           let ga = getter a and gb = getter b in
           fun st fr ->
-            st.steps <- st.steps + 1;
-            (if fp then ctrs.c_fp <- ctrs.c_fp + 1
-             else ctrs.c_ops <- ctrs.c_ops + 1);
-            if st.steps > limit then raise Step_limit_exceeded;
+            if fp then charge_fp st ctrs limit else charge_op st ctrs limit;
             if obs then os.os_binop <- os.os_binop + 1;
             let y = gb fr in
             fr.fr_regs.(r) <- f (ga fr) y;
@@ -2040,9 +1565,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | Preg ra, Preg rb
             when cls.(ra) = Rint && cls.(rb) = Rint && cls.(r) = Rint ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_icmp <- os.os_icmp + 1;
               let ir = fr.fr_iregs in
               Array.unsafe_set ir r
@@ -2053,18 +1576,14 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let ga = iget a and gb = iget b in
             if cls.(r) = Rint then
               fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
+                charge_op st ctrs limit;
                 if obs then os.os_icmp <- os.os_icmp + 1;
                 let y = gb fr in
                 Array.unsafe_set fr.fr_iregs r (if cmp (ga fr) y then 1 else 0);
                 next st fr
             else
               fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
+                charge_op st ctrs limit;
                 if obs then os.os_icmp <- os.os_icmp + 1;
                 let y = gb fr in
                 fr.fr_regs.(r) <- (if cmp (ga fr) y then vtrue else vfalse);
@@ -2073,9 +1592,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           let ga = getter a and gb = getter b in
           let set = iset r in
           fun st fr ->
-            st.steps <- st.steps + 1;
-            ctrs.c_ops <- ctrs.c_ops + 1;
-            if st.steps > limit then raise Step_limit_exceeded;
+            charge_op st ctrs limit;
             if obs then os.os_icmp <- os.os_icmp + 1;
             let y = Mval.as_int (gb fr) in
             set fr (if cmp (Mval.as_int (ga fr)) y then 1 else 0)
@@ -2085,9 +1602,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | Preg ra, Preg rb
             when cls.(ra) = Rfloat && cls.(rb) = Rfloat && cls.(r) = Rint ->
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_fp <- ctrs.c_fp + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_fp st ctrs limit;
               if obs then os.os_fcmp <- os.os_fcmp + 1;
               let fl = fr.fr_fregs in
               Array.unsafe_set fr.fr_iregs r
@@ -2098,18 +1613,14 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let ga = fget a and gb = fget b in
             if cls.(r) = Rint then
               fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_fp <- ctrs.c_fp + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
+                charge_fp st ctrs limit;
                 if obs then os.os_fcmp <- os.os_fcmp + 1;
                 let y = gb fr in
                 Array.unsafe_set fr.fr_iregs r (if cmp (ga fr) y then 1 else 0);
                 next st fr
             else
               fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_fp <- ctrs.c_fp + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
+                charge_fp st ctrs limit;
                 if obs then os.os_fcmp <- os.os_fcmp + 1;
                 let y = gb fr in
                 fr.fr_regs.(r) <- (if cmp (ga fr) y then vtrue else vfalse);
@@ -2119,9 +1630,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
              classification of the result register above *)
           let conv get f set : cont =
            fun st fr ->
-            st.steps <- st.steps + 1;
-            ctrs.c_ops <- ctrs.c_ops + 1;
-            if st.steps > limit then raise Step_limit_exceeded;
+            charge_op st ctrs limit;
             if obs then os.os_cast <- os.os_cast + 1;
             set fr (f (get fr));
             next st fr
@@ -2163,45 +1672,21 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | Rint ->
             let gc = iget c and ga = iget a and gb = iget b in
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_select <- os.os_select + 1;
               Array.unsafe_set fr.fr_iregs r (if gc fr = 0 then gb fr else ga fr);
               next st fr
           | Rfloat ->
             let gc = iget c and ga = fget a and gb = fget b in
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_select <- os.os_select + 1;
               Array.unsafe_set fr.fr_fregs r (if gc fr = 0 then gb fr else ga fr);
-              next st fr
-          | Rptr ->
-            let gc = iget c in
-            let goa = pget_obj a and gfa = pget_off a in
-            let gob = pget_obj b and gfb = pget_off b in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_select <- os.os_select + 1;
-              if gc fr = 0 then begin
-                Array.unsafe_set fr.fr_pobj r (gob fr);
-                Array.unsafe_set fr.fr_poff r (gfb fr)
-              end
-              else begin
-                Array.unsafe_set fr.fr_pobj r (goa fr);
-                Array.unsafe_set fr.fr_poff r (gfa fr)
-              end;
               next st fr
           | Rbox ->
             let gc = getter c and ga = getter a and gb = getter b in
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_select <- os.os_select + 1;
               fr.fr_regs.(r) <-
                 (if Int64.equal (Mval.as_int (gc fr)) 0L then gb fr else ga fr);
@@ -2209,9 +1694,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
         end
         | Psancheck ->
           fun st fr ->
-            st.steps <- st.steps + 1;
-            ctrs.c_ops <- ctrs.c_ops + 1;
-            if st.steps > limit then raise Step_limit_exceeded;
+            charge_op st ctrs limit;
             if obs then os.os_sancheck <- os.os_sancheck + 1;
             next st fr
         | Ploc (line, col) ->
@@ -2257,9 +1740,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let params = site.is_params in
             let bound = min (Array.length params) na in
             fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
+              charge_op st ctrs limit;
               if obs then os.os_call <- os.os_call + 1;
               ctrs.c_calls <- ctrs.c_calls + 1;
               (* direct writes into the callee window are equivalent to
@@ -2298,27 +1779,21 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               match !tgt with
               | Tgt_user callee_pf ->
                 fun st fr ->
-                  st.steps <- st.steps + 1;
-                  ctrs.c_ops <- ctrs.c_ops + 1;
-                  if st.steps > limit then raise Step_limit_exceeded;
+                  charge_op st ctrs limit;
                   if obs then os.os_call <- os.os_call + 1;
                   ctrs.c_calls <- ctrs.c_calls + 1;
                   finish fr (call_function st callee_pf (eval_args fr) scalars);
                   next st fr
               | Tgt_builtin (_, fn) ->
                 fun st fr ->
-                  st.steps <- st.steps + 1;
-                  ctrs.c_ops <- ctrs.c_ops + 1;
-                  if st.steps > limit then raise Step_limit_exceeded;
+                  charge_op st ctrs limit;
                   if obs then os.os_call <- os.os_call + 1;
                   ctrs.c_calls <- ctrs.c_calls + 1;
                   finish fr (fn st (eval_args fr));
                   next st fr
               | Tgt_unknown name ->
                 fun st fr ->
-                  st.steps <- st.steps + 1;
-                  ctrs.c_ops <- ctrs.c_ops + 1;
-                  if st.steps > limit then raise Step_limit_exceeded;
+                  charge_op st ctrs limit;
                   if obs then os.os_call <- os.os_call + 1;
                   ctrs.c_calls <- ctrs.c_calls + 1;
                   ignore (eval_args fr);
@@ -2327,9 +1802,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             | Pindirect (v, ic) ->
               let gv = getter v in
               fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
+                charge_op st ctrs limit;
                 if obs then os.os_call <- os.os_call + 1;
                 ctrs.c_calls <- ctrs.c_calls + 1;
                 let argv = eval_args fr in
@@ -2360,171 +1833,13 @@ let compile (st0 : state) (pf : pfunc) : compiled =
         end
       in
 
-      (* --- blocks: fold the instruction chain onto the terminator,
-         fusing a trailing icmp/fcmp into its condbr when the compare
-         register is dead otherwise (its only read is the branch
-         itself) --- *)
+      (* --- blocks: fold the instruction chain onto the terminator --- *)
       let compile_block (blk : pblock) : cont =
-        let n = Array.length blk.pb_instrs in
-        let fused : cont option =
-          if n = 0 then None
-          else
-            match (blk.pb_instrs.(n - 1), blk.pb_term) with
-            | Picmp (r, op, s, a, b, _), Pcondbr (Preg rc, ta, tb)
-              when rc = r && uses.(r) = 1 && small s ->
-              let cmp = Scalar.Small.icmp op s in
-              (* two charges, exactly like the unfused icmp + terminator *)
-              (match (a, b, edge_plain ta, edge_plain tb) with
-              | Preg ra, Preg rb, Some ca, Some cb
-                when cls.(ra) = Rint && cls.(rb) = Rint ->
-                (* the whole loop-control idiom in one closure: native
-                   compare of two unboxed registers, direct cell jump *)
-                Some
-                  (fun st fr ->
-                    st.steps <- st.steps + 1;
-                    ctrs.c_ops <- ctrs.c_ops + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_icmp <- os.os_icmp + 1;
-                    let ir = fr.fr_iregs in
-                    let taken =
-                      cmp (Array.unsafe_get ir ra) (Array.unsafe_get ir rb)
-                    in
-                    st.steps <- st.steps + 1;
-                    ctrs.c_ops <- ctrs.c_ops + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_term <- os.os_term + 1;
-                    if taken then !ca st fr else !cb st fr)
-              | a, b, Some ca, Some cb ->
-                let ga = iget a and gb = iget b in
-                Some
-                  (fun st fr ->
-                    st.steps <- st.steps + 1;
-                    ctrs.c_ops <- ctrs.c_ops + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_icmp <- os.os_icmp + 1;
-                    let y = gb fr in
-                    let taken = cmp (ga fr) y in
-                    st.steps <- st.steps + 1;
-                    ctrs.c_ops <- ctrs.c_ops + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_term <- os.os_term + 1;
-                    if taken then !ca st fr else !cb st fr)
-              | a, b, _, _ ->
-                let ka = compile_edge ta and kb = compile_edge tb in
-                (match (a, b) with
-                | Preg ra, Preg rb when cls.(ra) = Rint && cls.(rb) = Rint ->
-                  Some
-                    (fun st fr ->
-                      st.steps <- st.steps + 1;
-                      ctrs.c_ops <- ctrs.c_ops + 1;
-                      if st.steps > limit then raise Step_limit_exceeded;
-                      if obs then os.os_icmp <- os.os_icmp + 1;
-                      let ir = fr.fr_iregs in
-                      let taken =
-                        cmp (Array.unsafe_get ir ra) (Array.unsafe_get ir rb)
-                      in
-                      st.steps <- st.steps + 1;
-                      ctrs.c_ops <- ctrs.c_ops + 1;
-                      if st.steps > limit then raise Step_limit_exceeded;
-                      if obs then os.os_term <- os.os_term + 1;
-                      if taken then ka st fr else kb st fr)
-                | a, b ->
-                  let ga = iget a and gb = iget b in
-                  Some
-                    (fun st fr ->
-                      st.steps <- st.steps + 1;
-                      ctrs.c_ops <- ctrs.c_ops + 1;
-                      if st.steps > limit then raise Step_limit_exceeded;
-                      if obs then os.os_icmp <- os.os_icmp + 1;
-                      let y = gb fr in
-                      let taken = cmp (ga fr) y in
-                      st.steps <- st.steps + 1;
-                      ctrs.c_ops <- ctrs.c_ops + 1;
-                      if st.steps > limit then raise Step_limit_exceeded;
-                      if obs then os.os_term <- os.os_term + 1;
-                      if taken then ka st fr else kb st fr)))
-            | Picmp (r, _, _, a, b, cmp), Pcondbr (Preg rc, ta, tb)
-              when rc = r && uses.(r) = 1 ->
-              let ka = compile_edge ta and kb = compile_edge tb in
-              let ga = getter a and gb = getter b in
-              Some
-                (fun st fr ->
-                  st.steps <- st.steps + 1;
-                  ctrs.c_ops <- ctrs.c_ops + 1;
-                  if st.steps > limit then raise Step_limit_exceeded;
-                  if obs then os.os_icmp <- os.os_icmp + 1;
-                  let y = Mval.as_int (gb fr) in
-                  let taken = cmp (Mval.as_int (ga fr)) y in
-                  st.steps <- st.steps + 1;
-                  ctrs.c_ops <- ctrs.c_ops + 1;
-                  if st.steps > limit then raise Step_limit_exceeded;
-                  if obs then os.os_term <- os.os_term + 1;
-                  if taken then ka st fr else kb st fr)
-            | Pfcmp (r, _, a, b, cmp), Pcondbr (Preg rc, ta, tb)
-              when rc = r && uses.(r) = 1 ->
-              (* float loop controls (whetstone, fig15-float): compare
-                 two unboxed floats and branch in one closure *)
-              (match (a, b, edge_plain ta, edge_plain tb) with
-              | Preg ra, Preg rb, Some ca, Some cb
-                when cls.(ra) = Rfloat && cls.(rb) = Rfloat ->
-                Some
-                  (fun st fr ->
-                    st.steps <- st.steps + 1;
-                    ctrs.c_fp <- ctrs.c_fp + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_fcmp <- os.os_fcmp + 1;
-                    let fl = fr.fr_fregs in
-                    let taken =
-                      cmp (Array.unsafe_get fl ra) (Array.unsafe_get fl rb)
-                    in
-                    st.steps <- st.steps + 1;
-                    ctrs.c_ops <- ctrs.c_ops + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_term <- os.os_term + 1;
-                    if taken then !ca st fr else !cb st fr)
-              | a, b, Some ca, Some cb ->
-                let ga = fget a and gb = fget b in
-                Some
-                  (fun st fr ->
-                    st.steps <- st.steps + 1;
-                    ctrs.c_fp <- ctrs.c_fp + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_fcmp <- os.os_fcmp + 1;
-                    let y = gb fr in
-                    let taken = cmp (ga fr) y in
-                    st.steps <- st.steps + 1;
-                    ctrs.c_ops <- ctrs.c_ops + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_term <- os.os_term + 1;
-                    if taken then !ca st fr else !cb st fr)
-              | a, b, _, _ ->
-                let ka = compile_edge ta and kb = compile_edge tb in
-                let ga = fget a and gb = fget b in
-                Some
-                  (fun st fr ->
-                    st.steps <- st.steps + 1;
-                    ctrs.c_fp <- ctrs.c_fp + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_fcmp <- os.os_fcmp + 1;
-                    let y = gb fr in
-                    let taken = cmp (ga fr) y in
-                    st.steps <- st.steps + 1;
-                    ctrs.c_ops <- ctrs.c_ops + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_term <- os.os_term + 1;
-                    if taken then ka st fr else kb st fr))
-            | _ -> None
-        in
-        let seed, upto =
-          match fused with
-          | Some k -> (k, n - 2)
-          | None -> (compile_term blk.pb_term, n - 1)
-        in
         let rec build i acc =
           if i < 0 then acc
           else build (i - 1) (compile_instr (blk.pb_index, i) blk.pb_instrs.(i) acc)
         in
-        build upto seed
+        build (Array.length blk.pb_instrs - 1) (compile_term blk.pb_term)
       in
 
       for j = 0 to nblocks - 1 do
@@ -2566,15 +1881,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
     in
 
     (* --- register-file installation and OSR frame transfer --- *)
-    let any_i = ref false and any_f = ref false and any_p = ref false in
-    Array.iter
-      (function
-        | Rint -> any_i := true
-        | Rfloat -> any_f := true
-        | Rptr -> any_p := true
-        | Rbox -> ())
-      cls;
-    let any_i = !any_i and any_f = !any_f and any_p = !any_p in
+    let any_i = Array.mem Rint cls and any_f = Array.mem Rfloat cls in
     let install (fr : frame) =
       if nregs > Array.length fr.fr_regs then begin
         (* inlined callees enlarged the register file *)
@@ -2583,11 +1890,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
         fr.fr_regs <- regs
       end;
       if any_i then fr.fr_iregs <- Array.make nregs 0;
-      if any_f then fr.fr_fregs <- Array.make nregs 0.0;
-      if any_p then begin
-        fr.fr_pobj <- Array.make nregs Mobject.dummy;
-        fr.fr_poff <- Array.make nregs 0
-      end
+      if any_f then fr.fr_fregs <- Array.make nregs 0.0
     in
     (* Direct frame construction (DESIGN.md §11): [call_function]
        obtains frames through [cb_frame], which builds the register
@@ -2611,8 +1914,6 @@ let compile (st0 : state) (pf : pfunc) : compiled =
         fr_regs = regs;
         fr_iregs = (if any_i then Array.make nregs 0 else [||]);
         fr_fregs = (if any_f then Array.make nregs 0.0 else [||]);
-        fr_pobj = (if any_p then Array.make nregs Mobject.dummy else [||]);
-        fr_poff = (if any_p then Array.make nregs 0 else [||]);
         fr_args = args;
         fr_arg_scalars = arg_scalars;
         fr_variadic = pf.pf_variadic;
@@ -2650,13 +1951,6 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                 | Mval.Vint v -> fr.fr_fregs.(r) <- Int64.to_float v
                 | Mval.Vptr _ -> ()
               end
-              | Rptr -> begin
-                match boxed.(r) with
-                | Mval.Vptr (Mobject.Pobj a) ->
-                  fr.fr_pobj.(r) <- a.Mobject.obj;
-                  fr.fr_poff.(r) <- a.Mobject.moff
-                | Mval.Vint _ | Mval.Vfloat _ | Mval.Vptr _ -> ()
-              end
               | Rbox -> ()
             done;
             (* Scalar-replaced allocas: the interpreter prefix kept the
@@ -2682,7 +1976,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                              (Mobject.load_int a ~size pf.pf_context))
                     | Rfloat ->
                       fr.fr_fregs.(r) <- Mobject.load_float a ~size pf.pf_context
-                    | Rbox | Rptr ->
+                    | Rbox ->
                       fr.fr_regs.(r) <-
                         Mval.Vint (Mobject.load_int a ~size:8 pf.pf_context)
                   end

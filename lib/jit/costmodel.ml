@@ -164,13 +164,10 @@ let hot_threshold_ops = 1_000_000 (* interpreted ops in a function before
                                    it is queued for compilation *)
 
 (* Inlining policy for the closure compiler (DESIGN.md §11): a direct
-   call to a leaf callee is inlined into the caller's compiled body when
-   the callee is tiny, or when it is hot and still small.  The budget
-   bounds total inlined instructions per caller so pathological call
-   graphs cannot blow up compile time. *)
+   call to a tiny leaf callee is inlined into the caller's compiled
+   body.  The budget bounds total inlined instructions per caller so
+   pathological call graphs cannot blow up compile time. *)
 let inline_always_instrs = 24
-let inline_max_callee_instrs = 96
-let inline_hot_callee_ops = 50_000
 let inline_budget_instrs = 1024
 let compile_cycles_per_instr = 1.2e7 (* Graal partial evaluation is
                                         expensive: ~0.35 s for a

@@ -394,23 +394,6 @@ let read_cstring (a : addr) context : string =
   go 0;
   Buffer.contents buf
 
-(** A placeholder object for unboxed pointer-register files
-    ([Jit.Closcomp]): constructed directly — never through [alloc] —
-    because ids are observable (pointer cookies, uninitialized-read
-    messages) and a dummy must not consume one.  Id 0 is never handed
-    out by [fresh_id]. *)
-let dummy : t =
-  {
-    id = 0;
-    storage = Merror.Stack;
-    byte_size = 0;
-    mty = Irtype.MScalar Irtype.I8;
-    data = Some Bytes.empty;
-    ptr_slots = None;
-    site = -1;
-    init_map = None;
-  }
-
 let write_bytes (a : addr) (s : string) context : unit =
   String.iteri
     (fun i c ->

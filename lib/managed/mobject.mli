@@ -44,11 +44,6 @@ type checkpoint
 val checkpoint : unit -> checkpoint
 val restore : checkpoint -> unit
 
-(** Placeholder for unboxed pointer-register files (id 0, never handed
-    out by allocation); reading through it is prevented structurally by
-    the JIT's write-before-read rules, never checked dynamically. *)
-val dummy : t
-
 (** Allocate a managed object of [byte_size] bytes, zero-filled. *)
 val alloc :
   ?site:int -> storage:Merror.storage -> mty:Irtype.mty -> int -> t

@@ -75,20 +75,6 @@ let store_float mem addr ~size (v : float) : unit =
   in
   store_int mem addr ~size bits
 
-(** Read a NUL-terminated string (no checks beyond the address space —
-    this is how the native model overruns silently). *)
-let read_cstring mem addr : string =
-  let buf = Buffer.create 16 in
-  let rec go a =
-    let c = load_int mem a ~size:1 in
-    if c <> 0L then begin
-      Buffer.add_char buf (Char.chr (Int64.to_int c));
-      go (Int64.add a 1L)
-    end
-  in
-  go addr;
-  Buffer.contents buf
-
 let write_string mem addr (s : string) : unit =
   String.iteri
     (fun i c ->

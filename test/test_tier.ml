@@ -13,13 +13,14 @@ let step_limit = 50_000_000
 
 (* Run [p] through the standard Safe Sulong pipeline, optionally with
    the tier controller forced hot so every function compiles at first
-   call. *)
+   call, or at the production threshold. *)
 let run_program ?tier (p : Groundtruth.program) : Interp.run_result =
   let m = Loader.load_program p.Groundtruth.source in
   Pipeline.compile_sulong m;
   let tier =
     match tier with
     | Some `Forced -> Some (Tier.controller ~threshold:0 ())
+    | Some `Default -> Some (Tier.controller ())
     | None -> None
   in
   let st =
@@ -27,12 +28,27 @@ let run_program ?tier (p : Groundtruth.program) : Interp.run_result =
   in
   Interp.run ~argv:p.Groundtruth.argv st
 
-(* Everything the paper's reports surface, flattened for comparison.
-   [report] is reduced to the rendered text, which covers the error
-   kind, the faulting C file:line:col, the bounds detail and the
-   managed stack.  The flight-recorder section is blanked: engine
-   events (tier-up, deopt) intentionally differ across tiers — the
-   equivalence contract covers guest-observable behavior only. *)
+(* The per-function counters of [run_profile], one line per function in
+   name order.  Both tiers charge every operation to the same counter
+   ([Interp.charge], the [Closcomp.charge_*] helpers), so these agree
+   exactly; the tier controller's hotness policy reads them. *)
+let counters (r : Interp.run_result) : string =
+  Hashtbl.fold (fun name c acc -> (name, c) :: acc)
+    r.Interp.run_profile.Interp.funcs []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map (fun (name, (c : Interp.counters)) ->
+         Printf.sprintf "%s ops=%d fp=%d mem=%d calls=%d invocations=%d" name
+           c.Interp.c_ops c.Interp.c_fp c.Interp.c_mem c.Interp.c_calls
+           c.Interp.c_invocations)
+  |> String.concat "\n"
+
+(* Everything the paper's reports surface, flattened for comparison,
+   plus the per-function counters.  [report] is reduced to the rendered
+   text, which covers the error kind, the faulting C file:line:col, the
+   bounds detail and the managed stack.  The flight-recorder section is
+   blanked: engine events (tier-up, deopt) intentionally differ across
+   tiers — the equivalence contract covers guest-observable behavior
+   only. *)
 let observe (r : Interp.run_result) : string =
   let error =
     match r.Interp.error with
@@ -45,13 +61,13 @@ let observe (r : Interp.run_result) : string =
     | Some rep -> Bugreport.render { rep with Bugreport.br_events = [] }
   in
   Printf.sprintf
-    "exit=%d timed_out=%b steps=%d leaks=%d error=%s\noutput:\n%s\nreport:\n%s"
+    "exit=%d timed_out=%b steps=%d leaks=%d error=%s\noutput:\n%s\nreport:\n%s\ncounters:\n%s"
     r.Interp.exit_code r.Interp.timed_out r.Interp.steps r.Interp.leaks error
-    r.Interp.output report
+    r.Interp.output report (counters r)
 
-let check_program (p : Groundtruth.program) =
+let check_program ?(tier = `Forced) (p : Groundtruth.program) =
   let interp = observe (run_program p) in
-  let tiered = observe (run_program ~tier:`Forced p) in
+  let tiered = observe (run_program ~tier p) in
   Alcotest.(check string) ("tier equivalence: " ^ p.Groundtruth.id) interp
     tiered
 
@@ -61,17 +77,17 @@ let check_program (p : Groundtruth.program) =
    exercises the deopt path (compiled body raises a managed error, the
    provenance replay re-runs in the pure interpreter) on all 68 bugs
    and the clean warm path on the repaired variants. *)
-let test_corpus_sweep () = List.iter check_program Corpus.all
-
-let test_fixed_sweep () =
-  List.iter
+let fixed_programs =
+  List.filter_map
     (fun p ->
-      match p.Groundtruth.fixed with
-      | None -> ()
-      | Some src ->
-        check_program
+      Option.map
+        (fun src ->
           { p with Groundtruth.id = p.Groundtruth.id ^ "/fixed"; source = src })
+        p.Groundtruth.fixed)
     Corpus.all
+
+let test_corpus_sweep () = List.iter check_program Corpus.all
+let test_fixed_sweep () = List.iter check_program fixed_programs
 
 (* ---------------- tier-up really happens ---------------- *)
 
@@ -88,7 +104,7 @@ let test_deopt_fires_on_managed_error () =
      forced hot the raise happens inside a compiled body, so the
      deopt counter must move. *)
   let p = List.hd Corpus.all in
-  let deopts = Metrics.counter "jit.deopts" in
+  let deopts = Metrics.counter "events.deopt" in
   let before = deopts.Metrics.c_value in
   let r = run_program ~tier:`Forced p in
   (match r.Interp.error with
@@ -191,7 +207,7 @@ let run_src ?tier ?(argv = [ "prog" ]) (src : string) : Interp.run_result =
   Interp.run ~argv st
 
 let test_osr_fires_and_matches () =
-  let osr = Metrics.counter "jit.osr_entries" in
+  let osr = Metrics.counter "events.osr_enter" in
   let before = osr.Metrics.c_value in
   let interp = observe (run_src osr_src) in
   Alcotest.(check int) "interp run never OSRs" before osr.Metrics.c_value;
@@ -229,7 +245,7 @@ int main(void) {
 |}
 
 let test_deopt_from_float_frame () =
-  let deopts = Metrics.counter "jit.deopts" in
+  let deopts = Metrics.counter "events.deopt" in
   let interp = observe (run_src float_deopt_src) in
   let before = deopts.Metrics.c_value in
   let tiered =
@@ -254,8 +270,8 @@ int main(void) {
 |}
 
 let test_deopt_from_osr_frame () =
-  let osr = Metrics.counter "jit.osr_entries" in
-  let deopts = Metrics.counter "jit.deopts" in
+  let osr = Metrics.counter "events.osr_enter" in
+  let deopts = Metrics.counter "events.deopt" in
   let interp = observe (run_src osr_deopt_src) in
   let o0 = osr.Metrics.c_value and d0 = deopts.Metrics.c_value in
   let tiered =
@@ -432,6 +448,173 @@ let test_profile_corpus_agreement () =
         (func_table pi) (func_table pt))
     Corpus.all
 
+(* ---------------- the step charge's two observables ---------------- *)
+
+(* Every compiled operation charges one step and one per-function
+   counter, and checks the step limit.  A charge to the wrong counter or
+   a limit check one step off changes no program output, so two laws pin
+   them on the compute programs (binarytrees and the perf suite), under
+   three controllers: every function compiled at its first call, OSR
+   after 1000 operations, and the production threshold.
+
+   - Step-limit law: at limits of k/7 of the full run (k = 1..6) and
+     one above it, the tiered run times out (or finishes) exactly like
+     the interpreter — same [timed_out], steps, exit code, error and
+     output.
+   - Counter law: the same runs leave identical per-function counters.
+
+   Both compare [observe], which covers all of the above. *)
+
+let law_controllers () =
+  [
+    ("threshold 0", Tier.controller ~threshold:0 ());
+    ("threshold 1000", Tier.controller ~threshold:1000 ());
+    ("default threshold", Tier.controller ());
+  ]
+
+let test_step_limit_law () =
+  List.iter
+    (fun (b : Benchprogs.bench) ->
+      let m = Loader.load_program b.Benchprogs.b_source in
+      Pipeline.compile_sulong m;
+      let run ?tier limit =
+        Interp.run
+          (Interp.create ~step_limit:limit ~mementos:true ~input:"" ?tier m)
+      in
+      let full = (run step_limit).Interp.steps in
+      let limits = List.init 6 (fun k -> full * (k + 1) / 7) @ [ full + 1 ] in
+      List.iter
+        (fun limit ->
+          let interp = observe (run limit) in
+          List.iter
+            (fun (what, tier) ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s, limit %d, %s" b.Benchprogs.b_name limit
+                   what)
+                interp
+                (observe (run ~tier limit)))
+            (law_controllers ()))
+        limits)
+    (Benchprogs.binarytrees :: Benchprogs.perf_suite)
+
+(* The corpus sweeps above run at threshold 0; this one runs at the
+   production threshold, where corpus functions stay interpreted under
+   the controller's probes. *)
+let test_corpus_default_threshold () =
+  List.iter (check_program ~tier:`Default) (Corpus.all @ fixed_programs)
+
+(* ---------------- tiny-callee inlining ---------------- *)
+
+(* [get] is a tiny leaf callee, so compiling [main] inlines it at both
+   call sites: the hot loop and the out-of-bounds read at the end. *)
+let inline_src =
+  {|
+int get(int *a, int i) { return a[i]; }
+int main(void) {
+  int a[8];
+  long s = 0;
+  for (int i = 0; i < 8; i++) a[i] = i * 3;
+  for (int i = 0; i < 2000; i++) s += get(a, i & 7);
+  printf("%ld\n", s);
+  return get(a, 9);
+}
+|}
+
+(* [mix] is a leaf, but over [Costmodel.inline_always_instrs]
+   instructions. *)
+let big_leaf_src =
+  {|
+int mix(int x) {
+  int y = x;
+  y = y * 3 + 1;
+  y = y ^ (y >> 3);
+  y = y * 5 + 7;
+  y = y ^ (y >> 5);
+  y = y * 9 + 11;
+  y = y ^ (y >> 7);
+  y = y * 13 + 17;
+  y = y ^ (y >> 11);
+  return y & 1023;
+}
+int main(void) {
+  long s = 0;
+  for (int i = 0; i < 2000; i++) s += mix(i);
+  printf("%ld\n", s);
+  return 0;
+}
+|}
+
+let inline_events () =
+  List.filter_map
+    (fun e ->
+      match e.Events.e_event with
+      | Events.Inline_accept { ev_caller; ev_callee; _ } ->
+        Some (`Accept, ev_caller, ev_callee)
+      | Events.Inline_reject { ev_caller; ev_callee; _ } ->
+        Some (`Reject, ev_caller, ev_callee)
+      | _ -> None)
+    (Events.recent ())
+
+let test_inline_fires () =
+  let accepts = Metrics.counter "events.inline_accept" in
+  let before = accepts.Metrics.c_value in
+  Events.reset ();
+  ignore (run_src ~tier:(Tier.controller ~threshold:0 ()) inline_src);
+  if accepts.Metrics.c_value <= before then
+    Alcotest.fail "no inline_accept event at threshold 0";
+  if not (List.mem (`Accept, "main", "get") (inline_events ())) then
+    Alcotest.fail "main did not inline get"
+
+let test_inline_error_report () =
+  let interp = run_src inline_src in
+  (match interp.Interp.error with
+  | Some (Merror.Out_of_bounds _, _) -> ()
+  | _ -> Alcotest.fail "expected an out-of-bounds read in get");
+  Alcotest.(check string) "report of an error inside an inlined callee"
+    (observe interp)
+    (observe (run_src ~tier:(Tier.controller ~threshold:0 ()) inline_src))
+
+(* Consecutive limits in the middle of the hot loop: together they stop
+   the run at every operation of several iterations, the inlined
+   callee's included. *)
+let test_inline_timeouts () =
+  let m = Loader.load_program inline_src in
+  Pipeline.compile_sulong m;
+  let run ?tier limit =
+    Interp.run ~argv:[ "prog" ]
+      (Interp.create ~step_limit:limit ~mementos:true ~input:"" ?tier m)
+  in
+  let get_steps r =
+    match Hashtbl.find_opt r.Interp.run_profile.Interp.funcs "get" with
+    | Some c -> c.Interp.c_ops + c.Interp.c_mem + c.Interp.c_fp
+    | None -> 0
+  in
+  let in_callee = ref 0 and prev = ref (get_steps (run 19_999)) in
+  for limit = 20_000 to 20_199 do
+    let interp = run limit in
+    (* the step that hit the limit was one of [get]'s *)
+    if get_steps interp > !prev then incr in_callee;
+    prev := get_steps interp;
+    Alcotest.(check string)
+      (Printf.sprintf "timeout at %d" limit)
+      (observe interp)
+      (observe (run ~tier:(Tier.controller ~threshold:0 ()) limit))
+  done;
+  if !in_callee = 0 then Alcotest.fail "no timeout landed inside get"
+
+let test_big_leaf_not_inlined () =
+  Events.reset ();
+  let interp = observe (run_src big_leaf_src) in
+  let tiered =
+    observe (run_src ~tier:(Tier.controller ~threshold:0 ()) big_leaf_src)
+  in
+  let evs = inline_events () in
+  if List.mem (`Accept, "main", "mix") evs then
+    Alcotest.fail "a leaf over inline_always_instrs was inlined";
+  if not (List.mem (`Reject, "main", "mix") evs) then
+    Alcotest.fail "no inline_reject event for the big leaf";
+  Alcotest.(check string) "big leaf, interp vs tiered" interp tiered
+
 (* ---------------- difftest seeds ---------------- *)
 
 (* The oracle's 8 configurations include [sulong/tiered]; any
@@ -500,6 +683,24 @@ let () =
             `Quick test_profile_tier_agreement;
           Alcotest.test_case "whole corpus profiled, both tiers agree" `Quick
             test_profile_corpus_agreement;
+        ] );
+      ( "step charge",
+        [
+          Alcotest.test_case "step-limit and counter laws, compute programs"
+            `Quick test_step_limit_law;
+          Alcotest.test_case "corpus counters agree at the default threshold"
+            `Quick test_corpus_default_threshold;
+        ] );
+      ( "inlining",
+        [
+          Alcotest.test_case "tiny leaf callee is inlined" `Quick
+            test_inline_fires;
+          Alcotest.test_case "error inside an inlined callee, same report"
+            `Quick test_inline_error_report;
+          Alcotest.test_case "timeouts inside an inlined callee agree" `Quick
+            test_inline_timeouts;
+          Alcotest.test_case "leaf over inline_always_instrs is not inlined"
+            `Quick test_big_leaf_not_inlined;
         ] );
       ( "difftest",
         [
