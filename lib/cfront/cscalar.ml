@@ -1,11 +1,12 @@
-(** Which IR scalar and which IR operation a C type and operator select.
+(** Which IR scalar and which IR operation a C type and operator select,
+    and the front end's one constant evaluator.
 
-    This is the one mapping shared by the runtime lowering ([Lower]) and
-    the front end's constant evaluators: the parser's constant
-    expressions, [Lower]'s global initializers and its immediate
-    conversions.  A folded constant therefore takes the same IR
-    operation as the code that computes it at run time, and both compute
-    it through the [Scalar] kernel. *)
+    The mapping is shared by the runtime lowering ([Lower]) and the
+    constant evaluators below, which fold the parser's constant
+    expressions (array sizes, case labels, enum values) and [Lower]'s
+    global initializers.  A folded constant therefore takes the
+    same IR operation as the code that computes it at run time, and both
+    compute it through the [Scalar] kernel. *)
 
 let scalar (ty : Ctype.t) : Irtype.scalar option =
   match Ctype.decay ty with
@@ -129,3 +130,106 @@ let fold ~div0 (op : Ast.binop) (ty : Ctype.t) (x : int64) (y : int64) :
     match Scalar.binop ~div0 iop (scalar_exn ty) with
     | Scalar.Ints f -> Some (f x y)
     | Scalar.Floats _ -> invalid_arg "Cscalar.fold: float type")
+
+(* ------------------------------------------------------------------ *)
+(* Constant expressions                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The parser folds constant expressions *before* Sema annotates types,
+   so the evaluator carries its own types bottom-up.  Each operator
+   takes the IR operation the lowering would emit and computes it in
+   the [Scalar] kernel the engines run, so a folded constant cannot
+   diverge from the runtime value of the same expression.  Enumerators
+   need no case: the parser already rewrote each into an [IntLit]. *)
+
+(** Type of a constant expression (mirrors Sema's [infer] for the
+    subset of forms legal in constant position). *)
+let rec const_ty (e : Ast.expr) : Ctype.t =
+  let module A = Ast in
+  (* Anything non-integer that sneaks in (pointer casts, floats) is
+     treated as long; evaluation is 64-bit either way. *)
+  let as_int ty = if Ctype.is_integer ty then ty else Ctype.long_t in
+  match e.A.desc with
+  | A.IntLit (_, k, s) -> Ctype.Int (k, s)
+  | A.Unop ((A.Neg | A.Bitnot), a) -> Ctype.promote (as_int (const_ty a))
+  | A.Binop ((A.Shl | A.Shr), a, _) -> Ctype.promote (as_int (const_ty a))
+  | A.Binop ((A.Lt | A.Gt | A.Le | A.Ge | A.Eq | A.Ne | A.Logand | A.Logor), _, _)
+    ->
+    Ctype.int_t
+  | A.Binop (_, a, b) -> Ctype.usual_arith (as_int (const_ty a)) (as_int (const_ty b))
+  | A.Cast (ty, _) -> as_int ty
+  | A.Cond (_, t, f) -> Ctype.usual_arith (as_int (const_ty t)) (as_int (const_ty f))
+  | _ -> Ctype.int_t
+
+(** Canonical (sign-extended) value of [e] at type [const_ty e];
+    raises [Diag.Error] when [e] is not an integer constant. *)
+let rec eval_typed (e : Ast.expr) : int64 =
+  let module A = Ast in
+  let conv a into = convert ~from_ty:(const_ty a) ~to_ty:into (eval_typed a) in
+  let arith op ty x y =
+    let div0 () = Diag.error e.A.pos "division by zero in constant" in
+    Option.get (fold ~div0 op ty x y)
+  in
+  match e.A.desc with
+  | A.IntLit (v, k, s) -> constant (Ctype.Int (k, s)) v
+  | A.CharLit c -> Int64.of_int (Char.code c)
+  | A.Unop (A.Neg, a) ->
+    let ty = const_ty e in
+    arith A.Sub ty 0L (conv a ty)
+  | A.Unop (A.Bitnot, a) ->
+    let ty = const_ty e in
+    arith A.Bxor ty (conv a ty) (-1L)
+  | A.Unop (A.Lognot, a) -> if eval_typed a = 0L then 1L else 0L
+  | A.Binop ((A.Logand | A.Logor) as op, a, b) ->
+    (* Short-circuit so the unevaluated side may divide by zero. *)
+    let ta = eval_typed a <> 0L in
+    let r =
+      match op with
+      | A.Logand -> ta && eval_typed b <> 0L
+      | _ -> ta || eval_typed b <> 0L
+    in
+    if r then 1L else 0L
+  | A.Binop ((A.Lt | A.Gt | A.Le | A.Ge | A.Eq | A.Ne) as op, a, b) ->
+    let as_int ty = if Ctype.is_integer ty then ty else Ctype.long_t in
+    let common = Ctype.usual_arith (as_int (const_ty a)) (as_int (const_ty b)) in
+    let va = conv a common and vb = conv b common in
+    if Scalar.icmp (icmp op common) (scalar_exn common) va vb then 1L else 0L
+  | A.Binop (op, a, b) ->
+    (* A shift count converts to the result type too, as in the
+       lowering: the count's low six bits survive any such conversion. *)
+    let ty = const_ty e in
+    let va = conv a ty and vb = conv b ty in
+    arith op ty va vb
+  | A.SizeofTy _ | A.SizeofE _ ->
+    Diag.error e.A.pos "sizeof in constant expressions is not supported here"
+  | A.Cast (ty, a) -> if Ctype.is_integer ty then conv a ty else eval_typed a
+  | A.Cond (c, t, f) ->
+    (* Only the chosen branch is evaluated (the other may divide by
+       zero), but the result converts to the usual-arithmetic type of
+       both, as the runtime lowering does. *)
+    let ty = const_ty e in
+    if eval_typed c <> 0L then conv t ty else conv f ty
+  | _ -> Diag.error e.A.pos "expected a constant expression"
+
+(** [eval_typed] converted to long: the value array sizes, case labels
+    and enum values take, as the lowering converts the runtime value in
+    those positions. *)
+let eval_const (e : Ast.expr) : int64 =
+  convert ~from_ty:(const_ty e) ~to_ty:Ctype.long_t (eval_typed e)
+
+(** Value of a floating global initializer: a float literal, an integer
+    literal converted as the runtime [Sitofp]/[Uitofp] to double
+    converts it, negated or cast; raises [Diag.Error] for anything
+    else. *)
+let rec eval_float (e : Ast.expr) : float =
+  let module A = Ast in
+  match e.A.desc with
+  | A.FloatLit (f, _) -> f
+  | A.IntLit (v, k, s) -> (
+    let ty = Ctype.Int (k, s) in
+    match conversion ~from_ty:ty ~to_ty:Ctype.double_t with
+    | Scalar.Int_to_float f -> f (constant ty v)
+    | _ -> Diag.error e.A.pos "expected a floating constant expression")
+  | A.Unop (A.Neg, a) -> -.eval_float a
+  | A.Cast (_, a) -> eval_float a
+  | _ -> Diag.error e.A.pos "expected a floating constant expression"

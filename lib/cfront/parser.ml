@@ -371,106 +371,9 @@ and parse_named_params p : (string * Ctype.t) list * bool =
     (List.rev !params, !variadic)
   end
 
-(* ------------------------------------------------------------------ *)
-(* Constant expressions (array sizes, case labels, enum values)        *)
-(* ------------------------------------------------------------------ *)
-
-and const_expr p : int64 =
-  let e = parse_conditional p in
-  eval_const p e
-
-(* Constant expressions are folded *before* Sema annotates types, so the
-   evaluator carries its own types bottom-up.  Each operator takes the
-   IR operation the lowering would emit ([Cscalar]) and computes it in
-   the [Scalar] kernel the engines run, so a folded constant cannot
-   diverge from the runtime value of the same expression. *)
-
-(* Type of a constant expression (mirrors Sema's [infer] for the subset
-   of forms legal in constant position). *)
-and const_ty p (e : Ast.expr) : Ctype.t =
-  let module A = Ast in
-  (* Anything non-integer that sneaks in (pointer casts, floats) is
-     treated as long; evaluation is 64-bit either way. *)
-  let as_int ty = if Ctype.is_integer ty then ty else Ctype.long_t in
-  match e.A.desc with
-  | A.IntLit (_, k, s) -> Ctype.Int (k, s)
-  | A.CharLit _ -> Ctype.int_t
-  | A.Ident name when Hashtbl.mem p.enums name -> Ctype.int_t
-  | A.Unop (A.Lognot, _) -> Ctype.int_t
-  | A.Unop ((A.Neg | A.Bitnot), a) -> Ctype.promote (as_int (const_ty p a))
-  | A.Binop ((A.Shl | A.Shr), a, _) -> Ctype.promote (as_int (const_ty p a))
-  | A.Binop ((A.Lt | A.Gt | A.Le | A.Ge | A.Eq | A.Ne | A.Logand | A.Logor), _, _)
-    ->
-    Ctype.int_t
-  | A.Binop (_, a, b) ->
-    Ctype.usual_arith (as_int (const_ty p a)) (as_int (const_ty p b))
-  | A.Cast (ty, _) -> as_int ty
-  | A.Cond (_, t, f) ->
-    Ctype.usual_arith (as_int (const_ty p t)) (as_int (const_ty p f))
-  | _ -> Ctype.int_t
-
-(* Canonical (sign-extended) value of [e] at type [const_ty p e]. *)
-and eval_typed p (e : Ast.expr) : int64 =
-  let module A = Ast in
-  let conv a into =
-    Cscalar.convert ~from_ty:(const_ty p a) ~to_ty:into (eval_typed p a)
-  in
-  let fold op ty x y =
-    let div0 () = Diag.error e.A.pos "division by zero in constant" in
-    Option.get (Cscalar.fold ~div0 op ty x y)
-  in
-  match e.A.desc with
-  | A.IntLit (v, k, s) -> Cscalar.constant (Ctype.Int (k, s)) v
-  | A.CharLit c -> Int64.of_int (Char.code c)
-  | A.Ident name when Hashtbl.mem p.enums name -> Hashtbl.find p.enums name
-  | A.Unop (A.Neg, a) ->
-    let ty = const_ty p e in
-    fold A.Sub ty 0L (conv a ty)
-  | A.Unop (A.Bitnot, a) ->
-    let ty = const_ty p e in
-    fold A.Bxor ty (conv a ty) (-1L)
-  | A.Unop (A.Lognot, a) -> if eval_typed p a = 0L then 1L else 0L
-  | A.Binop ((A.Logand | A.Logor) as op, a, b) ->
-    (* Short-circuit so the unevaluated side may divide by zero. *)
-    let ta = eval_typed p a <> 0L in
-    let r =
-      match op with
-      | A.Logand -> ta && eval_typed p b <> 0L
-      | _ -> ta || eval_typed p b <> 0L
-    in
-    if r then 1L else 0L
-  | A.Binop ((A.Lt | A.Gt | A.Le | A.Ge | A.Eq | A.Ne) as op, a, b) ->
-    let as_int ty = if Ctype.is_integer ty then ty else Ctype.long_t in
-    let common =
-      Ctype.usual_arith (as_int (const_ty p a)) (as_int (const_ty p b))
-    in
-    let va = conv a common and vb = conv b common in
-    if Scalar.icmp (Cscalar.icmp op common) (Cscalar.scalar_exn common) va vb
-    then 1L
-    else 0L
-  | A.Binop (op, a, b) ->
-    (* A shift count converts to the result type too, as in the
-       lowering: the count's low six bits survive any such conversion. *)
-    let ty = const_ty p e in
-    let va = conv a ty and vb = conv b ty in
-    fold op ty va vb
-  | A.SizeofTy _ | A.SizeofE _ ->
-    Diag.error e.A.pos "sizeof in constant expressions is not supported here"
-  | A.Cast (ty, a) ->
-    if Ctype.is_integer ty then conv a ty else eval_typed p a
-  | A.Cond (c, t, f) ->
-    (* Only the chosen branch is evaluated (the other may divide by
-       zero), but the result converts to the usual-arithmetic type of
-       both, as the runtime lowering does. *)
-    let ty = const_ty p e in
-    if eval_typed p c <> 0L then conv t ty else conv f ty
-  | _ -> Diag.error e.A.pos "expected a constant expression"
-
-(* Consumers (array sizes, case labels, enum values) expect the value
-   as converted to long, the conversion the lowering applies to the
-   runtime value in those positions. *)
-and eval_const p (e : Ast.expr) : int64 =
-  Cscalar.convert ~from_ty:(const_ty p e) ~to_ty:Ctype.long_t (eval_typed p e)
+(* A constant expression (array size, case label, enum value), folded
+   by [Cscalar]. *)
+and const_expr p : int64 = Cscalar.eval_const (parse_conditional p)
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)

@@ -147,6 +147,21 @@ type pterm =
   | Pswitch of pval * pswitch * pedge  (** (value, cases, default) *)
   | Punreachable
 
+(** Apply [f] to each outgoing edge of a prepared terminator: a
+    switch's cases (a hashed switch's in table order), then its
+    default.  Prepare- and compile-time analyses walk the CFG with it. *)
+let iter_edges f = function
+  | Pret _ | Punreachable -> ()
+  | Pbr e -> f e
+  | Pcondbr (_, a, b) ->
+    f a;
+    f b
+  | Pswitch (_, impl, default) ->
+    (match impl with
+    | Sw_linear (_, edges) -> Array.iter f edges
+    | Sw_table tbl -> Hashtbl.iter (fun _ e -> f e) tbl);
+    f default
+
 type pinstr =
   | Palloca of int * Irtype.mty * int  (** (reg, type, precomputed size) *)
   | Pload of int * Irtype.scalar * pval
@@ -931,21 +946,11 @@ let prepare_func (st : state) (f : Irfunc.t) : pfunc =
      front end emits). *)
   Array.iteri
     (fun i blk ->
-      let mark = function
-        | Edge (j, _) when j <= i -> pblocks.(j).pb_osr <- true
-        | Edge _ | Edge_unknown _ -> ()
-      in
-      match blk.pb_term with
-      | Pbr e -> mark e
-      | Pcondbr (_, a, b) ->
-        mark a;
-        mark b
-      | Pswitch (_, impl, default) ->
-        (match impl with
-        | Sw_linear (_, edges) -> Array.iter mark edges
-        | Sw_table tbl -> Hashtbl.iter (fun _ e -> mark e) tbl);
-        mark default
-      | Pret _ | Punreachable -> ())
+      iter_edges
+        (function
+          | Edge (j, _) when j <= i -> pblocks.(j).pb_osr <- true
+          | Edge _ | Edge_unknown _ -> ())
+        blk.pb_term)
     pblocks;
   {
     pf_ir = f;

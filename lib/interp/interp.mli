@@ -232,6 +232,13 @@ and state = {
 (* Execution helpers (shared with the tier-2 closure compiler)         *)
 (* ------------------------------------------------------------------ *)
 
+(** [iter_edges f t] applies [f] to each outgoing edge of the prepared
+    terminator [t]: a switch's cases (a hashed switch's in table
+    order), then its default; nothing for [Pret] and [Punreachable].
+    The one CFG walk of the prepare-time loop-header marking and the
+    closure compiler's slot planning and register classification. *)
+val iter_edges : (pedge -> unit) -> pterm -> unit
+
 (** "in function <name>" of the innermost frame. *)
 val context : state -> string
 

@@ -117,6 +117,37 @@ let term_uses = function
   | Switch (v, _, _) -> [ v ]
   | Unreachable -> []
 
+(** [i] with [f] applied to each value [uses_of i] lists, in place;
+    the defined register, phi labels and everything else stay as they
+    are.  The one operand rewrite every substituting pass shares. *)
+let map_values f = function
+  | Load (r, s, p) -> Load (r, s, f p)
+  | Store (s, v, p) -> Store (s, f v, f p)
+  | Gep (r, base, idx) ->
+    Gep
+      ( r,
+        f base,
+        List.map (function Gindex (v, st) -> Gindex (f v, st) | g -> g) idx )
+  | Binop (r, op, s, a, b) -> Binop (r, op, s, f a, f b)
+  | Icmp (r, op, s, a, b) -> Icmp (r, op, s, f a, f b)
+  | Fcmp (r, op, s, a, b) -> Fcmp (r, op, s, f a, f b)
+  | Cast (r, op, from, into, v) -> Cast (r, op, from, into, f v)
+  | Call (r, ret, callee, args) ->
+    let callee = match callee with Indirect v -> Indirect (f v) | c -> c in
+    Call (r, ret, callee, List.map (fun (s, v) -> (s, f v)) args)
+  | Select (r, s, c, a, b) -> Select (r, s, f c, f a, f b)
+  | Phi (r, s, incoming) -> Phi (r, s, List.map (fun (l, v) -> (l, f v)) incoming)
+  | Sancheck (kind, p, size) -> Sancheck (kind, f p, size)
+  | (Alloca _ | Srcloc _) as i -> i
+
+(** [map_values] for terminators: [f] applied to what [term_uses]
+    lists; branch targets stay. *)
+let map_term_values f = function
+  | Ret (Some (s, v)) -> Ret (Some (s, f v))
+  | Condbr (c, a, b) -> Condbr (f c, a, b)
+  | Switch (v, cases, d) -> Switch (f v, cases, d)
+  | (Ret None | Br _ | Unreachable) as t -> t
+
 let term_successors = function
   | Ret _ | Unreachable -> []
   | Br l -> [ l ]

@@ -1,11 +1,16 @@
 (** Parser for the textual IR that [Irprint] emits — the repository's
     `llvm-as` to Irprint's `llvm-dis`.  Round trip guaranteed:
     [parse (Irprint.module_to_string m)] is structurally identical to
-    [m] (asserted by property tests), so IR can be dumped, stored,
+    [m] apart from what the text does not carry (source positions,
+    [next_reg]), float bits included.  The tests check that on the
+    corpus, the benchmark programs at -O0 and -O3, ASan-instrumented
+    code and generated programs, so IR can be dumped, stored,
     hand-edited and re-executed.
 
-    The grammar is exactly Irprint's output; error messages carry the
-    line number. *)
+    The grammar is exactly Irprint's output.  An [@name] resolves to a
+    function or a global where it is parsed, from one pre-scan of the
+    top-level names.  Any malformed input raises [Parse_error] with its
+    line number — a property test feeds mutated [Irprint] output. *)
 
 exception Parse_error of int * string
 
@@ -21,14 +26,14 @@ type tok =
   | Tpunct of char    (** ( ) [ ] { } , : ; = *)
   | Tstring of string (** c"..." payload, unescaped *)
 
+let is_word_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+  || c = '_' || c = '.' || c = '%' || c = '@' || c = '-' || c = '+'
+
 let tokenize_line lineno (s : string) : tok list =
   let n = String.length s in
   let toks = ref [] in
   let i = ref 0 in
-  let is_word_char c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-    || c = '_' || c = '.' || c = '%' || c = '@' || c = '-' || c = '+'
-  in
   while !i < n do
     let c = s.[!i] in
     if c = ' ' || c = '\t' then incr i
@@ -65,9 +70,13 @@ let tokenize_line lineno (s : string) : tok list =
             Buffer.add_char buf '\'';
             i := !i + 2
           | c when c >= '0' && c <= '9' ->
-            if !i + 3 >= n + 1 then fail lineno "truncated decimal escape";
-            let code = int_of_string (String.sub s (!i + 1) 3) in
-            Buffer.add_char buf (Char.chr code);
+            (* %S writes exactly three digits, at most 255 *)
+            let digits = if !i + 4 <= n then String.sub s (!i + 1) 3 else "" in
+            let is_digit c = c >= '0' && c <= '9' in
+            if digits = "" || (not (String.for_all is_digit digits))
+               || int_of_string digits > 255
+            then fail lineno "bad decimal escape \\%s" digits;
+            Buffer.add_char buf (Char.chr (int_of_string digits));
             i := !i + 4
           | c -> fail lineno "unknown escape \\%c" c)
         end
@@ -129,6 +138,23 @@ let accept_punct st c =
 
 let at_end st = st.toks = []
 
+let expect_keyword st kw =
+  match expect_word st with
+  | w when w = kw -> ()
+  | w -> fail st.line "expected '%s', got %S" kw w
+
+let expect_int st =
+  let w = expect_word st in
+  match int_of_string_opt w with
+  | Some n -> n
+  | None -> fail st.line "expected an integer, got %S" w
+
+let expect_int64 st =
+  let w = expect_word st in
+  match Int64.of_string_opt w with
+  | Some n -> n
+  | None -> fail st.line "expected an integer, got %S" w
+
 (* ------------------------------------------------------------------ *)
 (* Types and values                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -148,13 +174,19 @@ let is_scalar_word = function
   | "i1" | "i8" | "i16" | "i32" | "i64" | "float" | "double" | "ptr" -> true
   | _ -> false
 
-(* struct table built while parsing "%struct.x = type ..." headers *)
-type env = { structs : (string, Irtype.mstruct) Hashtbl.t }
+(* The module's names: struct types as their headers are parsed, and
+   the pre-scanned function and global names an [@name] resolves
+   against. *)
+type env = {
+  structs : (string, Irtype.mstruct) Hashtbl.t;
+  funcs : (string, unit) Hashtbl.t;  (** defined and declared *)
+  globals : (string, unit) Hashtbl.t;
+}
 
 let rec parse_mty env st : Irtype.mty =
   if accept_punct st '[' then begin
     (* [N x mty] *)
-    let n = int_of_string (expect_word st) in
+    let n = expect_int st in
     (match next st with
     | Tword "x" -> ()
     | _ -> fail st.line "expected 'x' in array type");
@@ -180,96 +212,42 @@ let reg_of_word st w =
     | None -> fail st.line "bad register %S" w
   else fail st.line "expected a register, got %S" w
 
-(* A value: %N | @name | null | <scalar> <number>.  Caller resolves
-   whether @name is a global or a function. *)
-let parse_value env ~globals ~funcs st : Instr.value =
-  ignore env;
+(* A value: %N | @name | null | <scalar> <number>. *)
+let parse_value env st : Instr.value =
   let w = expect_word st in
   if w = "null" then Instr.Null
   else if w.[0] = '%' then Instr.Reg (reg_of_word st w)
   else if w.[0] = '@' then begin
     let name = String.sub w 1 (String.length w - 1) in
-    if Hashtbl.mem funcs name then Instr.FuncAddr name
-    else if Hashtbl.mem globals name then Instr.GlobalAddr name
-    else
-      (* forward reference: default to global; a second pass fixes
-         function addresses *)
-      Instr.GlobalAddr name
+    if Hashtbl.mem env.funcs name then Instr.FuncAddr name
+    else Instr.GlobalAddr name
   end
   else if is_scalar_word w then begin
     let s = scalar_of_word st w in
-    let lit = expect_word st in
-    if Irtype.is_float_scalar s then Instr.ImmFloat (float_of_string lit, s)
-    else Instr.ImmInt (Scalar.normalize_int s (Int64.of_string lit), s)
+    if Irtype.is_float_scalar s then begin
+      let lit = expect_word st in
+      match float_of_string_opt lit with
+      | Some f -> Instr.ImmFloat (f, s)
+      | None -> fail st.line "bad float literal %S" lit
+    end
+    else Instr.ImmInt (Scalar.normalize_int s (expect_int64 st), s)
   end
   else fail st.line "expected a value, got %S" w
 
-(* ------------------------------------------------------------------ *)
-(* Opcode tables (inverse of Irprint's)                                *)
-(* ------------------------------------------------------------------ *)
+(* An opcode or predicate from its [Irprint] spelling. *)
+let opcode names w = List.find_map (fun (op, n) -> if n = w then Some op else None) names
 
-let binop_of_name = function
-  | "add" -> Some Instr.Add
-  | "sub" -> Some Instr.Sub
-  | "mul" -> Some Instr.Mul
-  | "sdiv" -> Some Instr.Sdiv
-  | "udiv" -> Some Instr.Udiv
-  | "srem" -> Some Instr.Srem
-  | "urem" -> Some Instr.Urem
-  | "shl" -> Some Instr.Shl
-  | "lshr" -> Some Instr.Lshr
-  | "ashr" -> Some Instr.Ashr
-  | "and" -> Some Instr.And
-  | "or" -> Some Instr.Or
-  | "xor" -> Some Instr.Xor
-  | "fadd" -> Some Instr.FAdd
-  | "fsub" -> Some Instr.FSub
-  | "fmul" -> Some Instr.FMul
-  | "fdiv" -> Some Instr.FDiv
-  | _ -> None
-
-let icmp_of_name = function
-  | "eq" -> Instr.Ieq
-  | "ne" -> Instr.Ine
-  | "slt" -> Instr.Islt
-  | "sle" -> Instr.Isle
-  | "sgt" -> Instr.Isgt
-  | "sge" -> Instr.Isge
-  | "ult" -> Instr.Iult
-  | "ule" -> Instr.Iule
-  | "ugt" -> Instr.Iugt
-  | "uge" -> Instr.Iuge
-  | c -> failwith ("irparse: unknown icmp " ^ c)
-
-let fcmp_of_name = function
-  | "oeq" -> Instr.Feq
-  | "one" -> Instr.Fne
-  | "olt" -> Instr.Flt
-  | "ole" -> Instr.Fle
-  | "ogt" -> Instr.Fgt
-  | "oge" -> Instr.Fge
-  | c -> failwith ("irparse: unknown fcmp " ^ c)
-
-let cast_of_name = function
-  | "trunc" -> Some Instr.Trunc
-  | "zext" -> Some Instr.Zext
-  | "sext" -> Some Instr.Sext
-  | "fptrunc" -> Some Instr.Fptrunc
-  | "fpext" -> Some Instr.Fpext
-  | "fptosi" -> Some Instr.Fptosi
-  | "sitofp" -> Some Instr.Sitofp
-  | "fptoui" -> Some Instr.Fptoui
-  | "uitofp" -> Some Instr.Uitofp
-  | "ptrtoint" -> Some Instr.Ptrtoint
-  | "inttoptr" -> Some Instr.Inttoptr
-  | "bitcast" -> Some Instr.Bitcast
-  | _ -> None
+let predicate st names kind =
+  let w = expect_word st in
+  match opcode names w with
+  | Some p -> p
+  | None -> fail st.line "unknown %s predicate %S" kind w
 
 (* ------------------------------------------------------------------ *)
 (* Instructions                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let parse_call env ~globals ~funcs st (result : Instr.reg option) : Instr.instr =
+let parse_call env st (result : Instr.reg option) : Instr.instr =
   (* call <ret|void> <callee>(args) *)
   let ret_w = expect_word st in
   let ret = if ret_w = "void" then None else Some (scalar_of_word st ret_w) in
@@ -284,7 +262,7 @@ let parse_call env ~globals ~funcs st (result : Instr.reg option) : Instr.instr 
   if not (accept_punct st ')') then begin
     let rec loop () =
       let s = scalar_of_word st (expect_word st) in
-      let v = parse_value env ~globals ~funcs st in
+      let v = parse_value env st in
       args := (s, v) :: !args;
       if accept_punct st ',' then loop () else expect_punct st ')'
     in
@@ -292,27 +270,29 @@ let parse_call env ~globals ~funcs st (result : Instr.reg option) : Instr.instr 
   end;
   Instr.Call (result, ret, callee, List.rev !args)
 
-let parse_gep_indices env ~globals ~funcs st : Instr.gep_index list =
+let parse_gep_indices env st : Instr.gep_index list =
   expect_punct st '[';
   let indices = ref [] in
   if not (accept_punct st ']') then begin
     let rec loop () =
       (match expect_word st with
       | "field" ->
-        let idx = int_of_string (expect_word st) in
+        let idx = expect_int st in
         expect_punct st '(';
-        let off_w = expect_word st in
         (* printed as (+N) *)
-        let off = int_of_string off_w in
+        let off = expect_int st in
         expect_punct st ')';
         indices := Instr.Gfield (idx, off) :: !indices
       | "idx" ->
-        let v = parse_value env ~globals ~funcs st in
+        let v = parse_value env st in
         let stride_w = expect_word st in
-        if String.length stride_w < 2 || stride_w.[0] <> 'x' then
-          fail st.line "expected xN stride, got %S" stride_w;
-        let stride = int_of_string (String.sub stride_w 1 (String.length stride_w - 1)) in
-        indices := Instr.Gindex (v, stride) :: !indices
+        let stride =
+          if String.length stride_w < 2 || stride_w.[0] <> 'x' then None
+          else int_of_string_opt (String.sub stride_w 1 (String.length stride_w - 1))
+        in
+        (match stride with
+        | Some stride -> indices := Instr.Gindex (v, stride) :: !indices
+        | None -> fail st.line "expected xN stride, got %S" stride_w)
       | w -> fail st.line "expected gep index, got %S" w);
       if accept_punct st ',' then loop () else expect_punct st ']'
     in
@@ -320,8 +300,8 @@ let parse_gep_indices env ~globals ~funcs st : Instr.gep_index list =
   end;
   List.rev !indices
 
-let parse_instr env ~globals ~funcs st : Instr.instr =
-  let value () = parse_value env ~globals ~funcs st in
+let parse_instr env st : Instr.instr =
+  let value () = parse_value env st in
   let first = expect_word st in
   if first.[0] = '%' then begin
     (* %N = <op> ... *)
@@ -336,15 +316,15 @@ let parse_instr env ~globals ~funcs st : Instr.instr =
       Instr.Load (r, s, value ())
     | "gep" ->
       let base = value () in
-      Instr.Gep (r, base, parse_gep_indices env ~globals ~funcs st)
+      Instr.Gep (r, base, parse_gep_indices env st)
     | "icmp" ->
-      let cmp = icmp_of_name (expect_word st) in
+      let cmp = predicate st Irprint.icmp_names "icmp" in
       let s = scalar_of_word st (expect_word st) in
       let a = value () in
       expect_punct st ',';
       Instr.Icmp (r, cmp, s, a, value ())
     | "fcmp" ->
-      let cmp = fcmp_of_name (expect_word st) in
+      let cmp = predicate st Irprint.fcmp_names "fcmp" in
       let s = scalar_of_word st (expect_word st) in
       let a = value () in
       expect_punct st ',';
@@ -370,9 +350,9 @@ let parse_instr env ~globals ~funcs st : Instr.instr =
       in
       loop ();
       Instr.Phi (r, s, List.rev !incoming)
-    | "call" -> parse_call env ~globals ~funcs st (Some r)
+    | "call" -> parse_call env st (Some r)
     | op -> begin
-      match (binop_of_name op, cast_of_name op) with
+      match (opcode Irprint.binop_names op, opcode Irprint.cast_names op) with
       | Some bop, _ ->
         let s = scalar_of_word st (expect_word st) in
         let a = value () in
@@ -396,7 +376,7 @@ let parse_instr env ~globals ~funcs st : Instr.instr =
       let v = value () in
       expect_punct st ',';
       Instr.Store (s, v, value ())
-    | "call" -> parse_call env ~globals ~funcs st None
+    | "call" -> parse_call env st None
     | "sancheck" ->
       let kind =
         match expect_word st with
@@ -406,18 +386,16 @@ let parse_instr env ~globals ~funcs st : Instr.instr =
       in
       let p = value () in
       expect_punct st ',';
-      let size = int_of_string (expect_word st) in
-      Instr.Sancheck (kind, p, size)
+      Instr.Sancheck (kind, p, expect_int st)
     | "loc" ->
-      let line = int_of_string (expect_word st) in
+      let line = expect_int st in
       expect_punct st ':';
-      let col = int_of_string (expect_word st) in
-      Instr.Srcloc (line, col)
+      Instr.Srcloc (line, expect_int st)
     | w -> fail st.line "unknown instruction %S" w
   end
 
-let parse_terminator env ~globals ~funcs st : Instr.terminator =
-  let value () = parse_value env ~globals ~funcs st in
+let parse_terminator env st : Instr.terminator =
+  let value () = parse_value env st in
   match expect_word st with
   | "ret" -> begin
     match peek st with
@@ -452,15 +430,13 @@ let parse_terminator env ~globals ~funcs st : Instr.terminator =
   | "switch" ->
     let v = value () in
     expect_punct st ',';
-    (match expect_word st with
-    | "default" -> ()
-    | w -> fail st.line "expected 'default', got %S" w);
+    expect_keyword st "default";
     let default = expect_word st in
     expect_punct st '[';
     let cases = ref [] in
     if not (accept_punct st ']') then begin
       let rec loop () =
-        let k = Int64.of_string (expect_word st) in
+        let k = expect_int64 st in
         expect_punct st ':';
         let label = expect_word st in
         cases := (k, label) :: !cases;
@@ -475,94 +451,93 @@ let parse_terminator env ~globals ~funcs st : Instr.terminator =
 (* "br label" prints the label as a bare word that the value parser
    cannot mistake for a value, so handle plain branches before the
    general path. *)
-let parse_terminator_line env ~globals ~funcs lineno toks : Instr.terminator =
+let parse_terminator_line env lineno toks : Instr.terminator =
   match toks with
   | [ Tword "br"; Tword label ]
     when label.[0] <> '%' && label.[0] <> '@' && label <> "null" ->
     Instr.Br label
-  | _ -> parse_terminator env ~globals ~funcs { toks; line = lineno }
+  | _ -> parse_terminator env { toks; line = lineno }
 
 (* ------------------------------------------------------------------ *)
 (* Globals                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let rec parse_ginit env st : Irmod.ginit =
-  match peek st with
-  | Some (Tstring s) ->
-    ignore (next st);
-    Irmod.Gstring s
-  | Some (Tpunct '[') ->
-    ignore (next st);
+  let items close =
     let items = ref [] in
-    if not (accept_punct st ']') then begin
+    if not (accept_punct st close) then begin
       let rec loop () =
         items := parse_ginit env st :: !items;
-        if accept_punct st ',' then loop () else expect_punct st ']'
+        if accept_punct st ',' then loop () else expect_punct st close
       in
       loop ()
     end;
-    Irmod.Garray (List.rev !items)
-  | Some (Tpunct '{') ->
-    ignore (next st);
-    let items = ref [] in
-    if not (accept_punct st '}') then begin
-      let rec loop () =
-        items := parse_ginit env st :: !items;
-        if accept_punct st ',' then loop () else expect_punct st '}'
-      in
-      loop ()
-    end;
-    Irmod.Gstruct_init (List.rev !items)
-  | Some (Tword w) -> begin
-    ignore (next st);
-    if w = "zeroinitializer" then Irmod.Gzero
-    else if w.[0] = '@' then
-      (* resolved to func/global in a fixup pass *)
-      Irmod.Gglobal_addr (String.sub w 1 (String.length w - 1))
-    else begin
-      match Int64.of_string_opt w with
-      | Some v -> Irmod.Gint v
-      | None -> begin
-        match float_of_string_opt w with
-        | Some f -> Irmod.Gfloat f
-        | None -> fail st.line "bad initializer literal %S" w
-      end
+    List.rev !items
+  in
+  if at_end st then fail st.line "expected a global initializer";
+  match next st with
+  | Tstring s -> Irmod.Gstring s
+  | Tpunct '[' -> Irmod.Garray (items ']')
+  | Tpunct '{' -> Irmod.Gstruct_init (items '}')
+  | Tword "zeroinitializer" -> Irmod.Gzero
+  | Tword w when w.[0] = '@' ->
+    let name = String.sub w 1 (String.length w - 1) in
+    if Hashtbl.mem env.funcs name && not (Hashtbl.mem env.globals name) then
+      Irmod.Gfunc_addr name
+    else Irmod.Gglobal_addr name
+  | Tword w -> begin
+    (* [Irprint] writes a float in hex with an exponent, never in an
+       integer's shape *)
+    match Int64.of_string_opt w with
+    | Some v -> Irmod.Gint v
+    | None -> begin
+      match float_of_string_opt w with
+      | Some f -> Irmod.Gfloat f
+      | None -> fail st.line "bad initializer literal %S" w
     end
   end
-  | _ -> fail st.line "expected a global initializer"
+  | Tpunct _ -> fail st.line "expected a global initializer"
 
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let has_prefix prefix line =
+  String.length line > String.length prefix
+  && String.sub line 0 (String.length prefix) = prefix
+
+(* The [@name] word of a define, declare or global line. *)
+let declared_name line =
+  match String.index_opt line '@' with
+  | None -> None
+  | Some at ->
+    let stop = ref (at + 1) in
+    while !stop < String.length line && is_word_char line.[!stop] do
+      incr stop
+    done;
+    Some (String.sub line (at + 1) (!stop - at - 1))
+
 let parse (text : string) : Irmod.t =
-  let env = { structs = Hashtbl.create 8 } in
+  let env =
+    { structs = Hashtbl.create 8; funcs = Hashtbl.create 32;
+      globals = Hashtbl.create 32 }
+  in
   let m = Irmod.create () in
-  let globals = Hashtbl.create 32 in
-  let funcs = Hashtbl.create 32 in
   let lines = String.split_on_char '\n' text in
-  (* Pre-scan for function names so calls and @refs resolve. *)
-  List.iteri
-    (fun i line ->
+  (* Pre-scan the function and global names, so every @name resolves
+     where it is parsed. *)
+  List.iter
+    (fun line ->
       let line = String.trim line in
-      let grab_name prefix =
-        (* "define ret @name(" / "declare ret @name(" *)
-        ignore prefix;
-        match String.index_opt line '@' with
-        | Some at ->
-          let stop =
-            match String.index_from_opt line at '(' with
-            | Some p -> p
-            | None -> String.length line
-          in
-          Some (String.sub line (at + 1) (stop - at - 1))
-        | None -> None
+      let table =
+        if has_prefix "define " line || has_prefix "declare " line then
+          Some env.funcs
+        else if line <> "" && line.[0] = '@' then Some env.globals
+        else None
       in
-      ignore i;
-      if String.length line > 7 && String.sub line 0 7 = "define " then
-        Option.iter (fun n -> Hashtbl.replace funcs n ()) (grab_name "define")
-      else if String.length line > 8 && String.sub line 0 8 = "declare " then
-        Option.iter (fun n -> Hashtbl.replace funcs n ()) (grab_name "declare"))
+      match (table, declared_name line) with
+      | Some t, Some n -> Hashtbl.replace t n ()
+      | _ -> ())
     lines;
   (* Main pass. *)
   let current : Irfunc.t option ref = ref None in
@@ -578,22 +553,51 @@ let parse (text : string) : Irmod.t =
     | _, Some _ -> fail lineno "block outside a function"
     | _, None -> ()
   in
+  (* "(p, p, ...)": [param] parses one p; a trailing "..." marks the
+     function variadic *)
+  let parse_params st param =
+    expect_punct st '(';
+    let params = ref [] in
+    let variadic = ref false in
+    if not (accept_punct st ')') then begin
+      let rec loop () =
+        match peek st with
+        | Some (Tword "...") ->
+          ignore (next st);
+          variadic := true;
+          expect_punct st ')'
+        | _ ->
+          params := param st :: !params;
+          if accept_punct st ',' then loop () else expect_punct st ')'
+      in
+      loop ()
+    end;
+    (List.rev !params, !variadic)
+  in
+  let ret_of st =
+    match expect_word st with "void" -> None | w -> Some (scalar_of_word st w)
+  in
+  let name_of st =
+    let w = expect_word st in
+    String.sub w 1 (String.length w - 1)
+  in
+  let rest_of prefix line lineno =
+    let n = String.length prefix in
+    { toks = tokenize_line lineno (String.sub line n (String.length line - n));
+      line = lineno }
+  in
   List.iteri
     (fun idx raw ->
       let lineno = idx + 1 in
       let line = String.trim raw in
       if line = "" then ()
-      else if String.length line > 8 && String.sub line 0 8 = "%struct."
-              && String.length (String.trim raw) > 0
-              && String.contains line '=' then begin
+      else if has_prefix "%struct." line && String.contains line '=' then begin
         (* %struct.tag = type { fields } size N align M *)
         let st = { toks = tokenize_line lineno line; line = lineno } in
         let head = expect_word st in
         let tag = String.sub head 8 (String.length head - 8) in
         expect_punct st '=';
-        (match expect_word st with
-        | "type" -> ()
-        | w -> fail lineno "expected 'type', got %S" w);
+        expect_keyword st "type";
         expect_punct st '{';
         let fields = ref [] in
         if not (accept_punct st '}') then begin
@@ -601,22 +605,23 @@ let parse (text : string) : Irmod.t =
             let fty = parse_mty env st in
             let fname = expect_word st in
             let off_w = expect_word st in
-            if off_w.[0] <> '@' then fail lineno "expected @offset";
-            let off = int_of_string (String.sub off_w 1 (String.length off_w - 1)) in
+            let off =
+              if off_w.[0] <> '@' then None
+              else int_of_string_opt (String.sub off_w 1 (String.length off_w - 1))
+            in
+            let off =
+              match off with Some off -> off | None -> fail lineno "expected @offset"
+            in
             fields :=
               { Irtype.mf_name = fname; mf_ty = fty; mf_off = off } :: !fields;
             if accept_punct st ',' then loop () else expect_punct st '}'
           in
           loop ()
         end;
-        (match expect_word st with
-        | "size" -> ()
-        | w -> fail lineno "expected 'size', got %S" w);
-        let size = int_of_string (expect_word st) in
-        (match expect_word st with
-        | "align" -> ()
-        | w -> fail lineno "expected 'align', got %S" w);
-        let align = int_of_string (expect_word st) in
+        expect_keyword st "size";
+        let size = expect_int st in
+        expect_keyword st "align";
+        let align = expect_int st in
         Hashtbl.replace env.structs tag
           { Irtype.s_tag = tag; s_fields = List.rev !fields; s_size = size;
             s_align = align }
@@ -624,77 +629,40 @@ let parse (text : string) : Irmod.t =
       else if line.[0] = '@' then begin
         (* @name = global <mty> <init> *)
         let st = { toks = tokenize_line lineno line; line = lineno } in
-        let name_w = expect_word st in
-        let name = String.sub name_w 1 (String.length name_w - 1) in
+        let name = name_of st in
         expect_punct st '=';
-        (match expect_word st with
-        | "global" -> ()
-        | w -> fail lineno "expected 'global', got %S" w);
+        expect_keyword st "global";
         let gty = parse_mty env st in
         let ginit = parse_ginit env st in
-        Hashtbl.replace globals name ();
         Irmod.add_global m { Irmod.g_name = name; g_ty = gty; g_init = ginit }
       end
-      else if String.length line > 8 && String.sub line 0 8 = "declare " then begin
-        let st =
-          { toks = tokenize_line lineno (String.sub line 8 (String.length line - 8));
-            line = lineno }
+      else if has_prefix "declare " line then begin
+        let st = rest_of "declare " line lineno in
+        let e_ret = ret_of st in
+        let e_name = name_of st in
+        let params, variadic =
+          parse_params st (fun st -> scalar_of_word st (expect_word st))
         in
-        let ret_w = expect_word st in
-        let e_ret = if ret_w = "void" then None else Some (scalar_of_word st ret_w) in
-        let name_w = expect_word st in
-        let e_name = String.sub name_w 1 (String.length name_w - 1) in
-        expect_punct st '(';
-        let params = ref [] in
-        let variadic = ref false in
-        if not (accept_punct st ')') then begin
-          let rec loop () =
-            (match expect_word st with
-            | "..." -> variadic := true
-            | w -> params := scalar_of_word st w :: !params);
-            if accept_punct st ',' then loop () else expect_punct st ')'
-          in
-          loop ()
-        end;
         Irmod.add_extern m
-          { Irmod.e_name; e_ret; e_params = List.rev !params;
-            e_variadic = !variadic }
+          { Irmod.e_name; e_ret; e_params = params; e_variadic = variadic }
       end
-      else if String.length line > 7 && String.sub line 0 7 = "define " then begin
-        let st =
-          { toks = tokenize_line lineno (String.sub line 7 (String.length line - 7));
-            line = lineno }
-        in
-        let ret_w = expect_word st in
-        let ret = if ret_w = "void" then None else Some (scalar_of_word st ret_w) in
-        let name_w = expect_word st in
-        let name = String.sub name_w 1 (String.length name_w - 1) in
-        expect_punct st '(';
-        let params = ref [] in
-        let variadic = ref false in
-        if not (accept_punct st ')') then begin
-          let rec loop () =
-            match peek st with
-            | Some (Tword "...") ->
-              ignore (next st);
-              variadic := true;
-              expect_punct st ')'
-            | _ ->
+      else if has_prefix "define " line then begin
+        let st = rest_of "define " line lineno in
+        let ret = ret_of st in
+        let name = name_of st in
+        let params, variadic =
+          parse_params st (fun st ->
               let s = scalar_of_word st (expect_word st) in
-              let r = reg_of_word st (expect_word st) in
-              params := (r, s) :: !params;
-              if accept_punct st ',' then loop () else expect_punct st ')'
-          in
-          loop ()
-        end;
+              (reg_of_word st (expect_word st), s))
+        in
         expect_punct st '{';
         current :=
           Some
             {
               Irfunc.name;
-              params = List.rev !params;
+              params;
               ret;
-              variadic = !variadic;
+              variadic;
               blocks = [];
               next_reg = 0;
               src_pos = (lineno, 0);
@@ -734,89 +702,13 @@ let parse (text : string) : Irmod.t =
         | None -> fail lineno "instruction outside a block: %s" line
         | Some b -> begin
           let toks = tokenize_line lineno line in
-          let is_term =
-            match toks with
-            | Tword ("ret" | "br" | "switch" | "unreachable") :: _ -> true
-            | _ -> false
-          in
-          if is_term then
-            b.Irfunc.term <- parse_terminator_line env ~globals ~funcs lineno toks
-          else
+          match toks with
+          | Tword ("ret" | "br" | "switch" | "unreachable") :: _ ->
+            b.Irfunc.term <- parse_terminator_line env lineno toks
+          | _ ->
             pending_instrs :=
-              parse_instr env ~globals ~funcs { toks; line = lineno }
-              :: !pending_instrs
+              parse_instr env { toks; line = lineno } :: !pending_instrs
         end
       end)
     lines;
-  (* fix up @refs that name functions but were defaulted to globals *)
-  let fix_value v =
-    match v with
-    | Instr.GlobalAddr n when Hashtbl.mem funcs n && not (Hashtbl.mem globals n)
-      ->
-      Instr.FuncAddr n
-    | v -> v
-  in
-  List.iter
-    (fun f ->
-      Irfunc.rewrite_blocks f (fun b ->
-          List.map
-            (fun i ->
-              match i with
-              | Instr.Load (r, s, p) -> Instr.Load (r, s, fix_value p)
-              | Instr.Store (s, v, p) -> Instr.Store (s, fix_value v, fix_value p)
-              | Instr.Gep (r, base, idx) ->
-                Instr.Gep
-                  ( r,
-                    fix_value base,
-                    List.map
-                      (function
-                        | Instr.Gindex (v, st) -> Instr.Gindex (fix_value v, st)
-                        | g -> g)
-                      idx )
-              | Instr.Binop (r, op, s, a, b2) ->
-                Instr.Binop (r, op, s, fix_value a, fix_value b2)
-              | Instr.Icmp (r, op, s, a, b2) ->
-                Instr.Icmp (r, op, s, fix_value a, fix_value b2)
-              | Instr.Fcmp (r, op, s, a, b2) ->
-                Instr.Fcmp (r, op, s, fix_value a, fix_value b2)
-              | Instr.Cast (r, op, from, into, v) ->
-                Instr.Cast (r, op, from, into, fix_value v)
-              | Instr.Select (r, s, c, a, b2) ->
-                Instr.Select (r, s, fix_value c, fix_value a, fix_value b2)
-              | Instr.Call (r, ret, callee, args) ->
-                let callee =
-                  match callee with
-                  | Instr.Indirect v -> Instr.Indirect (fix_value v)
-                  | c -> c
-                in
-                Instr.Call (r, ret, callee, List.map (fun (s, v) -> (s, fix_value v)) args)
-              | Instr.Phi (r, s, inc) ->
-                Instr.Phi (r, s, List.map (fun (l, v) -> (l, fix_value v)) inc)
-              | Instr.Sancheck (k, p, size) -> Instr.Sancheck (k, fix_value p, size)
-              | (Instr.Alloca _ | Instr.Srcloc _) -> i)
-            b.Irfunc.instrs);
-      List.iter
-        (fun (b : Irfunc.block) ->
-          b.Irfunc.term <-
-            (match b.Irfunc.term with
-            | Instr.Ret (Some (s, v)) -> Instr.Ret (Some (s, fix_value v))
-            | Instr.Condbr (c, x, y) -> Instr.Condbr (fix_value c, x, y)
-            | Instr.Switch (v, cases, d) -> Instr.Switch (fix_value v, cases, d)
-            | t -> t))
-        f.Irfunc.blocks)
-    m.Irmod.funcs;
-  (* ginit @refs to functions *)
-  let rec fix_ginit g =
-    match g with
-    | Irmod.Gglobal_addr n when Hashtbl.mem funcs n && not (Hashtbl.mem globals n)
-      ->
-      Irmod.Gfunc_addr n
-    | Irmod.Garray xs -> Irmod.Garray (List.map fix_ginit xs)
-    | Irmod.Gstruct_init xs -> Irmod.Gstruct_init (List.map fix_ginit xs)
-    | g -> g
-  in
-  m.Irmod.globals <-
-    List.map
-      (fun (g : Irmod.global) -> { g with Irmod.g_init = fix_ginit g.Irmod.g_init })
-      m.Irmod.globals;
   m

@@ -1,38 +1,47 @@
-(** Textual dump of the IR, LLVM-flavoured, for debugging and tests. *)
+(** Textual dump of the IR, LLVM-flavoured, for debugging and tests.
+    Float literals print in hexadecimal ([%h]), so every bit survives
+    [Irparse]; an integer literal never takes that shape. *)
 
 open Instr
 
 let value_to_string = function
   | Reg r -> Printf.sprintf "%%%d" r
   | ImmInt (v, s) -> Printf.sprintf "%s %Ld" (Irtype.scalar_to_string s) v
-  | ImmFloat (f, s) -> Printf.sprintf "%s %g" (Irtype.scalar_to_string s) f
+  | ImmFloat (f, s) -> Printf.sprintf "%s %h" (Irtype.scalar_to_string s) f
   | Null -> "null"
   | GlobalAddr g -> "@" ^ g
   | FuncAddr f -> "@" ^ f
 
-let binop_name = function
-  | Add -> "add" | Sub -> "sub" | Mul -> "mul"
-  | Sdiv -> "sdiv" | Udiv -> "udiv" | Srem -> "srem" | Urem -> "urem"
-  | Shl -> "shl" | Lshr -> "lshr" | Ashr -> "ashr"
-  | And -> "and" | Or -> "or" | Xor -> "xor"
-  | FAdd -> "fadd" | FSub -> "fsub" | FMul -> "fmul" | FDiv -> "fdiv"
+(* Opcode spellings, one [(op, name)] list per kind: the printer reads
+   them forwards and [Irparse] in reverse. *)
+let binop_names =
+  [ (Add, "add"); (Sub, "sub"); (Mul, "mul");
+    (Sdiv, "sdiv"); (Udiv, "udiv"); (Srem, "srem"); (Urem, "urem");
+    (Shl, "shl"); (Lshr, "lshr"); (Ashr, "ashr");
+    (And, "and"); (Or, "or"); (Xor, "xor");
+    (FAdd, "fadd"); (FSub, "fsub"); (FMul, "fmul"); (FDiv, "fdiv") ]
 
-let icmp_name = function
-  | Ieq -> "eq" | Ine -> "ne"
-  | Islt -> "slt" | Isle -> "sle" | Isgt -> "sgt" | Isge -> "sge"
-  | Iult -> "ult" | Iule -> "ule" | Iugt -> "ugt" | Iuge -> "uge"
+let icmp_names =
+  [ (Ieq, "eq"); (Ine, "ne");
+    (Islt, "slt"); (Isle, "sle"); (Isgt, "sgt"); (Isge, "sge");
+    (Iult, "ult"); (Iule, "ule"); (Iugt, "ugt"); (Iuge, "uge") ]
 
-let fcmp_name = function
-  | Feq -> "oeq" | Fne -> "one"
-  | Flt -> "olt" | Fle -> "ole" | Fgt -> "ogt" | Fge -> "oge"
+let fcmp_names =
+  [ (Feq, "oeq"); (Fne, "one");
+    (Flt, "olt"); (Fle, "ole"); (Fgt, "ogt"); (Fge, "oge") ]
 
-let cast_name = function
-  | Trunc -> "trunc" | Zext -> "zext" | Sext -> "sext"
-  | Fptrunc -> "fptrunc" | Fpext -> "fpext"
-  | Fptosi -> "fptosi" | Sitofp -> "sitofp"
-  | Fptoui -> "fptoui" | Uitofp -> "uitofp"
-  | Ptrtoint -> "ptrtoint" | Inttoptr -> "inttoptr"
-  | Bitcast -> "bitcast"
+let cast_names =
+  [ (Trunc, "trunc"); (Zext, "zext"); (Sext, "sext");
+    (Fptrunc, "fptrunc"); (Fpext, "fpext");
+    (Fptosi, "fptosi"); (Sitofp, "sitofp");
+    (Fptoui, "fptoui"); (Uitofp, "uitofp");
+    (Ptrtoint, "ptrtoint"); (Inttoptr, "inttoptr");
+    (Bitcast, "bitcast") ]
+
+let binop_name op = List.assoc op binop_names
+let icmp_name op = List.assoc op icmp_names
+let fcmp_name op = List.assoc op fcmp_names
+let cast_name op = List.assoc op cast_names
 
 let gep_index_to_string = function
   | Gfield (i, off) -> Printf.sprintf "field %d (+%d)" i off
@@ -134,7 +143,7 @@ let func_to_string (f : Irfunc.t) =
 let rec ginit_to_string = function
   | Irmod.Gzero -> "zeroinitializer"
   | Irmod.Gint v -> Int64.to_string v
-  | Irmod.Gfloat f -> string_of_float f
+  | Irmod.Gfloat f -> Printf.sprintf "%h" f
   | Irmod.Garray xs ->
     "[" ^ String.concat ", " (List.map ginit_to_string xs) ^ "]"
   | Irmod.Gstruct_init xs ->

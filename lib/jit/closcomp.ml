@@ -357,23 +357,13 @@ let plan_slots (blocks_list : pblock array list) (entry : phicopy)
   List.iter
     (fun blocks ->
       let entry_pred = ref false in
-      let edge = function
-        | Edge (0, _) -> entry_pred := true
-        | Edge _ | Edge_unknown _ -> ()
-      in
       Array.iter
         (fun blk ->
-          match blk.pb_term with
-          | Pret _ | Punreachable -> ()
-          | Pbr e -> edge e
-          | Pcondbr (_, a, b) ->
-            edge a;
-            edge b
-          | Pswitch (_, impl, d) ->
-            edge d;
-            (match impl with
-            | Sw_linear (_, es) -> Array.iter edge es
-            | Sw_table tbl -> Hashtbl.iter (fun _ e -> edge e) tbl))
+          iter_edges
+            (function
+              | Edge (0, _) -> entry_pred := true
+              | Edge _ | Edge_unknown _ -> ())
+            blk.pb_term)
         blocks;
       let entry_pred = !entry_pred in
       Array.iteri
@@ -462,20 +452,10 @@ let plan_slots (blocks_list : pblock array list) (entry : phicopy)
                 (match callee with Pindirect (v, _) -> pv v | Pdirect _ -> ());
                 Array.iter pv args)
             blk.pb_instrs;
-          match blk.pb_term with
-          | Pret (Some v) -> pv v
-          | Pret None | Punreachable -> ()
-          | Pbr e -> edge e
-          | Pcondbr (c, a, b) ->
-            pv c;
-            edge a;
-            edge b
-          | Pswitch (v, impl, d) ->
-            pv v;
-            edge d;
-            (match impl with
-            | Sw_linear (_, es) -> Array.iter edge es
-            | Sw_table tbl -> Hashtbl.iter (fun _ e -> edge e) tbl))
+          (match blk.pb_term with
+          | Pret (Some v) | Pcondbr (v, _, _) | Pswitch (v, _, _) -> pv v
+          | Pret None | Pbr _ | Punreachable -> ());
+          iter_edges edge blk.pb_term)
         blocks)
     blocks_list;
   copies entry;
@@ -566,18 +546,6 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
     | Pc_none | Pc_missing -> ()
   in
   let edge = function Edge (_, c) -> copies c | Edge_unknown _ -> () in
-  let term = function
-    | Pret _ | Punreachable -> ()
-    | Pbr e -> edge e
-    | Pcondbr (_, a, b) ->
-      edge a;
-      edge b
-    | Pswitch (_, impl, d) ->
-      edge d;
-      (match impl with
-      | Sw_linear (_, es) -> Array.iter edge es
-      | Sw_table tbl -> Hashtbl.iter (fun _ e -> edge e) tbl)
-  in
   let instr = function
     | Palloca (r, _, _) -> begin
       match Hashtbl.find_opt slots r with
@@ -627,7 +595,7 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
   List.iter
     (Array.iter (fun blk ->
          Array.iter instr blk.pb_instrs;
-         term blk.pb_term))
+         iter_edges edge blk.pb_term))
     blocks_list;
   copies entry;
   List.iter (Array.iter boxed) boxed_roots;

@@ -920,57 +920,6 @@ let rec lower_global_init ctx (ty : Ctype.t) (init : A.init) : Irmod.ginit =
       (Ctype.to_string ty)
 
 and lower_global_scalar ctx (ty : Ctype.t) (e : A.expr) : Irmod.ginit =
-  (* Sema has annotated every sub-expression, so this folder can pick
-     each operator's IR operation as the lowering does ([Cscalar]) and
-     compute it in the engines' [Scalar] kernel — a mismatch here bakes
-     a wrong constant into the image that no pipeline configuration can
-     undo.  A division by zero is not a constant. *)
-  let ity (e : A.expr) =
-    if Ctype.is_integer (Ctype.decay e.A.ty) then Ctype.decay e.A.ty
-    else Ctype.long_t
-  in
-  let exception Not_constant in
-  let div0 () = raise Not_constant in
-  let rec const_int (e : A.expr) : int64 option =
-    let conv (a : A.expr) into =
-      Option.map
-        (fun v -> Cscalar.convert ~from_ty:(ity a) ~to_ty:into v)
-        (const_int a)
-    in
-    let fold op rty x y =
-      try Cscalar.fold ~div0 op rty x y with Not_constant -> None
-    in
-    match e.A.desc with
-    | A.IntLit (v, k, s) -> Some (Cscalar.constant (Ctype.Int (k, s)) v)
-    | A.CharLit c -> Some (Int64.of_int (Char.code c))
-    | A.Unop (A.Neg, a) ->
-      let rty = ity e in
-      Option.bind (conv a rty) (fold A.Sub rty 0L)
-    | A.Cast (cty, a) ->
-      if Ctype.is_integer cty then conv a cty else const_int a
-    | A.Binop (op, a, b) -> begin
-      (* a shift count converts too, as in the lowering *)
-      let rty = ity e in
-      match (conv a rty, conv b rty) with
-      | Some x, Some y -> fold op rty x y
-      | _ -> None
-    end
-    | _ -> None
-  in
-  let rec const_float (e : A.expr) : float option =
-    match e.A.desc with
-    | A.FloatLit (f, _) -> Some f
-    | A.IntLit (v, k, s) -> begin
-      (* the runtime Sitofp/Uitofp to double *)
-      let lty = Ctype.Int (k, s) in
-      match Cscalar.conversion ~from_ty:lty ~to_ty:Ctype.double_t with
-      | Scalar.Int_to_float f -> Some (f (Cscalar.constant lty v))
-      | _ -> None
-    end
-    | A.Unop (A.Neg, a) -> Option.map (fun f -> -.f) (const_float a)
-    | A.Cast (_, a) -> const_float a
-    | _ -> None
-  in
   match (Ctype.decay ty, e.A.desc) with
   | Ctype.Ptr _, A.StrLit s -> Irmod.Gglobal_addr (intern_string ctx s)
   | Ctype.Ptr _, A.IntLit (0L, _, _) -> Irmod.Gzero
@@ -981,29 +930,31 @@ and lower_global_scalar ctx (ty : Ctype.t) (e : A.expr) : Irmod.ginit =
   | Ctype.Ptr _, A.Ident name ->
     if Hashtbl.mem ctx.env.Sema.funcs name then Irmod.Gfunc_addr name
     else Irmod.Gglobal_addr name (* array decaying to pointer *)
-  | Ctype.Float _, _ -> begin
-    match const_float e with
-    | Some f -> Irmod.Gfloat f
-    | None -> unsupported e.A.pos "global initializer is not constant"
-  end
-  | _, _ -> begin
-    match const_int e with
-    | Some v ->
-      (* Apply the implicit conversion from the initializer's type to
-         the declared type before emitting the image bytes: widening
-         from a narrower unsigned type must zero-extend, which the
-         canonical (sign-extended) representation does not encode.
-         Without this, `unsigned int g = (unsigned short)0x9373;` bakes
-         0xFFFF9373 into the global — a wrong constant no pipeline
-         configuration can undo (found by the differential oracle). *)
-      let v =
-        if Ctype.is_integer (Ctype.decay ty) then
-          Cscalar.convert ~from_ty:(ity e) ~to_ty:(Ctype.decay ty) v
-        else v
-      in
-      Irmod.Gint v
-    | None -> unsupported e.A.pos "global initializer is not constant"
-  end
+  | decl, _ -> (
+    (* The value folds in [Cscalar], the evaluator of the parser's
+       constant expressions, which picks each operator's IR operation as
+       the lowering does and computes it in the engines' [Scalar] kernel
+       — a mismatch here bakes a wrong constant into the image that no
+       pipeline configuration can undo.  A division by zero is not a
+       constant. *)
+    match
+      if Ctype.is_float decl then Irmod.Gfloat (Cscalar.eval_float e)
+      else if Ctype.is_integer decl then
+        (* Apply the implicit conversion from the initializer's type to
+           the declared type before emitting the image bytes: widening
+           from a narrower unsigned type must zero-extend, which the
+           canonical (sign-extended) representation does not encode.
+           Without this, `unsigned int g = (unsigned short)0x9373;`
+           bakes 0xFFFF9373 into the global (found by the differential
+           oracle). *)
+        Irmod.Gint
+          (Cscalar.convert ~from_ty:(Cscalar.const_ty e) ~to_ty:decl
+             (Cscalar.eval_typed e))
+      else Irmod.Gint (Cscalar.eval_typed e)
+    with
+    | g -> g
+    | exception Diag.Error _ ->
+      unsupported e.A.pos "global initializer is not constant")
 
 (* ------------------------------------------------------------------ *)
 (* Functions and programs                                              *)

@@ -81,57 +81,13 @@ let run (m : Irmod.t) : bool =
         (* Propagate the folded zeros to all uses. *)
         let resolve v =
           match v with
-          | Instr.Reg r -> begin
-            match Hashtbl.find_opt subst r with Some x -> x | None -> v
-          end
+          | Instr.Reg r -> Option.value (Hashtbl.find_opt subst r) ~default:v
           | v -> v
         in
-        Irfunc.rewrite_blocks f (fun b ->
-            List.map
-              (fun i ->
-                match i with
-                | Instr.Load (r, s, p) -> Instr.Load (r, s, resolve p)
-                | Instr.Store (s, v, p) -> Instr.Store (s, resolve v, resolve p)
-                | Instr.Gep (r, base, idx) ->
-                  Instr.Gep
-                    ( r,
-                      resolve base,
-                      List.map
-                        (function
-                          | Instr.Gindex (v, st) -> Instr.Gindex (resolve v, st)
-                          | g -> g)
-                        idx )
-                | Instr.Binop (r, op, s, a, b2) ->
-                  Instr.Binop (r, op, s, resolve a, resolve b2)
-                | Instr.Icmp (r, op, s, a, b2) ->
-                  Instr.Icmp (r, op, s, resolve a, resolve b2)
-                | Instr.Fcmp (r, op, s, a, b2) ->
-                  Instr.Fcmp (r, op, s, resolve a, resolve b2)
-                | Instr.Cast (r, op, from, into, v) ->
-                  Instr.Cast (r, op, from, into, resolve v)
-                | Instr.Select (r, s, c, a, b2) ->
-                  Instr.Select (r, s, resolve c, resolve a, resolve b2)
-                | Instr.Call (r, ret, callee, args) ->
-                  let callee =
-                    match callee with
-                    | Instr.Indirect v -> Instr.Indirect (resolve v)
-                    | c -> c
-                  in
-                  Instr.Call
-                    (r, ret, callee, List.map (fun (s, v) -> (s, resolve v)) args)
-                | Instr.Phi (r, s, incoming) ->
-                  Instr.Phi (r, s, List.map (fun (l, v) -> (l, resolve v)) incoming)
-                | Instr.Sancheck (k, p, size) -> Instr.Sancheck (k, resolve p, size)
-                | (Instr.Alloca _ | Instr.Srcloc _) -> i)
-              b.Irfunc.instrs);
         List.iter
           (fun (b : Irfunc.block) ->
-            b.Irfunc.term <-
-              (match b.Irfunc.term with
-              | Instr.Ret (Some (s, v)) -> Instr.Ret (Some (s, resolve v))
-              | Instr.Condbr (c, x, y) -> Instr.Condbr (resolve c, x, y)
-              | Instr.Switch (v, cases, d) -> Instr.Switch (resolve v, cases, d)
-              | t -> t))
+            b.Irfunc.instrs <- List.map (Instr.map_values resolve) b.Irfunc.instrs;
+            b.Irfunc.term <- Instr.map_term_values resolve b.Irfunc.term)
           f.Irfunc.blocks
       end)
     m.Irmod.funcs;

@@ -60,73 +60,26 @@ let run_func (f : Irfunc.t) : bool =
   let subst : (Instr.reg, Instr.value) Hashtbl.t = Hashtbl.create 32 in
   let resolve v =
     match v with
-    | Instr.Reg r -> begin
-      match Hashtbl.find_opt subst r with Some x -> x | None -> v
-    end
+    | Instr.Reg r -> Option.value (Hashtbl.find_opt subst r) ~default:v
     | v -> v
   in
   let fold_instr (i : Instr.instr) : Instr.instr option =
-    match i with
-    | Instr.Binop (r, op, s, a, b) -> begin
-      let a = resolve a and b = resolve b in
-      match fold_binop op s a b with
-      | Some value ->
-        Hashtbl.replace subst r value;
-        changed := true;
-        None
-      | None -> Some (Instr.Binop (r, op, s, a, b))
-    end
-    | Instr.Icmp (r, op, s, a, b) -> begin
-      let a = resolve a and b = resolve b in
-      match fold_icmp op s a b with
-      | Some value ->
-        Hashtbl.replace subst r value;
-        changed := true;
-        None
-      | None -> Some (Instr.Icmp (r, op, s, a, b))
-    end
-    | Instr.Fcmp (r, op, s, a, b) -> Some (Instr.Fcmp (r, op, s, resolve a, resolve b))
-    | Instr.Cast (r, op, from, into, v) -> begin
-      let v = resolve v in
-      match fold_cast op from into v with
-      | Some value ->
-        Hashtbl.replace subst r value;
-        changed := true;
-        None
-      | None -> Some (Instr.Cast (r, op, from, into, v))
-    end
-    | Instr.Select (r, s, c, a, b) -> begin
-      let c = resolve c and a = resolve a and b = resolve b in
-      match as_const c with
-      | Some x ->
-        Hashtbl.replace subst r (if x <> 0L then a else b);
-        changed := true;
-        None
-      | None -> Some (Instr.Select (r, s, c, a, b))
-    end
-    | Instr.Load (r, s, p) -> Some (Instr.Load (r, s, resolve p))
-    | Instr.Store (s, v, p) -> Some (Instr.Store (s, resolve v, resolve p))
-    | Instr.Gep (r, base, idx) ->
-      Some
-        (Instr.Gep
-           ( r,
-             resolve base,
-             List.map
-               (function
-                 | Instr.Gindex (v, stride) -> Instr.Gindex (resolve v, stride)
-                 | g -> g)
-               idx ))
-    | Instr.Call (r, ret, callee, args) ->
-      let callee =
-        match callee with
-        | Instr.Indirect v -> Instr.Indirect (resolve v)
-        | c -> c
-      in
-      Some (Instr.Call (r, ret, callee, List.map (fun (s, v) -> (s, resolve v)) args))
-    | Instr.Phi (r, s, incoming) ->
-      Some (Instr.Phi (r, s, List.map (fun (l, v) -> (l, resolve v)) incoming))
-    | Instr.Sancheck (k, p, size) -> Some (Instr.Sancheck (k, resolve p, size))
-    | (Instr.Alloca _ | Instr.Srcloc _) -> Some i
+    let i = Instr.map_values resolve i in
+    let folded =
+      match i with
+      | Instr.Binop (_, op, s, a, b) -> fold_binop op s a b
+      | Instr.Icmp (_, op, s, a, b) -> fold_icmp op s a b
+      | Instr.Cast (_, op, from, into, v) -> fold_cast op from into v
+      | Instr.Select (_, _, c, a, b) ->
+        Option.map (fun x -> if x <> 0L then a else b) (as_const c)
+      | _ -> None
+    in
+    match (folded, Instr.def_of i) with
+    | Some value, Some r ->
+      Hashtbl.replace subst r value;
+      changed := true;
+      None
+    | _ -> Some i
   in
   (* Iterate block-internally until the substitution map stabilizes (a
      fold can enable another across blocks because subst is global to
@@ -145,27 +98,18 @@ let run_func (f : Irfunc.t) : bool =
   List.iter
     (fun (b : Irfunc.block) ->
       let term =
-        match b.Irfunc.term with
-        | Instr.Ret (Some (s, v)) -> Instr.Ret (Some (s, resolve v))
-        | Instr.Condbr (c, t, e) -> begin
-          match resolve c with
-          | Instr.ImmInt (x, _) ->
-            changed := true;
-            Instr.Br (if x <> 0L then t else e)
-          | c -> Instr.Condbr (c, t, e)
-        end
-        | Instr.Switch (v, cases, default) -> begin
-          match resolve v with
-          | Instr.ImmInt (x, _) ->
-            changed := true;
-            let target =
-              match List.find_opt (fun (k, _) -> k = x) cases with
-              | Some (_, l) -> l
-              | None -> default
-            in
-            Instr.Br target
-          | v -> Instr.Switch (v, cases, default)
-        end
+        match Instr.map_term_values resolve b.Irfunc.term with
+        | Instr.Condbr (Instr.ImmInt (x, _), t, e) ->
+          changed := true;
+          Instr.Br (if x <> 0L then t else e)
+        | Instr.Switch (Instr.ImmInt (x, _), cases, default) ->
+          changed := true;
+          let target =
+            match List.find_opt (fun (k, _) -> k = x) cases with
+            | Some (_, l) -> l
+            | None -> default
+          in
+          Instr.Br target
         | t -> t
       in
       b.Irfunc.term <- term)

@@ -22,40 +22,23 @@ let remap_value map v =
   | Instr.Reg r -> Instr.Reg (Hashtbl.find map r)
   | v -> v
 
-let remap_gep map =
-  List.map (function
-    | Instr.Gindex (v, stride) -> Instr.Gindex (remap_value map v, stride)
-    | g -> g)
-
+(* Operands through [map_values]; then the defined register and the phi
+   labels, which it leaves alone. *)
 let remap_instr map relabel (i : Instr.instr) : Instr.instr =
-  let v = remap_value map in
-  match i with
-  | Instr.Alloca (r, mty) -> Instr.Alloca (Hashtbl.find map r, mty)
-  | Instr.Load (r, s, p) -> Instr.Load (Hashtbl.find map r, s, v p)
-  | Instr.Store (s, x, p) -> Instr.Store (s, v x, v p)
-  | Instr.Gep (r, base, idx) ->
-    Instr.Gep (Hashtbl.find map r, v base, remap_gep map idx)
-  | Instr.Binop (r, op, s, a, b) -> Instr.Binop (Hashtbl.find map r, op, s, v a, v b)
-  | Instr.Icmp (r, op, s, a, b) -> Instr.Icmp (Hashtbl.find map r, op, s, v a, v b)
-  | Instr.Fcmp (r, op, s, a, b) -> Instr.Fcmp (Hashtbl.find map r, op, s, v a, v b)
-  | Instr.Cast (r, op, from, into, x) ->
-    Instr.Cast (Hashtbl.find map r, op, from, into, v x)
-  | Instr.Select (r, s, c, a, b) ->
-    Instr.Select (Hashtbl.find map r, s, v c, v a, v b)
-  | Instr.Call (r, ret, callee, args) ->
-    let callee =
-      match callee with
-      | Instr.Indirect x -> Instr.Indirect (v x)
-      | c -> c
-    in
-    Instr.Call
-      (Option.map (Hashtbl.find map) r, ret, callee,
-       List.map (fun (s, x) -> (s, v x)) args)
+  let d = Hashtbl.find map in
+  match Instr.map_values (remap_value map) i with
+  | Instr.Alloca (r, mty) -> Instr.Alloca (d r, mty)
+  | Instr.Load (r, s, p) -> Instr.Load (d r, s, p)
+  | Instr.Gep (r, base, idx) -> Instr.Gep (d r, base, idx)
+  | Instr.Binop (r, op, s, a, b) -> Instr.Binop (d r, op, s, a, b)
+  | Instr.Icmp (r, op, s, a, b) -> Instr.Icmp (d r, op, s, a, b)
+  | Instr.Fcmp (r, op, s, a, b) -> Instr.Fcmp (d r, op, s, a, b)
+  | Instr.Cast (r, op, from, into, x) -> Instr.Cast (d r, op, from, into, x)
+  | Instr.Select (r, s, c, a, b) -> Instr.Select (d r, s, c, a, b)
+  | Instr.Call (r, ret, callee, args) -> Instr.Call (Option.map d r, ret, callee, args)
   | Instr.Phi (r, s, incoming) ->
-    Instr.Phi
-      (Hashtbl.find map r, s, List.map (fun (l, x) -> (relabel l, v x)) incoming)
-  | Instr.Sancheck (k, p, size) -> Instr.Sancheck (k, v p, size)
-  | Instr.Srcloc _ as i -> i
+    Instr.Phi (d r, s, List.map (fun (l, x) -> (relabel l, x)) incoming)
+  | (Instr.Store _ | Instr.Sancheck _ | Instr.Srcloc _) as i -> i
 
 (* ---- inlinability ------------------------------------------------ *)
 

@@ -133,6 +133,11 @@ let run_func (f : Irfunc.t) : bool =
     (* Replaced-load substitutions: function-global, since a load's
        result may be used in blocks the load's block dominates. *)
     let subst : (Instr.reg, Instr.value) Hashtbl.t = Hashtbl.create 32 in
+    let resolve v =
+      match v with
+      | Instr.Reg r -> Option.value (Hashtbl.find_opt subst r) ~default:v
+      | v -> v
+    in
     let rec walk label =
       let b = Hashtbl.find blocks label in
       let pushed = ref [] in
@@ -146,13 +151,6 @@ let run_func (f : Irfunc.t) : bool =
             pushed := v.v_reg :: !pushed
           | None -> ())
         vars;
-      let resolve v =
-        match v with
-        | Instr.Reg r -> begin
-          match Hashtbl.find_opt subst r with Some x -> x | None -> v
-        end
-        | v -> v
-      in
       let rewrite (i : Instr.instr) : Instr.instr option =
         match i with
         | Instr.Alloca (r, _) when Hashtbl.mem var_of_reg r -> None
@@ -166,51 +164,10 @@ let run_func (f : Irfunc.t) : bool =
           st := resolve value :: !st;
           pushed := v.v_reg :: !pushed;
           None
-        | i ->
-          (* resolve loads folded into substitutions *)
-          let map_value = resolve in
-          Some
-            (match i with
-            | Instr.Load (r, s, p) -> Instr.Load (r, s, map_value p)
-            | Instr.Store (s, v, p) -> Instr.Store (s, map_value v, map_value p)
-            | Instr.Gep (r, base, idx) ->
-              Instr.Gep
-                ( r,
-                  map_value base,
-                  List.map
-                    (function
-                      | Instr.Gindex (v, st) -> Instr.Gindex (map_value v, st)
-                      | g -> g)
-                    idx )
-            | Instr.Binop (r, op, s, a, b2) ->
-              Instr.Binop (r, op, s, map_value a, map_value b2)
-            | Instr.Icmp (r, op, s, a, b2) ->
-              Instr.Icmp (r, op, s, map_value a, map_value b2)
-            | Instr.Fcmp (r, op, s, a, b2) ->
-              Instr.Fcmp (r, op, s, map_value a, map_value b2)
-            | Instr.Cast (r, op, from, into, v) ->
-              Instr.Cast (r, op, from, into, map_value v)
-            | Instr.Select (r, s, c, a, b2) ->
-              Instr.Select (r, s, map_value c, map_value a, map_value b2)
-            | Instr.Call (r, ret, callee, args) ->
-              let callee =
-                match callee with
-                | Instr.Indirect v -> Instr.Indirect (map_value v)
-                | c -> c
-              in
-              Instr.Call (r, ret, callee, List.map (fun (s, v) -> (s, map_value v)) args)
-            | Instr.Phi (r, s, incoming) ->
-              Instr.Phi (r, s, List.map (fun (l, v) -> (l, map_value v)) incoming)
-            | Instr.Sancheck (k, p, size) -> Instr.Sancheck (k, map_value p, size)
-            | (Instr.Alloca _ | Instr.Srcloc _) -> i)
+        | i -> Some (Instr.map_values resolve i)
       in
       b.Irfunc.instrs <- List.filter_map rewrite b.Irfunc.instrs;
-      b.Irfunc.term <-
-        (match b.Irfunc.term with
-        | Instr.Ret (Some (s, v)) -> Instr.Ret (Some (s, resolve v))
-        | Instr.Condbr (c, x, y) -> Instr.Condbr (resolve c, x, y)
-        | Instr.Switch (v, cases, d) -> Instr.Switch (resolve v, cases, d)
-        | t -> t);
+      b.Irfunc.term <- Instr.map_term_values resolve b.Irfunc.term;
       (* fill phi incoming of successors with current definitions *)
       List.iter
         (fun succ ->
@@ -248,19 +205,7 @@ let run_func (f : Irfunc.t) : bool =
         b.Irfunc.instrs <-
           List.map
             (function
-              | Instr.Phi (r, s, incoming) ->
-                Instr.Phi
-                  ( r,
-                    s,
-                    List.map
-                      (fun (l, v) ->
-                        match v with
-                        | Instr.Reg rr -> (
-                          match Hashtbl.find_opt subst rr with
-                          | Some x -> (l, x)
-                          | None -> (l, v))
-                        | v -> (l, v))
-                      incoming )
+              | Instr.Phi _ as i -> Instr.map_values resolve i
               | i -> i)
             b.Irfunc.instrs)
       f.Irfunc.blocks;

@@ -385,6 +385,13 @@ int main(void) {
   return 0;
 }
 |} "1 2 0 0\ngamma main\n7 2.5\n";
+    c "constant global initializers" {|
+int a = ~5; int b = 1 < 2; int c = 3 ? 4 : 5; int d = !0; int e = (1 && 2);
+int main(void) {
+  printf("%d %d %d %d %d\n", a, b, c, d, e);
+  return 0;
+}
+|} "-6 1 4 1 1\n";
     c "string literal identity and indexing" {|
 int main(void) {
   const char *s = "abcdef";

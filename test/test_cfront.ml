@@ -473,6 +473,14 @@ let test_parse_const_expr_sizes () =
   in
   Alcotest.(check (list int)) "const arithmetic" [ 11; 17 ] sizes
 
+(* A global initializer folds in the parser's constant evaluator; one
+   that is not a constant keeps the lowering's message. *)
+let test_global_init_not_constant () =
+  match Loader.compile_user "int x = 3;\nint g = x;\nint main(void) { return g; }" with
+  | _ -> Alcotest.fail "expected the initializer to be rejected"
+  | exception Lower.Unsupported (_, msg) ->
+    Alcotest.(check string) "message" "global initializer is not constant" msg
+
 let test_parse_errors () =
   expect_parse_error "missing semicolon" "int x";
   expect_parse_error "bad declarator" "int 4x;";
@@ -617,6 +625,8 @@ let () =
           Alcotest.test_case "constant array sizes" `Quick
             test_parse_const_expr_sizes;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "non-constant global initializer" `Quick
+            test_global_init_not_constant;
         ] );
       ( "sema",
         [

@@ -532,6 +532,30 @@ int main(void) {
 
 (* ---------------- textual IR round trip ---------------- *)
 
+(* The round trip restores everything the text carries: the whole
+   module but source positions and [next_reg].  [compare], so that a
+   NaN immediate equals itself; a float that lost bits, or a function
+   address read back as a global's (both print as @name), does not. *)
+let check_same_module (m : Irmod.t) (m' : Irmod.t) =
+  let same a b = compare a b = 0 in
+  if not (same m.Irmod.globals m'.Irmod.globals) then
+    Alcotest.fail "round trip changed a global";
+  if not (same m.Irmod.externs m'.Irmod.externs) then
+    Alcotest.fail "round trip changed an extern";
+  let view (f : Irfunc.t) =
+    ( f.Irfunc.name, f.Irfunc.params, f.Irfunc.ret, f.Irfunc.variadic,
+      List.map
+        (fun (b : Irfunc.block) -> (b.Irfunc.label, b.Irfunc.instrs, b.Irfunc.term))
+        f.Irfunc.blocks )
+  in
+  if List.length m.Irmod.funcs <> List.length m'.Irmod.funcs then
+    Alcotest.fail "round trip changed the function count";
+  List.iter2
+    (fun f f' ->
+      if not (same (view f) (view f')) then
+        Alcotest.failf "round trip changed function %s" f.Irfunc.name)
+    m.Irmod.funcs m'.Irmod.funcs
+
 let roundtrip_module (m : Irmod.t) =
   let printed = Irprint.module_to_string m in
   let reparsed =
@@ -555,6 +579,7 @@ let roundtrip_module (m : Irmod.t) =
     in
     first_diff 1 (a, b)
   end;
+  check_same_module m reparsed;
   reparsed
 
 let test_roundtrip_simple () =
@@ -600,6 +625,32 @@ let test_roundtrip_full_program () =
   (* the libc-linked meteor module: ~everything the IR can express *)
   ignore (roundtrip_module (Loader.load_program Benchprogs.meteor.Benchprogs.b_source))
 
+(* Every corpus program linked with the libc, every benchmark program
+   at -O0 and -O3, an ASan-instrumented module and generated programs:
+   the float constants of nbody and fasta and of most generated
+   programs lost bits through the old decimal text. *)
+let test_roundtrip_sweep () =
+  List.iter
+    (fun (p : Groundtruth.program) ->
+      ignore (roundtrip_module (Loader.load_program p.Groundtruth.source)))
+    Corpus.all;
+  List.iter
+    (fun (b : Benchprogs.bench) ->
+      List.iter
+        (fun level ->
+          let m = Loader.compile_user b.Benchprogs.b_source in
+          Pipeline.compile_native ~level m;
+          ignore (roundtrip_module m))
+        [ Pipeline.O0; Pipeline.O3 ])
+    Benchprogs.all;
+  let m = Loader.load_program Benchprogs.nbody.Benchprogs.b_source in
+  Asan.instrument m;
+  ignore (roundtrip_module m);
+  for seed = 0 to 49 do
+    ignore
+      (roundtrip_module (Loader.compile_user (Cprog.render (Cgen.generate ~seed ()))))
+  done
+
 let test_parsed_ir_executes () =
   let src = {|
 int main(void) {
@@ -627,7 +678,18 @@ let test_parse_errors_have_lines () =
   in
   expect_error "define i32 @f( {\n}";
   expect_error "@g = global i32 frog\n";
-  expect_error "define i32 @f() {\nentry:\n  %1 = frobnicate i32 1\n  ret i32 %1\n}"
+  expect_error "define i32 @f() {\nentry:\n  %1 = frobnicate i32 1\n  ret i32 %1\n}";
+  (* each of these once escaped as a raw OCaml exception *)
+  let in_body instrs =
+    "define i32 @f() {\nentry:\n" ^ instrs ^ "\n  ret i32 0\n}\n"
+  in
+  expect_error (in_body "  %1 = icmp foo i32 1, i32 2");
+  expect_error (in_body "  %1 = fcmp zzz double double 0x1p+0, double 0x1p+1");
+  expect_error (in_body "  %1 = alloca i32\n  store i32 i32 x3, %1");
+  expect_error (in_body "  %1 = fadd double double 1.x, double 0x1p+0");
+  expect_error (in_body "  %1 = alloca [x x i32]");
+  expect_error "%struct.s = type { i32 a @x } size 4 align 4\n";
+  expect_error "@s = global [2 x i8] c\"\\999\"\n"
 
 let gen_roundtrip_prop =
   QCheck.Test.make ~count:15 ~name:"random programs round-trip through text"
@@ -638,6 +700,164 @@ let gen_roundtrip_prop =
       let printed = Irprint.module_to_string m in
       let reparsed = Irparse.parse printed in
       Irprint.module_to_string reparsed = printed)
+
+(* Mutated [Irprint] output of corpus modules (words swapped, tokens
+   deleted, lines truncated, bytes flipped) either parses or raises
+   [Parse_error]; no other exception may escape. *)
+let printed_corpus =
+  lazy
+    (Array.of_list
+       (Irprint.module_to_string (Loader.libc_module ())
+       :: List.concat_map
+            (fun (p : Groundtruth.program) ->
+              let m = Loader.compile_user p.Groundtruth.source in
+              let o3_asan = Loader.compile_user p.Groundtruth.source in
+              Pipeline.compile_native ~level:Pipeline.O3 o3_asan;
+              Asan.instrument o3_asan;
+              [ Irprint.module_to_string m; Irprint.module_to_string o3_asan ])
+            Corpus.all))
+
+let mutate rng text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let alphabet = "%@-+.,:;=[](){}\" \\x0123456789aeinpt" in
+  for _ = 0 to Prng.int rng 3 do
+    let i = Prng.int rng (Array.length lines) in
+    let line = lines.(i) in
+    let words = Array.of_list (String.split_on_char ' ' line) in
+    let nw = Array.length words in
+    let len = String.length line in
+    lines.(i) <-
+      (match Prng.int rng 4 with
+      | 0 ->
+        let a = Prng.int rng nw and b = Prng.int rng nw in
+        let w = words.(a) in
+        words.(a) <- words.(b);
+        words.(b) <- w;
+        String.concat " " (Array.to_list words)
+      | 1 ->
+        let k = Prng.int rng nw in
+        String.concat " " (List.filteri (fun j _ -> j <> k) (Array.to_list words))
+      | 2 -> String.sub line 0 (Prng.int rng (len + 1))
+      | _ when len = 0 -> line
+      | _ ->
+        let b = Bytes.of_string line in
+        Bytes.set b (Prng.int rng len)
+          (if Prng.int rng 2 = 0 then Char.chr (Prng.int rng 256)
+           else alphabet.[Prng.int rng (String.length alphabet)]);
+        Bytes.to_string b)
+  done;
+  String.concat "\n" (Array.to_list lines)
+
+let parse_fuzz_prop =
+  QCheck.Test.make ~count:400 ~name:"mutated IR text: a module or Parse_error"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let texts = Lazy.force printed_corpus in
+      let text = mutate rng texts.(Prng.int rng (Array.length texts)) in
+      match Irparse.parse text with
+      | _ | (exception Irparse.Parse_error _) -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "%s escaped Irparse.parse" (Printexc.to_string e))
+
+(* ---------------- one traversal per shape ---------------- *)
+
+(* [map_values] and [map_term_values] must touch exactly the operands
+   [uses_of] and [term_uses] list, and [Interp.iter_edges] exactly the
+   successors [term_successors] lists: an instruction variant added to
+   one traversal and missed in another fails here.  Over the
+   libc-linked corpus modules, their -O3 and ASan-instrumented forms,
+   and a program with a hashed (>= 8 cases) and a scanned switch. *)
+let switch_program =
+  {|
+int big(int x) {
+  switch (x) {
+  case 0: return 10; case 1: return 11; case 2: return 12; case 3: return 13;
+  case 4: return 14; case 5: return 15; case 6: return 16; case 7: return 17;
+  case 9: return 19; default: return -1;
+  }
+}
+int small(int x) { switch (x) { case 1: return 1; case 2: return 4; default: return 0; } }
+int main(void) {
+  int s = 0;
+  for (int i = 0; i < 12; i++) s += big(i) + small(i);
+  printf("%d\n", s);
+  return 0;
+}
+|}
+
+(* An injective map under which no value is its own image: every value
+   becomes a global address named after it. *)
+let tag (v : Instr.value) : Instr.value =
+  let s = Irtype.scalar_to_string in
+  Instr.GlobalAddr
+    (match v with
+    | Instr.Reg r -> Printf.sprintf "#r%d" r
+    | Instr.ImmInt (x, t) -> Printf.sprintf "#i%s:%Ld" (s t) x
+    | Instr.ImmFloat (x, t) -> Printf.sprintf "#f%s:%Lx" (s t) (Int64.bits_of_float x)
+    | Instr.Null -> "#null"
+    | Instr.GlobalAddr g -> "#g" ^ g
+    | Instr.FuncAddr g -> "#F" ^ g)
+
+let check_traversals (m : Irmod.t) =
+  let same a b = compare a b = 0 in
+  List.iter
+    (fun (f : Irfunc.t) ->
+      List.iter
+        (fun (b : Irfunc.block) ->
+          List.iter
+            (fun i ->
+              let mapped = Instr.map_values tag i in
+              if Instr.uses_of mapped <> List.map tag (Instr.uses_of i)
+                 || Instr.def_of mapped <> Instr.def_of i
+                 || not (same (Instr.map_values Fun.id i) i)
+              then
+                Alcotest.failf "%s: map_values disagrees with uses_of on %s"
+                  f.Irfunc.name (Irprint.instr_to_string i))
+            b.Irfunc.instrs;
+          let t = b.Irfunc.term in
+          let mapped = Instr.map_term_values tag t in
+          if Instr.term_uses mapped <> List.map tag (Instr.term_uses t)
+             || Instr.term_successors mapped <> Instr.term_successors t
+             || not (same (Instr.map_term_values Fun.id t) t)
+          then
+            Alcotest.failf "%s: map_term_values disagrees with term_uses on %s"
+              f.Irfunc.name (Irprint.term_to_string t))
+        f.Irfunc.blocks)
+    m.Irmod.funcs;
+  let st = Interp.create m in
+  Hashtbl.iter
+    (fun _ (pf : Interp.pfunc) ->
+      List.iteri
+        (fun i (b : Irfunc.block) ->
+          let reached = ref [] in
+          Interp.iter_edges
+            (fun e ->
+              reached :=
+                (match e with
+                | Interp.Edge (j, _) -> pf.Interp.pf_blocks.(j).Interp.pb_label
+                | Interp.Edge_unknown l -> l)
+                :: !reached)
+            pf.Interp.pf_blocks.(i).Interp.pb_term;
+          let set = List.sort_uniq String.compare in
+          if set !reached <> set (Instr.term_successors b.Irfunc.term) then
+            Alcotest.failf "%s: iter_edges disagrees with term_successors at %s"
+              pf.Interp.pf_name b.Irfunc.label)
+        pf.Interp.pf_ir.Irfunc.blocks)
+    st.Interp.funcs
+
+let test_traversals_agree () =
+  List.iter
+    (fun src ->
+      check_traversals (Loader.load_program src);
+      let o3 = Loader.load_program src in
+      Pipeline.compile_native ~level:Pipeline.O3 o3;
+      check_traversals o3;
+      let asan = Loader.load_program src in
+      Asan.instrument asan;
+      check_traversals asan)
+    (switch_program
+    :: List.map (fun (p : Groundtruth.program) -> p.Groundtruth.source) Corpus.all)
 
 (* ---------------- heap-program fuzzing ---------------- *)
 
@@ -800,6 +1020,14 @@ int main(void) { return sq(4); }
           Alcotest.test_case "errors carry line numbers" `Quick
             test_parse_errors_have_lines;
           QCheck_alcotest.to_alcotest gen_roundtrip_prop;
+          Alcotest.test_case "structural round trip sweep" `Quick
+            test_roundtrip_sweep;
+          QCheck_alcotest.to_alcotest parse_fuzz_prop;
+        ] );
+      ( "traversals",
+        [
+          Alcotest.test_case "operand maps and edge walk agree with the views"
+            `Quick test_traversals_agree;
         ] );
       ( "differential",
         [
