@@ -923,8 +923,9 @@ let bench_cmd =
 (** End-to-end check of the observability subsystem, wired into the
     [@obs] build alias: run a known-buggy program with metrics and
     tracing on, then assert that the provenance report names the right
-    source line, the metric registry saw the run, and the emitted trace
-    is well-formed Chrome trace_event JSON. *)
+    source line, the metric registry saw the run (and that it prepared
+    only the functions it entered), and the emitted trace is
+    well-formed Chrome trace_event JSON. *)
 let do_obs_selftest () =
   let failures = ref [] in
   let check name cond =
@@ -944,6 +945,25 @@ let do_obs_selftest () =
   in
   let r = Loader.run_source ~argv:[ "selftest" ] src in
   check "managed error detected" (r.Interp.error <> None);
+  (* Bodies are prepared at first call: exactly the functions the run
+     entered, a fraction of the libc-linked module.  (The provenance
+     replay runs with metrics off and does not count.) *)
+  let prepared = (Metrics.counter "interp.prepared_funcs").Metrics.c_value in
+  let funcs = r.Interp.run_profile.Interp.funcs in
+  let entered =
+    Hashtbl.fold
+      (fun _ (c : Interp.counters) n ->
+        if c.Interp.c_invocations > 0 then n + 1 else n)
+      funcs 0
+  in
+  check
+    (Printf.sprintf "prepared functions (%d) are the entered ones (%d)"
+       prepared entered)
+    (prepared = entered);
+  check
+    (Printf.sprintf "prepared functions (%d) below the module's %d" prepared
+       (Hashtbl.length funcs))
+    (prepared < Hashtbl.length funcs);
   (match r.Interp.report with
   | Some rep ->
     check "report names the faulting line"

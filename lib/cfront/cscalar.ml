@@ -217,19 +217,50 @@ let rec eval_typed (e : Ast.expr) : int64 =
 let eval_const (e : Ast.expr) : int64 =
   convert ~from_ty:(const_ty e) ~to_ty:Ctype.long_t (eval_typed e)
 
-(** Value of a floating global initializer: a float literal, an integer
-    literal converted as the runtime [Sitofp]/[Uitofp] to double
-    converts it, negated or cast; raises [Diag.Error] for anything
+(* The floating type of a constant expression, or [None] when it has
+   integer type. *)
+let rec float_const_ty (e : Ast.expr) : Ctype.t option =
+  let module A = Ast in
+  match e.A.desc with
+  | A.FloatLit (_, k) -> Some (Ctype.Float k)
+  | A.Unop (A.Neg, a) -> float_const_ty a
+  | A.Cast (ty, _) when Ctype.is_float ty -> Some ty
+  | _ -> None
+
+(** Value of a floating global initializer: a float literal (a [float]
+    one denotes its binary32 value), an integer constant converted to
+    double, negated, or cast.  A cast converts as the runtime conversion
+    does: to an integer type through that type ([Fptosi]/[Fptoui] of a
+    floating operand, the integer conversion of an integer one), to
+    [float] by rounding to binary32.  Raises [Diag.Error] for anything
     else. *)
 let rec eval_float (e : Ast.expr) : float =
   let module A = Ast in
-  match e.A.desc with
-  | A.FloatLit (f, _) -> f
-  | A.IntLit (v, k, s) -> (
-    let ty = Ctype.Int (k, s) in
+  let not_constant () =
+    Diag.error e.A.pos "expected a floating constant expression"
+  in
+  let to_double ty v =
     match conversion ~from_ty:ty ~to_ty:Ctype.double_t with
-    | Scalar.Int_to_float f -> f (constant ty v)
-    | _ -> Diag.error e.A.pos "expected a floating constant expression")
+    | Scalar.Int_to_float f -> f v
+    | _ -> not_constant ()
+  in
+  match e.A.desc with
+  | A.FloatLit (f, k) -> Scalar.round_result (scalar_exn (Ctype.Float k)) f
+  | A.IntLit (v, k, s) ->
+    let ty = Ctype.Int (k, s) in
+    to_double ty (constant ty v)
   | A.Unop (A.Neg, a) -> -.eval_float a
-  | A.Cast (_, a) -> eval_float a
-  | _ -> Diag.error e.A.pos "expected a floating constant expression"
+  | A.Cast (ty, a) when Ctype.is_integer ty || Ctype.is_float ty -> (
+    match float_const_ty a with
+    | Some from_ty -> (
+      match conversion ~from_ty ~to_ty:ty with
+      | Scalar.Float_to_float f -> f (eval_float a)
+      | Scalar.Float_to_int f -> to_double ty (f (eval_float a))
+      | Scalar.Int_to_int _ | Scalar.Int_to_float _ -> not_constant ())
+    | None -> (
+      let from_ty = const_ty a in
+      match conversion ~from_ty ~to_ty:ty with
+      | Scalar.Int_to_int f -> to_double ty (f (eval_typed a))
+      | Scalar.Int_to_float f -> f (eval_typed a)
+      | Scalar.Float_to_float _ | Scalar.Float_to_int _ -> not_constant ()))
+  | _ -> not_constant ()

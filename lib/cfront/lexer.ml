@@ -14,8 +14,6 @@ type state = {
   macros : (string, Token.t list) Hashtbl.t;
 }
 
-let make src = { src; pos = 0; line = 1; col = 1; macros = Hashtbl.create 16 }
-
 let peek_char st =
   if st.pos < String.length st.src then Some st.src.[st.pos] else None
 
@@ -380,15 +378,19 @@ and tokens_of_text macros text : Token.t list =
   go []
 
 (** Tokenize a full translation unit.  [start_line] renumbers the first
-    line (it may be zero or negative: the loader uses this so user code
-    compiled behind the libc prelude still reports its own 1-based
-    lines).  Each raw token is macro-expanded as it is produced, with the
-    macro table as it stands at that point (C11 6.10.3): a [#define]
-    takes effect from its own line on.  A macro's body is rescanned at
-    each use, with a depth limit to stop accidental recursion. *)
-let tokenize ?(start_line = 1) src : Token.spanned list =
-  let st = make src in
-  st.line <- start_line;
+    line (it may be zero or negative: the loader lexes the libc prelude
+    from below 1 so user code compiled behind it still reports its own
+    1-based lines).  Each raw token is macro-expanded as it is produced,
+    with the macro table as it stands at that point (C11 6.10.3): a
+    [#define] takes effect from its own line on.  A macro's body is
+    rescanned at each use, with a depth limit to stop accidental
+    recursion.  [macros] (default: a fresh, empty table) is the table
+    the unit starts from; its [#define]s update it in place, so a unit
+    lexed after a prefix ([Parser.parse_after]) starts from a copy of
+    the table the prefix left. *)
+let tokenize ?(start_line = 1) ?(macros = Hashtbl.create 16) src :
+    Token.spanned list =
+  let st = { src; pos = 0; line = start_line; col = 1; macros } in
   let rec expand depth (t : Token.spanned) acc =
     match t.tok with
     | Token.IDENT name when depth < 8 && Hashtbl.mem st.macros name ->

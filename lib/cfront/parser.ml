@@ -4,7 +4,11 @@
     problem solved at the parser level: an identifier that names a typedef
     starts a declaration).  Enum constants are tracked too so that array
     sizes and case labels can be evaluated as constant expressions while
-    parsing. *)
+    parsing.
+
+    A parse can stop at the end of a source prefix and continue over
+    several suffixes ([parse_prefix], [parse_after]): the loader parses
+    the libc prelude once per process and each user program after it. *)
 
 type p = {
   toks : Token.spanned array;
@@ -13,6 +17,7 @@ type p = {
   enums : (string, int64) Hashtbl.t;
   mutable anon_count : int;
   mutable structs : (string * Ast.field list) list;  (* reversed *)
+  mutable decls : Ast.global list;  (* reversed *)
 }
 
 let make_state toks =
@@ -40,6 +45,7 @@ let make_state toks =
     enums = Hashtbl.create 16;
     anon_count = 0;
     structs = [];
+    decls = [];
   }
 
 let cur p = p.toks.(p.idx)
@@ -714,14 +720,14 @@ and parse_block p : Ast.stmt list =
 (* Top level                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let parse_external p (acc : Ast.global list ref) =
+let parse_external p =
   let base, saw_typedef = parse_decl_specs p in
   if saw_typedef then begin
     let name, ty = parse_declarator p base in
     (match name with
     | Some n ->
       Hashtbl.replace p.typedefs n ty;
-      acc := Ast.Gtypedef (n, ty) :: !acc
+      p.decls <- Ast.Gtypedef (n, ty) :: p.decls
     | None -> err p "typedef needs a name");
     expect_punct p ";"
   end
@@ -745,16 +751,16 @@ let parse_external p (acc : Ast.global list ref) =
       ignore fsig;
       err p "internal: function definitions handled in parse_program"
     | Ctype.Func fsig ->
-      acc := Ast.Gfundecl (name, fsig) :: !acc;
+      p.decls <- Ast.Gfundecl (name, fsig) :: p.decls;
       expect_punct p ";"
     | _ ->
       let rec global_var name ty d_pos =
         let init =
           if accept_punct p "=" then Some (parse_initializer p) else None
         in
-        acc :=
+        p.decls <-
           Ast.Gvar { Ast.d_name = name; d_ty = ty; d_init = init; d_pos }
-          :: !acc;
+          :: p.decls;
         if accept_punct p "," then begin
           let d_pos = cur_pos p in
           let name2, ty2 = parse_declarator p base in
@@ -807,21 +813,67 @@ let parse_function_definition p : Ast.func =
   let fn_body = parse_block p in
   { Ast.fn_name; fn_sig; fn_params; fn_body; fn_pos }
 
+(* Parse the remaining tokens' top-level declarations. *)
+let parse_externals p =
+  while cur_tok p <> Token.EOF do
+    if is_function_definition p then
+      p.decls <- Ast.Gfunc (parse_function_definition p) :: p.decls
+    else parse_external p
+  done
+
+(* Struct definitions collected during parsing come first so that Sema
+   knows the fields before any use. *)
+let program p : Ast.program =
+  List.rev_map (fun (tag, fields) -> Ast.Gstruct (tag, fields)) p.structs
+  @ List.rev p.decls
+
 (** Parse a complete translation unit. *)
 let parse (toks : Token.spanned list) : Ast.program =
   let p = make_state toks in
-  let acc = ref [] in
-  while cur_tok p <> Token.EOF do
-    if is_function_definition p then
-      acc := Ast.Gfunc (parse_function_definition p) :: !acc
-    else parse_external p acc
-  done;
-  (* Struct definitions collected during parsing come first so that Sema
-     knows the fields before any use. *)
-  let structs =
-    List.rev_map (fun (tag, fields) -> Ast.Gstruct (tag, fields)) p.structs
-  in
-  structs @ List.rev !acc
+  parse_externals p;
+  program p
 
 (** Convenience: parse a source string. *)
 let parse_string ?start_line src = parse (Lexer.tokenize ?start_line src)
+
+(** What lexing and parsing a source prefix left behind: the parser
+    state at its end (typedef, enum and struct tables, the
+    anonymous-struct counter, the declarations so far), the lexer's
+    macro table, and the line the next source starts on. *)
+type prefix = {
+  pre_parser : p;
+  pre_macros : (string, Token.t list) Hashtbl.t;
+  pre_next_line : int;
+}
+
+(** Lex and parse [src], which must end with a newline (so no token or
+    directive spans the seam), and keep the state it leaves. *)
+let parse_prefix ?start_line src : prefix =
+  if src <> "" && src.[String.length src - 1] <> '\n' then
+    invalid_arg "Parser.parse_prefix: the prefix must end with a newline";
+  let macros = Hashtbl.create 16 in
+  let p = make_state (Lexer.tokenize ?start_line ~macros src) in
+  parse_externals p;
+  { pre_parser = p; pre_macros = macros; pre_next_line = (cur_pos p).line }
+
+(** [parse_after pre src] is [parse_string ?start_line (prefix ^ src)]
+    for the [prefix] and [start_line] [pre] was made from, positions
+    included, but lexes and parses only [src].  It works on copies of
+    [pre]'s tables, so [pre] can be continued any number of times. *)
+let parse_after (pre : prefix) src : Ast.program =
+  let q = pre.pre_parser in
+  let toks =
+    Lexer.tokenize ~start_line:pre.pre_next_line
+      ~macros:(Hashtbl.copy pre.pre_macros) src
+  in
+  let p =
+    {
+      q with
+      toks = Array.of_list toks;
+      idx = 0;
+      typedefs = Hashtbl.copy q.typedefs;
+      enums = Hashtbl.copy q.enums;
+    }
+  in
+  parse_externals p;
+  program p

@@ -90,9 +90,8 @@ let guard (f : unit -> 'a) : ('a, string) result =
 
 (** Front-end products shared by every configuration with the same
     immediate-folding setting: the user module is parsed once and the
-    managed link (libc copy + link + verify) runs once, instead of once
-    per configuration — the dominant per-seed cost for the tiny
-    generated programs.  Safe to share because nothing downstream
+    managed link (link + verify of the user's functions) runs once,
+    instead of once per configuration.  Safe to share because nothing downstream
     mutates them: the native pipeline and the managed middle-end
     configurations each rewrite an [Irmod.copy], and the interpreter
     only reads the module it prepares.  Lazy so a seed exercising only
@@ -113,15 +112,9 @@ let frontend_of (src : string) (fold : bool) : frontend =
       (match Lazy.force fe_user with
       | Error _ as e -> e
       | Ok user ->
-        guard (fun () ->
-            let linked =
-              (* the shared (uncopied) libc: [link] is pure and every
-                 mutating configuration copies the linked module first *)
-              Trace.span "link" (fun () ->
-                  Irmod.link user (Loader.libc_module_shared ()))
-            in
-            Trace.span "verify" (fun () -> Verify.verify linked);
-            linked))
+        (* the shared (uncopied) libc: [link] is pure and every
+           mutating configuration copies the linked module first *)
+        guard (fun () -> Loader.link_libc ~shared:true user))
   in
   { fe_user; fe_managed }
 

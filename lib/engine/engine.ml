@@ -26,7 +26,6 @@ type result = {
   steps : int;
   managed_profile : Interp.profile option;
   native_profile : Nexec.profile option;
-  static_instrs : int;  (** size of the executed module, for cost models *)
 }
 
 let default_step_limit = 200_000_000
@@ -70,7 +69,6 @@ let run_sulong ~argv ~input ~step_limit ~mementos ~detect_uninit ~tier
     steps = r.Interp.steps;
     managed_profile = Some r.Interp.run_profile;
     native_profile = None;
-    static_instrs = Irmod.instr_count m;
   }
 
 let native_outcome (r : Nexec.run_result) : Outcome.t =
@@ -84,8 +82,8 @@ let native_outcome (r : Nexec.run_result) : Outcome.t =
     | None, Some (Nexec.Trap t) -> Outcome.Crashed t
     | None, None -> Outcome.Finished r.Nexec.exit_code
 
-let wrap_native (m : Irmod.t) (r : Nexec.run_result) ~(promote_crash : string option)
-    : result =
+let wrap_native (r : Nexec.run_result) ~(promote_crash : string option) :
+    result =
   let outcome =
     match (native_outcome r, promote_crash) with
     | Outcome.Crashed what, Some tool ->
@@ -99,7 +97,6 @@ let wrap_native (m : Irmod.t) (r : Nexec.run_result) ~(promote_crash : string op
     steps = r.Nexec.steps;
     managed_profile = None;
     native_profile = Some r.Nexec.run_profile;
-    static_instrs = Irmod.instr_count m;
   }
 
 let run_clang_module ?(argv = [ "program" ]) ?(input = "")
@@ -110,7 +107,7 @@ let run_clang_module ?(argv = [ "program" ]) ?(input = "")
   let m = Irmod.copy user in
   Pipeline.compile_native ~level m;
   let st = Nexec.create ~step_limit ~input m in
-  wrap_native m (Nexec.run ~argv st) ~promote_crash:None
+  wrap_native (Nexec.run ~argv st) ~promote_crash:None
 
 let run_clang ~level ~argv ~input ~step_limit (src : string) : result =
   run_clang_module ~argv ~input ~step_limit ~level (Loader.compile_user src)
@@ -129,7 +126,7 @@ let run_asan ~level ~options ~argv ~input ~step_limit (src : string) : result =
       ~fno_common:options.fno_common ~mem ~alloc ()
   in
   let st = Nexec.create ~hooks ~global_gap:32 ~step_limit ~input ~mem ~alloc m in
-  wrap_native m (Nexec.run ~argv st) ~promote_crash:(Some "AddressSanitizer")
+  wrap_native (Nexec.run ~argv st) ~promote_crash:(Some "AddressSanitizer")
 
 let run_valgrind ~level ~argv ~input ~step_limit (src : string) : result =
   let m = Loader.compile_user src in
@@ -138,7 +135,7 @@ let run_valgrind ~level ~argv ~input ~step_limit (src : string) : result =
   let alloc = Alloc.create mem in
   let _mc, hooks = Memcheck.make ~mem ~alloc () in
   let st = Nexec.create ~hooks ~step_limit ~input ~mem ~alloc m in
-  wrap_native m (Nexec.run ~argv st) ~promote_crash:(Some "Memcheck")
+  wrap_native (Nexec.run ~argv st) ~promote_crash:(Some "Memcheck")
 
 (** Run [src] under [tool].  [tier] selects the Safe Sulong execution
     configuration: the interpreter alone (default) or the real two-tier

@@ -22,7 +22,6 @@ type result = {
   steps : int;  (** IR operations executed *)
   managed_profile : Interp.profile option;  (** Safe Sulong runs *)
   native_profile : Nexec.profile option;    (** native-engine runs *)
-  static_instrs : int;  (** size of the executed module, for cost models *)
 }
 
 val default_step_limit : int

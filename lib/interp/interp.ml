@@ -8,15 +8,18 @@
     character I/O, exit, the variadic-argument introspection functions
     [count_varargs]/[get_vararg], and the allocation primitives.
 
-    Execution follows a prepare -> link -> execute architecture (see
-    DESIGN.md): [prepare_func] compiles every function into a fully
-    resolved form — branch targets are block indices carrying
+    Execution follows a prepare -> execute architecture (see DESIGN.md
+    §5c).  [create] materializes every global and registers every
+    function; [prepare] compiles one function, at its first call, into a
+    fully resolved form — branch targets are block indices carrying
     pre-compiled phi parallel-copies, immediates are pre-boxed [Mval.t]s,
-    global references are resolved to their objects, and call sites are
-    linked to their user function or host builtin once per module — so
-    the hot loop performs no string hashing or comparison per executed
-    branch, phi, switch or direct call.  This mirrors what Truffle's
-    partial evaluation removes ahead of time in the paper's system.
+    global references are resolved to their objects, and direct call
+    sites are linked to their user function or host builtin — so the hot
+    loop performs no string hashing or comparison per executed branch,
+    phi, switch or direct call.  This mirrors what Truffle's partial
+    evaluation removes ahead of time in the paper's system; preparing on
+    first call keeps the start-up cost proportional to the code a run
+    enters, not to the whole linked module (most of it libc).
 
     The interpreter also collects an execution profile (per-function
     dynamic operation counts) that the JIT cost model (lib/jit) consumes
@@ -105,7 +108,7 @@ let fresh_opstats () =
 (* ------------------------------------------------------------------ *)
 
 (* The prepared form is fully linked: every name the IR refers to has
-   been resolved at prepare/link time, every immediate is a pre-boxed
+   been resolved at prepare time, every immediate is a pre-boxed
    managed value, and control-flow edges carry their phi parallel-copy.
    The only work left per operand is an array read. *)
 
@@ -186,8 +189,7 @@ type pinstr =
           free — never charged, so modeled cycles are unchanged *)
 
 and pcallee =
-  | Pdirect of call_target ref
-      (** patched by [link_module] once per module *)
+  | Pdirect of call_target  (** resolved when the caller is prepared *)
   | Pindirect of pval * icache
 
 (** Where a call goes, resolved ahead of execution.  Builtins carry
@@ -219,8 +221,12 @@ and pfunc = {
   pf_ir : Irfunc.t;
   pf_name : string;
   pf_context : string;        (** "in function <name>", built once *)
-  pf_blocks : pblock array;
-  pf_entry_copies : phicopy;
+  mutable pf_prepared : bool;
+      (** [prepare] built the body below; until then [pf_blocks] is
+          empty and means nothing (an unprepared function is not a
+          function with zero blocks) *)
+  mutable pf_blocks : pblock array;
+  mutable pf_entry_copies : phicopy;
   pf_nregs : int;             (** register file size, >= 1 *)
   pf_nparams : int;
   pf_param_regs : int array;  (** parameter registers, in order *)
@@ -581,9 +587,9 @@ let read_input_char st =
   end
   else -1
 
-(** Resolve a builtin name to its implementation.  Called at link time
-    (once per call site) and on indirect-call cache misses — never on the
-    per-call hot path. *)
+(** Resolve a builtin name to its implementation.  Called when a direct
+    call site is prepared and on indirect-call cache misses — never on
+    the per-call hot path. *)
 let lookup_builtin (name : string) :
     (state -> Mval.t array -> Mval.t option) option =
   match name with
@@ -773,9 +779,28 @@ let lookup_builtin (name : string) :
 (* Preparation: compile one function into the linked form              *)
 (* ------------------------------------------------------------------ *)
 
+(* [create] registers every function ([register]); [call_function]
+   prepares a body at its first call ([prepare]).  Direct call sites are
+   linked as their body is prepared: every function of the module is
+   registered by then, so [resolve_callee] finds the same target an
+   eager pass over the whole module would.  Preparation allocates no
+   managed object, so object ids do not depend on which functions a run
+   entered. *)
+
 (** Switch terminators with at least this many cases use a hashtable
     keyed on the int64 case value instead of a linear scan. *)
 let switch_table_threshold = 8
+
+(** Resolve a callee name to its target: a user function shadows a
+    builtin of the same name; unknown names fail only when called. *)
+let resolve_callee st (name : string) : call_target =
+  match Hashtbl.find_opt st.funcs name with
+  | Some pf -> Tgt_user pf
+  | None -> begin
+    match lookup_builtin name with
+    | Some fn -> Tgt_builtin (name, fn)
+    | None -> Tgt_unknown name
+  end
 
 let prepare_value st (v : Instr.value) : pval =
   match v with
@@ -835,7 +860,7 @@ let prepare_instr st ctx (i : Instr.instr) : pinstr =
     let scalars = Array.of_list (List.map fst cargs) in
     let pc =
       match callee with
-      | Instr.Direct name -> Pdirect (ref (Tgt_unknown name))
+      | Instr.Direct name -> Pdirect (resolve_callee st name)
       | Instr.Indirect v ->
         Pindirect
           (prepare_value st v, { ic_name = ""; ic_target = Tgt_unknown "" })
@@ -847,8 +872,28 @@ let prepare_instr st ctx (i : Instr.instr) : pinstr =
     (* phis are compiled into the incoming edges, never into the body *)
     assert false
 
-let prepare_func (st : state) (f : Irfunc.t) : pfunc =
-  let ctx = "in function " ^ f.Irfunc.name in
+(** A registered, unprepared function: everything but the body. *)
+let register st (f : Irfunc.t) : pfunc =
+  let counters = fresh_counters () in
+  Hashtbl.replace st.profile.funcs f.Irfunc.name counters;
+  {
+    pf_ir = f;
+    pf_name = f.Irfunc.name;
+    pf_context = "in function " ^ f.Irfunc.name;
+    pf_prepared = false;
+    pf_blocks = [||];
+    pf_entry_copies = Pc_none;
+    pf_nregs = max f.Irfunc.next_reg 1;
+    pf_nparams = List.length f.Irfunc.params;
+    pf_param_regs = Array.of_list (List.map fst f.Irfunc.params);
+    pf_variadic = f.Irfunc.variadic;
+    pf_counters = counters;
+    pf_tier = Tier_interp;
+  }
+
+(* The prepared body of [pf]: its blocks and its entry phi copies. *)
+let prepare_body (st : state) (pf : pfunc) : pblock array * phicopy =
+  let f = pf.pf_ir and ctx = pf.pf_context in
   let blocks = Array.of_list f.Irfunc.blocks in
   let nblocks = Array.length blocks in
   let index = Hashtbl.create (max nblocks 1) in
@@ -938,8 +983,6 @@ let prepare_func (st : state) (f : Irfunc.t) : pfunc =
       pb_osr = false;
     }
   in
-  let counters = fresh_counters () in
-  Hashtbl.replace st.profile.funcs f.Irfunc.name counters;
   let pblocks = Array.mapi prep_block blocks in
   (* Mark loop headers: any edge i -> j with j <= i makes j an OSR
      candidate (covers self-loops and the structured loops the C
@@ -952,50 +995,18 @@ let prepare_func (st : state) (f : Irfunc.t) : pfunc =
           | Edge _ | Edge_unknown _ -> ())
         blk.pb_term)
     pblocks;
-  {
-    pf_ir = f;
-    pf_name = f.Irfunc.name;
-    pf_context = ctx;
-    pf_blocks = pblocks;
-    pf_entry_copies =
-      (if nblocks > 0 && phis.(0) <> [] then Pc_missing else Pc_none);
-    pf_nregs = max f.Irfunc.next_reg 1;
-    pf_nparams = List.length f.Irfunc.params;
-    pf_param_regs = Array.of_list (List.map fst f.Irfunc.params);
-    pf_variadic = f.Irfunc.variadic;
-    pf_counters = counters;
-    pf_tier = Tier_interp;
-  }
+  (pblocks, if nblocks > 0 && phis.(0) <> [] then Pc_missing else Pc_none)
 
-(** Resolve a callee name to its target: a user function shadows a
-    builtin of the same name; unknown names fail only when called. *)
-let resolve_callee st (name : string) : call_target =
-  match Hashtbl.find_opt st.funcs name with
-  | Some pf -> Tgt_user pf
-  | None -> begin
-    match lookup_builtin name with
-    | Some fn -> Tgt_builtin (name, fn)
-    | None -> Tgt_unknown name
-  end
-
-(** Link pass: patch every direct call site once all functions of the
-    module have been prepared. *)
-let link_module st =
-  Hashtbl.iter
-    (fun _ pf ->
-      Array.iter
-        (fun blk ->
-          Array.iter
-            (function
-              | Pcall (_, Pdirect tgt, _, _) -> begin
-                match !tgt with
-                | Tgt_unknown name -> tgt := resolve_callee st name
-                | Tgt_user _ | Tgt_builtin _ -> ()
-              end
-              | _ -> ())
-            blk.pb_instrs)
-        pf.pf_blocks)
-    st.funcs
+(** Build [pf]'s body, once.  Runs under the library's "prepare" span
+    and counts into [interp.prepared_funcs] when metrics are on. *)
+let prepare st (pf : pfunc) =
+  if not pf.pf_prepared then
+    Trace.span "prepare" (fun () ->
+        let blocks, entry = prepare_body st pf in
+        pf.pf_blocks <- blocks;
+        pf.pf_entry_copies <- entry;
+        pf.pf_prepared <- true;
+        if st.obs then Metrics.incr (Metrics.counter "interp.prepared_funcs"))
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -1026,6 +1037,9 @@ let rec call_function st (pf : pfunc) (args : Mval.t array)
             (List.map Mval.to_string (Array.to_list args))))
   | None -> ());
   pf.pf_counters.c_invocations <- pf.pf_counters.c_invocations + 1;
+  (* First entry: build the body (before the tier-up check, so a
+     controller that is hot from the start compiles on this call). *)
+  if not pf.pf_prepared then prepare st pf;
   (* Tier-up check: a hot function swaps its entry to the compiled
      closure at the next call (never mid-invocation). *)
   (match st.tier with
@@ -1277,7 +1291,7 @@ and exec_instrs st (fr : frame) (blk : pblock) : Mval.t option =
         done;
         let result =
           match callee with
-          | Pdirect tgt -> exec_target st !tgt argv scalars
+          | Pdirect tgt -> exec_target st tgt argv scalars
           | Pindirect (v, ic) -> begin
             match Mval.as_ptr (context st) (pv fr v) with
             | Mobject.Pfunc name ->
@@ -1430,14 +1444,14 @@ let create ?(step_limit = 500_000_000) ?(depth_limit = 4096)
       provenance;
     }
   in
-  (* prepare -> link: globals first (operand resolution needs their
-     objects), then every function, then the cross-function call links. *)
+  (* The module image: every global object (their ids are observable)
+     and every function's registration.  Bodies are prepared at their
+     first call. *)
   Trace.span "prepare" (fun () ->
       materialize_globals st;
       List.iter
-        (fun f -> Hashtbl.replace st.funcs f.Irfunc.name (prepare_func st f))
+        (fun f -> Hashtbl.replace st.funcs f.Irfunc.name (register st f))
         m.Irmod.funcs);
-  Trace.span "link" (fun () -> link_module st);
   (* Registry snapshot for [reset]: everything registered so far belongs
      to the module image; run-time objects (argv, stack, heap) get ids
      above this watermark and are forgotten between runs. *)

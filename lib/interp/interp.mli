@@ -1,9 +1,10 @@
 (** The LLVM-IR interpreter at the core of Safe Sulong (paper §3).
 
     Most clients only need the narrow surface at the bottom: build a
-    state from a linked module with [create] (which runs the prepare ->
-    link pre-resolution pass, see DESIGN.md), execute it with [run], and
-    read the execution profile.
+    state from a linked module with [create], execute it with [run], and
+    read the execution profile.  [create] materializes the globals and
+    registers every function; each function's body is prepared into the
+    pre-resolved form at its first call ([prepare], DESIGN.md §5c).
 
     The prepared-code representation and the execution helpers are also
     exposed: they are the compilation unit of the tier-2 closure
@@ -109,7 +110,7 @@ type pinstr =
   | Ploc of int * int
 
 and pcallee =
-  | Pdirect of call_target ref
+  | Pdirect of call_target  (** resolved when the caller is prepared *)
   | Pindirect of pval * icache
 
 and call_target =
@@ -133,8 +134,11 @@ and pfunc = {
   pf_ir : Irfunc.t;
   pf_name : string;
   pf_context : string;
-  pf_blocks : pblock array;
-  pf_entry_copies : phicopy;
+  mutable pf_prepared : bool;
+      (** [prepare] built [pf_blocks] and [pf_entry_copies]; before
+          that both are placeholders that must not be read *)
+  mutable pf_blocks : pblock array;
+  mutable pf_entry_copies : phicopy;
   pf_nregs : int;
   pf_nparams : int;
   pf_param_regs : int array;
@@ -254,9 +258,9 @@ val exec_load : state -> Irtype.scalar -> Mval.t -> Mval.t
 val exec_store : state -> Irtype.scalar -> Mval.t -> Mval.t -> unit
 val exec_gep : state -> frame -> Mval.t -> pgep -> Mval.t
 
-(** Call a prepared function: depth check, tier-up check, frame setup,
-    body execution in the function's current tier (with the deopt
-    contract for compiled bodies), frame teardown. *)
+(** Call a function: depth check, [prepare] on its first entry, tier-up
+    check, frame setup, body execution in the function's current tier
+    (with the deopt contract for compiled bodies), frame teardown. *)
 val call_function :
   state -> pfunc -> Mval.t array -> Irtype.scalar array -> Mval.t option
 
@@ -265,8 +269,21 @@ val exec_target :
   state -> call_target -> Mval.t array -> Irtype.scalar array -> Mval.t option
 
 (** Resolve a callee name: user function shadows builtin; unknown names
-    fail only when called.  Used on indirect-call inline-cache misses. *)
+    fail only when called.  Links direct calls as their caller is
+    prepared, and indirect calls on inline-cache misses. *)
 val resolve_callee : state -> string -> call_target
+
+(** [prepare st pf] builds [pf]'s body in the pre-resolved form (branch
+    targets as block indices, phi parallel copies on the edges, scalar
+    operations staged, direct call sites linked through
+    [resolve_callee]), unless it is already prepared.  [call_function]
+    runs it at a function's first call; the closure compiler runs it on
+    the direct callees it considers for inlining.  It allocates no
+    managed object, so which functions a run prepares never shows in
+    object ids.  Runs under the "prepare" trace span and adds 1 to the
+    [interp.prepared_funcs] counter when metrics are enabled.  Raises
+    whatever [Scalar] raises on an ill-typed instruction. *)
+val prepare : state -> pfunc -> unit
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -288,10 +305,11 @@ type run_result = {
           location, bounds detail, and the managed call stack *)
 }
 
-(** Prepare and link [m] for execution.  Every function is compiled to
-    the pre-resolved form (branch targets as block indices, phi parallel
-    copies on the edges, call sites linked to user functions or host
-    builtins), so no name is resolved on the execution hot path. *)
+(** A state for executing [m]: every global is materialized and every
+    function registered (its [pfunc], counters and [profile] entry), but
+    no body is prepared; each is prepared at its first call.  So
+    hand-written, ill-typed IR whose [Scalar] staging raises fails at
+    that function's first call, inside [run], not here. *)
 val create :
   ?step_limit:int ->
   ?depth_limit:int ->

@@ -1,5 +1,9 @@
 (** Program loading: compile a user C source against the prelude, link
-    the managed libc, and (optionally) run the result. *)
+    the managed libc, and (optionally) run the result.  The libc is paid
+    for once per process: its front end runs and its module is verified
+    in full when the cache fills, and the prelude is lexed and parsed
+    once; per program only the user's source is parsed and only the
+    user's functions are verified. *)
 
 (** The managed libc as a fresh IR module (front-end output, cached and
     deep-copied per call). *)
@@ -14,11 +18,23 @@ val libc_module_shared : unit -> Irmod.t
 
 (** Compile a user program (prelude visible, libc *not* linked) — what
     the native engines execute against the precompiled libc.  [file] is
-    the source-file name recorded in diagnostics and bug reports. *)
+    the source-file name recorded in diagnostics and bug reports.  The
+    parse continues from the prelude's saved state, so the result is
+    what compiling [prelude ^ src] with the prelude's lines numbered
+    below 1 gives. *)
 val compile_user : ?file:string -> string -> Irmod.t
 
+(** Link a user module against the managed libc and verify it: only the
+    user's functions are checked, against the linked module's names,
+    which raises exactly the [Verify.Invalid] a full [Verify.verify] of
+    the linked module would (the libc was verified in full once).
+    [shared] (default false) links the cached libc itself instead of a
+    deep copy; the result then aliases the cache and must be treated as
+    frozen. *)
+val link_libc : ?shared:bool -> Irmod.t -> Irmod.t
+
 (** Compile and link the complete managed program (user + libc); the
-    module Safe Sulong interprets.  Verifies the result. *)
+    module Safe Sulong interprets.  [link_libc] of [compile_user]. *)
 val load_program : ?file:string -> string -> Irmod.t
 
 (** Compile, link and interpret in one call.  The optional arguments

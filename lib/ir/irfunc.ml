@@ -32,9 +32,11 @@ let fresh_reg f =
     are metadata, not code: excluding them keeps the cost model's static
     sizes identical whether or not provenance is threaded through. *)
 let instr_count f =
-  let real = function Instr.Srcloc _ -> false | _ -> true in
   List.fold_left
-    (fun acc b -> acc + List.length (List.filter real b.instrs) + 1)
+    (fun acc b ->
+      List.fold_left
+        (fun n -> function Instr.Srcloc _ -> n | _ -> n + 1)
+        (acc + 1) b.instrs)
     0 f.blocks
 
 let iter_instrs f fn =

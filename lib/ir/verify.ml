@@ -2,8 +2,13 @@
     optimization pass in tests.  Catching a malformed module here is much
     cheaper than debugging an engine crash.  The checks are linear in the
     size of the module: top-level names resolve through one index built
-    per [verify] call, and an error message (which may render the
-    offending instruction) is built only when its check fails. *)
+    per call, and an error message (which may render the offending
+    instruction) is built only when its check fails.
+
+    A function's check reads only the function and the module's name
+    sets, so [verify_funcs m fs] can check just some of [m]'s functions:
+    the loader verifies the libc once and, per program, only the user's
+    functions against the linked module's names. *)
 
 exception Invalid of string
 
@@ -103,7 +108,9 @@ let verify_func names (f : Irfunc.t) =
         (Instr.term_successors b.Irfunc.term))
     f.Irfunc.blocks
 
-let verify (m : Irmod.t) =
+(** Check [funcs], in order, against the top-level names of [m],
+    including that no name is defined twice among them. *)
+let verify_funcs (m : Irmod.t) (funcs : Irfunc.t list) =
   let names = index m in
   let seen = Hashtbl.create 64 in
   List.iter
@@ -112,4 +119,6 @@ let verify (m : Irmod.t) =
         fail "duplicate function @%s" f.Irfunc.name;
       Hashtbl.replace seen f.Irfunc.name ();
       verify_func names f)
-    m.Irmod.funcs
+    funcs
+
+let verify (m : Irmod.t) = verify_funcs m m.Irmod.funcs

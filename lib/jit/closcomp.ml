@@ -1,15 +1,15 @@
 (** Tier-2 closure compiler (DESIGN.md §9, §11).
 
-    Translates a prepared function ([Interp.pfunc], the output of the
-    prepare -> link pipeline) into nested OCaml closures: one closure
-    per basic block held in a cell array (so branches are direct
-    threaded — a cell dereference plus an OCaml tail call), one closure
-    per instruction chained through its continuation, phi parallel
-    copies compiled onto the edges, and every compile-time-known
-    decision hoisted out of the run-time path: opcode dispatch, operand
-    shapes (register vs pre-boxed immediate), scalar-width
-    normalization, the memento-observation predicate, the function's
-    error-context string, and resolved direct-call targets.
+    Translates a prepared function ([Interp.pfunc], its body built and
+    its direct calls linked by [Interp.prepare]) into nested OCaml
+    closures: one closure per basic block held in a cell array (so
+    branches are direct threaded — a cell dereference plus an OCaml
+    tail call), one closure per instruction chained through its
+    continuation, phi parallel copies compiled onto the edges, and
+    every compile-time-known decision hoisted out of the run-time path:
+    opcode dispatch, operand shapes (register vs pre-boxed immediate),
+    scalar-width normalization, the memento-observation predicate, the
+    function's error-context string, and resolved direct-call targets.
 
     On top of that, compiled code keeps provably-classified registers
     *unboxed* in flat side arrays instead of [fr_regs] (DESIGN.md §11):
@@ -256,17 +256,20 @@ let plan_inlines (st0 : state) (pf : pfunc) :
         Array.iteri
           (fun ii instr ->
             match instr with
-            | Pcall (_, Pdirect tgt, _, _) -> begin
-              match !tgt with
-              | Tgt_user callee
-                when callee != pf
-                     && (match callee.pf_tier with
-                        | Tier_deopt -> false
-                        | Tier_interp | Tier_compiled _ -> true)
-                     && (not callee.pf_variadic)
-                     && callee.pf_entry_copies = Pc_none
-                     && Array.length callee.pf_blocks > 0
-                     && is_leaf callee ->
+            | Pcall (_, Pdirect (Tgt_user callee), _, _) ->
+              (* judged on its prepared body, whether or not the run
+                 has entered it yet *)
+              prepare st0 callee;
+              if
+                callee != pf
+                && (match callee.pf_tier with
+                   | Tier_deopt -> false
+                   | Tier_interp | Tier_compiled _ -> true)
+                && (not callee.pf_variadic)
+                && callee.pf_entry_copies = Pc_none
+                && Array.length callee.pf_blocks > 0
+                && is_leaf callee
+              then begin
                 let size = static_size callee in
                 if size <= Costmodel.inline_always_instrs && size <= !budget
                 then begin
@@ -304,8 +307,7 @@ let plan_inlines (st0 : state) (pf : pfunc) :
                            (if size > !budget then "over caller budget"
                             else "over inline_always_instrs");
                        })
-              | _ -> ()
-            end
+              end
             | _ -> ())
           blk.pb_instrs)
       pf.pf_blocks;
@@ -644,6 +646,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
   let limit = st0.step_limit in
   let heap = st0.heap in
   let prof = st0.prof in
+  prepare st0 pf;
   if Array.length pf.pf_blocks = 0 then
     {
       cb_entry =
@@ -1742,9 +1745,9 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             in
             (match callee with
             | Pdirect tgt -> begin
-              (* the link pass ran before execution began: [!tgt] is
-                 stable, so the target resolves at compile time *)
-              match !tgt with
+              (* direct targets were linked when [pf] was prepared, so
+                 the target is known at compile time *)
+              match tgt with
               | Tgt_user callee_pf ->
                 fun st fr ->
                   charge_op st ctrs limit;

@@ -1107,14 +1107,16 @@ let lower ?(string_prefix = ".str") ?(file = "<input>") (env : Sema.env)
   List.iter (fun g -> match g with A.Gfunc f -> lower_func ctx f | _ -> ()) prog;
   m
 
-(** Front end in one call: parse, check, lower.  This is the "Clang -O0"
-    of the reproduction.  [file] names the source in provenance reports;
-    [start_line] renumbers its first line (see {!Lexer.tokenize}). *)
-let frontend ?string_prefix ?file ?start_line (src : string) :
+(** The front end after the parse: check, then lower.  [file] names the
+    source in provenance reports. *)
+let check_and_lower ?string_prefix ?file (prog : Ast.program) :
     Irmod.t * Sema.env =
-  let prog =
-    Trace.span "parse" (fun () -> Parser.parse_string ?start_line src)
-  in
   let env = Trace.span "sema" (fun () -> Sema.check prog) in
   let m = Trace.span "lower" (fun () -> lower ?string_prefix ?file env prog) in
   (m, env)
+
+(** Front end in one call: parse, check, lower.  This is the "Clang -O0"
+    of the reproduction. *)
+let frontend ?string_prefix ?file (src : string) : Irmod.t * Sema.env =
+  let prog = Trace.span "parse" (fun () -> Parser.parse_string src) in
+  check_and_lower ?string_prefix ?file prog

@@ -579,6 +579,27 @@ int main(void) {
   return 0;
 }
 |} "10 5\n";
+    c "casts in float global initializers" {|
+double g1 = (int)2.5;
+double g2 = (char)300;
+double g3 = (float)0.1;
+int main(void) {
+  double l1 = (int)2.5;
+  double l2 = (char)300;
+  double l3 = (float)0.1;
+  printf("%.17g %.17g %.17g\n", g1, g2, g3);
+  printf("%.17g %.17g %.17g\n", l1, l2, l3);
+  return 0;
+}
+|} "2 44 0.10000000149011612\n2 44 0.10000000149011612\n";
+    c "float literal in a double global initializer" {|
+double g = 0.1f;
+int main(void) {
+  double l = 0.1f;
+  printf("%.17g %.17g\n", g, l);
+  return 0;
+}
+|} "0.10000000149011612 0.10000000149011612\n";
     c "exit code propagation" {|
 int main(void) {
   if (1) { exit(3); }

@@ -487,6 +487,116 @@ let test_parse_errors () =
   expect_parse_error "unbalanced" "int f( { }";
   expect_parse_error "nonconst array size" "int x; int a[x];"
 
+(* ---------------- the prelude, parsed once ---------------- *)
+
+(* [Loader.compile_user] parses the libc prelude once per process and
+   continues from a copy of its state for each program.  The law: the
+   continued parse is the parse of [prelude ^ src] with the prelude's
+   lines numbered below 1, positions included; and since every program
+   shares the prelude's AST nodes, running Sema and Lower on one program
+   must leave nothing behind that the next one sees. *)
+
+let prelude_lines =
+  String.fold_left
+    (fun n c -> if c = '\n' then n + 1 else n)
+    0 Libc_src.prelude
+
+let prelude_start = 1 - prelude_lines
+
+let full_parse src =
+  Parser.parse_string ~start_line:prelude_start (Libc_src.prelude ^ src)
+
+(* The C sources embedded in the five example programs. *)
+let example_sources () =
+  let find text pat from =
+    let n = String.length pat in
+    let rec go i =
+      if i + n > String.length text then None
+      else if String.sub text i n = pat then Some i
+      else go (i + 1)
+    in
+    go from
+  in
+  let rec literals text from acc =
+    match find text "{|" from with
+    | None -> List.rev acc
+    | Some i -> (
+      match find text "|}" (i + 2) with
+      | None -> List.rev acc
+      | Some j -> literals text (j + 2) (String.sub text (i + 2) (j - i - 2) :: acc))
+  in
+  List.concat_map
+    (fun name ->
+      let text =
+        In_channel.with_open_bin ("../examples/" ^ name) In_channel.input_all
+      in
+      literals text 0 [])
+    [ "quickstart.ml"; "bug_hunting.ml"; "sanitizer_comparison.ml";
+      "warmup_curve.ml"; "ir_tooling.ml" ]
+
+(* The outcome of a front end as a comparable value: the module's text,
+   or the diagnostic's position and message. *)
+let front_end_outcome f =
+  match f () with
+  | m -> Ok (Irprint.module_to_string m)
+  | exception Diag.Error (pos, msg) -> Error (pos, msg)
+  | exception Lower.Unsupported (pos, msg) -> Error (pos, msg)
+
+let test_prelude_parsed_once () =
+  let pre = Parser.parse_prefix ~start_line:prelude_start Libc_src.prelude in
+  let programs =
+    List.concat_map
+      (fun (p : Groundtruth.program) ->
+        p.Groundtruth.source :: Option.to_list p.Groundtruth.fixed)
+      Corpus.all
+    @ List.init 500 (fun seed -> Cprog.render (Cgen.generate ~seed ()))
+    @ example_sources ()
+  in
+  Alcotest.(check bool) "examples found" true (List.length (example_sources ()) >= 5);
+  List.iteri
+    (fun i src ->
+      match full_parse src with
+      | exception Diag.Error _ -> Alcotest.failf "program %d does not parse" i
+      | expected ->
+        let continued = Parser.parse_after pre src in
+        if compare continued expected <> 0 then
+          Alcotest.failf "program %d: the continued parse differs" i;
+        (* Sema and Lower write into the continued AST, shared prelude
+           nodes included; the next program's comparison sees any leak. *)
+        ignore (Lower.check_and_lower continued);
+        let loaded = front_end_outcome (fun () -> Loader.compile_user src) in
+        let fresh =
+          front_end_outcome (fun () ->
+              fst (Lower.check_and_lower ~file:"<input>" (full_parse src)))
+        in
+        if loaded <> fresh then
+          Alcotest.failf "program %d: Loader.compile_user differs" i)
+    programs
+
+let test_prelude_errors_agree () =
+  List.iter
+    (fun src ->
+      let loaded = front_end_outcome (fun () -> Loader.compile_user src) in
+      let fresh =
+        front_end_outcome (fun () ->
+            fst (Lower.check_and_lower ~file:"<input>" (full_parse src)))
+      in
+      (match loaded with
+      | Ok _ -> Alcotest.failf "expected a diagnostic for %S" src
+      | Error _ -> ());
+      if loaded <> fresh then Alcotest.failf "diagnostics differ for %S" src)
+    [
+      "int x";
+      "int main(void) { return 0; ";
+      "int main(void) { int x = ; return x; }";
+      "\nint 4x;";
+      "int main(void) { return 0; } @";
+      "/* never closed";
+      "#if 0\nint x;\n";
+      "  #define\nint x;";
+      "int x = 3;\nint g = x;\nint main(void) { return g; }";
+    ]
+
 (* ---------------- sema ---------------- *)
 
 let check_src src =
@@ -627,6 +737,10 @@ let () =
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "non-constant global initializer" `Quick
             test_global_init_not_constant;
+          Alcotest.test_case "prelude parsed once: same AST and module" `Quick
+            test_prelude_parsed_once;
+          Alcotest.test_case "prelude parsed once: same diagnostics" `Quick
+            test_prelude_errors_agree;
         ] );
       ( "sema",
         [

@@ -217,7 +217,7 @@ let test_unknown_symbol_call () =
   (* A direct call to a symbol that is neither a user function nor a
      builtin must raise the interpreter's clean "unknown builtin" error
      when (and only when) the call executes — not an unresolved-index
-     crash at prepare/link time. *)
+     crash when the caller is prepared and its calls linked. *)
   let f =
     {
       Irfunc.name = "main";
@@ -241,7 +241,8 @@ let test_unknown_symbol_call () =
   let m = Irmod.create () in
   Irmod.add_func m f;
   let st = Interp.create m in
-  (* creating (= preparing and linking) must not raise... *)
+  (* creating, and preparing [main] with its call linked, must not
+     raise... *)
   match Interp.run st with
   | exception Failure msg ->
     (* ...while calling must fail with the pre-resolution-era message *)
@@ -515,6 +516,95 @@ int main(int argc, char **argv) {
   in
   Alcotest.(check string) "argv contents" "3 alpha beta\n" r.Interp.output
 
+(* ---------------- preparation at first call ---------------- *)
+
+let names_where p (st : Interp.state) =
+  Hashtbl.fold
+    (fun name pf acc -> if p pf then name :: acc else acc)
+    st.Interp.funcs []
+  |> List.sort_uniq String.compare
+
+let prepared = names_where (fun pf -> pf.Interp.pf_prepared)
+
+let entered =
+  names_where (fun pf -> pf.Interp.pf_counters.Interp.c_invocations > 0)
+
+(* The direct user callees of every function the tier controller
+   compiled: the ones [Closcomp.plan_inlines] inspected. *)
+let inspected_callees (st : Interp.state) =
+  Hashtbl.fold
+    (fun _ (pf : Interp.pfunc) acc ->
+      match pf.Interp.pf_tier with
+      | Interp.Tier_interp -> acc
+      | Interp.Tier_compiled _ | Interp.Tier_deopt ->
+        Array.fold_left
+          (fun acc blk ->
+            Array.fold_left
+              (fun acc -> function
+                | Interp.Pcall (_, Interp.Pdirect (Interp.Tgt_user c), _, _) ->
+                  c.Interp.pf_name :: acc
+                | _ -> acc)
+              acc blk.Interp.pb_instrs)
+          acc pf.Interp.pf_blocks)
+    st.Interp.funcs []
+
+(* [create] prepares no body; [run] prepares exactly the functions it
+   enters, plus, under a threshold-0 tier controller, the direct callees
+   the closure compiler inspected for inlining (a tiny inlined callee is
+   prepared but never entered). *)
+let test_prepare_at_first_call () =
+  let inlined =
+    {|
+int sq(int x) { return x * x; }
+int main(void) {
+  int s = 0;
+  for (int i = 0; i < 10; i++) s += sq(i);
+  printf("%d\n", s);
+  return 0;
+}
+|}
+  in
+  let programs =
+    ("inlined callee", inlined, [])
+    :: List.map
+         (fun (p : Groundtruth.program) ->
+           (p.Groundtruth.id, p.Groundtruth.source, p.Groundtruth.argv))
+         Corpus.all
+  in
+  List.iter
+    (fun (name, src, argv) ->
+      let m = Loader.load_program src in
+      List.iter
+        (fun tiered ->
+          let tier =
+            if tiered then Some (Tier.controller ~threshold:0 ()) else None
+          in
+          let st = Interp.create ~step_limit:50_000_000 ?tier m in
+          Alcotest.(check (list string)) (name ^ ": create") [] (prepared st);
+          ignore (Interp.run ~argv st);
+          let expected =
+            if tiered then
+              List.sort_uniq String.compare (entered st @ inspected_callees st)
+            else entered st
+          in
+          Alcotest.(check (list string)) (name ^ ": run") expected (prepared st);
+          if List.length expected >= Hashtbl.length st.Interp.funcs then
+            Alcotest.failf "%s: every function was prepared" name)
+        [ false; true ])
+    programs;
+  (* The inlined callee is the case the second clause is for: its body
+     was prepared for the inliner, but it was never called (a called
+     function would have been compiled at once at threshold 0). *)
+  let st =
+    Interp.create ~tier:(Tier.controller ~threshold:0 ())
+      (Loader.load_program inlined)
+  in
+  ignore (Interp.run st);
+  let sq = Hashtbl.find st.Interp.funcs "sq" in
+  Alcotest.(check bool) "sq prepared" true sq.Interp.pf_prepared;
+  Alcotest.(check bool) "sq never called" true
+    (sq.Interp.pf_tier = Interp.Tier_interp)
+
 let () =
   Alcotest.run "interp"
     [
@@ -549,6 +639,8 @@ let () =
             test_switch_sparse_large;
           Alcotest.test_case "indirect call inline-cache miss path" `Quick
             test_indirect_call_cache_flip;
+          Alcotest.test_case "bodies are prepared at first call" `Quick
+            test_prepare_at_first_call;
         ] );
       ( "float semantics",
         [

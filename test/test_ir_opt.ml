@@ -21,88 +21,117 @@ let expect_invalid_mod expected m =
   | exception Verify.Invalid msg ->
     Alcotest.(check string) "Verify.Invalid text" expected msg
 
-let expect_invalid expected f = expect_invalid_mod expected (mk_mod f)
-
 let entry_block instrs =
   { Irfunc.label = "entry"; instrs;
     term = Instr.Ret (Some (Irtype.I32, Instr.ImmInt (0L, Irtype.I32))) }
 
+(* Every [Verify] rejection: the exact text and a module that raises
+   it.  Each module is a one-function user program, so the link law
+   below also runs it linked against the libc. *)
+let undefined_reg_func =
+  mk_func
+    ~blocks:
+      [
+        { Irfunc.label = "entry"; instrs = [];
+          term = Instr.Ret (Some (Irtype.I32, Instr.Reg 7)) };
+      ]
+
+let load_global g =
+  entry_block [ Instr.Load (1, Irtype.I32, Instr.GlobalAddr g) ]
+
+let fn_addr fn =
+  entry_block
+    [ Instr.Cast (1, Instr.Ptrtoint, Irtype.Ptr, Irtype.I64, Instr.FuncAddr fn) ]
+
+let rejection_cases () : (string * Irmod.t) list =
+  let one blocks = mk_mod (mk_func ~blocks) in
+  let add1 =
+    Instr.Binop
+      (1, Instr.Add, Irtype.I32, Instr.ImmInt (1L, Irtype.I32),
+       Instr.ImmInt (2L, Irtype.I32))
+  in
+  [
+    ("f: terminator uses undefined register %7", mk_mod undefined_reg_func);
+    ( "f: %1 = add i32 %7, i32 1 uses undefined register %7",
+      one
+        [
+          entry_block
+            [
+              Instr.Binop (1, Instr.Add, Irtype.I32, Instr.Reg 7,
+                           Instr.ImmInt (1L, Irtype.I32));
+            ];
+        ] );
+    ( "f: branch to unknown block nowhere",
+      one [ { Irfunc.label = "entry"; instrs = []; term = Instr.Br "nowhere" } ] );
+    ( "f: duplicate block label a",
+      one
+        [
+          { Irfunc.label = "a"; instrs = []; term = Instr.Br "a" };
+          { Irfunc.label = "a"; instrs = []; term = Instr.Ret None };
+        ] );
+    ( "f: register %1 defined twice",
+      one
+        [
+          { Irfunc.label = "entry"; instrs = [ add1; add1 ];
+            term = Instr.Ret (Some (Irtype.I32, Instr.Reg 1)) };
+        ] );
+    ( "f: call to unknown function @ghost",
+      one [ entry_block [ Instr.Call (None, None, Instr.Direct "ghost", []) ] ] );
+    ( "f: %1 = load i32, @nope references unknown global @nope",
+      one [ load_global "nope" ] );
+    ( "f: %1 = ptrtoint ptr @ghost to i64 references unknown function @ghost",
+      one [ fn_addr "ghost" ] );
+    ( "f: phi references unknown block nowhere",
+      one
+        [
+          entry_block
+            [
+              Instr.Phi (1, Irtype.I32,
+                         [ ("nowhere", Instr.ImmInt (0L, Irtype.I32)) ]);
+            ];
+        ] );
+    ( "duplicate function @f",
+      (let f = mk_func ~blocks:[ entry_block [] ] in
+       { Irmod.globals = []; funcs = [ f; f ]; externs = [] }) );
+    ( "f: %1 = sdiv i8 i8 255, i8 2 has non-canonical immediate i8 255",
+      one
+        [
+          entry_block
+            [
+              Instr.Binop (1, Instr.Sdiv, Irtype.I8,
+                           Instr.ImmInt (255L, Irtype.I8),
+                           Instr.ImmInt (2L, Irtype.I8));
+            ];
+        ] );
+  ]
+
+let expect_rejection expected =
+  expect_invalid_mod expected (List.assoc expected (rejection_cases ()))
+
 let test_verify_undefined_reg () =
-  expect_invalid "f: terminator uses undefined register %7"
-    (mk_func
-       ~blocks:
-         [
-           { Irfunc.label = "entry"; instrs = [];
-             term = Instr.Ret (Some (Irtype.I32, Instr.Reg 7)) };
-         ]);
-  expect_invalid "f: %1 = add i32 %7, i32 1 uses undefined register %7"
-    (mk_func
-       ~blocks:
-         [
-           entry_block
-             [
-               Instr.Binop (1, Instr.Add, Irtype.I32, Instr.Reg 7,
-                            Instr.ImmInt (1L, Irtype.I32));
-             ];
-         ])
+  expect_rejection "f: terminator uses undefined register %7";
+  expect_rejection "f: %1 = add i32 %7, i32 1 uses undefined register %7"
 
 let test_verify_unknown_block () =
-  expect_invalid "f: branch to unknown block nowhere"
-    (mk_func
-       ~blocks:
-         [ { Irfunc.label = "entry"; instrs = []; term = Instr.Br "nowhere" } ])
+  expect_rejection "f: branch to unknown block nowhere"
 
-let test_verify_duplicate_label () =
-  expect_invalid "f: duplicate block label a"
-    (mk_func
-       ~blocks:
-         [
-           { Irfunc.label = "a"; instrs = []; term = Instr.Br "a" };
-           { Irfunc.label = "a"; instrs = []; term = Instr.Ret None };
-         ])
+let test_verify_duplicate_label () = expect_rejection "f: duplicate block label a"
 
-let test_verify_double_def () =
-  expect_invalid "f: register %1 defined twice"
-    (mk_func
-       ~blocks:
-         [
-           {
-             Irfunc.label = "entry";
-             instrs =
-               [
-                 Instr.Binop (1, Instr.Add, Irtype.I32,
-                              Instr.ImmInt (1L, Irtype.I32),
-                              Instr.ImmInt (2L, Irtype.I32));
-                 Instr.Binop (1, Instr.Add, Irtype.I32,
-                              Instr.ImmInt (1L, Irtype.I32),
-                              Instr.ImmInt (2L, Irtype.I32));
-               ];
-             term = Instr.Ret (Some (Irtype.I32, Instr.Reg 1));
-           };
-         ])
+let test_verify_double_def () = expect_rejection "f: register %1 defined twice"
 
 let test_verify_unknown_callee () =
-  expect_invalid "f: call to unknown function @ghost"
-    (mk_func
-       ~blocks:[ entry_block [ Instr.Call (None, None, Instr.Direct "ghost", []) ] ])
+  expect_rejection "f: call to unknown function @ghost"
 
 let test_verify_unknown_global () =
-  let load g = entry_block [ Instr.Load (1, Irtype.I32, Instr.GlobalAddr g) ] in
-  expect_invalid "f: %1 = load i32, @nope references unknown global @nope"
-    (mk_func ~blocks:[ load "nope" ]);
+  expect_rejection "f: %1 = load i32, @nope references unknown global @nope";
   (* [@name] may also name a function *)
-  Verify.verify (mk_mod (mk_func ~blocks:[ load "f" ]))
+  Verify.verify (mk_mod (mk_func ~blocks:[ load_global "f" ]))
 
 let test_verify_unknown_function_address () =
-  let cast fn =
-    entry_block
-      [ Instr.Cast (1, Instr.Ptrtoint, Irtype.Ptr, Irtype.I64, Instr.FuncAddr fn) ]
-  in
-  expect_invalid
-    "f: %1 = ptrtoint ptr @ghost to i64 references unknown function @ghost"
-    (mk_func ~blocks:[ cast "ghost" ]);
+  expect_rejection
+    "f: %1 = ptrtoint ptr @ghost to i64 references unknown function @ghost";
   (* a function address may name an extern, a direct callee too *)
-  let m = mk_mod (mk_func ~blocks:[ cast "ext" ]) in
+  let m = mk_mod (mk_func ~blocks:[ fn_addr "ext" ]) in
   m.Irmod.externs <-
     [ { Irmod.e_name = "ext"; e_ret = None; e_params = []; e_variadic = false } ];
   Verify.verify m;
@@ -111,21 +140,9 @@ let test_verify_unknown_function_address () =
   Verify.verify m
 
 let test_verify_phi_unknown_block () =
-  expect_invalid "f: phi references unknown block nowhere"
-    (mk_func
-       ~blocks:
-         [
-           entry_block
-             [
-               Instr.Phi (1, Irtype.I32,
-                          [ ("nowhere", Instr.ImmInt (0L, Irtype.I32)) ]);
-             ];
-         ])
+  expect_rejection "f: phi references unknown block nowhere"
 
-let test_verify_duplicate_function () =
-  let f = mk_func ~blocks:[ entry_block [] ] in
-  expect_invalid_mod "duplicate function @f"
-    { Irmod.globals = []; funcs = [ f; f ]; externs = [] }
+let test_verify_duplicate_function () = expect_rejection "duplicate function @f"
 
 (* Textual IR may spell an i8 constant as 255 or 200; every engine reads
    those as -1 and -56.  A folder computing on the raw literals gets
@@ -153,25 +170,66 @@ let test_noncanonical_immediates () =
   ignore (Fold.run m);
   Verify.verify m;
   Alcotest.(check int) "same exit code after Fold.run" unfolded (exit_code m);
-  expect_invalid "f: %1 = sdiv i8 i8 255, i8 2 has non-canonical immediate i8 255"
-    (mk_func
-       ~blocks:
-         [
-           {
-             Irfunc.label = "entry";
-             instrs =
-               [
-                 Instr.Binop (1, Instr.Sdiv, Irtype.I8,
-                              Instr.ImmInt (255L, Irtype.I8),
-                              Instr.ImmInt (2L, Irtype.I8));
-               ];
-             term = Instr.Ret (Some (Irtype.I32, Instr.ImmInt (0L, Irtype.I32)));
-           };
-         ])
+  expect_rejection
+    "f: %1 = sdiv i8 i8 255, i8 2 has non-canonical immediate i8 255"
 
 let test_accepts_frontend_output () =
   let m = Loader.load_program "int main(void) { return 0; }" in
   Verify.verify m
+
+(* The loader verifies the libc once and, per program, only the user's
+   functions against the linked module's names.  The law: that check
+   and a full [Verify.verify] of the linked module both pass, or both
+   raise [Verify.Invalid] with the same text. *)
+let check_link_law what (user : Irmod.t) =
+  let outcome f =
+    match f () with _ -> None | exception Verify.Invalid m -> Some m
+  in
+  let per_program = outcome (fun () -> Loader.link_libc ~shared:true user) in
+  let full =
+    outcome (fun () ->
+        Verify.verify (Irmod.link user (Loader.libc_module_shared ())))
+  in
+  Alcotest.(check (option string)) what full per_program;
+  per_program
+
+let test_link_check_law () =
+  let accepts what user =
+    Alcotest.(check (option string)) what None (check_link_law what user)
+  in
+  List.iter
+    (fun (p : Groundtruth.program) ->
+      accepts p.Groundtruth.id (Loader.compile_user p.Groundtruth.source);
+      Option.iter
+        (fun src -> accepts (p.Groundtruth.id ^ " fixed") (Loader.compile_user src))
+        p.Groundtruth.fixed)
+    Corpus.all;
+  List.iter
+    (fun (b : Benchprogs.bench) ->
+      accepts b.Benchprogs.b_name (Loader.compile_user b.Benchprogs.b_source))
+    Benchprogs.all;
+  for seed = 0 to 499 do
+    accepts
+      (Printf.sprintf "seed %d" seed)
+      (Loader.compile_user (Cprog.render (Cgen.generate ~seed ())))
+  done;
+  (* A user definition replaces the libc's. *)
+  accepts "strlen redefined"
+    (Loader.compile_user
+       {|
+size_t strlen(const char *s) { size_t n = 0; while (s[n]) n++; return n + 1; }
+int main(void) { return (int)strlen("abc"); }
+|});
+  (* Every rejection case, as a user module linked against the libc. *)
+  let rejects expected user =
+    Alcotest.(check (option string)) expected (Some expected)
+      (check_link_law expected user)
+  in
+  List.iter (fun (expected, m) -> rejects expected m) (rejection_cases ());
+  (* A broken user definition replacing a libc one is checked too. *)
+  rejects "strlen: terminator uses undefined register %7"
+    (mk_mod
+       { undefined_reg_func with Irfunc.name = "strlen" })
 
 (* ---------------- CFG analyses ---------------- *)
 
@@ -828,6 +886,8 @@ let check_traversals (m : Irmod.t) =
   let st = Interp.create m in
   Hashtbl.iter
     (fun _ (pf : Interp.pfunc) ->
+      (* [create] prepares no body; build each one to walk it *)
+      Interp.prepare st pf;
       List.iteri
         (fun i (b : Irfunc.block) ->
           let reached = ref [] in
@@ -953,6 +1013,8 @@ let () =
             test_noncanonical_immediates;
           Alcotest.test_case "frontend output verifies" `Quick
             test_accepts_frontend_output;
+          Alcotest.test_case "per-program check agrees with full verify" `Quick
+            test_link_check_law;
         ] );
       ( "cfg",
         [
