@@ -32,8 +32,8 @@ let measure ?(argv = [ "bench" ]) ?(input = "") ~name (src : string) :
   let sulong_interp_fns =
     Hashtbl.fold
       (fun fname c acc ->
-        let ops = Hotness.total_ops c in
-        if ops + c.Interp.c_calls = 0 then acc
+        let ops = Interp.total_ops c in
+        if ops = 0 then acc
         else (fname, Costmodel.sulong_interp_fn_cycles c, ops) :: acc)
       interp_profile.Interp.funcs []
   in

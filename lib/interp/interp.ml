@@ -22,10 +22,11 @@
     enters, not to the whole linked module (most of it libc).
 
     The interpreter also collects an execution profile (per-function
-    dynamic operation counts) that the JIT cost model (lib/jit) consumes
-    to reproduce the paper's start-up/warm-up/peak measurements.  The
-    pre-resolution pass is profile-transparent: the [charge] classes and
-    per-function counters are exactly those of the naive interpreter. *)
+    dynamic operation counts by kind) that the tier controller, the
+    metrics and the JIT cost model (lib/jit) read; the cost model
+    reproduces the paper's start-up/warm-up/peak measurements from it.
+    The pre-resolution pass is profile-transparent: every operation is
+    charged to the same kind counter as in the naive interpreter. *)
 
 exception Exit_program of int
 exception Step_limit_exceeded
@@ -34,74 +35,66 @@ exception Step_limit_exceeded
 (* Profile                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Operation kinds: every charged operation counts once, into its
+   function's counter for its kind.  The hotness total, the cost
+   classes of the cycle model and the [interp.op.*] metrics are sums
+   over these counters. *)
+let k_alloca = 0
+let k_load = 1
+let k_store = 2
+let k_gep = 3
+let k_ibinop = 4
+let k_fbinop = 5
+let k_icmp = 6
+let k_fcmp = 7
+let k_cast = 8
+let k_select = 9
+let k_sancheck = 10
+let k_call = 11
+let k_term = 12
+let k_phi = 13
+
+let kind_names =
+  [| "alloca"; "load"; "store"; "gep"; "binop.int"; "binop.float"; "icmp";
+     "fcmp"; "cast"; "select"; "sancheck"; "call"; "terminator"; "phi_copy" |]
+
+let n_kinds = Array.length kind_names
+
+(** The metric a kind's count is reported under. *)
+let kind_metric k =
+  if k = k_phi then "interp.phi_copies"
+  else if k = k_ibinop || k = k_fbinop then "interp.op.binop"
+  else "interp.op." ^ kind_names.(k)
+
+(* The kind of a binop: [FAdd]/[FSub]/[FMul]/[FDiv] are float work. *)
+let binop_kind (op : Instr.binop) =
+  match op with
+  | Instr.FAdd | Instr.FSub | Instr.FMul | Instr.FDiv -> k_fbinop
+  | _ -> k_ibinop
+
 type counters = {
-  mutable c_ops : int;        (** integer/other IR operations executed *)
-  mutable c_fp : int;         (** floating-point operations *)
-  mutable c_mem : int;        (** loads + stores *)
-  mutable c_calls : int;      (** calls executed *)
-  mutable c_invocations : int;(** times this function was entered *)
+  c_kinds : int array;  (** operations executed, indexed by kind *)
+  mutable c_invocations : int;  (** times this function was entered *)
 }
 
-let fresh_counters () =
-  { c_ops = 0; c_fp = 0; c_mem = 0; c_calls = 0; c_invocations = 0 }
+let fresh_counters () = { c_kinds = Array.make n_kinds 0; c_invocations = 0 }
+
+let total_ops (c : counters) =
+  let a = c.c_kinds in
+  let n = ref 0 in
+  for k = 0 to n_kinds - 1 do
+    n := !n + Array.unsafe_get a k
+  done;
+  !n
 
 type profile = {
   funcs : (string, counters) Hashtbl.t;
   mutable p_allocs : int;
   mutable p_alloc_bytes : int;
-  mutable p_steps : int;
 }
 
 let fresh_profile () =
-  { funcs = Hashtbl.create 32; p_allocs = 0; p_alloc_bytes = 0; p_steps = 0 }
-
-(** Cost class charged to the profile for one executed operation. *)
-type opclass = Cop | Cfp | Cmem
-
-(* ------------------------------------------------------------------ *)
-(* Observability counters                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-opcode dispatch counts and inline-cache statistics, updated on
-   the hot path only when metrics were enabled at [create] time (one
-   predictable branch per op otherwise) and flushed into the global
-   [Metrics] registry when the run finishes. *)
-type opstats = {
-  mutable os_alloca : int;
-  mutable os_load : int;
-  mutable os_store : int;
-  mutable os_gep : int;
-  mutable os_binop : int;
-  mutable os_icmp : int;
-  mutable os_fcmp : int;
-  mutable os_cast : int;
-  mutable os_select : int;
-  mutable os_sancheck : int;
-  mutable os_call : int;
-  mutable os_term : int;
-  mutable os_phi_copy : int;
-  mutable os_ic_hit : int;
-  mutable os_ic_miss : int;
-}
-
-let fresh_opstats () =
-  {
-    os_alloca = 0;
-    os_load = 0;
-    os_store = 0;
-    os_gep = 0;
-    os_binop = 0;
-    os_icmp = 0;
-    os_fcmp = 0;
-    os_cast = 0;
-    os_select = 0;
-    os_sancheck = 0;
-    os_call = 0;
-    os_term = 0;
-    os_phi_copy = 0;
-    os_ic_hit = 0;
-    os_ic_miss = 0;
-  }
+  { funcs = Hashtbl.create 32; p_allocs = 0; p_alloc_bytes = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Prepared code                                                       *)
@@ -171,7 +164,7 @@ type pinstr =
   | Pstore of Irtype.scalar * pval * pval
   | Pgep of int * pval * pgep
   | Pbinop of
-      int * Instr.binop * Irtype.scalar * pval * pval * opclass
+      int * Instr.binop * Irtype.scalar * pval * pval
       * (Mval.t -> Mval.t -> Mval.t)
       (** the last field is the [Scalar] operation, staged at prepare
           time and wrapped over managed values *)
@@ -327,14 +320,13 @@ and state = {
   mutable steps : int;
   step_limit : int;
   mutable depth : int;
-  depth_limit : int;
   profile : profile;
   mutable frames : frame list;  (** innermost first *)
   rng : Prng.t;                 (** backs the libc rand() builtin *)
   trace : Buffer.t option;      (** call tracing, when enabled *)
   obs : bool;                   (** metrics enabled at create time *)
-  opstats : opstats;
-  seed : int;                   (** rng seed, kept for deterministic rerun *)
+  mutable ic_hits : int;        (** indirect calls the inline cache served *)
+  mutable ic_misses : int;      (** indirect calls that re-resolved *)
   tier : tierctl option;        (** tier controller; [None]: interp only *)
   prof : Profile.t option;
       (** guest profiler handle; [None] (the default) keeps the hot
@@ -358,6 +350,13 @@ let context st =
   match st.frames with
   | fr :: _ -> fr.fr_func.pf_context
   | [] -> "at top level"
+
+(** Calls nest at most this deep; the next one raises the managed
+    stack-overflow guard. *)
+let depth_limit = 4096
+
+(** The seed of the rng behind the libc's rand(), at every run start. *)
+let rng_seed = 42
 
 (* ------------------------------------------------------------------ *)
 (* Global materialization                                              *)
@@ -775,6 +774,8 @@ let lookup_builtin (name : string) :
         Some (Mval.Vint (Int64.of_int (String.length s))))
   | _ -> None
 
+let is_builtin name = Option.is_some (lookup_builtin name)
+
 (* ------------------------------------------------------------------ *)
 (* Preparation: compile one function into the linked form              *)
 (* ------------------------------------------------------------------ *)
@@ -837,14 +838,7 @@ let prepare_instr st ctx (i : Instr.instr) : pinstr =
         prepare_value st base,
         { pg_static = !static; pg_dyn = Array.of_list (List.rev !dyn) } )
   | Instr.Binop (r, op, s, a, b) ->
-    let cls =
-      match op with
-      | Instr.FAdd | Instr.FSub | Instr.FMul | Instr.FDiv -> Cfp
-      | _ -> Cop
-    in
-    Pbinop
-      ( r, op, s, prepare_value st a, prepare_value st b, cls,
-        binop_fn ctx op s )
+    Pbinop (r, op, s, prepare_value st a, prepare_value st b, binop_fn ctx op s)
   | Instr.Icmp (r, op, s, a, b) ->
     Picmp (r, op, s, prepare_value st a, prepare_value st b, Scalar.icmp op s)
   | Instr.Fcmp (r, op, _, a, b) ->
@@ -1012,20 +1006,35 @@ let prepare st (pf : pfunc) =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* [profile.p_steps] is NOT bumped here: it always equals [st.steps]
-   and is synced once when [run] builds its result. *)
-let charge st (fr : frame) (cls : opclass) =
+(* One executed operation of kind [k] (a [k_*] constant): the step
+   counter, the function's counter for [k], then the limit check. *)
+let charge st (fr : frame) k =
   st.steps <- st.steps + 1;
-  (match cls with
-  | Cmem -> fr.fr_func.pf_counters.c_mem <- fr.fr_func.pf_counters.c_mem + 1
-  | Cfp -> fr.fr_func.pf_counters.c_fp <- fr.fr_func.pf_counters.c_fp + 1
-  | Cop -> fr.fr_func.pf_counters.c_ops <- fr.fr_func.pf_counters.c_ops + 1);
+  let c = fr.fr_func.pf_counters.c_kinds in
+  Array.unsafe_set c k (Array.unsafe_get c k + 1);
   if st.steps > st.step_limit then raise Step_limit_exceeded
+
+(* The tier-up decision, probed at every call and, for on-stack
+   replacement, at loop headers: a still-interpreted function whose
+   counters the controller finds hot is compiled now. *)
+let tier_up st (ctl : tierctl) (pf : pfunc) ~osr =
+  match pf.pf_tier with
+  | Tier_interp when ctl.tc_hot pf.pf_counters ->
+    Events.record
+      (Events.Tier_up
+         {
+           ev_fn = pf.pf_name;
+           ev_ops = total_ops pf.pf_counters;
+           ev_invocations = pf.pf_counters.c_invocations;
+           ev_osr = osr;
+         });
+    pf.pf_tier <- Tier_compiled (ctl.tc_compile st pf)
+  | Tier_interp | Tier_compiled _ | Tier_deopt -> ()
 
 let rec call_function st (pf : pfunc) (args : Mval.t array)
     (arg_scalars : Irtype.scalar array) : Mval.t option =
   st.depth <- st.depth + 1;
-  if st.depth > st.depth_limit then
+  if st.depth > depth_limit then
     Merror.raise_error Merror.Stack_overflow_guard (context st);
   (match st.trace with
   | Some buf ->
@@ -1042,24 +1051,7 @@ let rec call_function st (pf : pfunc) (args : Mval.t array)
   if not pf.pf_prepared then prepare st pf;
   (* Tier-up check: a hot function swaps its entry to the compiled
      closure at the next call (never mid-invocation). *)
-  (match st.tier with
-  | Some ctl -> begin
-    match pf.pf_tier with
-    | Tier_interp when ctl.tc_hot pf.pf_counters ->
-      Events.record
-        (Events.Tier_up
-           {
-             ev_fn = pf.pf_name;
-             ev_ops =
-               pf.pf_counters.c_ops + pf.pf_counters.c_fp
-               + pf.pf_counters.c_mem;
-             ev_invocations = pf.pf_counters.c_invocations;
-             ev_osr = false;
-           });
-      pf.pf_tier <- Tier_compiled (ctl.tc_compile st pf)
-    | Tier_interp | Tier_compiled _ | Tier_deopt -> ()
-  end
-  | None -> ());
+  (match st.tier with Some ctl -> tier_up st ctl pf ~osr:false | None -> ());
   let fr =
     match pf.pf_tier with
     | Tier_compiled { cb_frame = Some acquire; _ } ->
@@ -1097,7 +1089,7 @@ let rec call_function st (pf : pfunc) (args : Mval.t array)
   | None -> ());
   let result =
     match pf.pf_tier with
-    | Tier_compiled c -> exec_compiled st pf fr c.cb_entry
+    | Tier_compiled c -> exec_compiled st pf fr ~osr:false c.cb_entry
     | Tier_interp | Tier_deopt ->
       exec_block st fr pf.pf_blocks.(0) pf.pf_entry_copies
   in
@@ -1116,14 +1108,14 @@ let rec call_function st (pf : pfunc) (args : Mval.t array)
   st.depth <- st.depth - 1;
   result
 
-(** Run a compiled body under the deopt contract: a managed error drops
-    the function back to tier 1 permanently ([Tier_deopt]) and
-    propagates, so error reporting — including the deoptimizing
-    provenance replay, which never tiers up — sees exactly the
-    interpreter's behavior.  [Exit_program], [Step_limit_exceeded] and
-    internal failures pass through untouched: they are not managed
-    errors and carry no source provenance. *)
-and exec_compiled st (pf : pfunc) (fr : frame) (body : compiled_body) :
+(** Run a compiled body (an OSR entry when [osr]) under the deopt
+    contract: a managed error drops the function back to tier 1
+    permanently ([Tier_deopt]) and propagates, so error reporting —
+    including the deoptimizing provenance replay, which never tiers up
+    — sees exactly the interpreter's behavior.  [Exit_program],
+    [Step_limit_exceeded] and internal failures pass through untouched:
+    they are not managed errors and carry no source provenance. *)
+and exec_compiled st (pf : pfunc) (fr : frame) ~osr (body : compiled_body) :
     Mval.t option =
   try body st fr
   with Merror.Error (cat, _) as e ->
@@ -1133,7 +1125,7 @@ and exec_compiled st (pf : pfunc) (fr : frame) (body : compiled_body) :
          {
            ev_fn = pf.pf_name;
            ev_kind = Merror.category_name cat;
-           ev_osr = false;
+           ev_osr = osr;
          });
     Trace.instant ~args:[ ("function", pf.pf_name); ("tier", "interp") ]
       "jit-deopt";
@@ -1148,20 +1140,19 @@ and exec_block st (fr : frame) (blk : pblock) (copies : phicopy) :
        so same-block phis referencing each other see the old values. *)
     let n = Array.length dests in
     if n = 1 then begin
-      charge st fr Cop;
+      charge st fr k_phi;
       fr.fr_regs.(dests.(0)) <- pv fr srcs.(0)
     end
     else begin
       let tmp = Array.make n Mval.zero in
       for i = 0 to n - 1 do
-        charge st fr Cop;
+        charge st fr k_phi;
         tmp.(i) <- pv fr srcs.(i)
       done;
       for i = 0 to n - 1 do
         fr.fr_regs.(dests.(i)) <- tmp.(i)
       done
-    end;
-    if st.obs then st.opstats.os_phi_copy <- st.opstats.os_phi_copy + n
+    end
   | Pc_missing -> failwith "interp: phi has no incoming edge for predecessor");
   (* On-stack replacement: at a loop header, probe the tier controller
      so a single long-running invocation can tier up mid-call.  The phi
@@ -1170,47 +1161,15 @@ and exec_block st (fr : frame) (blk : pblock) (copies : phicopy) :
   match st.tier with
   | Some ctl when blk.pb_osr ->
     let pf = fr.fr_func in
-    (match pf.pf_tier with
-    | Tier_interp when ctl.tc_hot pf.pf_counters ->
-      Events.record
-        (Events.Tier_up
-           {
-             ev_fn = pf.pf_name;
-             ev_ops =
-               pf.pf_counters.c_ops + pf.pf_counters.c_fp
-               + pf.pf_counters.c_mem;
-             ev_invocations = pf.pf_counters.c_invocations;
-             ev_osr = true;
-           });
-      pf.pf_tier <- Tier_compiled (ctl.tc_compile st pf)
-    | Tier_interp | Tier_compiled _ | Tier_deopt -> ());
+    tier_up st ctl pf ~osr:true;
     (match pf.pf_tier with
     | Tier_compiled { cb_osr = Some osr; _ } ->
-      exec_compiled_osr st pf fr osr blk.pb_index
+      Events.record
+        (Events.Osr_enter { ev_fn = pf.pf_name; ev_block = blk.pb_label });
+      exec_compiled st pf fr ~osr:true (fun st fr -> osr st fr blk.pb_index)
     | Tier_compiled { cb_osr = None; _ } | Tier_interp | Tier_deopt ->
       exec_instrs st fr blk)
   | Some _ | None -> exec_instrs st fr blk
-
-(** Run a compiled OSR entry under the same deopt contract as
-    [exec_compiled]. *)
-and exec_compiled_osr st (pf : pfunc) (fr : frame) (osr : osr_body)
-    (idx : int) : Mval.t option =
-  Events.record
-    (Events.Osr_enter
-       { ev_fn = pf.pf_name; ev_block = pf.pf_blocks.(idx).pb_label });
-  try osr st fr idx
-  with Merror.Error (cat, _) as e ->
-    pf.pf_tier <- Tier_deopt;
-    Events.record
-      (Events.Deopt
-         {
-           ev_fn = pf.pf_name;
-           ev_kind = Merror.category_name cat;
-           ev_osr = true;
-         });
-    Trace.instant ~args:[ ("function", pf.pf_name); ("tier", "interp") ]
-      "jit-deopt";
-    raise e
 
 and exec_instrs st (fr : frame) (blk : pblock) : Mval.t option =
   (* Guest-profiler block event.  Placed after the edge's phi copies
@@ -1229,61 +1188,49 @@ and exec_instrs st (fr : frame) (blk : pblock) : Mval.t option =
     else begin
       (match instrs.(i) with
       | Palloca (r, mty, size) ->
-        charge st fr Cop;
-        if st.obs then st.opstats.os_alloca <- st.opstats.os_alloca + 1;
+        charge st fr k_alloca;
         let obj = Mobject.alloc ~storage:Merror.Stack ~mty size in
         fr.fr_regs.(r) <- Mval.Vptr (Mobject.Pobj { Mobject.obj; moff = 0 })
       | Pload (r, s, p) ->
-        charge st fr Cmem;
-        if st.obs then st.opstats.os_load <- st.opstats.os_load + 1;
+        charge st fr k_load;
         fr.fr_regs.(r) <- exec_load st s (pv fr p)
       | Pstore (s, v, p) ->
-        charge st fr Cmem;
-        if st.obs then st.opstats.os_store <- st.opstats.os_store + 1;
+        charge st fr k_store;
         exec_store st s (pv fr v) (pv fr p)
       | Pgep (r, base, g) ->
-        charge st fr Cop;
-        if st.obs then st.opstats.os_gep <- st.opstats.os_gep + 1;
+        charge st fr k_gep;
         fr.fr_regs.(r) <- exec_gep st fr (pv fr base) g
-      | Pbinop (r, _, _, a, b, cls, f) ->
-        charge st fr cls;
-        if st.obs then st.opstats.os_binop <- st.opstats.os_binop + 1;
+      | Pbinop (r, op, _, a, b, f) ->
+        charge st fr (binop_kind op);
         fr.fr_regs.(r) <- f (pv fr a) (pv fr b)
       | Picmp (r, _, _, a, b, f) ->
-        charge st fr Cop;
-        if st.obs then st.opstats.os_icmp <- st.opstats.os_icmp + 1;
+        charge st fr k_icmp;
         let vb = pv fr b in
         let x = Mval.as_int (pv fr a) in
         fr.fr_regs.(r) <-
           (if f x (Mval.as_int vb) then Mval.Vint 1L else Mval.Vint 0L)
       | Pfcmp (r, _, a, b, f) ->
-        charge st fr Cfp;
-        if st.obs then st.opstats.os_fcmp <- st.opstats.os_fcmp + 1;
+        charge st fr k_fcmp;
         let vb = pv fr b in
         let x = Mval.as_float (pv fr a) in
         fr.fr_regs.(r) <-
           (if f x (Mval.as_float vb) then Mval.Vint 1L else Mval.Vint 0L)
       | Pcast (r, _, _, _, v, f) ->
-        charge st fr Cop;
-        if st.obs then st.opstats.os_cast <- st.opstats.os_cast + 1;
+        charge st fr k_cast;
         fr.fr_regs.(r) <- f (pv fr v)
       | Pselect (r, c, a, b) ->
-        charge st fr Cop;
-        if st.obs then st.opstats.os_select <- st.opstats.os_select + 1;
+        charge st fr k_select;
         let cv = Mval.as_int (pv fr c) in
         fr.fr_regs.(r) <- pv fr (if cv <> 0L then a else b)
       | Psancheck ->
-        charge st fr Cop;
-        if st.obs then st.opstats.os_sancheck <- st.opstats.os_sancheck + 1
+        charge st fr k_sancheck
       | Ploc (line, col) ->
         (* provenance marker: free — no [charge], so [steps] and the
            modeled cycle counts are bit-identical with metrics off/on *)
         fr.fr_line <- line;
         fr.fr_col <- col
       | Pcall (r, callee, pargs, scalars) ->
-        charge st fr Cop;
-        if st.obs then st.opstats.os_call <- st.opstats.os_call + 1;
-        fr.fr_func.pf_counters.c_calls <- fr.fr_func.pf_counters.c_calls + 1;
+        charge st fr k_call;
         let na = Array.length pargs in
         let argv = Array.make na Mval.zero in
         for k = 0 to na - 1 do
@@ -1297,14 +1244,12 @@ and exec_instrs st (fr : frame) (blk : pblock) : Mval.t option =
             | Mobject.Pfunc name ->
               let tgt =
                 if name == ic.ic_name || String.equal name ic.ic_name then begin
-                  if st.obs then
-                    st.opstats.os_ic_hit <- st.opstats.os_ic_hit + 1;
+                  st.ic_hits <- st.ic_hits + 1;
                   ic.ic_target
                 end
                 else begin
                   (* inline-cache miss: re-resolve and remember *)
-                  if st.obs then
-                    st.opstats.os_ic_miss <- st.opstats.os_ic_miss + 1;
+                  st.ic_misses <- st.ic_misses + 1;
                   let t = resolve_callee st name in
                   ic.ic_name <- name;
                   ic.ic_target <- t;
@@ -1334,8 +1279,7 @@ and exec_target st (tgt : call_target) argv scalars : Mval.t option =
   | Tgt_unknown name -> failwith ("interp: unknown builtin " ^ name)
 
 and exec_term st (fr : frame) (t : pterm) : Mval.t option =
-  charge st fr Cop;
-  if st.obs then st.opstats.os_term <- st.opstats.os_term + 1;
+  charge st fr k_term;
   match t with
   | Pret (Some v) -> Some (pv fr v)
   | Pret None -> None
@@ -1410,9 +1354,9 @@ let detail_of_category (cat : Merror.category) : string list =
     ]
   | _ -> []
 
-let create ?(step_limit = 500_000_000) ?(depth_limit = 4096)
-    ?(mementos = true) ?(detect_uninit = false) ?(trace = false)
-    ?(input = "") ?(seed = 42) ?tier ?profile:prof ?(provenance = false)
+let create ?(step_limit = 500_000_000) ?(mementos = true)
+    ?(detect_uninit = false) ?(trace = false) ?(input = "") ?tier
+    ?profile:prof ?(provenance = false)
     (m : Irmod.t) : state =
   Mobject.reset ();
   Mobject.track_uninitialized := detect_uninit;
@@ -1429,14 +1373,13 @@ let create ?(step_limit = 500_000_000) ?(depth_limit = 4096)
       steps = 0;
       step_limit;
       depth = 0;
-      depth_limit;
       profile;
       frames = [];
-      rng = Prng.create seed;
+      rng = Prng.create rng_seed;
       trace = (if trace then Some (Buffer.create 1024) else None);
       obs = !Metrics.enabled;
-      opstats = fresh_opstats ();
-      seed;
+      ic_hits = 0;
+      ic_misses = 0;
       tier;
       prof;
       detect_uninit;
@@ -1501,36 +1444,18 @@ let reset ?input (st : state) : unit =
   Hashtbl.iter
     (fun _ pf ->
       let c = pf.pf_counters in
-      c.c_ops <- 0;
-      c.c_fp <- 0;
-      c.c_mem <- 0;
-      c.c_calls <- 0;
+      Array.fill c.c_kinds 0 n_kinds 0;
       c.c_invocations <- 0)
     st.funcs;
   st.profile.p_allocs <- 0;
   st.profile.p_alloc_bytes <- 0;
-  st.profile.p_steps <- 0;
-  let os = st.opstats in
-  os.os_alloca <- 0;
-  os.os_load <- 0;
-  os.os_store <- 0;
-  os.os_gep <- 0;
-  os.os_binop <- 0;
-  os.os_icmp <- 0;
-  os.os_fcmp <- 0;
-  os.os_cast <- 0;
-  os.os_select <- 0;
-  os.os_sancheck <- 0;
-  os.os_call <- 0;
-  os.os_term <- 0;
-  os.os_phi_copy <- 0;
-  os.os_ic_hit <- 0;
-  os.os_ic_miss <- 0;
+  st.ic_hits <- 0;
+  st.ic_misses <- 0;
   (match st.trace with Some b -> Buffer.clear b | None -> ());
   (* Step counter rewound to zero: re-arm the profiler's delta markers
      (accumulated attribution survives — bench iterations sum). *)
   (match st.prof with Some p -> Profile.rewind p | None -> ());
-  Prng.reseed st.rng st.seed
+  Prng.reseed st.rng rng_seed
 
 (** Build the [main] argument objects: an argv array of [MainArgs]
     storage whose size is exactly argc+1 pointers (argv[argc] = NULL), so
@@ -1583,25 +1508,21 @@ let report_of_error st (cat : Merror.category) (msg : string) : Bugreport.t =
     br_events = Events.to_lines ();
   }
 
+(* The run's operation counts go to the metrics as sums over every
+   function's kind counters, so they add up to [interp.steps]. *)
 let flush_metrics st =
   if st.obs then begin
-    let os = st.opstats in
     let c name v = if v <> 0 then Metrics.add (Metrics.counter name) v in
-    c "interp.op.alloca" os.os_alloca;
-    c "interp.op.load" os.os_load;
-    c "interp.op.store" os.os_store;
-    c "interp.op.gep" os.os_gep;
-    c "interp.op.binop" os.os_binop;
-    c "interp.op.icmp" os.os_icmp;
-    c "interp.op.fcmp" os.os_fcmp;
-    c "interp.op.cast" os.os_cast;
-    c "interp.op.select" os.os_select;
-    c "interp.op.sancheck" os.os_sancheck;
-    c "interp.op.call" os.os_call;
-    c "interp.op.terminator" os.os_term;
-    c "interp.phi_copies" os.os_phi_copy;
-    c "interp.ic.hits" os.os_ic_hit;
-    c "interp.ic.misses" os.os_ic_miss;
+    let sums = Array.make n_kinds 0 in
+    Hashtbl.iter
+      (fun _ pf ->
+        Array.iteri
+          (fun k n -> sums.(k) <- sums.(k) + n)
+          pf.pf_counters.c_kinds)
+      st.funcs;
+    Array.iteri (fun k n -> c (kind_metric k) n) sums;
+    c "interp.ic.hits" st.ic_hits;
+    c "interp.ic.misses" st.ic_misses;
     c "interp.steps" st.steps;
     c "heap.allocs" st.heap.Mheap.alloc_count;
     c "heap.frees" st.heap.Mheap.free_count;
@@ -1613,9 +1534,6 @@ let flush_metrics st =
 
 let rec run ?(argv = [ "program" ]) (st : state) : run_result =
   let finish ?(code = 0) ?error ?report ~timed_out () =
-    (* [p_steps] mirrors [st.steps]; it is synced here once instead of
-       being double-written on every charge *)
-    st.profile.p_steps <- st.steps;
     flush_metrics st;
     let leaked = Mheap.leaked st.heap in
     {
@@ -1707,10 +1625,10 @@ and rerun_for_report (st : state) (argv : string list)
            interpreter, so the report is the same whether the original
            fault came from interpreted or compiled code. *)
         let st2 =
-          create ~step_limit:st.step_limit ~depth_limit:st.depth_limit
+          create ~step_limit:st.step_limit
             ~mementos:st.heap.Mheap.mementos_enabled
-            ~detect_uninit:st.detect_uninit ~input:st.input
-            ~seed:st.seed ~provenance:true st.m
+            ~detect_uninit:st.detect_uninit ~input:st.input ~provenance:true
+            st.m
         in
         let r = run ~argv st2 in
         match (r.error, r.report) with

@@ -17,45 +17,57 @@
 exception Exit_program of int
 exception Step_limit_exceeded
 
-(** Per-function dynamic operation counts, consumed by the JIT cost
-    model (lib/jit) to reproduce the paper's performance figures and by
-    the tier controller's hotness policy. *)
+(** {1 Operation counts}
+
+    Every executed operation is charged once, in both tiers: one step
+    of the budget and one count in its function's counter for the
+    operation's kind.  The kinds index [counters.c_kinds]: one per
+    instruction opcode, binops split into integer ([k_ibinop]) and
+    float ([k_fbinop]: [FAdd]/[FSub]/[FMul]/[FDiv]) work, plus the block
+    terminator ([k_term]) and one phi-copied value ([k_phi], counted
+    once per value of an edge's parallel copy).  A call counts at its
+    call site, in the caller. *)
+
+val k_alloca : int
+val k_load : int
+val k_store : int
+val k_gep : int
+val k_ibinop : int
+val k_fbinop : int
+val k_icmp : int
+val k_fcmp : int
+val k_cast : int
+val k_select : int
+val k_sancheck : int
+val k_call : int
+val k_term : int
+val k_phi : int
+
+(** A short name per kind, indexed by kind.  With metrics on, a run
+    adds its counts to [interp.op.<name>] ([interp.op.binop] for both
+    binop kinds, [interp.phi_copies] for phi copies). *)
+val kind_names : string array
+
+(** [k_fbinop] for a float binop, [k_ibinop] otherwise. *)
+val binop_kind : Instr.binop -> int
+
+(** Per-function dynamic operation counts.  The tier controller's
+    hotness policy reads their total, and the JIT cost model (lib/jit)
+    prices their cost classes to reproduce the paper's performance
+    figures. *)
 type counters = {
-  mutable c_ops : int;        (** integer/other IR operations executed *)
-  mutable c_fp : int;         (** floating-point operations *)
-  mutable c_mem : int;        (** loads + stores *)
-  mutable c_calls : int;      (** calls executed *)
-  mutable c_invocations : int;(** times this function was entered *)
+  c_kinds : int array;  (** operations executed, indexed by kind *)
+  mutable c_invocations : int;  (** times this function was entered *)
 }
+
+(** All operations the function executed: the sum over [c_kinds],
+    which summed over every function is the run's [steps]. *)
+val total_ops : counters -> int
 
 type profile = {
   funcs : (string, counters) Hashtbl.t;
   mutable p_allocs : int;
   mutable p_alloc_bytes : int;
-  mutable p_steps : int;
-}
-
-(** Cost class charged to the profile for one executed operation. *)
-type opclass = Cop | Cfp | Cmem
-
-(** Per-opcode dispatch counts and inline-cache statistics, collected
-    only when metrics were enabled at [create] time. *)
-type opstats = {
-  mutable os_alloca : int;
-  mutable os_load : int;
-  mutable os_store : int;
-  mutable os_gep : int;
-  mutable os_binop : int;
-  mutable os_icmp : int;
-  mutable os_fcmp : int;
-  mutable os_cast : int;
-  mutable os_select : int;
-  mutable os_sancheck : int;
-  mutable os_call : int;
-  mutable os_term : int;
-  mutable os_phi_copy : int;
-  mutable os_ic_hit : int;
-  mutable os_ic_miss : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -95,7 +107,7 @@ type pinstr =
   | Pstore of Irtype.scalar * pval * pval
   | Pgep of int * pval * pgep
   | Pbinop of
-      int * Instr.binop * Irtype.scalar * pval * pval * opclass
+      int * Instr.binop * Irtype.scalar * pval * pval
       * (Mval.t -> Mval.t -> Mval.t)
       (** the last field of a scalar operation is its [Scalar] kernel
           operation, staged at prepare time *)
@@ -169,8 +181,9 @@ and compiled = {
 
 (** A compiled function body: runs the function from its entry block in
     an already-set-up frame (registers allocated, parameters copied).
-    It must charge [steps] exactly like the interpreter so the timeout
-    point — observable behavior — is identical across tiers. *)
+    It must charge [steps] and the kind counters exactly like the
+    interpreter, so the timeout point — observable behavior — and the
+    profile are identical across tiers. *)
 and compiled_body = state -> frame -> Mval.t option
 
 (** OSR entry: [osr st fr idx] resumes mid-invocation at block [idx]
@@ -213,14 +226,13 @@ and state = {
   mutable steps : int;
   step_limit : int;
   mutable depth : int;
-  depth_limit : int;
   profile : profile;
   mutable frames : frame list;
   rng : Prng.t;
   trace : Buffer.t option;
-  obs : bool;
-  opstats : opstats;
-  seed : int;
+  obs : bool;  (** metrics were enabled at [create] *)
+  mutable ic_hits : int;  (** indirect calls the inline cache served *)
+  mutable ic_misses : int;  (** indirect calls that re-resolved *)
   tier : tierctl option;
   prof : Profile.t option;
       (** guest profiler handle; [None] (the default) keeps the hot
@@ -246,13 +258,12 @@ val iter_edges : (pedge -> unit) -> pterm -> unit
 (** "in function <name>" of the innermost frame. *)
 val context : state -> string
 
+(** Calls nest at most this deep (4096); the next one raises the
+    managed stack-overflow guard. *)
+val depth_limit : int
+
 (** Evaluate a prepared operand against a frame. *)
 val pv : frame -> pval -> Mval.t
-
-(** Account one executed operation of class [cls] against the step
-    budget and the frame's function counters; raises
-    [Step_limit_exceeded] past the limit. *)
-val charge : state -> frame -> opclass -> unit
 
 val exec_load : state -> Irtype.scalar -> Mval.t -> Mval.t
 val exec_store : state -> Irtype.scalar -> Mval.t -> Mval.t -> unit
@@ -267,6 +278,10 @@ val call_function :
 (** Dispatch a resolved call target (user function / builtin). *)
 val exec_target :
   state -> call_target -> Mval.t array -> Irtype.scalar array -> Mval.t option
+
+(** Whether [name] is a host builtin: the runtime functions implemented
+    by the engine itself rather than by the managed libc. *)
+val is_builtin : string -> bool
 
 (** Resolve a callee name: user function shadows builtin; unknown names
     fail only when called.  Links direct calls as their caller is
@@ -312,12 +327,10 @@ type run_result = {
     that function's first call, inside [run], not here. *)
 val create :
   ?step_limit:int ->
-  ?depth_limit:int ->
   ?mementos:bool ->
   ?detect_uninit:bool ->
   ?trace:bool ->
   ?input:string ->
-  ?seed:int ->
   ?tier:tierctl ->
   ?profile:Profile.t ->
   ?provenance:bool ->

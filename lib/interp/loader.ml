@@ -7,7 +7,8 @@
     module is verified in full when the cache fills, and the prelude is
     lexed and parsed once.  Per program, only the user's source is parsed
     (continuing from the saved prelude state) and only the user's
-    functions are verified, against the linked module's names.
+    globals and functions are verified, against the linked module's
+    names.
 
     The result is the module Safe Sulong interprets: user code first (its
     definitions win), libc filling in the rest. *)
@@ -21,9 +22,17 @@ let libc_module_shared () : Irmod.t =
   match !libc_cache with
   | Some m -> m
   | None ->
+    (* Lowered with immediate folding on, as every production pipeline
+       lowers, even when the first caller is a front end the
+       differential oracle runs with folding off. *)
+    let fold = !Lower.fold_immediates in
+    Lower.fold_immediates := true;
     let m, _env =
-      Lower.frontend ~string_prefix:".libc.str" ~file:"<libc>"
-        Libc_src.source
+      Fun.protect
+        ~finally:(fun () -> Lower.fold_immediates := fold)
+        (fun () ->
+          Lower.frontend ~string_prefix:".libc.str" ~file:"<libc>"
+            Libc_src.source)
     in
     Trace.span "verify" (fun () -> Verify.verify m);
     libc_cache := Some m;
@@ -45,41 +54,102 @@ let prelude_lines =
 let prelude =
   lazy (Parser.parse_prefix ~start_line:(1 - prelude_lines) Libc_src.prelude)
 
+(* The libc's function names: the runtime besides the host builtins. *)
+let libc_funcs =
+  lazy
+    (let t = Hashtbl.create 128 in
+     List.iter
+       (fun (f : Irfunc.t) -> Hashtbl.replace t f.Irfunc.name ())
+       (libc_module_shared ()).Irmod.funcs;
+     t)
+
+(* Link check of a lowered user program: every function it calls or
+   takes the address of is defined by the program or by the runtime
+   (the libc or a host builtin).  An undefined one is a diagnostic at
+   the reference: the statement's position in a function, the
+   declaration's in a global initializer. *)
+let check_references (prog : Ast.program) (m : Irmod.t) =
+  let defined name =
+    Irmod.has_func m name || Interp.is_builtin name
+    || Hashtbl.mem (Lazy.force libc_funcs) name
+  in
+  let undefined pos name =
+    Diag.error pos "undefined reference to function %s" name
+  in
+  List.iter
+    (fun (g : Irmod.global) ->
+      let decl_pos pos = function
+        | Ast.Gvar d when d.Ast.d_name = g.Irmod.g_name -> d.Ast.d_pos
+        | _ -> pos
+      in
+      let rec init = function
+        | Irmod.Gfunc_addr name when not (defined name) ->
+          undefined (List.fold_left decl_pos Token.dummy_pos prog) name
+        | Irmod.Garray items | Irmod.Gstruct_init items -> List.iter init items
+        | _ -> ()
+      in
+      init g.Irmod.g_init)
+    m.Irmod.globals;
+  List.iter
+    (fun (f : Irfunc.t) ->
+      let line, col = f.Irfunc.src_pos in
+      let pos = ref { Token.line; col } in
+      let value = function
+        | Instr.FuncAddr name when not (defined name) -> undefined !pos name
+        | _ -> ()
+      in
+      List.iter
+        (fun (b : Irfunc.block) ->
+          List.iter
+            (fun i ->
+              (match i with
+              | Instr.Srcloc (line, col) -> pos := { Token.line; col }
+              | Instr.Call (_, _, Instr.Direct name, _)
+                when not (defined name) ->
+                undefined !pos name
+              | _ -> ());
+              List.iter value (Instr.uses_of i))
+            b.Irfunc.instrs;
+          List.iter value (Instr.term_uses b.Irfunc.term))
+        f.Irfunc.blocks)
+    m.Irmod.funcs
+
 (** Compile [src] (user program) against the prelude, without linking. *)
 let compile_user ?(file = "<input>") (src : string) : Irmod.t =
   let prog =
     Trace.span "parse" (fun () -> Parser.parse_after (Lazy.force prelude) src)
   in
-  fst (Lower.check_and_lower ~file prog)
+  let m = fst (Lower.check_and_lower ~file prog) in
+  check_references prog m;
+  m
 
 (** Link [user] against the libc and verify the result.  The libc passed
     full verification when the cache filled, and linking only adds names
-    and drops the libc functions the user redefines, so each libc
-    function left stays valid: checking the user's functions against the
-    linked module's names raises exactly what [Verify.verify] of the
-    whole linked module would. *)
+    and drops the libc definitions the user redefines, so each libc
+    function and global left stays valid: checking the user's globals
+    and functions against the linked module's names raises exactly what
+    [Verify.verify] of the whole linked module would. *)
 let link_libc ?(shared = false) (user : Irmod.t) : Irmod.t =
   let linked =
     Trace.span "link" (fun () ->
         Irmod.link user
           (if shared then libc_module_shared () else libc_module ()))
   in
-  Trace.span "verify" (fun () -> Verify.verify_funcs linked user.Irmod.funcs);
+  Trace.span "verify" (fun () -> Verify.verify_part linked user);
   linked
 
 (** Compile and link a complete program: user code + managed libc. *)
 let load_program ?file (src : string) : Irmod.t =
   link_libc (compile_user ?file src)
 
-(** Convenience for tests and examples: compile, link, interpret.  All
-    interpreter knobs (step/depth limits, call tracing, PRNG seed) pass
-    straight through to [Interp.create]. *)
+(** Convenience for tests and examples: compile, link, interpret.  The
+    interpreter knobs (step limit, mementos, uninitialized-read
+    detection, call tracing) pass straight through to [Interp.create]. *)
 let run_source ?(argv = [ "program" ]) ?(input = "") ?step_limit
-    ?depth_limit ?(mementos = true) ?(detect_uninit = false) ?trace ?seed
-    (src : string) : Interp.run_result =
+    ?(mementos = true) ?(detect_uninit = false) ?trace (src : string) :
+    Interp.run_result =
   let m = load_program src in
   let st =
-    Interp.create ?step_limit ?depth_limit ~mementos ~detect_uninit ?trace
-      ?seed ~input m
+    Interp.create ?step_limit ~mementos ~detect_uninit ?trace ~input m
   in
   Interp.run ~argv st

@@ -3,7 +3,7 @@
     for once per process: its front end runs and its module is verified
     in full when the cache fills, and the prelude is lexed and parsed
     once; per program only the user's source is parsed and only the
-    user's functions are verified. *)
+    user's definitions are verified. *)
 
 (** The managed libc as a fresh IR module (front-end output, cached and
     deep-copied per call). *)
@@ -21,13 +21,16 @@ val libc_module_shared : unit -> Irmod.t
     the source-file name recorded in diagnostics and bug reports.  The
     parse continues from the prelude's saved state, so the result is
     what compiling [prelude ^ src] with the prelude's lines numbered
-    below 1 gives. *)
+    below 1 gives.  A call to, or the address of, a function that
+    neither the program nor the runtime (the libc, the host builtins)
+    defines raises [Diag.Error] at the reference. *)
 val compile_user : ?file:string -> string -> Irmod.t
 
 (** Link a user module against the managed libc and verify it: only the
-    user's functions are checked, against the linked module's names,
-    which raises exactly the [Verify.Invalid] a full [Verify.verify] of
-    the linked module would (the libc was verified in full once).
+    user's globals and functions are checked, against the linked
+    module's names, which raises exactly the [Verify.Invalid] a full
+    [Verify.verify] of the linked module would (the libc was verified in
+    full once).
     [shared] (default false) links the cached libc itself instead of a
     deep copy; the result then aliases the cache and must be treated as
     frozen. *)
@@ -43,10 +46,8 @@ val run_source :
   ?argv:string list ->
   ?input:string ->
   ?step_limit:int ->
-  ?depth_limit:int ->
   ?mementos:bool ->
   ?detect_uninit:bool ->
   ?trace:bool ->
-  ?seed:int ->
   string ->
   Interp.run_result

@@ -1,22 +1,29 @@
 (** IR well-formedness checks, run after lowering and after every
     optimization pass in tests.  Catching a malformed module here is much
     cheaper than debugging an engine crash.  The checks are linear in the
-    size of the module: top-level names resolve through one index built
-    per call, and an error message (which may render the offending
+    size of the module (a phi's: in its entries times its block's
+    predecessors): top-level names resolve through one index built per
+    call, and an error message (which may render the offending
     instruction) is built only when its check fails.
 
-    A function's check reads only the function and the module's name
-    sets, so [verify_funcs m fs] can check just some of [m]'s functions:
-    the loader verifies the libc once and, per program, only the user's
-    functions against the linked module's names. *)
+    Beyond names, they reject the shapes no engine can execute: a type
+    of the wrong class (integer or float) for its opcode, and a phi
+    without an entry per predecessor or in the entry block.
+
+    A function's or global's check reads only itself and the module's
+    name sets, so [verify_part m part] can check just some of [m]'s
+    definitions: the loader verifies the libc once and, per program,
+    only the user's globals and functions against the linked module's
+    names. *)
 
 exception Invalid of string
 
 let fail fmt = Format.kasprintf (fun msg -> raise (Invalid msg)) fmt
 
 (* The module's top-level names, by what may refer to them: [@g] as a
-   value names a global or a function; a function address or a direct
-   callee names a function or an extern. *)
+   value or in a global initializer names a global or a function; a
+   function address or a direct callee names a function or an
+   extern. *)
 type names = {
   data : (string, unit) Hashtbl.t;  (** globals and functions *)
   code : (string, unit) Hashtbl.t;  (** functions and externs *)
@@ -38,6 +45,28 @@ let index (m : Irmod.t) =
 let site_to_string = function
   | Some i -> Irprint.instr_to_string i
   | None -> "terminator"
+
+(* Whether an instruction's types are of the class (integer or float)
+   its opcode computes on: every engine stages the opcode's operation
+   for that class.  A bitcast takes either. *)
+let classes_match (i : Instr.instr) =
+  let fl = Irtype.is_float_scalar in
+  match i with
+  | Instr.Binop (_, op, s, _, _) -> (
+    match op with
+    | Instr.FAdd | Instr.FSub | Instr.FMul | Instr.FDiv -> fl s
+    | _ -> not (fl s))
+  | Instr.Icmp (_, _, s, _, _) -> not (fl s)
+  | Instr.Fcmp (_, _, s, _, _) -> fl s
+  | Instr.Cast (_, op, from, into, _) -> (
+    match op with
+    | Instr.Trunc | Instr.Zext | Instr.Sext | Instr.Ptrtoint | Instr.Inttoptr ->
+      not (fl from || fl into)
+    | Instr.Fptrunc | Instr.Fpext -> fl from && fl into
+    | Instr.Fptosi | Instr.Fptoui -> fl from && not (fl into)
+    | Instr.Sitofp | Instr.Uitofp -> (not (fl from)) && fl into
+    | Instr.Bitcast -> true)
+  | _ -> true
 
 let verify_func names (f : Irfunc.t) =
   let labels = List.map (fun b -> b.Irfunc.label) f.Irfunc.blocks in
@@ -63,6 +92,19 @@ let verify_func names (f : Irfunc.t) =
           | None -> ())
         b.instrs)
     f.Irfunc.blocks;
+  (* Every block's predecessors (a label once per edge), built at the
+     first phi: a phi needs an entry for each. *)
+  let preds =
+    lazy
+      (let t = Hashtbl.create 16 in
+       List.iter
+         (fun (b : Irfunc.block) ->
+           List.iter
+             (fun l -> Hashtbl.add t l b.Irfunc.label)
+             (Instr.term_successors b.Irfunc.term))
+         f.Irfunc.blocks;
+       t)
+  in
   let check_value site = function
     | Instr.Reg r ->
       if not (Hashtbl.mem defined r) then
@@ -83,12 +125,15 @@ let verify_func names (f : Irfunc.t) =
           (site_to_string site) (Irtype.scalar_to_string s) v
     | Instr.ImmFloat _ | Instr.Null -> ()
   in
-  List.iter
-    (fun (b : Irfunc.block) ->
+  List.iteri
+    (fun bi (b : Irfunc.block) ->
       List.iter
         (fun i ->
           List.iter (check_value (Some i)) (Instr.uses_of i);
-          (match i with
+          if not (classes_match i) then
+            fail "%s: %s has a type of the wrong class for its opcode"
+              f.Irfunc.name (Irprint.instr_to_string i);
+          match i with
           | Instr.Call (_, _, Instr.Direct callee, _) ->
             if not (Hashtbl.mem names.code callee) then
               fail "%s: call to unknown function @%s" f.Irfunc.name callee
@@ -97,8 +142,17 @@ let verify_func names (f : Irfunc.t) =
               (fun (l, _) ->
                 if not (Hashtbl.mem label_set l) then
                   fail "%s: phi references unknown block %s" f.Irfunc.name l)
-              incoming
-          | _ -> ()))
+              incoming;
+            if bi = 0 then
+              fail "%s: %s in the entry block" f.Irfunc.name
+                (Irprint.instr_to_string i);
+            List.iter
+              (fun p ->
+                if not (List.mem_assoc p incoming) then
+                  fail "%s: %s has no entry for predecessor %s" f.Irfunc.name
+                    (Irprint.instr_to_string i) p)
+              (Hashtbl.find_all (Lazy.force preds) b.Irfunc.label)
+          | _ -> ())
         b.instrs;
       List.iter (check_value None) (Instr.term_uses b.Irfunc.term);
       List.iter
@@ -108,10 +162,27 @@ let verify_func names (f : Irfunc.t) =
         (Instr.term_successors b.Irfunc.term))
     f.Irfunc.blocks
 
-(** Check [funcs], in order, against the top-level names of [m],
-    including that no name is defined twice among them. *)
-let verify_funcs (m : Irmod.t) (funcs : Irfunc.t list) =
+(* Every symbol a global's initializer names must exist. *)
+let rec verify_ginit names g (init : Irmod.ginit) =
+  match init with
+  | Irmod.Gglobal_addr n ->
+    if not (Hashtbl.mem names.data n) then
+      fail "global @%s references unknown global @%s" g n
+  | Irmod.Gfunc_addr n ->
+    if not (Hashtbl.mem names.code n) then
+      fail "global @%s references unknown function @%s" g n
+  | Irmod.Garray items | Irmod.Gstruct_init items ->
+    List.iter (verify_ginit names g) items
+  | Irmod.Gzero | Irmod.Gint _ | Irmod.Gfloat _ | Irmod.Gstring _ -> ()
+
+(** Check the globals, then the functions, of [part], in order, against
+    the top-level names of [m], including that no function name is
+    defined twice among them. *)
+let verify_part (m : Irmod.t) (part : Irmod.t) =
   let names = index m in
+  List.iter
+    (fun (g : Irmod.global) -> verify_ginit names g.Irmod.g_name g.Irmod.g_init)
+    part.Irmod.globals;
   let seen = Hashtbl.create 64 in
   List.iter
     (fun (f : Irfunc.t) ->
@@ -119,6 +190,6 @@ let verify_funcs (m : Irmod.t) (funcs : Irfunc.t list) =
         fail "duplicate function @%s" f.Irfunc.name;
       Hashtbl.replace seen f.Irfunc.name ();
       verify_func names f)
-    funcs
+    part.Irmod.funcs
 
-let verify (m : Irmod.t) = verify_funcs m m.Irmod.funcs
+let verify (m : Irmod.t) = verify_part m m

@@ -50,10 +50,10 @@
     identical program output, identical managed errors at the same
     operation, and identical [steps] accounting — every operation still
     charges the step budget individually, so a step-limit timeout fires
-    at exactly the same point in either tier.  What compiled code is
-    allowed to drop is pure interpreter overhead: dispatch matches,
-    per-op metrics branches when metrics are off, and value boxing that
-    no observer can distinguish. *)
+    at exactly the same point in either tier, and counts into the same
+    per-function kind counter.  What compiled code is allowed to drop is
+    pure interpreter overhead: dispatch matches and value boxing that no
+    observer can distinguish. *)
 
 open Interp
 
@@ -85,30 +85,20 @@ let deref_c (ctx : string) (pm : Mval.t) : Mobject.addr =
       ctx
 
 (* Every compiled operation opens with a step charge: the same writes,
-   in the same order, with the same raise point as [Interp.charge] —
-   the step counter, the instance's hotness counter ([c], captured at
+   in the same order, with the same raise point as the interpreter's
+   charge — the step counter, the instance's counter for the
+   operation's kind [k] ([c] is the function's [c_kinds], captured at
    compile time: a compiled body only ever runs in the state that
-   compiled it), then the limit check.  The site's opstat bump follows,
-   so a timeout leaves the stats exactly as the interpreter would.
+   compiled it), then the limit check.
 
-   The helpers are closed top-level functions marked [@inline], so each
-   site compiles to the three writes in place: no closure, no call.
-   They live here rather than in [Interp] because dune's dev profile
+   The helper is a closed top-level function marked [@inline], so each
+   site compiles to the three writes in place: no closure, no call.  It
+   lives here rather than in [Interp] because dune's dev profile
    compiles with -opaque, which keeps a cross-module function a real
    call on the hot path. *)
-let[@inline] charge_op (st : state) (c : counters) limit =
+let[@inline] charge (st : state) (c : int array) k limit =
   st.steps <- st.steps + 1;
-  c.c_ops <- c.c_ops + 1;
-  if st.steps > limit then raise Step_limit_exceeded
-
-let[@inline] charge_mem (st : state) (c : counters) limit =
-  st.steps <- st.steps + 1;
-  c.c_mem <- c.c_mem + 1;
-  if st.steps > limit then raise Step_limit_exceeded
-
-let[@inline] charge_fp (st : state) (c : counters) limit =
-  st.steps <- st.steps + 1;
-  c.c_fp <- c.c_fp + 1;
+  Array.unsafe_set c k (Array.unsafe_get c k + 1);
   if st.steps > limit then raise Step_limit_exceeded
 
 (* Allocation-memento observation of a heap access, inlined the same
@@ -183,8 +173,8 @@ let shift_instr base = function
   | Pload (r, s, p) -> Pload (r + base, s, shift_pval base p)
   | Pstore (s, v, p) -> Pstore (s, shift_pval base v, shift_pval base p)
   | Pgep (r, b, g) -> Pgep (r + base, shift_pval base b, shift_gep base g)
-  | Pbinop (r, op, s, a, b, cls, f) ->
-    Pbinop (r + base, op, s, shift_pval base a, shift_pval base b, cls, f)
+  | Pbinop (r, op, s, a, b, f) ->
+    Pbinop (r + base, op, s, shift_pval base a, shift_pval base b, f)
   | Picmp (r, op, s, a, b, f) ->
     Picmp (r + base, op, s, shift_pval base a, shift_pval base b, f)
   | Pfcmp (r, op, a, b, f) ->
@@ -243,14 +233,15 @@ let static_size (pf : pfunc) : int =
     per-caller instruction budget.  Inlining elides the [call_function]
     frame push, which is only sound because a leaf callee can never
     observe the frame stack (no builtins, no varargs, no nested calls)
-    — and call tracing / eager provenance, which do observe it, disable
-    inlining wholesale. *)
+    — and call tracing, which does observe it, disables inlining
+    wholesale.  (Eager provenance tracking observes it too, but runs
+    only in the provenance replay, which never has a tier controller.) *)
 let plan_inlines (st0 : state) (pf : pfunc) :
     (int * int, inline_site) Hashtbl.t * int =
   let sites : (int * int, inline_site) Hashtbl.t = Hashtbl.create 8 in
   let next_base = ref pf.pf_nregs in
   let budget = ref Costmodel.inline_budget_instrs in
-  if st0.trace = None && not st0.provenance then
+  if st0.trace = None then
     Array.iteri
       (fun bi blk ->
         Array.iteri
@@ -386,7 +377,7 @@ let plan_slots (blocks_list : pblock array list) (entry : phicopy)
               end
               | Pload (r, _, _)
               | Pgep (r, _, _)
-              | Pbinop (r, _, _, _, _, _, _)
+              | Pbinop (r, _, _, _, _, _)
               | Picmp (r, _, _, _, _, _)
               | Pfcmp (r, _, _, _, _)
               | Pcast (r, _, _, _, _, _)
@@ -436,7 +427,7 @@ let plan_slots (blocks_list : pblock array list) (entry : phicopy)
               | Pgep (_, b, g) ->
                 pv b;
                 Array.iter (fun (v, _) -> pv v) g.pg_dyn
-              | Pbinop (_, _, _, a, b, _, _) ->
+              | Pbinop (_, _, _, a, b, _) ->
                 pv a;
                 pv b
               | Picmp (_, _, _, a, b, _) ->
@@ -569,8 +560,8 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
       else boxed rp
     | Pstore _ | Psancheck | Ploc _ -> ()
     | Pgep (r, _, _) -> boxed r
-    | Pbinop (r, _, s, _, _, cls, _) ->
-      if cls = Cfp then float_res r
+    | Pbinop (r, op, s, _, _, _) ->
+      if binop_kind op = k_fbinop then float_res r
       else if small s then int_res r
       else boxed r
     | Picmp (r, _, _, _, _, _) -> int_res r
@@ -641,8 +632,6 @@ type ret_mode = Ret_fun | Ret_inline of int * cont
 let unset : cont = fun _ _ -> failwith "closcomp: block not compiled"
 
 let compile (st0 : state) (pf : pfunc) : compiled =
-  let obs = st0.obs in
-  let os = st0.opstats in
   let limit = st0.step_limit in
   let heap = st0.heap in
   let prof = st0.prof in
@@ -787,7 +776,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
         (isites : (int * int, inline_site) Hashtbl.t) (ret : ret_mode)
         (entry_copies : phicopy) : cont * cont ref array =
       let ctx = ipf.pf_context in
-      let ctrs = ipf.pf_counters in
+      let ctrs = ipf.pf_counters.c_kinds in
       let nblocks = Array.length iblocks in
       let cells = Array.init nblocks (fun _ -> ref unset) in
 
@@ -805,30 +794,26 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             | Rint ->
               let ig = iget srcs.(0) in
               fun st fr ->
-                charge_op st ctrs limit;
-                if obs then os.os_phi_copy <- os.os_phi_copy + 1;
+                charge st ctrs k_phi limit;
                 Array.unsafe_set fr.fr_iregs d (ig fr);
                 !jump st fr
             | Rfloat ->
               let fg = fget srcs.(0) in
               fun st fr ->
-                charge_op st ctrs limit;
-                if obs then os.os_phi_copy <- os.os_phi_copy + 1;
+                charge st ctrs k_phi limit;
                 Array.unsafe_set fr.fr_fregs d (fg fr);
                 !jump st fr
             | Rbox -> begin
               match srcs.(0) with
               | Preg rs when cls.(rs) = Rbox ->
                 fun st fr ->
-                  charge_op st ctrs limit;
-                  if obs then os.os_phi_copy <- os.os_phi_copy + 1;
+                  charge st ctrs k_phi limit;
                   fr.fr_regs.(d) <- fr.fr_regs.(rs);
                   !jump st fr
               | src ->
                 let g = getter src in
                 fun st fr ->
-                  charge_op st ctrs limit;
-                  if obs then os.os_phi_copy <- os.os_phi_copy + 1;
+                  charge st ctrs k_phi limit;
                   fr.fr_regs.(d) <- g fr;
                   !jump st fr
             end
@@ -859,7 +844,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               let tmpf = Array.make n 0.0 in
               let tmpv = Array.make n Mval.zero in
               for i = 0 to n - 1 do
-                charge_op st ctrs limit;
+                charge st ctrs k_phi limit;
                 match kinds.(i) with
                 | Rint -> tmpi.(i) <- igs.(i) fr
                 | Rfloat -> tmpf.(i) <- fgs.(i) fr
@@ -871,7 +856,6 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                 | Rfloat -> Array.unsafe_set fr.fr_fregs dests.(i) tmpf.(i)
                 | Rbox -> fr.fr_regs.(dests.(i)) <- tmpv.(i)
               done;
-              if obs then os.os_phi_copy <- os.os_phi_copy + n;
               !jump st fr
           end
       in
@@ -898,13 +882,11 @@ let compile (st0 : state) (pf : pfunc) : compiled =
         | Ret_fun, Some v ->
           let g = getter v in
           fun st fr ->
-            charge_op st ctrs limit;
-            if obs then os.os_term <- os.os_term + 1;
+            charge st ctrs k_term limit;
             Some (g fr)
         | Ret_fun, None ->
           fun st _fr ->
-            charge_op st ctrs limit;
-            if obs then os.os_term <- os.os_term + 1;
+            charge st ctrs k_term limit;
             None
         | Ret_inline (rres, next), Some v -> (
           (* Guest-profiler leave: the ret charge lands before [leave]
@@ -917,30 +899,26 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           match prof with
           | None ->
             if rres >= 0 then fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_term <- os.os_term + 1;
+              charge st ctrs k_term limit;
               let res = g fr in
               st.depth <- st.depth - 1;
               fr.fr_regs.(rres) <- res;
               next st fr
             else fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_term <- os.os_term + 1;
+              charge st ctrs k_term limit;
               ignore (g fr);
               st.depth <- st.depth - 1;
               next st fr
           | Some p ->
             if rres >= 0 then fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_term <- os.os_term + 1;
+              charge st ctrs k_term limit;
               Profile.leave p ~steps:st.steps;
               let res = g fr in
               st.depth <- st.depth - 1;
               fr.fr_regs.(rres) <- res;
               next st fr
             else fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_term <- os.os_term + 1;
+              charge st ctrs k_term limit;
               Profile.leave p ~steps:st.steps;
               ignore (g fr);
               st.depth <- st.depth - 1;
@@ -949,27 +927,23 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           match prof with
           | None ->
             if rres >= 0 then fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_term <- os.os_term + 1;
+              charge st ctrs k_term limit;
               st.depth <- st.depth - 1;
               fr.fr_regs.(rres) <- Mval.zero;
               next st fr
             else fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_term <- os.os_term + 1;
+              charge st ctrs k_term limit;
               st.depth <- st.depth - 1;
               next st fr
           | Some p ->
             if rres >= 0 then fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_term <- os.os_term + 1;
+              charge st ctrs k_term limit;
               Profile.leave p ~steps:st.steps;
               st.depth <- st.depth - 1;
               fr.fr_regs.(rres) <- Mval.zero;
               next st fr
             else fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_term <- os.os_term + 1;
+              charge st ctrs k_term limit;
               Profile.leave p ~steps:st.steps;
               st.depth <- st.depth - 1;
               next st fr)
@@ -981,28 +955,24 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           match edge_plain e with
           | Some cell ->
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_term <- os.os_term + 1;
+              charge st ctrs k_term limit;
               !cell st fr
           | None ->
             let k = compile_edge e in
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_term <- os.os_term + 1;
+              charge st ctrs k_term limit;
               k st fr
         end
         | Pcondbr (c, a, b) -> begin
           match (c, edge_plain a, edge_plain b) with
           | Preg rc, Some ca, Some cb when cls.(rc) = Rint ->
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_term <- os.os_term + 1;
+              charge st ctrs k_term limit;
               if Array.unsafe_get fr.fr_iregs rc = 0 then !cb st fr
               else !ca st fr
           | Preg rc, Some ca, Some cb when cls.(rc) = Rbox ->
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_term <- os.os_term + 1;
+              charge st ctrs k_term limit;
               if Int64.equal (Mval.as_int fr.fr_regs.(rc)) 0L then !cb st fr
               else !ca st fr
           | c, _, _ ->
@@ -1010,21 +980,18 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             (match c with
             | Preg rc when cls.(rc) = Rint ->
               fun st fr ->
-                charge_op st ctrs limit;
-                if obs then os.os_term <- os.os_term + 1;
+                charge st ctrs k_term limit;
                 if Array.unsafe_get fr.fr_iregs rc = 0 then kb st fr
                 else ka st fr
             | Preg rc when cls.(rc) = Rbox ->
               fun st fr ->
-                charge_op st ctrs limit;
-                if obs then os.os_term <- os.os_term + 1;
+                charge st ctrs k_term limit;
                 if Int64.equal (Mval.as_int fr.fr_regs.(rc)) 0L then kb st fr
                 else ka st fr
             | c ->
               let g = getter c in
               fun st fr ->
-                charge_op st ctrs limit;
-                if obs then os.os_term <- os.os_term + 1;
+                charge st ctrs k_term limit;
                 if Int64.equal (Mval.as_int (g fr)) 0L then kb st fr
                 else ka st fr)
         end
@@ -1036,8 +1003,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let ks = Array.map compile_edge edges in
             let nk = Array.length keys in
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_term <- os.os_term + 1;
+              charge st ctrs k_term limit;
               let x = Mval.as_int (gv fr) in
               let rec find i =
                 if i >= nk then kd
@@ -1049,15 +1015,13 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let ctbl = Hashtbl.create (2 * Hashtbl.length tbl) in
             Hashtbl.iter (fun k e -> Hashtbl.replace ctbl k (compile_edge e)) tbl;
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_term <- os.os_term + 1;
+              charge st ctrs k_term limit;
               let x = Mval.as_int (gv fr) in
               (match Hashtbl.find_opt ctbl x with Some k -> k | None -> kd)
                 st fr)
         | Punreachable ->
           fun st _fr ->
-            charge_op st ctrs limit;
-            if obs then os.os_term <- os.os_term + 1;
+            charge st ctrs k_term limit;
             Merror.raise_error
               (Merror.Type_violation "reached an unreachable instruction")
               ctx
@@ -1077,22 +1041,19 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           match cls.(r) with
           | Rint ->
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_alloca <- os.os_alloca + 1;
+              charge st ctrs k_alloca limit;
               ignore (Mobject.fresh_id ());
               Array.unsafe_set fr.fr_iregs r 0;
               next st fr
           | Rfloat ->
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_alloca <- os.os_alloca + 1;
+              charge st ctrs k_alloca limit;
               ignore (Mobject.fresh_id ());
               Array.unsafe_set fr.fr_fregs r 0.0;
               next st fr
           | Rbox ->
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_alloca <- os.os_alloca + 1;
+              charge st ctrs k_alloca limit;
               ignore (Mobject.fresh_id ());
               Array.unsafe_set fr.fr_regs r Mval.zero;
               next st fr
@@ -1105,36 +1066,31 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           match cls.(rp) with
           | Rint when cls.(r) = Rint ->
             fun st fr ->
-              charge_mem st ctrs limit;
-              if obs then os.os_load <- os.os_load + 1;
+              charge st ctrs k_load limit;
               let ir = fr.fr_iregs in
               Array.unsafe_set ir r (Array.unsafe_get ir rp);
               next st fr
           | Rint ->
             fun st fr ->
-              charge_mem st ctrs limit;
-              if obs then os.os_load <- os.os_load + 1;
+              charge st ctrs k_load limit;
               fr.fr_regs.(r) <-
                 Mval.Vint (Int64.of_int (Array.unsafe_get fr.fr_iregs rp));
               next st fr
           | Rfloat when cls.(r) = Rfloat ->
             fun st fr ->
-              charge_mem st ctrs limit;
-              if obs then os.os_load <- os.os_load + 1;
+              charge st ctrs k_load limit;
               let fl = fr.fr_fregs in
               Array.unsafe_set fl r (Array.unsafe_get fl rp);
               next st fr
           | Rfloat ->
             fun st fr ->
-              charge_mem st ctrs limit;
-              if obs then os.os_load <- os.os_load + 1;
+              charge st ctrs k_load limit;
               fr.fr_regs.(r) <-
                 Mval.Vfloat (Array.unsafe_get fr.fr_fregs rp);
               next st fr
           | Rbox ->
             fun st fr ->
-              charge_mem st ctrs limit;
-              if obs then os.os_load <- os.os_load + 1;
+              charge st ctrs k_load limit;
               Array.unsafe_set fr.fr_regs r (Array.unsafe_get fr.fr_regs rp);
               next st fr
         end
@@ -1150,23 +1106,20 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             match v with
             | Preg rv when cls.(rv) = Rint ->
               fun st fr ->
-                charge_mem st ctrs limit;
-                if obs then os.os_store <- os.os_store + 1;
+                charge st ctrs k_store limit;
                 let ir = fr.fr_iregs in
                 Array.unsafe_set ir rp (nrm (Array.unsafe_get ir rv));
                 next st fr
             | Pimm (Mval.Vint imm) ->
               let c = nrm (Int64.to_int imm) in
               fun st fr ->
-                charge_mem st ctrs limit;
-                if obs then os.os_store <- os.os_store + 1;
+                charge st ctrs k_store limit;
                 Array.unsafe_set fr.fr_iregs rp c;
                 next st fr
             | _ ->
               let g = iget v in
               fun st fr ->
-                charge_mem st ctrs limit;
-                if obs then os.os_store <- os.os_store + 1;
+                charge st ctrs k_store limit;
                 Array.unsafe_set fr.fr_iregs rp (nrm (g fr));
                 next st fr
           end
@@ -1174,28 +1127,24 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let g = fget v in
             if s = Irtype.F32 then
               fun st fr ->
-                charge_mem st ctrs limit;
-                if obs then os.os_store <- os.os_store + 1;
+                charge st ctrs k_store limit;
                 Array.unsafe_set fr.fr_fregs rp (Scalar.round_to_f32 (g fr));
                 next st fr
             else
               fun st fr ->
-                charge_mem st ctrs limit;
-                if obs then os.os_store <- os.os_store + 1;
+                charge st ctrs k_store limit;
                 Array.unsafe_set fr.fr_fregs rp (g fr);
                 next st fr
           | Rbox ->
             let g = getter v in
             fun st fr ->
-              charge_mem st ctrs limit;
-              if obs then os.os_store <- os.os_store + 1;
+              charge st ctrs k_store limit;
               Array.unsafe_set fr.fr_regs rp (Mval.Vint (Mval.as_int (g fr)));
               next st fr
         end
         | Palloca (r, mty, size) ->
           fun st fr ->
-            charge_op st ctrs limit;
-            if obs then os.os_alloca <- os.os_alloca + 1;
+            charge st ctrs k_alloca limit;
             let obj = Mobject.alloc ~storage:Merror.Stack ~mty size in
             fr.fr_regs.(r) <- Mval.Vptr (Mobject.Pobj { Mobject.obj; moff = 0 });
             next st fr
@@ -1212,8 +1161,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           (match p with
           | Preg rp when cls.(rp) = Rbox && cls.(r) = Rint ->
             fun st fr ->
-              charge_mem st ctrs limit;
-              if obs then os.os_load <- os.os_load + 1;
+              charge st ctrs k_load limit;
               let a =
                 match Array.unsafe_get fr.fr_regs rp with
                 | Mval.Vptr (Mobject.Pobj a) -> a
@@ -1234,8 +1182,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | p ->
             let g = getter p in
             fun st fr ->
-              charge_mem st ctrs limit;
-              if obs then os.os_load <- os.os_load + 1;
+              charge st ctrs k_load limit;
               let a =
                 match g fr with
                 | Mval.Vptr (Mobject.Pobj a) -> a
@@ -1261,8 +1208,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | p ->
             let g = getter p in
             fun st fr ->
-              charge_mem st ctrs limit;
-              if obs then os.os_load <- os.os_load + 1;
+              charge st ctrs k_load limit;
               let a =
                 match g fr with
                 | Mval.Vptr (Mobject.Pobj a) -> a
@@ -1303,8 +1249,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           (match p with
           | Preg rp when cls.(rp) = Rbox ->
             fun st fr ->
-              charge_mem st ctrs limit;
-              if obs then os.os_load <- os.os_load + 1;
+              charge st ctrs k_load limit;
               let a =
                 match Array.unsafe_get fr.fr_regs rp with
                 | Mval.Vptr (Mobject.Pobj a) -> a
@@ -1316,8 +1261,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | p ->
             let g = getter p in
             fun st fr ->
-              charge_mem st ctrs limit;
-              if obs then os.os_load <- os.os_load + 1;
+              charge st ctrs k_load limit;
               let a =
                 match g fr with
                 | Mval.Vptr (Mobject.Pobj a) -> a
@@ -1337,8 +1281,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           (match p with
           | Preg rp when cls.(rp) = Rbox ->
             fun st fr ->
-              charge_mem st ctrs limit;
-              if obs then os.os_store <- os.os_store + 1;
+              charge st ctrs k_store limit;
               let pm = Array.unsafe_get fr.fr_regs rp in
               let vv = gv fr in
               let a =
@@ -1360,8 +1303,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | p ->
             let gp = getter p in
             fun st fr ->
-              charge_mem st ctrs limit;
-              if obs then os.os_store <- os.os_store + 1;
+              charge st ctrs k_store limit;
               let pp = gp fr in
               let vv = gv fr in
               let a =
@@ -1389,8 +1331,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | p ->
             let gp = getter p in
             fun st fr ->
-              charge_mem st ctrs limit;
-              if obs then os.os_store <- os.os_store + 1;
+              charge st ctrs k_store limit;
               let pp = gp fr in
               let vv = gv fr in
               let a =
@@ -1418,8 +1359,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             | _ -> fun a x -> Mobject.store_int a ~size (Mval.as_int x) ctx
           in
           fun st fr ->
-            charge_mem st ctrs limit;
-            if obs then os.os_store <- os.os_store + 1;
+            charge st ctrs k_store limit;
             let pp = gp fr in
             let vv = gv fr in
             let a =
@@ -1449,15 +1389,13 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           (match g.pg_dyn with
           | [||] ->
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_gep <- os.os_gep + 1;
+              charge st ctrs k_gep limit;
               fr.fr_regs.(r) <- apply static (gb fr);
               next st fr
           | [| (iv, stride) |] ->
             let gi = iget iv in
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_gep <- os.os_gep + 1;
+              charge st ctrs k_gep limit;
               let b = gb fr in
               let d = static + (gi fr * stride) in
               fr.fr_regs.(r) <- apply d b;
@@ -1465,8 +1403,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | dyn ->
             let gis = Array.map (fun (v, stride) -> (iget v, stride)) dyn in
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_gep <- os.os_gep + 1;
+              charge st ctrs k_gep limit;
               let b = gb fr in
               let d = ref static in
               for i = 0 to Array.length gis - 1 do
@@ -1475,14 +1412,13 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               done;
               fr.fr_regs.(r) <- apply !d b;
               next st fr)
-        | Pbinop (r, op, s, a, b, cls_op, _) when cls_op <> Cfp && small s ->
+        | Pbinop (r, op, s, a, b, _) when binop_kind op = k_ibinop && small s ->
           let f = ints (Scalar.Small.binop ~div0:(div0 ctx) op s) in
           (match (a, b) with
           | Preg ra, Preg rb
             when cls.(ra) = Rint && cls.(rb) = Rint && cls.(r) = Rint ->
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_binop <- os.os_binop + 1;
+              charge st ctrs k_ibinop limit;
               let ir = fr.fr_iregs in
               Array.unsafe_set ir r
                 (f (Array.unsafe_get ir ra) (Array.unsafe_get ir rb));
@@ -1491,23 +1427,18 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let ga = iget a and gb = iget b in
             let set = iset r in
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_binop <- os.os_binop + 1;
+              charge st ctrs k_ibinop limit;
               (* right-to-left like the interpreter's application order *)
               let y = gb fr in
               set fr (f (ga fr) y);
               next st fr)
-        | Pbinop (r, op, s, a, b, Cfp, _)
-          when (match op with
-               | Instr.FAdd | Instr.FSub | Instr.FMul | Instr.FDiv -> true
-               | _ -> false) ->
+        | Pbinop (r, op, s, a, b, _) when binop_kind op = k_fbinop ->
           let f = floats (Scalar.binop ~div0:(div0 ctx) op s) in
           (match (a, b) with
           | Preg ra, Preg rb
             when cls.(ra) = Rfloat && cls.(rb) = Rfloat && cls.(r) = Rfloat ->
             fun st fr ->
-              charge_fp st ctrs limit;
-              if obs then os.os_binop <- os.os_binop + 1;
+              charge st ctrs k_fbinop limit;
               let fl = fr.fr_fregs in
               Array.unsafe_set fl r
                 (f (Array.unsafe_get fl ra) (Array.unsafe_get fl rb));
@@ -1516,17 +1447,15 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let ga = fget a and gb = fget b in
             let set = fset r in
             fun st fr ->
-              charge_fp st ctrs limit;
-              if obs then os.os_binop <- os.os_binop + 1;
+              charge st ctrs k_fbinop limit;
               let y = gb fr in
               set fr (f (ga fr) y);
               next st fr)
-        | Pbinop (r, _, _, a, b, cls_op, f) ->
-          let fp = cls_op = Cfp in
+        | Pbinop (r, op, _, a, b, f) ->
+          let k = binop_kind op in
           let ga = getter a and gb = getter b in
           fun st fr ->
-            if fp then charge_fp st ctrs limit else charge_op st ctrs limit;
-            if obs then os.os_binop <- os.os_binop + 1;
+            charge st ctrs k limit;
             let y = gb fr in
             fr.fr_regs.(r) <- f (ga fr) y;
             next st fr
@@ -1536,8 +1465,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | Preg ra, Preg rb
             when cls.(ra) = Rint && cls.(rb) = Rint && cls.(r) = Rint ->
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_icmp <- os.os_icmp + 1;
+              charge st ctrs k_icmp limit;
               let ir = fr.fr_iregs in
               Array.unsafe_set ir r
                 (if cmp (Array.unsafe_get ir ra) (Array.unsafe_get ir rb) then 1
@@ -1547,15 +1475,13 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let ga = iget a and gb = iget b in
             if cls.(r) = Rint then
               fun st fr ->
-                charge_op st ctrs limit;
-                if obs then os.os_icmp <- os.os_icmp + 1;
+                charge st ctrs k_icmp limit;
                 let y = gb fr in
                 Array.unsafe_set fr.fr_iregs r (if cmp (ga fr) y then 1 else 0);
                 next st fr
             else
               fun st fr ->
-                charge_op st ctrs limit;
-                if obs then os.os_icmp <- os.os_icmp + 1;
+                charge st ctrs k_icmp limit;
                 let y = gb fr in
                 fr.fr_regs.(r) <- (if cmp (ga fr) y then vtrue else vfalse);
                 next st fr)
@@ -1563,8 +1489,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           let ga = getter a and gb = getter b in
           let set = iset r in
           fun st fr ->
-            charge_op st ctrs limit;
-            if obs then os.os_icmp <- os.os_icmp + 1;
+            charge st ctrs k_icmp limit;
             let y = Mval.as_int (gb fr) in
             set fr (if cmp (Mval.as_int (ga fr)) y then 1 else 0)
             |> fun () -> next st fr
@@ -1573,8 +1498,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | Preg ra, Preg rb
             when cls.(ra) = Rfloat && cls.(rb) = Rfloat && cls.(r) = Rint ->
             fun st fr ->
-              charge_fp st ctrs limit;
-              if obs then os.os_fcmp <- os.os_fcmp + 1;
+              charge st ctrs k_fcmp limit;
               let fl = fr.fr_fregs in
               Array.unsafe_set fr.fr_iregs r
                 (if cmp (Array.unsafe_get fl ra) (Array.unsafe_get fl rb) then 1
@@ -1584,15 +1508,13 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let ga = fget a and gb = fget b in
             if cls.(r) = Rint then
               fun st fr ->
-                charge_fp st ctrs limit;
-                if obs then os.os_fcmp <- os.os_fcmp + 1;
+                charge st ctrs k_fcmp limit;
                 let y = gb fr in
                 Array.unsafe_set fr.fr_iregs r (if cmp (ga fr) y then 1 else 0);
                 next st fr
             else
               fun st fr ->
-                charge_fp st ctrs limit;
-                if obs then os.os_fcmp <- os.os_fcmp + 1;
+                charge st ctrs k_fcmp limit;
                 let y = gb fr in
                 fr.fr_regs.(r) <- (if cmp (ga fr) y then vtrue else vfalse);
                 next st fr)
@@ -1601,8 +1523,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
              classification of the result register above *)
           let conv get f set : cont =
            fun st fr ->
-            charge_op st ctrs limit;
-            if obs then os.os_cast <- os.os_cast + 1;
+            charge st ctrs k_cast limit;
             set fr (f (get fr));
             next st fr
           in
@@ -1643,30 +1564,26 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | Rint ->
             let gc = iget c and ga = iget a and gb = iget b in
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_select <- os.os_select + 1;
+              charge st ctrs k_select limit;
               Array.unsafe_set fr.fr_iregs r (if gc fr = 0 then gb fr else ga fr);
               next st fr
           | Rfloat ->
             let gc = iget c and ga = fget a and gb = fget b in
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_select <- os.os_select + 1;
+              charge st ctrs k_select limit;
               Array.unsafe_set fr.fr_fregs r (if gc fr = 0 then gb fr else ga fr);
               next st fr
           | Rbox ->
             let gc = getter c and ga = getter a and gb = getter b in
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_select <- os.os_select + 1;
+              charge st ctrs k_select limit;
               fr.fr_regs.(r) <-
                 (if Int64.equal (Mval.as_int (gc fr)) 0L then gb fr else ga fr);
               next st fr
         end
         | Psancheck ->
           fun st fr ->
-            charge_op st ctrs limit;
-            if obs then os.os_sancheck <- os.os_sancheck + 1;
+            charge st ctrs k_sancheck limit;
             next st fr
         | Ploc (line, col) ->
           (* provenance marker: free, exactly like the interpreter *)
@@ -1680,11 +1597,12 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             (* Inlined direct call: the callee's blocks were compiled as
                an instance at a disjoint register window; replay the
                interpreter's call protocol without the frame push.
-               Order, as in [exec_instrs]/[call_function]: call charge,
-               caller's c_calls, argument evaluation (ascending), depth
-               increment and guard (context = caller's: the interpreter
-               checks before pushing the callee frame), callee's
-               c_invocations, then the callee entry. *)
+               Order, as in [exec_instrs]/[call_function]: call charge
+               (into the caller's [k_call] count), argument evaluation
+               (ascending), depth increment and guard (context =
+               caller's: the interpreter checks before pushing the
+               callee frame), callee's c_invocations, then the callee
+               entry. *)
             let callee_pf = site.is_callee in
             let cctrs = callee_pf.pf_counters in
             let centry, _ccells =
@@ -1711,9 +1629,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let params = site.is_params in
             let bound = min (Array.length params) na in
             fun st fr ->
-              charge_op st ctrs limit;
-              if obs then os.os_call <- os.os_call + 1;
-              ctrs.c_calls <- ctrs.c_calls + 1;
+              charge st ctrs k_call limit;
               (* direct writes into the callee window are equivalent to
                  the interpreter's argv: the windows are disjoint, so
                  later argument reads cannot observe them *)
@@ -1724,7 +1640,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                 ignore (gs.(k) fr)
               done;
               st.depth <- st.depth + 1;
-              if st.depth > st.depth_limit then
+              if st.depth > depth_limit then
                 Merror.raise_error Merror.Stack_overflow_guard ctx;
               cctrs.c_invocations <- cctrs.c_invocations + 1;
               centry st fr
@@ -1750,43 +1666,35 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               match tgt with
               | Tgt_user callee_pf ->
                 fun st fr ->
-                  charge_op st ctrs limit;
-                  if obs then os.os_call <- os.os_call + 1;
-                  ctrs.c_calls <- ctrs.c_calls + 1;
+                  charge st ctrs k_call limit;
                   finish fr (call_function st callee_pf (eval_args fr) scalars);
                   next st fr
               | Tgt_builtin (_, fn) ->
                 fun st fr ->
-                  charge_op st ctrs limit;
-                  if obs then os.os_call <- os.os_call + 1;
-                  ctrs.c_calls <- ctrs.c_calls + 1;
+                  charge st ctrs k_call limit;
                   finish fr (fn st (eval_args fr));
                   next st fr
               | Tgt_unknown name ->
                 fun st fr ->
-                  charge_op st ctrs limit;
-                  if obs then os.os_call <- os.os_call + 1;
-                  ctrs.c_calls <- ctrs.c_calls + 1;
+                  charge st ctrs k_call limit;
                   ignore (eval_args fr);
                   failwith ("interp: unknown builtin " ^ name)
             end
             | Pindirect (v, ic) ->
               let gv = getter v in
               fun st fr ->
-                charge_op st ctrs limit;
-                if obs then os.os_call <- os.os_call + 1;
-                ctrs.c_calls <- ctrs.c_calls + 1;
+                charge st ctrs k_call limit;
                 let argv = eval_args fr in
                 (match Mval.as_ptr ctx (gv fr) with
                 | Mobject.Pfunc name ->
                   let tgt =
                     if name == ic.ic_name || String.equal name ic.ic_name
                     then begin
-                      if obs then os.os_ic_hit <- os.os_ic_hit + 1;
+                      st.ic_hits <- st.ic_hits + 1;
                       ic.ic_target
                     end
                     else begin
-                      if obs then os.os_ic_miss <- os.os_ic_miss + 1;
+                      st.ic_misses <- st.ic_misses + 1;
                       let t = resolve_callee st name in
                       ic.ic_name <- name;
                       ic.ic_target <- t;

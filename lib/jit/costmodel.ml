@@ -2,7 +2,7 @@
     (paper §4.2–4.3).
 
     The engines in lib/interp and lib/native *execute* the benchmark and
-    count what they executed (per-class dynamic operation counts,
+    count what they executed (dynamic operation counts by cost class,
     allocation counts, libc calls).  This module prices those counts in
     cycles per engine.  The *mechanisms* are the paper's:
 
@@ -124,13 +124,21 @@ let interp_call_extra = 1500.0 (* frame + argument boxing *)
 let managed_alloc = 180.0     (* TLAB bump + init + GC amortized *)
 let managed_alloc_per_byte = 1.8
 
+(* A function's operation counts by cost class: floating-point work
+   (float binops, fcmps), memory accesses (loads, stores), and every
+   other operation, calls included; calls also pay their own extra. *)
+let count (c : Interp.counters) k = c.Interp.c_kinds.(k)
+let n_fp c = count c Interp.k_fbinop + count c Interp.k_fcmp
+let n_mem c = count c Interp.k_load + count c Interp.k_store
+let n_ops c = Interp.total_ops c - n_fp c - n_mem c
+let n_calls c = count c Interp.k_call
+
 let sulong_interp_fn_cycles (c : Interp.counters) : float =
-  (float_of_int (c.Interp.c_ops + c.Interp.c_fp + c.Interp.c_mem)
-  *. interp_dispatch)
-  +. (float_of_int c.Interp.c_ops *. c_op)
-  +. (float_of_int c.Interp.c_fp *. c_fp)
-  +. (float_of_int c.Interp.c_mem *. c_mem)
-  +. (float_of_int c.Interp.c_calls *. interp_call_extra)
+  (float_of_int (Interp.total_ops c) *. interp_dispatch)
+  +. (float_of_int (n_ops c) *. c_op)
+  +. (float_of_int (n_fp c) *. c_fp)
+  +. (float_of_int (n_mem c) *. c_mem)
+  +. (float_of_int (n_calls c) *. interp_call_extra)
 
 (* Compiled under safe semantics: scalar/FP work at native speed (Graal
    is a real compiler), memory accesses keep a residual bounds/liveness
@@ -138,10 +146,10 @@ let sulong_interp_fn_cycles (c : Interp.counters) : float =
 let compiled_check_residual = 3.0
 
 let sulong_compiled_fn_cycles (c : Interp.counters) : float =
-  (float_of_int c.Interp.c_ops *. (c_op +. 0.35))
-  +. (float_of_int c.Interp.c_fp *. c_fp)
-  +. (float_of_int c.Interp.c_mem *. (c_mem +. compiled_check_residual))
-  +. (float_of_int c.Interp.c_calls *. (c_call +. 1.0))
+  (float_of_int (n_ops c) *. (c_op +. 0.35))
+  +. (float_of_int (n_fp c) *. c_fp)
+  +. (float_of_int (n_mem c) *. (c_mem +. compiled_check_residual))
+  +. (float_of_int (n_calls c) *. (c_call +. 1.0))
 
 let sulong_alloc_cycles ~(allocs : int) ~(bytes : int) : float =
   (float_of_int allocs *. managed_alloc)

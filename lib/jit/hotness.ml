@@ -4,14 +4,10 @@
     the same [Costmodel.hot_threshold_ops] threshold, so the simulated
     and real tier-up points cannot drift. *)
 
-(** Dynamic operations a function has executed, as counted by the
-    interpreter's per-function profile: arithmetic + floating-point +
-    memory accesses (calls excluded, matching [Costmodel]'s pricing). *)
-let total_ops (c : Interp.counters) =
-  c.Interp.c_ops + c.Interp.c_fp + c.Interp.c_mem
-
+(** Hot: the function has executed at least [threshold] operations of
+    any kind ([Interp.total_ops]). *)
 let is_hot ?(threshold = Costmodel.hot_threshold_ops) (c : Interp.counters) =
-  total_ops c >= threshold
+  Interp.total_ops c >= threshold
 
 (** Accumulator for the warm-up simulation, which replays per-iteration
     op counts instead of reading live interpreter counters. *)

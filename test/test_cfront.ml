@@ -634,6 +634,43 @@ let test_sema_rejects () =
   expect_sema_error "struct return by value"
     "struct s { int v; }; struct s f(void) { struct s x; return x; } int main(void) { return 0; }"
 
+(* A function neither the program nor the runtime (the libc's
+   functions, the host builtins) defines is a link error of the shared
+   front end, reported at the reference, under every engine. *)
+let test_undefined_references () =
+  let rejects what src (line, col) =
+    match Loader.compile_user src with
+    | _ -> Alcotest.failf "%s: undefined reference accepted" what
+    | exception Diag.Error (pos, msg) ->
+      Alcotest.(check string) what "undefined reference to function foo" msg;
+      Alcotest.(check (pair int int))
+        (what ^ ": position") (line, col) (pos.Token.line, pos.Token.col)
+  in
+  let call = "int foo(int);\nint main(void) { return foo(3); }\n" in
+  rejects "call" call (2, 18);
+  rejects "address in a global initializer"
+    "int foo(int);\nint (*fp)(int) = foo;\nint main(void) { return fp(3); }\n"
+    (2, 5);
+  rejects "address in a local initializer"
+    "int foo(int);\nint main(void) {\n  int (*fp)(int) = foo;\n  return fp(3);\n}\n"
+    (3, 7);
+  List.iter
+    (fun tool ->
+      match Engine.run tool call with
+      | _ -> Alcotest.failf "%s ran an undefined reference" (Engine.tool_name tool)
+      | exception Diag.Error _ -> ())
+    [ Engine.Safe_sulong; Engine.Clang Pipeline.O0; Engine.Asan Pipeline.O0;
+      Engine.Valgrind Pipeline.O0 ];
+  (* declared and never referenced, a libc function, a host builtin *)
+  List.iter
+    (fun src -> ignore (Loader.compile_user src))
+    [
+      "int foo(int);\nint main(void) { return 0; }\n";
+      "int main(void) { return (int)strlen(\"abc\"); }\n";
+      "int __sulong_putchar(int c);\n\
+       int main(void) { int (*p)(int) = __sulong_putchar; return p(65) - 65; }\n";
+    ]
+
 let test_sema_array_completion () =
   let prog = parse "int xs[] = {1, 2, 3, 4}; char s[] = \"hello\";" in
   ignore (Sema.check prog);
@@ -746,6 +783,8 @@ let () =
         [
           Alcotest.test_case "accepts valid programs" `Quick test_sema_accepts;
           Alcotest.test_case "rejects invalid programs" `Quick test_sema_rejects;
+          Alcotest.test_case "undefined references are link errors" `Quick
+            test_undefined_references;
           Alcotest.test_case "array completion" `Quick test_sema_array_completion;
           Alcotest.test_case "usual arithmetic conversions" `Quick
             test_usual_arith;

@@ -43,6 +43,26 @@ let fn_addr fn =
   entry_block
     [ Instr.Cast (1, Instr.Ptrtoint, Irtype.Ptr, Irtype.I64, Instr.FuncAddr fn) ]
 
+let i32 v = Instr.ImmInt (v, Irtype.I32)
+let f64 v = Instr.ImmFloat (v, Irtype.F64)
+
+(* [entry] branches to [next], whose phi names only the unreachable
+   [other]. *)
+let phi_without_entry_pred =
+  [
+    { Irfunc.label = "entry"; instrs = []; term = Instr.Br "next" };
+    { Irfunc.label = "next";
+      instrs = [ Instr.Phi (1, Irtype.I32, [ ("other", i32 1L) ]) ];
+      term = Instr.Ret (Some (Irtype.I32, Instr.Reg 1)) };
+    { Irfunc.label = "other"; instrs = []; term = Instr.Br "next" };
+  ]
+
+(* A module whose only global is [@g = init] (pointer typed). *)
+let with_global init =
+  { Irmod.globals = [ { Irmod.g_name = "g"; g_ty = Irtype.MScalar Irtype.Ptr;
+                        g_init = init } ];
+    funcs = [ mk_func ~blocks:[ entry_block [] ] ]; externs = [] }
+
 let rejection_cases () : (string * Irmod.t) list =
   let one blocks = mk_mod (mk_func ~blocks) in
   let add1 =
@@ -103,6 +123,43 @@ let rejection_cases () : (string * Irmod.t) list =
                            Instr.ImmInt (2L, Irtype.I8));
             ];
         ] );
+    (* Shapes the engines' staged scalar operations cannot execute. *)
+    ( "f: %1 = sdiv double double 0x1p+0, double 0x1p+1 has a type of the \
+       wrong class for its opcode",
+      one
+        [ entry_block [ Instr.Binop (1, Instr.Sdiv, Irtype.F64, f64 1.0, f64 2.0) ] ]
+    );
+    ( "f: %1 = icmp eq double double 0x1p+0, double 0x1p+1 has a type of the \
+       wrong class for its opcode",
+      one
+        [ entry_block [ Instr.Icmp (1, Instr.Ieq, Irtype.F64, f64 1.0, f64 2.0) ] ]
+    );
+    ( "f: %1 = fadd i32 i32 1, i32 2 has a type of the wrong class for its opcode",
+      one
+        [ entry_block [ Instr.Binop (1, Instr.FAdd, Irtype.I32, i32 1L, i32 2L) ] ]
+    );
+    ( "f: %1 = fcmp olt i32 i32 1, i32 2 has a type of the wrong class for its opcode",
+      one
+        [ entry_block [ Instr.Fcmp (1, Instr.Flt, Irtype.I32, i32 1L, i32 2L) ] ]
+    );
+    ( "f: %1 = trunc double double 0x1p+0 to i32 has a type of the \
+       wrong class for its opcode",
+      one
+        [ entry_block
+            [ Instr.Cast (1, Instr.Trunc, Irtype.F64, Irtype.I32, f64 1.0) ] ] );
+    ( "f: %1 = fptosi double double 0x1p+0 to double has a type of the \
+       wrong class for its opcode",
+      one
+        [ entry_block
+            [ Instr.Cast (1, Instr.Fptosi, Irtype.F64, Irtype.F64, f64 1.0) ] ] );
+    ( "f: %1 = phi i32 [other: i32 1] has no entry for predecessor entry",
+      one phi_without_entry_pred );
+    ( "f: %1 = phi i32 [entry: i32 1] in the entry block",
+      one [ entry_block [ Instr.Phi (1, Irtype.I32, [ ("entry", i32 1L) ]) ] ] );
+    ("global @g references unknown global @nope",
+     with_global (Irmod.Gglobal_addr "nope"));
+    ("global @g references unknown function @ghost",
+     with_global (Irmod.Garray [ Irmod.Gzero; Irmod.Gfunc_addr "ghost" ]));
   ]
 
 let expect_rejection expected =
@@ -143,6 +200,72 @@ let test_verify_phi_unknown_block () =
   expect_rejection "f: phi references unknown block nowhere"
 
 let test_verify_duplicate_function () = expect_rejection "duplicate function @f"
+
+(* Every engine stages integer operations on integers and float ones on
+   floats; a type of the other class is rejected, not executed. *)
+let test_verify_type_classes () =
+  let cases =
+    List.filter
+      (fun (text, _) ->
+        String.ends_with ~suffix:"has a type of the wrong class for its opcode"
+          text)
+      (rejection_cases ())
+  in
+  (* int binop and icmp at double, fadd and fcmp at i32, two casts *)
+  Alcotest.(check int) "class cases" 6 (List.length cases);
+  List.iter (fun (text, m) -> expect_invalid_mod text m) cases;
+  (* pointers are integers to integer opcodes; a bitcast takes any class *)
+  Verify.verify
+    (mk_mod
+       (mk_func
+          ~blocks:
+            [
+              entry_block
+                [
+                  Instr.Icmp (1, Instr.Ieq, Irtype.Ptr, Instr.Null, Instr.Null);
+                  Instr.Binop (2, Instr.FMul, Irtype.F32,
+                               Instr.ImmFloat (1.0, Irtype.F32),
+                               Instr.ImmFloat (2.0, Irtype.F32));
+                  Instr.Fcmp (3, Instr.Fge, Irtype.F64, f64 1.0, f64 2.0);
+                  Instr.Cast (4, Instr.Bitcast, Irtype.F64, Irtype.I64, f64 1.0);
+                  Instr.Cast (5, Instr.Sitofp, Irtype.I32, Irtype.F64, i32 1L);
+                  Instr.Cast (6, Instr.Ptrtoint, Irtype.Ptr, Irtype.I64, Instr.Null);
+                ];
+            ]))
+
+(* A phi needs an entry for each predecessor edge; the entry block has
+   none to give it. *)
+let test_verify_phi_predecessors () =
+  expect_rejection
+    "f: %1 = phi i32 [other: i32 1] has no entry for predecessor entry";
+  expect_rejection "f: %1 = phi i32 [entry: i32 1] in the entry block";
+  (* a switch reaching [join] twice from [entry] and a branch from
+     [left]: one entry per predecessor block covers every edge *)
+  Verify.verify
+    (mk_mod
+       (mk_func
+          ~blocks:
+            [
+              { Irfunc.label = "entry"; instrs = [];
+                term = Instr.Switch (i32 0L, [ (1L, "join"); (2L, "join") ], "left") };
+              { Irfunc.label = "left"; instrs = []; term = Instr.Br "join" };
+              { Irfunc.label = "join";
+                instrs =
+                  [ Instr.Phi (1, Irtype.I32, [ ("entry", i32 1L); ("left", i32 2L) ]) ];
+                term = Instr.Ret (Some (Irtype.I32, Instr.Reg 1)) };
+            ]))
+
+let test_verify_global_initializers () =
+  expect_rejection "global @g references unknown global @nope";
+  expect_rejection "global @g references unknown function @ghost";
+  let m = with_global (Irmod.Gstruct_init [ Irmod.Gfunc_addr "f"; Irmod.Gfunc_addr "ext" ]) in
+  m.Irmod.externs <-
+    [ { Irmod.e_name = "ext"; e_ret = None; e_params = []; e_variadic = false } ];
+  m.Irmod.globals <-
+    m.Irmod.globals
+    @ [ { Irmod.g_name = "h"; g_ty = Irtype.MScalar Irtype.Ptr;
+          g_init = Irmod.Gglobal_addr "g" } ];
+  Verify.verify m
 
 (* Textual IR may spell an i8 constant as 255 or 200; every engine reads
    those as -1 and -56.  A folder computing on the raw literals gets
@@ -325,7 +448,7 @@ let test_mem2reg_promotes_scalars () =
   Alcotest.(check int) "no allocas after" 0 (count_instrs is_alloca m)
 
 let test_mem2reg_keeps_escaping () =
-  let m = compile "void g(int *p); int f(void) { int x = 1; g(&x); return x; }" in
+  let m = compile "void g(int *p) {} int f(void) { int x = 1; g(&x); return x; }" in
   ignore (Mem2reg.run m);
   Alcotest.(check bool) "escaping alloca kept" true (count_instrs is_alloca m > 0)
 
@@ -1007,6 +1130,12 @@ let () =
             test_verify_unknown_function_address;
           Alcotest.test_case "phi unknown block" `Quick
             test_verify_phi_unknown_block;
+          Alcotest.test_case "operation types match the opcode's class" `Quick
+            test_verify_type_classes;
+          Alcotest.test_case "phi entry for every predecessor" `Quick
+            test_verify_phi_predecessors;
+          Alcotest.test_case "global initializers name known symbols" `Quick
+            test_verify_global_initializers;
           Alcotest.test_case "duplicate function" `Quick
             test_verify_duplicate_function;
           Alcotest.test_case "canonical immediates" `Quick

@@ -633,6 +633,68 @@ let test_switch_long_scrutinee_exact () =
   in
   Alcotest.(check int) "long labels stay distinct" 11 r.Interp.exit_code
 
+(* ---------------- metrics: operation counts ---------------- *)
+
+(* The interpreter's [interp.op.*] counters and [interp.phi_copies] are
+   sums of the per-function kind counters, so together they equal
+   [interp.steps] — also when the run stops at its step limit, on any
+   kind of operation.  The program runs after the safe-jit pipeline
+   (phi copies), calls through a pointer (inline cache) and mixes float
+   work in. *)
+let op_sum_src =
+  {|
+int twice(int x) { return 2 * x; }
+int main(void) {
+  int (*f)(int) = twice;
+  double d = 0.5;
+  long s = 0;
+  for (int i = 0; i < 300; i++) {
+    s += f(i);
+    d = d * 1.5 + i;
+    if (d > 1000.0) d = 0.5;
+  }
+  printf("%ld %f\n", s, d);
+  return 0;
+}
+|}
+
+let test_op_metrics_sum_to_steps () =
+  let m = Loader.load_program op_sum_src in
+  ignore (Pipeline.safe_jit m);
+  Verify.verify m;
+  let run ?tier limit =
+    with_metrics (fun () ->
+        let r = Interp.run (Interp.create ~step_limit:limit ?tier m) in
+        let counters = (Metrics.snapshot ()).Metrics.sn_counters in
+        let get name = Option.value (List.assoc_opt name counters) ~default:0 in
+        let ops =
+          List.fold_left
+            (fun acc (name, v) ->
+              if
+                String.starts_with ~prefix:"interp.op." name
+                || name = "interp.phi_copies"
+              then acc + v
+              else acc)
+            0 counters
+        in
+        (r, ops, get "interp.steps", get "interp.phi_copies"))
+  in
+  let full, _, _, phis = run 10_000_000 in
+  if phis = 0 then Alcotest.fail "no phi copy executed";
+  let limits =
+    List.init 40 (fun k -> 2_000 + k) @ [ full.Interp.steps; 10_000_000 ]
+  in
+  List.iter
+    (fun (what, tier) ->
+      List.iter
+        (fun limit ->
+          let r, ops, steps, _ = run ?tier limit in
+          let at = Printf.sprintf "%s, limit %d" what limit in
+          Alcotest.(check int) (at ^ ": interp.steps") r.Interp.steps steps;
+          Alcotest.(check int) (at ^ ": operation counters sum to steps") steps ops)
+        limits)
+    [ ("interpreter", None); ("threshold 0", Some (Tier.controller ~threshold:0 ())) ]
+
 (* ---------------- runner ---------------- *)
 
 let () =
@@ -653,6 +715,8 @@ let () =
             test_quantile_interpolation;
           Alcotest.test_case "p50/p90/p99 in renderings" `Quick
             test_quantiles_in_renderings;
+          Alcotest.test_case "interp.op.* and phi copies sum to interp.steps"
+            `Quick test_op_metrics_sum_to_steps;
         ] );
       ( "trace",
         [

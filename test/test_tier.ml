@@ -29,16 +29,20 @@ let run_program ?tier (p : Groundtruth.program) : Interp.run_result =
   Interp.run ~argv:p.Groundtruth.argv st
 
 (* The per-function counters of [run_profile], one line per function in
-   name order.  Both tiers charge every operation to the same counter
-   ([Interp.charge], the [Closcomp.charge_*] helpers), so these agree
-   exactly; the tier controller's hotness policy reads them. *)
+   name order, every kind's count by name.  Both tiers charge every
+   operation to the same kind counter (the interpreter's charge,
+   [Closcomp.charge]), so these agree exactly; the tier controller's
+   hotness policy and the cost model read them. *)
 let counters (r : Interp.run_result) : string =
   Hashtbl.fold (fun name c acc -> (name, c) :: acc)
     r.Interp.run_profile.Interp.funcs []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.map (fun (name, (c : Interp.counters)) ->
-         Printf.sprintf "%s ops=%d fp=%d mem=%d calls=%d invocations=%d" name
-           c.Interp.c_ops c.Interp.c_fp c.Interp.c_mem c.Interp.c_calls
+         Printf.sprintf "%s %s invocations=%d" name
+           (String.concat " "
+              (List.mapi
+                 (fun k n -> Printf.sprintf "%s=%d" Interp.kind_names.(k) n)
+                 (Array.to_list c.Interp.c_kinds)))
            c.Interp.c_invocations)
   |> String.concat "\n"
 
@@ -65,11 +69,25 @@ let observe (r : Interp.run_result) : string =
     r.Interp.exit_code r.Interp.timed_out r.Interp.steps r.Interp.leaks error
     r.Interp.output report (counters r)
 
+(* Kind-sum law: every charged operation counts once, into one kind
+   counter of one function, so a run's counters summed over every kind
+   and function equal its [steps] — on a finished run, a managed error
+   and a timeout alike, in either tier.  Checked on every run of the
+   corpus sweeps and of the step-limit law. *)
+let check_kind_sum what (r : Interp.run_result) =
+  let total =
+    Hashtbl.fold
+      (fun _ c acc -> acc + Interp.total_ops c)
+      r.Interp.run_profile.Interp.funcs 0
+  in
+  Alcotest.(check int) (what ^ ": kind counts sum to steps") r.Interp.steps total
+
 let check_program ?(tier = `Forced) (p : Groundtruth.program) =
-  let interp = observe (run_program p) in
-  let tiered = observe (run_program ~tier p) in
-  Alcotest.(check string) ("tier equivalence: " ^ p.Groundtruth.id) interp
-    tiered
+  let interp = run_program p and tiered = run_program ~tier p in
+  check_kind_sum p.Groundtruth.id interp;
+  check_kind_sum (p.Groundtruth.id ^ ", tiered") tiered;
+  Alcotest.(check string) ("tier equivalence: " ^ p.Groundtruth.id)
+    (observe interp) (observe tiered)
 
 (* ---------------- whole-corpus sweep ---------------- *)
 
@@ -452,18 +470,23 @@ let test_profile_corpus_agreement () =
 
 (* Every compiled operation charges one step and one per-function
    counter, and checks the step limit.  A charge to the wrong counter or
-   a limit check one step off changes no program output, so two laws pin
-   them on the compute programs (binarytrees and the perf suite), under
-   three controllers: every function compiled at its first call, OSR
-   after 1000 operations, and the production threshold.
+   a limit check one step off changes no program output, so three laws
+   pin them on the compute programs (binarytrees and the perf suite, as
+   loaded and after safe-jit), under three controllers: every function
+   compiled at its first call, OSR after 1000 operations, and the
+   production threshold.
 
    - Step-limit law: at limits of k/7 of the full run (k = 1..6) and
      one above it, the tiered run times out (or finishes) exactly like
      the interpreter — same [timed_out], steps, exit code, error and
      output.
-   - Counter law: the same runs leave identical per-function counters.
+   - Counter law: the same runs leave identical per-function counters,
+     kind by kind.
+   - Kind-sum law ([check_kind_sum]): each run's counters sum to its
+     steps.
 
-   Both compare [observe], which covers all of the above. *)
+   The first two compare [observe], which covers steps, outcome,
+   output and counters. *)
 
 let law_controllers () =
   [
@@ -472,11 +495,18 @@ let law_controllers () =
     ("default threshold", Tier.controller ());
   ]
 
-let test_step_limit_law () =
+(* [law_runs f] runs each compute program, as loaded and after the
+   safe-jit pipeline (whose mem2reg leaves phi copies on the edges), at
+   the law's limits, in the interpreter and under each law controller,
+   and hands [f] the limit's name, the interpreted run and the named
+   tiered runs. *)
+let law_runs
+    (f : string -> Interp.run_result -> (string * Interp.run_result) list -> unit)
+    =
   List.iter
-    (fun (b : Benchprogs.bench) ->
+    (fun ((b : Benchprogs.bench), safe_jit) ->
       let m = Loader.load_program b.Benchprogs.b_source in
-      Pipeline.compile_sulong m;
+      if safe_jit then ignore (Pipeline.safe_jit m);
       let run ?tier limit =
         Interp.run
           (Interp.create ~step_limit:limit ~mementos:true ~input:"" ?tier m)
@@ -485,17 +515,27 @@ let test_step_limit_law () =
       let limits = List.init 6 (fun k -> full * (k + 1) / 7) @ [ full + 1 ] in
       List.iter
         (fun limit ->
-          let interp = observe (run limit) in
-          List.iter
-            (fun (what, tier) ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s, limit %d, %s" b.Benchprogs.b_name limit
-                   what)
-                interp
-                (observe (run ~tier limit)))
-            (law_controllers ()))
+          f
+            (Printf.sprintf "%s%s, limit %d" b.Benchprogs.b_name
+               (if safe_jit then " (safe-jit)" else "")
+               limit)
+            (run limit)
+            (List.map
+               (fun (what, tier) -> (what, run ~tier limit))
+               (law_controllers ())))
         limits)
-    (Benchprogs.binarytrees :: Benchprogs.perf_suite)
+    (List.concat_map
+       (fun b -> [ (b, false); (b, true) ])
+       (Benchprogs.binarytrees :: Benchprogs.perf_suite))
+
+let test_step_limit_law () =
+  law_runs (fun at interp tiered ->
+      check_kind_sum at interp;
+      List.iter
+        (fun (what, r) ->
+          check_kind_sum (at ^ ", " ^ what) r;
+          Alcotest.(check string) (at ^ ", " ^ what) (observe interp) (observe r))
+        tiered)
 
 (* The corpus sweeps above run at threshold 0; this one runs at the
    production threshold, where corpus functions stay interpreted under
@@ -586,7 +626,7 @@ let test_inline_timeouts () =
   in
   let get_steps r =
     match Hashtbl.find_opt r.Interp.run_profile.Interp.funcs "get" with
-    | Some c -> c.Interp.c_ops + c.Interp.c_mem + c.Interp.c_fp
+    | Some c -> Interp.total_ops c
     | None -> 0
   in
   let in_callee = ref 0 and prev = ref (get_steps (run 19_999)) in
