@@ -73,6 +73,64 @@ let emit_profile (p : Profile.t) ~(format : string)
     Printf.eprintf "profile written to %s\n" path
   | None -> prerr_string text
 
+(* Rejected input ends as a diagnostic on stderr and exit code 2. *)
+let diagnosing file f =
+  try f () with
+  | Diag.Error (pos, msg) ->
+    Printf.eprintf "%s: %s\n" file (Diag.to_string pos msg);
+    2
+  | Lower.Unsupported (pos, msg) ->
+    Printf.eprintf "%s: %d:%d: unsupported: %s\n" file pos.Token.line
+      pos.Token.col msg;
+    2
+  | Irparse.Parse_error (line, msg) ->
+    Printf.eprintf "%s:%d: %s\n" file line msg;
+    2
+  | Verify.Invalid msg ->
+    Printf.eprintf "%s: invalid IR: %s\n" file msg;
+    2
+
+(* Execute a linked module under Safe Sulong directly: provenance
+   reports, leak details and call traces all need the full managed run
+   result.  The program's output goes to stdout; the call trace, the
+   guest profile, the report of a managed error and the leaks go to
+   stderr.  The exit code is the program's, 1 after a managed error and
+   124 on a timeout. *)
+let run_managed ?(tiered = false) ?profile ?profile_out
+    ?(detect_uninit = false) ?(detect_leaks = false) ?(trace_calls = false)
+    ~argv ~input m =
+  let prof = Option.map (fun _ -> Profile.create ()) profile in
+  let st =
+    Interp.create
+      ?tier:(if tiered then Some (Tier.controller ()) else None)
+      ?profile:prof ~detect_uninit ~trace:trace_calls ~input m
+  in
+  let r = Interp.run ~argv st in
+  if trace_calls then prerr_string r.Interp.trace_output;
+  (match (prof, profile) with
+  | Some p, Some format -> emit_profile p ~format ~out:profile_out
+  | _ -> ());
+  print_string r.Interp.output;
+  (match (r.Interp.error, r.Interp.report) with
+  | Some _, Some rep -> prerr_string (Bugreport.render rep)
+  | Some (cat, msg), None ->
+    Printf.eprintf "[Safe Sulong] ERROR DETECTED (%s): %s\n"
+      (Merror.category_name cat) msg
+  | None, _ -> ());
+  if detect_leaks then begin
+    if r.Interp.leaks > 0 then begin
+      Printf.eprintf "[Safe Sulong] %d memory leak(s):\n" r.Interp.leaks;
+      List.iter (Printf.eprintf "  %s\n") r.Interp.leak_details
+    end
+    else Printf.eprintf "[Safe Sulong] no memory leaks\n"
+  end;
+  if r.Interp.timed_out then begin
+    Printf.eprintf "[Safe Sulong] step limit exceeded\n";
+    124
+  end
+  else if r.Interp.error <> None then 1
+  else r.Interp.exit_code
+
 let do_run file engine level tiered args input_text detect_uninit detect_leaks
     trace_calls profile profile_out metrics trace_file =
   let src = read_file file in
@@ -90,78 +148,32 @@ let do_run file engine level tiered args input_text detect_uninit detect_leaks
     obs_begin ~metrics ~trace_file;
     let argv = file :: args in
     let code =
-      try
-        (* The managed engine runs through the interpreter directly:
-           provenance reports, leak details and call traces all need the
-           full managed run result. *)
-        if tool = Engine.Safe_sulong then begin
-          let m = Loader.load_program ~file src in
-          let prof =
-            match profile with
-            | Some _ -> Some (Profile.create ())
-            | None -> None
-          in
-          let st =
-            Interp.create
-              ?tier:(if tiered then Some (Tier.controller ()) else None)
-              ?profile:prof ~detect_uninit ~trace:trace_calls
-              ~input:input_text m
-          in
-          let r = Interp.run ~argv st in
-          if trace_calls then prerr_string r.Interp.trace_output;
-          (match (prof, profile) with
-          | Some p, Some format -> emit_profile p ~format ~out:profile_out
-          | _ -> ());
-          print_string r.Interp.output;
-          (match (r.Interp.error, r.Interp.report) with
-          | Some _, Some rep -> prerr_string (Bugreport.render rep)
-          | Some (cat, msg), None ->
-            Printf.eprintf "[Safe Sulong] ERROR DETECTED (%s): %s\n"
-              (Merror.category_name cat) msg
-          | None, _ -> ());
-          if detect_leaks then begin
-            if r.Interp.leaks > 0 then begin
-              Printf.eprintf "[Safe Sulong] %d memory leak(s):\n" r.Interp.leaks;
-              List.iter (Printf.eprintf "  %s\n") r.Interp.leak_details
-            end
-            else Printf.eprintf "[Safe Sulong] no memory leaks\n"
-          end;
-          if r.Interp.timed_out then begin
-            Printf.eprintf "[Safe Sulong] step limit exceeded\n";
-            124
-          end
-          else if r.Interp.error <> None then 1
-          else r.Interp.exit_code
-        end
-        else begin
-          if profile <> None then
-            Printf.eprintf "run: --profile is Safe Sulong only; ignored\n";
-          let r = Engine.run ~argv ~input:input_text ~detect_uninit tool src in
-          print_string r.Engine.output;
-          match r.Engine.outcome with
-          | Outcome.Finished code ->
-            Printf.eprintf "[%s] exited with %d (%d operations)\n"
-              (Engine.tool_name tool) code r.Engine.steps;
-            code
-          | Outcome.Detected { tool = t; kind; message } ->
-            Printf.eprintf "[%s] ERROR DETECTED (%s): %s\n" t kind message;
-            1
-          | Outcome.Crashed what ->
-            Printf.eprintf "[%s] program crashed: %s\n" (Engine.tool_name tool)
-              what;
-            139
-          | Outcome.Timeout ->
-            Printf.eprintf "[%s] step limit exceeded\n" (Engine.tool_name tool);
-            124
-        end
-      with
-      | Diag.Error (pos, msg) ->
-        Printf.eprintf "%s: %s\n" file (Diag.to_string pos msg);
-        2
-      | Lower.Unsupported (pos, msg) ->
-        Printf.eprintf "%s: %d:%d: unsupported: %s\n" file pos.Token.line
-          pos.Token.col msg;
-        2
+      diagnosing file (fun () ->
+          if tool = Engine.Safe_sulong then
+            run_managed ~tiered ?profile ?profile_out ~detect_uninit
+              ~detect_leaks ~trace_calls ~argv ~input:input_text
+              (Loader.load_program ~file src)
+          else begin
+            if profile <> None then
+              Printf.eprintf "run: --profile is Safe Sulong only; ignored\n";
+            let r = Engine.run ~argv ~input:input_text ~detect_uninit tool src in
+            print_string r.Engine.output;
+            match r.Engine.outcome with
+            | Outcome.Finished code ->
+              Printf.eprintf "[%s] exited with %d (%d operations)\n"
+                (Engine.tool_name tool) code r.Engine.steps;
+              code
+            | Outcome.Detected { tool = t; kind; message } ->
+              Printf.eprintf "[%s] ERROR DETECTED (%s): %s\n" t kind message;
+              1
+            | Outcome.Crashed what ->
+              Printf.eprintf "[%s] program crashed: %s\n" (Engine.tool_name tool)
+                what;
+              139
+            | Outcome.Timeout ->
+              Printf.eprintf "[%s] step limit exceeded\n" (Engine.tool_name tool);
+              124
+          end)
     in
     obs_end ~metrics ~trace_file code
   end
@@ -272,16 +284,13 @@ let run_cmd =
 
 let do_ir file level with_libc =
   let src = read_file file in
-  try
-    let m =
-      if with_libc then Loader.load_program src else Loader.compile_user src
-    in
-    if level = 3 then ignore (Pipeline.o3 m);
-    print_string (Irprint.module_to_string m);
-    0
-  with Diag.Error (pos, msg) ->
-    Printf.eprintf "%s: %s\n" file (Diag.to_string pos msg);
-    2
+  diagnosing file (fun () ->
+      let m =
+        if with_libc then Loader.load_program src else Loader.compile_user src
+      in
+      if level = 3 then ignore (Pipeline.o3 m);
+      print_string (Irprint.module_to_string m);
+      0)
 
 let libc_flag =
   Arg.(value & flag & info [ "with-libc" ] ~doc:"Link the managed libc in.")
@@ -293,28 +302,14 @@ let ir_cmd =
 
 (* ---------------- run-ir ---------------- *)
 
+(* [run] without the front end: the module gets the link check and the
+   libc link (with its verification) a C program gets, then runs and
+   reports as [run] does. *)
 let do_run_ir file args input_text =
-  try
-    let m = Irparse.parse (read_file file) in
-    Verify.verify m;
-    (* link the managed libc so textual IR can call printf & friends *)
-    let m = Irmod.link m (Loader.libc_module ()) in
-    let st = Interp.create ~input:input_text m in
-    let r = Interp.run ~argv:(file :: args) st in
-    print_string r.Interp.output;
-    (match r.Interp.error with
-    | Some (cat, msg) ->
-      Printf.eprintf "[Safe Sulong] ERROR DETECTED (%s): %s\n"
-        (Merror.category_name cat) msg
-    | None -> ());
-    r.Interp.exit_code
-  with
-  | Irparse.Parse_error (line, msg) ->
-    Printf.eprintf "%s:%d: %s\n" file line msg;
-    2
-  | Verify.Invalid msg ->
-    Printf.eprintf "%s: invalid IR: %s\n" file msg;
-    2
+  diagnosing file (fun () ->
+      let m = Irparse.parse (read_file file) in
+      Loader.check_references [] m;
+      run_managed ~argv:(file :: args) ~input:input_text (Loader.link_libc m))
 
 let ir_file_arg =
   Arg.(

@@ -301,10 +301,12 @@ let rec check_init env pos (ty : Ctype.t) (init : Ast.init) =
   match (ty, init) with
   | _, Ast.Iexpr e ->
     let et = check_expr env e in
-    (* A string literal can initialize a char array in place. *)
+    (* A string literal can initialize a char array in place; any other
+       array takes a brace list. *)
     let ok =
       match (ty, e.desc) with
       | Ctype.Array (Ctype.Int (Ctype.IChar, _), _), Ast.StrLit _ -> true
+      | Ctype.Array _, _ -> false
       | _ -> assignable ~dst:ty ~src:et
     in
     if not ok then

@@ -141,10 +141,7 @@ let run_config (fe : frontend) (c : config) : observation =
                 | `Plain | `Tiered -> linked
                 | `FoldOnly ->
                   let m = Irmod.copy linked in
-                  let rounds = ref 0 in
-                  while !rounds < 8 && Fold.run m do
-                    incr rounds
-                  done;
+                  ignore (Pipeline.fixpoint [ ("fold", Fold.run) ] m);
                   Verify.verify m;
                   m
                 | `SafeJit ->

@@ -103,15 +103,15 @@ let fresh_profile () =
 (* The prepared form is fully linked: every name the IR refers to has
    been resolved at prepare time, every immediate is a pre-boxed
    managed value, and control-flow edges carry their phi parallel-copy.
-   The only work left per operand is an array read. *)
+   The only work left per operand is an array read.  Only a module that
+   passed [Verify] is prepared, so every global, block and phi entry it
+   names exists; the one reference left to fail at run time is a call
+   to a name nothing defines ([Tgt_unknown]). *)
 
 type pval =
   | Preg of int             (** read a register of the current frame *)
   | Pimm of Mval.t          (** pre-boxed constant (immediates, globals,
                                 function addresses, null) *)
-  | Pfail of string         (** unresolved reference; raises on use, so a
-                                never-executed bad operand stays silent,
-                                exactly like the unprepared interpreter *)
 
 (** Pre-split GEP: constant field offsets and constant indices are folded
     into one static byte delta; only truly dynamic indices remain. *)
@@ -122,14 +122,8 @@ type pgep = { pg_static : int; pg_dyn : (pval * int) array }
 type phicopy =
   | Pc_none
   | Pc_copy of int array * pval array  (** destination regs, sources *)
-  | Pc_missing
-      (** the target block has a phi with no entry for this predecessor;
-          fails only if the edge is actually taken at run time *)
 
-type pedge =
-  | Edge of int * phicopy        (** target block index + phi copies *)
-  | Edge_unknown of string       (** branch to a label that does not
-                                     exist; fails only when taken *)
+type pedge = Edge of int * phicopy  (** target block index + phi copies *)
 
 type pswitch =
   | Sw_linear of int64 array * pedge array  (** few cases: linear scan *)
@@ -218,8 +212,7 @@ and pfunc = {
       (** [prepare] built the body below; until then [pf_blocks] is
           empty and means nothing (an unprepared function is not a
           function with zero blocks) *)
-  mutable pf_blocks : pblock array;
-  mutable pf_entry_copies : phicopy;
+  mutable pf_blocks : pblock array;  (** the entry block first *)
   pf_nregs : int;             (** register file size, >= 1 *)
   pf_nparams : int;
   pf_param_regs : int array;  (** parameter registers, in order *)
@@ -339,11 +332,12 @@ and state = {
       (** object-registry state right after [create]; reinstalled by
           [reset] so re-runs replay the same observable object ids *)
   provenance : bool;
-      (** true: [Ploc] markers stay in the prepared body and track the
-          current source line eagerly (slower dispatch loop).  false
-          (default): markers are stripped at prepare time and a fault
-          triggers one deterministic re-execution with [provenance=true]
-          to recover the source location — the fast path pays nothing. *)
+      (** true only in the provenance replay: [Ploc] markers stay in the
+          prepared body and track the current source line eagerly
+          (slower dispatch loop).  Every other state strips them at
+          prepare time, and a fault triggers one deterministic
+          re-execution with markers ([rerun_for_report]) to recover the
+          source location — the fast path pays nothing. *)
 }
 
 let context st =
@@ -362,47 +356,24 @@ let rng_seed = 42
 (* Global materialization                                              *)
 (* ------------------------------------------------------------------ *)
 
-let rec fill_init st (obj : Mobject.t) (mty : Irtype.mty) (off : int)
-    (init : Irmod.ginit) =
-  let addr moff = { Mobject.obj; moff } in
-  match (init, mty) with
-  | Irmod.Gzero, _ -> ()
-  | Irmod.Gint v, Irtype.MScalar s ->
-    if Irtype.is_float_scalar s then
-      Mobject.store_float (addr off) ~size:(Irtype.scalar_size s)
-        (Int64.to_float v) "global init"
-    else
-      Mobject.store_int (addr off) ~size:(Irtype.scalar_size s) v "global init"
-  | Irmod.Gfloat f, Irtype.MScalar s ->
-    Mobject.store_float (addr off) ~size:(Irtype.scalar_size s) f "global init"
-  | Irmod.Gstring s, _ -> Mobject.write_bytes (addr off) s "global init"
-  | Irmod.Garray items, Irtype.MArray (elem, _) ->
-    let esize = Irtype.mty_size elem in
-    List.iteri (fun i item -> fill_init st obj elem (off + (i * esize)) item) items
-  | Irmod.Gstruct_init items, Irtype.MStruct s ->
-    List.iteri
-      (fun i item ->
-        if i < List.length s.Irtype.s_fields then begin
-          let field = List.nth s.Irtype.s_fields i in
-          fill_init st obj field.Irtype.mf_ty
-            (off + field.Irtype.mf_off) item
-        end)
-      items
-  | Irmod.Gglobal_addr name, _ -> begin
-    match Hashtbl.find_opt st.globals name with
-    | Some target ->
-      Mobject.store_ptr (addr off)
-        (Mobject.Pobj { Mobject.obj = target; moff = 0 })
+(* Store [g]'s initial image into its object: the one layout walker
+   ([Irmod.iter_init]) says where each leaf lands. *)
+let fill_init st (obj : Mobject.t) (g : Irmod.global) =
+  let store off (leaf : Irmod.leaf) =
+    let a = { Mobject.obj; moff = off } in
+    match leaf with
+    | Irmod.Lint (s, v) ->
+      Mobject.store_int a ~size:(Irtype.scalar_size s) v "global init"
+    | Irmod.Lfloat (s, f) ->
+      Mobject.store_float a ~size:(Irtype.scalar_size s) f "global init"
+    | Irmod.Lbytes b -> Mobject.write_bytes a b "global init"
+    | Irmod.Lglobal name ->
+      Mobject.store_ptr a
+        (Mobject.Pobj { Mobject.obj = Hashtbl.find st.globals name; moff = 0 })
         "global init"
-    | None -> failwith ("interp: global init references unknown @" ^ name)
-  end
-  | Irmod.Gfunc_addr name, _ ->
-    Mobject.store_ptr (addr off) (Mobject.Pfunc name) "global init"
-  | Irmod.Gint v, _ ->
-    (* e.g. (FILE * )1 stored in a pointer-typed global *)
-    Mobject.store_int (addr off) ~size:8 v "global init"
-  | (Irmod.Gfloat _ | Irmod.Garray _ | Irmod.Gstruct_init _), _ ->
-    failwith "interp: malformed global initializer"
+    | Irmod.Lfunc name -> Mobject.store_ptr a (Mobject.Pfunc name) "global init"
+  in
+  Irmod.iter_init store g.Irmod.g_ty g.Irmod.g_init
 
 let materialize_globals st =
   List.iter
@@ -414,9 +385,7 @@ let materialize_globals st =
       Hashtbl.replace st.globals g.Irmod.g_name obj)
     st.m.Irmod.globals;
   List.iter
-    (fun (g : Irmod.global) ->
-      let obj = Hashtbl.find st.globals g.Irmod.g_name in
-      fill_init st obj g.Irmod.g_ty 0 g.Irmod.g_init)
+    (fun (g : Irmod.global) -> fill_init st (Hashtbl.find st.globals g.Irmod.g_name) g)
     st.m.Irmod.globals
 
 (* ------------------------------------------------------------------ *)
@@ -427,7 +396,6 @@ let[@inline] pv (fr : frame) (v : pval) : Mval.t =
   match v with
   | Preg r -> fr.fr_regs.(r)
   | Pimm v -> v
-  | Pfail msg -> failwith msg
 
 (* ------------------------------------------------------------------ *)
 (* Scalar operations                                                   *)
@@ -803,6 +771,10 @@ let resolve_callee st (name : string) : call_target =
     | None -> Tgt_unknown name
   end
 
+(* A reference [Verify] rejects: [prepare] never defers a failure. *)
+let unverified fmt =
+  Printf.ksprintf (fun msg -> invalid_arg ("Interp.prepare: " ^ msg)) fmt
+
 let prepare_value st (v : Instr.value) : pval =
   match v with
   | Instr.Reg r -> Preg r
@@ -812,7 +784,7 @@ let prepare_value st (v : Instr.value) : pval =
   | Instr.GlobalAddr name -> begin
     match Hashtbl.find_opt st.globals name with
     | Some obj -> Pimm (Mval.Vptr (Mobject.Pobj { Mobject.obj; moff = 0 }))
-    | None -> Pfail ("interp: unknown global @" ^ name)
+    | None -> unverified "unknown global @%s" name
   end
   | Instr.FuncAddr name -> Pimm (Mval.Vptr (Mobject.Pfunc name))
 
@@ -876,7 +848,6 @@ let register st (f : Irfunc.t) : pfunc =
     pf_context = "in function " ^ f.Irfunc.name;
     pf_prepared = false;
     pf_blocks = [||];
-    pf_entry_copies = Pc_none;
     pf_nregs = max f.Irfunc.next_reg 1;
     pf_nparams = List.length f.Irfunc.params;
     pf_param_regs = Array.of_list (List.map fst f.Irfunc.params);
@@ -885,8 +856,8 @@ let register st (f : Irfunc.t) : pfunc =
     pf_tier = Tier_interp;
   }
 
-(* The prepared body of [pf]: its blocks and its entry phi copies. *)
-let prepare_body (st : state) (pf : pfunc) : pblock array * phicopy =
+(* The prepared body of [pf]. *)
+let prepare_body (st : state) (pf : pfunc) : pblock array =
   let f = pf.pf_ir and ctx = pf.pf_context in
   let blocks = Array.of_list f.Irfunc.blocks in
   let nblocks = Array.length blocks in
@@ -904,25 +875,24 @@ let prepare_body (st : state) (pf : pfunc) : pblock array * phicopy =
           b.Irfunc.instrs)
       blocks
   in
+  if nblocks = 0 || phis.(0) <> [] then
+    unverified "%s has no blocks or a phi in its entry block" pf.pf_name;
   let resolve_edge from_label target =
     match Hashtbl.find_opt index target with
-    | None -> Edge_unknown target
+    | None -> unverified "%s branches to unknown block %s" pf.pf_name target
     | Some j ->
       let copies =
         match phis.(j) with
         | [] -> Pc_none
         | ps ->
-          if
-            List.for_all (fun (_, inc) -> List.mem_assoc from_label inc) ps
-          then
-            Pc_copy
-              ( Array.of_list (List.map fst ps),
-                Array.of_list
-                  (List.map
-                     (fun (_, inc) ->
-                       prepare_value st (List.assoc from_label inc))
-                     ps) )
-          else Pc_missing
+          let source (_, inc) =
+            match List.assoc_opt from_label inc with
+            | Some v -> prepare_value st v
+            | None ->
+              unverified "%s: a phi of %s has no entry for %s" pf.pf_name
+                target from_label
+          in
+          Pc_copy (Array.of_list (List.map fst ps), Array.of_list (List.map source ps))
       in
       Edge (j, copies)
   in
@@ -984,21 +954,17 @@ let prepare_body (st : state) (pf : pfunc) : pblock array * phicopy =
   Array.iteri
     (fun i blk ->
       iter_edges
-        (function
-          | Edge (j, _) when j <= i -> pblocks.(j).pb_osr <- true
-          | Edge _ | Edge_unknown _ -> ())
+        (fun (Edge (j, _)) -> if j <= i then pblocks.(j).pb_osr <- true)
         blk.pb_term)
     pblocks;
-  (pblocks, if nblocks > 0 && phis.(0) <> [] then Pc_missing else Pc_none)
+  pblocks
 
 (** Build [pf]'s body, once.  Runs under the library's "prepare" span
     and counts into [interp.prepared_funcs] when metrics are on. *)
 let prepare st (pf : pfunc) =
   if not pf.pf_prepared then
     Trace.span "prepare" (fun () ->
-        let blocks, entry = prepare_body st pf in
-        pf.pf_blocks <- blocks;
-        pf.pf_entry_copies <- entry;
+        pf.pf_blocks <- prepare_body st pf;
         pf.pf_prepared <- true;
         if st.obs then Metrics.incr (Metrics.counter "interp.prepared_funcs"))
 
@@ -1091,7 +1057,7 @@ let rec call_function st (pf : pfunc) (args : Mval.t array)
     match pf.pf_tier with
     | Tier_compiled c -> exec_compiled st pf fr ~osr:false c.cb_entry
     | Tier_interp | Tier_deopt ->
-      exec_block st fr pf.pf_blocks.(0) pf.pf_entry_copies
+      exec_block st fr pf.pf_blocks.(0) Pc_none
   in
   (match st.prof with
   | Some p -> Profile.leave p ~steps:st.steps
@@ -1152,8 +1118,7 @@ and exec_block st (fr : frame) (blk : pblock) (copies : phicopy) :
       for i = 0 to n - 1 do
         fr.fr_regs.(dests.(i)) <- tmp.(i)
       done
-    end
-  | Pc_missing -> failwith "interp: phi has no incoming edge for predecessor");
+    end);
   (* On-stack replacement: at a loop header, probe the tier controller
      so a single long-running invocation can tier up mid-call.  The phi
      copies above already ran, so the compiled OSR entry starts at the
@@ -1308,10 +1273,8 @@ and exec_term st (fr : frame) (t : pterm) : Mval.t option =
       (Merror.Type_violation "reached an unreachable instruction")
       (context st)
 
-and goto st (fr : frame) (e : pedge) : Mval.t option =
-  match e with
-  | Edge (idx, copies) -> exec_block st fr fr.fr_func.pf_blocks.(idx) copies
-  | Edge_unknown l -> failwith ("interp: jump to unknown block " ^ l)
+and goto st (fr : frame) (Edge (idx, copies) : pedge) : Mval.t option =
+  exec_block st fr fr.fr_func.pf_blocks.(idx) copies
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -1356,8 +1319,7 @@ let detail_of_category (cat : Merror.category) : string list =
 
 let create ?(step_limit = 500_000_000) ?(mementos = true)
     ?(detect_uninit = false) ?(trace = false) ?(input = "") ?tier
-    ?profile:prof ?(provenance = false)
-    (m : Irmod.t) : state =
+    ?profile:prof (m : Irmod.t) : state =
   Mobject.reset ();
   Mobject.track_uninitialized := detect_uninit;
   let profile = fresh_profile () in
@@ -1384,7 +1346,7 @@ let create ?(step_limit = 500_000_000) ?(mementos = true)
       prof;
       detect_uninit;
       snapshot = None;
-      provenance;
+      provenance = false;
     }
   in
   (* The module image: every global object (their ids are observable)
@@ -1432,7 +1394,7 @@ let reset ?input (st : state) : unit =
         | Some b -> Bytes.fill b 0 (Bytes.length b) '\000'
         | None -> ());
         obj.Mobject.ptr_slots <- None;
-        fill_init st obj g.Irmod.g_ty 0 g.Irmod.g_init
+        fill_init st obj g
       | None -> ())
     st.m.Irmod.globals;
   Buffer.clear st.out;
@@ -1627,9 +1589,11 @@ and rerun_for_report (st : state) (argv : string list)
         let st2 =
           create ~step_limit:st.step_limit
             ~mementos:st.heap.Mheap.mementos_enabled
-            ~detect_uninit:st.detect_uninit ~input:st.input ~provenance:true
-            st.m
+            ~detect_uninit:st.detect_uninit ~input:st.input st.m
         in
+        (* The one state that keeps the markers: [create] prepares no
+           body, so every body the replay runs is prepared with them. *)
+        let st2 = { st2 with provenance = true } in
         let r = run ~argv st2 in
         match (r.error, r.report) with
         | Some (cat2, _), (Some _ as rep) when cat2 = cat -> rep

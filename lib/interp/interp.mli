@@ -77,18 +77,14 @@ type profile = {
 type pval =
   | Preg of int             (** read a register of the current frame *)
   | Pimm of Mval.t          (** pre-boxed constant *)
-  | Pfail of string         (** unresolved reference; raises on use *)
 
 type pgep = { pg_static : int; pg_dyn : (pval * int) array }
 
 type phicopy =
   | Pc_none
   | Pc_copy of int array * pval array  (** destination regs, sources *)
-  | Pc_missing
 
-type pedge =
-  | Edge of int * phicopy        (** target block index + phi copies *)
-  | Edge_unknown of string
+type pedge = Edge of int * phicopy  (** target block index + phi copies *)
 
 type pswitch =
   | Sw_linear of int64 array * pedge array
@@ -147,10 +143,9 @@ and pfunc = {
   pf_name : string;
   pf_context : string;
   mutable pf_prepared : bool;
-      (** [prepare] built [pf_blocks] and [pf_entry_copies]; before
-          that both are placeholders that must not be read *)
-  mutable pf_blocks : pblock array;
-  mutable pf_entry_copies : phicopy;
+      (** [prepare] built [pf_blocks]; before that it is a placeholder
+          that must not be read *)
+  mutable pf_blocks : pblock array;  (** the entry block (no phis) first *)
   pf_nregs : int;
   pf_nparams : int;
   pf_param_regs : int array;
@@ -297,7 +292,9 @@ val resolve_callee : state -> string -> call_target
     managed object, so which functions a run prepares never shows in
     object ids.  Runs under the "prepare" trace span and adds 1 to the
     [interp.prepared_funcs] counter when metrics are enabled.  Raises
-    whatever [Scalar] raises on an ill-typed instruction. *)
+    [Invalid_argument] on a function of a module that never passed
+    [Verify]: an unknown global or block, a phi without an entry for
+    its predecessor, or a body without an entry block free of phis. *)
 val prepare : state -> pfunc -> unit
 
 (* ------------------------------------------------------------------ *)
@@ -320,11 +317,10 @@ type run_result = {
           location, bounds detail, and the managed call stack *)
 }
 
-(** A state for executing [m]: every global is materialized and every
+(** A state for executing [m], a module that passed [Verify]: every
+    global is materialized (through [Irmod.iter_init]) and every
     function registered (its [pfunc], counters and [profile] entry), but
-    no body is prepared; each is prepared at its first call.  So
-    hand-written, ill-typed IR whose [Scalar] staging raises fails at
-    that function's first call, inside [run], not here. *)
+    no body is prepared; each is prepared at its first call. *)
 val create :
   ?step_limit:int ->
   ?mementos:bool ->
@@ -333,7 +329,6 @@ val create :
   ?input:string ->
   ?tier:tierctl ->
   ?profile:Profile.t ->
-  ?provenance:bool ->
   Irmod.t ->
   state
 
@@ -344,14 +339,7 @@ val create :
     [profile] (default none) attaches a guest profiler: every call,
     return and block entry flushes the step delta into a per-function /
     per-block attribution tree (see [Profile]).  Both tiers feed the same
-    handle, and the attribution is pinned to agree between them.
-
-    [provenance] (default false) keeps source-location markers in the
-    prepared code so the current line is tracked eagerly.  The default
-    strips them from the dispatch loop; when a managed error fires, the
-    program is re-executed once with eager tracking — and never a tier
-    controller — to recover the faulting source location (deterministic
-    deoptimizing replay). *)
+    handle, and the attribution is pinned to agree between them. *)
 
 (** Rewind a prepared state so the next [run] replays bit-identically to
     a fresh [create] of the same module — same outputs, step counts,
@@ -362,5 +350,9 @@ val create :
 val reset : ?input:string -> state -> unit
 
 (** Execute [main].  A state is good for one run; [reset] it (or create
-    a fresh one) before running again. *)
+    a fresh one) before running again.  The dispatch loop tracks no
+    source location: after a managed error, [run] re-executes the
+    program once with eager tracking, and never a tier controller, to
+    take [report] from the replayed fault (deterministic deoptimizing
+    replay). *)
 val run : ?argv:string list -> state -> run_result

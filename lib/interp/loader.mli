@@ -26,6 +26,11 @@ val libc_module_shared : unit -> Irmod.t
     defines raises [Diag.Error] at the reference. *)
 val compile_user : ?file:string -> string -> Irmod.t
 
+(** The link check [compile_user] makes, on [m] compiled from [prog]
+    ([[]] for IR input): raise [Diag.Error] at the first call to, or
+    address of, a function that neither [m] nor the runtime defines. *)
+val check_references : Ast.program -> Irmod.t -> unit
+
 (** Link a user module against the managed libc and verify it: only the
     user's globals and functions are checked, against the linked
     module's names, which raises exactly the [Verify.Invalid] a full

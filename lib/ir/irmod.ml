@@ -14,6 +14,52 @@ type ginit =
 
 type global = { g_name : string; g_ty : Irtype.mty; g_init : ginit }
 
+(** One store of a global's initial image. *)
+type leaf =
+  | Lint of Irtype.scalar * int64  (** an integer or pointer scalar *)
+  | Lfloat of Irtype.scalar * float  (** an [F32] or [F64] scalar *)
+  | Lbytes of string
+  | Lglobal of string  (** the address of a global *)
+  | Lfunc of string  (** the address of a function *)
+
+(** An initializer that does not fit the type it is laid out as. *)
+exception Init_mismatch of ginit * Irtype.mty
+
+(** [iter_init f ty init] lays [init] out as a value of type [ty],
+    calling [f off leaf] for each store at byte offset [off], in order.
+    It lays out zero in anything (no store), an integer in a scalar
+    (converted at a float one), a float in a float scalar, a string in
+    an [i8] array at least as long, a list no longer than its array or
+    struct, and an address in a pointer; anything else raises
+    [Init_mismatch], which [Verify] reports. *)
+let iter_init f (ty : Irtype.mty) (init : ginit) =
+  let rec lay off ty init =
+    match (init, ty) with
+    | Gzero, _ -> ()
+    | Gint v, Irtype.MScalar s when Irtype.is_float_scalar s ->
+      f off (Lfloat (s, Int64.to_float v))
+    | Gint v, Irtype.MScalar s -> f off (Lint (s, v))
+    | Gfloat x, Irtype.MScalar s when Irtype.is_float_scalar s ->
+      f off (Lfloat (s, x))
+    | Gstring b, Irtype.MArray (Irtype.MScalar Irtype.I8, n)
+      when String.length b <= n ->
+      f off (Lbytes b)
+    | Garray items, Irtype.MArray (elem, n) when List.length items <= n ->
+      let size = Irtype.mty_size elem in
+      List.iteri (fun i item -> lay (off + (i * size)) elem item) items
+    | Gstruct_init items, Irtype.MStruct s
+      when List.compare_lengths items s.Irtype.s_fields <= 0 ->
+      List.iteri
+        (fun i item ->
+          let fd = List.nth s.Irtype.s_fields i in
+          lay (off + fd.Irtype.mf_off) fd.Irtype.mf_ty item)
+        items
+    | Gglobal_addr g, Irtype.MScalar Irtype.Ptr -> f off (Lglobal g)
+    | Gfunc_addr g, Irtype.MScalar Irtype.Ptr -> f off (Lfunc g)
+    | _ -> raise (Init_mismatch (init, ty))
+  in
+  lay 0 ty init
+
 type extern_decl = {
   e_name : string;
   e_ret : Irtype.scalar option;

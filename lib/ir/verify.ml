@@ -6,9 +6,11 @@
     call, and an error message (which may render the offending
     instruction) is built only when its check fails.
 
-    Beyond names, they reject the shapes no engine can execute: a type
-    of the wrong class (integer or float) for its opcode, and a phi
-    without an entry per predecessor or in the entry block.
+    They are the one gate for runnable IR: the engines assume what they
+    prove.  Beyond names, that is a block in every function, types and
+    operands of the class (integer or float) their operation computes
+    on, a phi entry per predecessor and none in the entry block, and
+    initializers that fit their types ([Irmod.iter_init]).
 
     A function's or global's check reads only itself and the module's
     name sets, so [verify_part m part] can check just some of [m]'s
@@ -21,22 +23,18 @@ exception Invalid of string
 let fail fmt = Format.kasprintf (fun msg -> raise (Invalid msg)) fmt
 
 (* The module's top-level names, by what may refer to them: [@g] as a
-   value or in a global initializer names a global or a function; a
-   function address or a direct callee names a function or an
-   extern. *)
+   value or in a global initializer names a global, the only thing the
+   engines resolve it to; a function address or a direct callee names a
+   function or an extern. *)
 type names = {
-  data : (string, unit) Hashtbl.t;  (** globals and functions *)
+  data : (string, unit) Hashtbl.t;  (** globals *)
   code : (string, unit) Hashtbl.t;  (** functions and externs *)
 }
 
 let index (m : Irmod.t) =
   let data = Hashtbl.create 256 and code = Hashtbl.create 256 in
   List.iter (fun g -> Hashtbl.replace data g.Irmod.g_name ()) m.Irmod.globals;
-  List.iter
-    (fun f ->
-      Hashtbl.replace data f.Irfunc.name ();
-      Hashtbl.replace code f.Irfunc.name ())
-    m.Irmod.funcs;
+  List.iter (fun f -> Hashtbl.replace code f.Irfunc.name ()) m.Irmod.funcs;
   List.iter (fun e -> Hashtbl.replace code e.Irmod.e_name ()) m.Irmod.externs;
   { data; code }
 
@@ -46,11 +44,12 @@ let site_to_string = function
   | Some i -> Irprint.instr_to_string i
   | None -> "terminator"
 
+let fl = Irtype.is_float_scalar
+
 (* Whether an instruction's types are of the class (integer or float)
    its opcode computes on: every engine stages the opcode's operation
    for that class.  A bitcast takes either. *)
 let classes_match (i : Instr.instr) =
-  let fl = Irtype.is_float_scalar in
   match i with
   | Instr.Binop (_, op, s, _, _) -> (
     match op with
@@ -68,7 +67,36 @@ let classes_match (i : Instr.instr) =
     | Instr.Bitcast -> true)
   | _ -> true
 
+(* Operand classes: a value is a float or an integer, pointers being
+   integers to every use (their cookies).  [defines_float i] is the
+   class of the register [i] defines; [use_classes i] the class each
+   operand must have, in [Instr.uses_of] order: loads, GEPs, integer
+   compares and sanitizer checks read integers only. *)
+let defines_float (i : Instr.instr) =
+  match i with
+  | Instr.Load (_, s, _)
+  | Instr.Binop (_, _, s, _, _)
+  | Instr.Cast (_, _, _, s, _)
+  | Instr.Select (_, s, _, _, _)
+  | Instr.Phi (_, s, _)
+  | Instr.Call (_, Some s, _, _) -> fl s
+  | _ -> false
+
+let use_classes (i : Instr.instr) =
+  match i with
+  | Instr.Store (s, _, _) -> [ fl s; false ]
+  | Instr.Binop (_, _, s, _, _) -> [ fl s; fl s ]
+  | Instr.Fcmp _ -> [ true; true ]
+  | Instr.Cast (_, _, from, _, _) -> [ fl from ]
+  | Instr.Call (_, _, callee, args) ->
+    (match callee with Instr.Indirect _ -> [ false ] | Instr.Direct _ -> [])
+    @ List.map (fun (s, _) -> fl s) args
+  | Instr.Select (_, s, _, _, _) -> [ false; fl s; fl s ]
+  | Instr.Phi (_, s, incoming) -> List.map (fun _ -> fl s) incoming
+  | i -> List.map (fun _ -> false) (Instr.uses_of i)
+
 let verify_func names (f : Irfunc.t) =
+  if f.Irfunc.blocks = [] then fail "%s: function has no blocks" f.Irfunc.name;
   let labels = List.map (fun b -> b.Irfunc.label) f.Irfunc.blocks in
   let label_set = Hashtbl.create 16 in
   List.iter
@@ -77,9 +105,10 @@ let verify_func names (f : Irfunc.t) =
         fail "%s: duplicate block label %s" f.Irfunc.name l;
       Hashtbl.replace label_set l ())
     labels;
-  (* Collect all defined registers (params + instruction results). *)
+  (* Collect all defined registers (params + instruction results), each
+     with its class: true for a float. *)
   let defined = Hashtbl.create 64 in
-  List.iter (fun (r, _) -> Hashtbl.replace defined r ()) f.Irfunc.params;
+  List.iter (fun (r, s) -> Hashtbl.replace defined r (fl s)) f.Irfunc.params;
   List.iter
     (fun (b : Irfunc.block) ->
       List.iter
@@ -88,7 +117,7 @@ let verify_func names (f : Irfunc.t) =
           | Some r ->
             if Hashtbl.mem defined r then
               fail "%s: register %%%d defined twice" f.Irfunc.name r;
-            Hashtbl.replace defined r ()
+            Hashtbl.replace defined r (defines_float i)
           | None -> ())
         b.instrs)
     f.Irfunc.blocks;
@@ -105,34 +134,48 @@ let verify_func names (f : Irfunc.t) =
          f.Irfunc.blocks;
        t)
   in
-  let check_value site = function
-    | Instr.Reg r ->
-      if not (Hashtbl.mem defined r) then
-        fail "%s: %s uses undefined register %%%d" f.Irfunc.name
-          (site_to_string site) r
-    | Instr.GlobalAddr g ->
-      if not (Hashtbl.mem names.data g) then
-        fail "%s: %s references unknown global @%s" f.Irfunc.name
-          (site_to_string site) g
-    | Instr.FuncAddr fn ->
-      if not (Hashtbl.mem names.code fn) then
-        fail "%s: %s references unknown function @%s" f.Irfunc.name
-          (site_to_string site) fn
-    | Instr.ImmInt (v, s) ->
-      (* every engine and folder computes on canonical values only *)
-      if Irtype.is_float_scalar s || Scalar.normalize_int s v <> v then
-        fail "%s: %s has non-canonical immediate %s %Ld" f.Irfunc.name
-          (site_to_string site) (Irtype.scalar_to_string s) v
-    | Instr.ImmFloat _ | Instr.Null -> ()
+  (* An operand must exist, be canonical and be of the class its use
+     computes on ([float]). *)
+  let check_use site v float =
+    let is_float =
+      match v with
+      | Instr.Reg r -> (
+        match Hashtbl.find defined r with
+        | c -> c
+        | exception Not_found ->
+          fail "%s: %s uses undefined register %%%d" f.Irfunc.name
+            (site_to_string site) r)
+      | Instr.GlobalAddr g ->
+        if not (Hashtbl.mem names.data g) then
+          fail "%s: %s references unknown global @%s" f.Irfunc.name
+            (site_to_string site) g;
+        false
+      | Instr.FuncAddr fn ->
+        if not (Hashtbl.mem names.code fn) then
+          fail "%s: %s references unknown function @%s" f.Irfunc.name
+            (site_to_string site) fn;
+        false
+      | Instr.ImmInt (v, s) ->
+        (* every engine and folder computes on canonical values only *)
+        if fl s || Scalar.normalize_int s v <> v then
+          fail "%s: %s has non-canonical immediate %s %Ld" f.Irfunc.name
+            (site_to_string site) (Irtype.scalar_to_string s) v;
+        false
+      | Instr.ImmFloat _ -> true
+      | Instr.Null -> false
+    in
+    if is_float <> float then
+      fail "%s: %s uses %s of the wrong class" f.Irfunc.name
+        (site_to_string site) (Irprint.value_to_string v)
   in
   List.iteri
     (fun bi (b : Irfunc.block) ->
       List.iter
         (fun i ->
-          List.iter (check_value (Some i)) (Instr.uses_of i);
           if not (classes_match i) then
             fail "%s: %s has a type of the wrong class for its opcode"
               f.Irfunc.name (Irprint.instr_to_string i);
+          List.iter2 (check_use (Some i)) (Instr.uses_of i) (use_classes i);
           match i with
           | Instr.Call (_, _, Instr.Direct callee, _) ->
             if not (Hashtbl.mem names.code callee) then
@@ -154,35 +197,43 @@ let verify_func names (f : Irfunc.t) =
               (Hashtbl.find_all (Lazy.force preds) b.Irfunc.label)
           | _ -> ())
         b.instrs;
-      List.iter (check_value None) (Instr.term_uses b.Irfunc.term);
+      let term = b.Irfunc.term in
+      (match term with
+      | Instr.Ret (Some (s, v)) ->
+        (* a function's result has the class of its return type *)
+        check_use None v (fl (Option.value f.Irfunc.ret ~default:s))
+      | Instr.Condbr (v, _, _) | Instr.Switch (v, _, _) -> check_use None v false
+      | Instr.Ret None | Instr.Br _ | Instr.Unreachable -> ());
       List.iter
         (fun l ->
           if not (Hashtbl.mem label_set l) then
             fail "%s: branch to unknown block %s" f.Irfunc.name l)
-        (Instr.term_successors b.Irfunc.term))
+        (Instr.term_successors term))
     f.Irfunc.blocks
 
-(* Every symbol a global's initializer names must exist. *)
-let rec verify_ginit names g (init : Irmod.ginit) =
-  match init with
-  | Irmod.Gglobal_addr n ->
-    if not (Hashtbl.mem names.data n) then
-      fail "global @%s references unknown global @%s" g n
-  | Irmod.Gfunc_addr n ->
-    if not (Hashtbl.mem names.code n) then
-      fail "global @%s references unknown function @%s" g n
-  | Irmod.Garray items | Irmod.Gstruct_init items ->
-    List.iter (verify_ginit names g) items
-  | Irmod.Gzero | Irmod.Gint _ | Irmod.Gfloat _ | Irmod.Gstring _ -> ()
+(* A global's initializer must fit its type, and every symbol it names
+   must exist. *)
+let verify_global names (g : Irmod.global) =
+  let leaf _ = function
+    | Irmod.Lglobal n ->
+      if not (Hashtbl.mem names.data n) then
+        fail "global @%s references unknown global @%s" g.Irmod.g_name n
+    | Irmod.Lfunc n ->
+      if not (Hashtbl.mem names.code n) then
+        fail "global @%s references unknown function @%s" g.Irmod.g_name n
+    | Irmod.Lint _ | Irmod.Lfloat _ | Irmod.Lbytes _ -> ()
+  in
+  try Irmod.iter_init leaf g.Irmod.g_ty g.Irmod.g_init
+  with Irmod.Init_mismatch (init, ty) ->
+    fail "global @%s: initializer %s does not fit type %s" g.Irmod.g_name
+      (Irprint.ginit_to_string init) (Irtype.mty_to_string ty)
 
 (** Check the globals, then the functions, of [part], in order, against
     the top-level names of [m], including that no function name is
     defined twice among them. *)
 let verify_part (m : Irmod.t) (part : Irmod.t) =
   let names = index m in
-  List.iter
-    (fun (g : Irmod.global) -> verify_ginit names g.Irmod.g_name g.Irmod.g_init)
-    part.Irmod.globals;
+  List.iter (verify_global names) part.Irmod.globals;
   let seen = Hashtbl.create 64 in
   List.iter
     (fun (f : Irfunc.t) ->

@@ -141,11 +141,9 @@ let shift_pval base = function Preg r -> Preg (r + base) | v -> v
 let shift_copies base = function
   | Pc_copy (dests, srcs) ->
     Pc_copy (Array.map (fun d -> d + base) dests, Array.map (shift_pval base) srcs)
-  | (Pc_none | Pc_missing) as c -> c
+  | Pc_none -> Pc_none
 
-let shift_edge base = function
-  | Edge (i, c) -> Edge (i, shift_copies base c)
-  | Edge_unknown _ as e -> e
+let shift_edge base (Edge (i, c)) = Edge (i, shift_copies base c)
 
 let shift_term base = function
   | Pret (Some v) -> Pret (Some (shift_pval base v))
@@ -229,8 +227,8 @@ let static_size (pf : pfunc) : int =
     0 pf.pf_blocks
 
 (** Pick the direct-call sites to inline (DESIGN.md §11 cost model):
-    tiny leaf, non-variadic callees with a plain entry, within a
-    per-caller instruction budget.  Inlining elides the [call_function]
+    tiny leaf, non-variadic callees, within a per-caller instruction
+    budget.  Inlining elides the [call_function]
     frame push, which is only sound because a leaf callee can never
     observe the frame stack (no builtins, no varargs, no nested calls)
     — and call tracing, which does observe it, disables inlining
@@ -257,8 +255,6 @@ let plan_inlines (st0 : state) (pf : pfunc) :
                    | Tier_deopt -> false
                    | Tier_interp | Tier_compiled _ -> true)
                 && (not callee.pf_variadic)
-                && callee.pf_entry_copies = Pc_none
-                && Array.length callee.pf_blocks > 0
                 && is_leaf callee
               then begin
                 let size = static_size callee in
@@ -335,7 +331,7 @@ let plan_inlines (st0 : state) (pf : pfunc) :
     id — observable through pointer cookies — exactly as interpreted.
     Slots are per-instance, so an inlined callee's locals qualify
     independently of its caller's. *)
-let plan_slots (blocks_list : pblock array list) (entry : phicopy)
+let plan_slots (blocks_list : pblock array list)
     (boxed_roots : int array list) (nregs : int) :
     (int, Irtype.scalar) Hashtbl.t =
   let scalar_of : Irtype.scalar option array = Array.make nregs None in
@@ -344,7 +340,7 @@ let plan_slots (blocks_list : pblock array list) (entry : phicopy)
   let writes = Array.make nregs 0 in
   let disq = Array.make nregs false in
   let kill r = if r >= 0 && r < nregs then disq.(r) <- true in
-  let pv = function Preg r -> kill r | Pimm _ | Pfail _ -> () in
+  let pv = function Preg r -> kill r | Pimm _ -> () in
   let wr r = if r >= 0 && r < nregs then writes.(r) <- writes.(r) + 1 in
   (* pass 1: candidate allocas and write counts *)
   List.iter
@@ -353,9 +349,7 @@ let plan_slots (blocks_list : pblock array list) (entry : phicopy)
       Array.iter
         (fun blk ->
           iter_edges
-            (function
-              | Edge (0, _) -> entry_pred := true
-              | Edge _ | Edge_unknown _ -> ())
+            (fun (Edge (j, _)) -> if j = 0 then entry_pred := true)
             blk.pb_term)
         blocks;
       let entry_pred = !entry_pred in
@@ -400,9 +394,9 @@ let plan_slots (blocks_list : pblock array list) (entry : phicopy)
     | Pc_copy (dests, srcs) ->
       Array.iter wr dests;
       Array.iter pv srcs
-    | Pc_none | Pc_missing -> ()
+    | Pc_none -> ()
   in
-  let edge = function Edge (_, c) -> copies c | Edge_unknown _ -> () in
+  let edge (Edge (_, c)) = copies c in
   List.iter
     (fun blocks ->
       Array.iteri
@@ -451,7 +445,6 @@ let plan_slots (blocks_list : pblock array list) (entry : phicopy)
           iter_edges edge blk.pb_term)
         blocks)
     blocks_list;
-  copies entry;
   List.iter (Array.iter kill) boxed_roots;
   let slots = Hashtbl.create 16 in
   Array.iteri
@@ -497,7 +490,7 @@ type rclass =
     boxed ([Vint]-only by construction — the store re-boxes through
     [Mval.as_int], and the alloca's zero is [Vint 0], which is exactly
     what a zero-filled 8-byte load would box). *)
-let classify (blocks_list : pblock array list) (entry : phicopy)
+let classify (blocks_list : pblock array list)
     (boxed_roots : int array list) (slots : (int, Irtype.scalar) Hashtbl.t)
     (nregs : int) : rclass array =
   let wi : writer list array = Array.make nregs [] in
@@ -511,12 +504,11 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
   let ik = function
     | Preg r -> Wdep r
     | Pimm v -> if fits_imm v then Wyes else Wno
-    | Pfail _ -> Wno
   in
   let fk = function
     | Preg r -> Wdep r
     | Pimm (Mval.Vfloat _) -> Wyes
-    | Pimm _ | Pfail _ -> Wno
+    | Pimm _ -> Wno
   in
   let move r src =
     add wi r (ik src);
@@ -536,9 +528,9 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
   in
   let copies = function
     | Pc_copy (dests, srcs) -> Array.iteri (fun i d -> move d srcs.(i)) dests
-    | Pc_none | Pc_missing -> ()
+    | Pc_none -> ()
   in
-  let edge = function Edge (_, c) -> copies c | Edge_unknown _ -> () in
+  let edge (Edge (_, c)) = copies c in
   let instr = function
     | Palloca (r, _, _) -> begin
       match Hashtbl.find_opt slots r with
@@ -590,7 +582,6 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
          Array.iter instr blk.pb_instrs;
          iter_edges edge blk.pb_term))
     blocks_list;
-  copies entry;
   List.iter (Array.iter boxed) boxed_roots;
   let solve (writers : writer list array) : bool array =
     let unboxed =
@@ -636,728 +627,650 @@ let compile (st0 : state) (pf : pfunc) : compiled =
   let heap = st0.heap in
   let prof = st0.prof in
   prepare st0 pf;
-  if Array.length pf.pf_blocks = 0 then
-    {
-      cb_entry =
-        (fun _st _fr ->
-          (* same failure as the interpreter touching [pf_blocks.(0)] *)
-          ignore pf.pf_blocks.(0);
-          assert false);
-      cb_osr = None;
-      cb_frame = None;
-    }
-  else begin
-    let sites, nregs = plan_inlines st0 pf in
-    let blocks_list =
-      pf.pf_blocks :: Hashtbl.fold (fun _ s acc -> s.is_blocks :: acc) sites []
-    in
-    let boxed_roots =
-      pf.pf_param_regs
-      :: Hashtbl.fold (fun _ s acc -> s.is_params :: acc) sites []
-    in
-    (* Uninitialized-read detection watches the real init bitmap, so
-       allocas must stay real objects when it is on. *)
-    let slots =
-      if st0.detect_uninit then Hashtbl.create 0
-      else plan_slots blocks_list pf.pf_entry_copies boxed_roots nregs
-    in
-    let cls = classify blocks_list pf.pf_entry_copies boxed_roots slots nregs in
-    let empty_sites : (int * int, inline_site) Hashtbl.t = Hashtbl.create 1 in
+  let sites, nregs = plan_inlines st0 pf in
+  let blocks_list =
+    pf.pf_blocks :: Hashtbl.fold (fun _ s acc -> s.is_blocks :: acc) sites []
+  in
+  let boxed_roots =
+    pf.pf_param_regs
+    :: Hashtbl.fold (fun _ s acc -> s.is_params :: acc) sites []
+  in
+  (* Uninitialized-read detection watches the real init bitmap, so
+     allocas must stay real objects when it is on. *)
+  let slots =
+    if st0.detect_uninit then Hashtbl.create 0
+    else plan_slots blocks_list boxed_roots nregs
+  in
+  let cls = classify blocks_list boxed_roots slots nregs in
+  let empty_sites : (int * int, inline_site) Hashtbl.t = Hashtbl.create 1 in
 
-    (* --- class-aware operand access (shared by all instances) --- *)
+  (* --- class-aware operand access (shared by all instances) --- *)
 
-    (* Boxed view of any operand; unboxed registers re-box on read
-       (their unboxed slot holds exactly what the interpreter's box
-       would). *)
-    let getter (v : pval) : frame -> Mval.t =
-      match v with
-      | Preg r -> begin
+  (* Boxed view of any operand; unboxed registers re-box on read
+     (their unboxed slot holds exactly what the interpreter's box
+     would). *)
+  let getter (v : pval) : frame -> Mval.t =
+    match v with
+    | Preg r -> begin
+      match cls.(r) with
+      | Rint ->
+        fun fr -> Mval.Vint (Int64.of_int (Array.unsafe_get fr.fr_iregs r))
+      | Rfloat -> fun fr -> Mval.Vfloat (Array.unsafe_get fr.fr_fregs r)
+      | Rbox -> fun fr -> Array.unsafe_get fr.fr_regs r
+    end
+    | Pimm v -> fun _ -> v
+  in
+  (* Native-int view, for operands of small-scalar operations.  The
+     [Int64.to_int] truncation of a boxed operand is exact for every
+     well-typed small operand (normalized <=32-bit values), and for
+     any other int64 every consumer below re-masks/re-normalizes to
+     <=32 bits, which only depends on the low bits [to_int]
+     preserves.  Pointer immediates fall through the boxed view, so
+     [Mval.as_int] registers their cookies exactly like the
+     interpreter; [Verify] keeps float operands out of integer uses. *)
+  let iget (v : pval) : frame -> int =
+    match v with
+    | Preg r when cls.(r) = Rint ->
+      fun fr -> Array.unsafe_get fr.fr_iregs r
+    | Preg r when cls.(r) = Rbox ->
+      fun fr -> Int64.to_int (Mval.as_int (Array.unsafe_get fr.fr_regs r))
+    | Pimm (Mval.Vint v) ->
+      let c = Int64.to_int v in
+      fun _ -> c
+    | v ->
+      let g = getter v in
+      fun fr -> Int64.to_int (Mval.as_int (g fr))
+  in
+  (* Result writers for int-producing operations (classification
+     guarantees such destinations are [Rint] or [Rbox]). *)
+  let iset (r : int) : frame -> int -> unit =
+    if cls.(r) = Rint then fun fr v -> Array.unsafe_set fr.fr_iregs r v
+    else fun fr v -> Array.unsafe_set fr.fr_regs r (Mval.Vint (Int64.of_int v))
+  in
+  (* Native-float view.  [Verify] keeps integer operands out of float
+     uses; the one [Rint] register a float use can read is a pure-move
+     cycle's, which holds its zero and falls through the boxed view. *)
+  let fget (v : pval) : frame -> float =
+    match v with
+    | Preg r when cls.(r) = Rfloat ->
+      fun fr -> Array.unsafe_get fr.fr_fregs r
+    | Preg r when cls.(r) = Rbox ->
+      fun fr -> Mval.as_float (Array.unsafe_get fr.fr_regs r)
+    | Pimm (Mval.Vfloat f) -> fun _ -> f
+    | v ->
+      let g = getter v in
+      fun fr -> Mval.as_float (g fr)
+  in
+  (* Result writers for float-producing operations (destinations are
+     [Rfloat] or [Rbox] by classification). *)
+  let fset (r : int) : frame -> float -> unit =
+    if cls.(r) = Rfloat then fun fr v -> Array.unsafe_set fr.fr_fregs r v
+    else fun fr v -> Array.unsafe_set fr.fr_regs r (Mval.Vfloat v)
+  in
+  (* --- narrow memory access fast paths ---
+
+     The inlined path performs the interpreter's checks on the managed
+     object in the interpreter's order — dereference, memento
+     observation, liveness, bounds, the uninitialized-read map — and
+     bails to the real [Mobject] accessors the moment any of them
+     would take an interesting branch, so every error is raised by the
+     exact same code with the exact same message. *)
+  let iload_fast (s : Irtype.scalar) : Bytes.t -> int -> int =
+    match s with
+    | Irtype.I1 -> fun b off -> Char.code (Bytes.get b off) land 1
+    | Irtype.I8 -> fun b off -> Bytes.get_int8 b off
+    | Irtype.I16 -> fun b off -> Bytes.get_int16_le b off
+    | Irtype.I32 -> fun b off -> Int32.to_int (Bytes.get_int32_le b off)
+    | _ -> invalid_arg "Closcomp.iload_fast: not a small scalar"
+  in
+  let istore_fast (s : Irtype.scalar) : Bytes.t -> int -> int -> unit =
+    match s with
+    | Irtype.I1 | Irtype.I8 ->
+      fun b off v -> Bytes.set b off (Char.chr (v land 0xFF))
+    | Irtype.I16 -> fun b off v -> Bytes.set_uint16_le b off (v land 0xFFFF)
+    | Irtype.I32 -> fun b off v -> Bytes.set_int32_le b off (Int32.of_int v)
+    | _ -> invalid_arg "Closcomp.istore_fast: not a small scalar"
+  in
+  (* Raw-bits float access: [Mobject.load_float]/[store_float] are
+     [load_int]/[store_int] plus a bits conversion, so the fast path
+     is the byte access and the conversion fused. *)
+  let fload_fast (s : Irtype.scalar) : Bytes.t -> int -> float =
+    if s = Irtype.F32 then fun b off ->
+      Int32.float_of_bits (Bytes.get_int32_le b off)
+    else fun b off -> Int64.float_of_bits (Bytes.get_int64_le b off)
+  in
+  let fstore_fast (s : Irtype.scalar) : Bytes.t -> int -> float -> unit =
+    if s = Irtype.F32 then fun b off v ->
+      Bytes.set_int32_le b off (Int32.bits_of_float v)
+    else fun b off v -> Bytes.set_int64_le b off (Int64.bits_of_float v)
+  in
+
+  (* --- one instance: the caller, or an inlined callee --- *)
+  let rec instance (ipf : pfunc) (iblocks : pblock array)
+      (isites : (int * int, inline_site) Hashtbl.t) (ret : ret_mode) :
+      cont * cont ref array =
+    let ctx = ipf.pf_context in
+    let ctrs = ipf.pf_counters.c_kinds in
+    let nblocks = Array.length iblocks in
+    let cells = Array.init nblocks (fun _ -> ref unset) in
+
+    (* --- edges: phi parallel copy, then a direct-threaded jump --- *)
+    let compile_jump (copies : phicopy) (jump : cont ref) : cont =
+      match copies with
+      | Pc_none -> fun st fr -> !jump st fr
+      | Pc_copy (dests, srcs) ->
+        let n = Array.length dests in
+        if n = 1 then begin
+          let d = dests.(0) in
+          match cls.(d) with
+          | Rint ->
+            let ig = iget srcs.(0) in
+            fun st fr ->
+              charge st ctrs k_phi limit;
+              Array.unsafe_set fr.fr_iregs d (ig fr);
+              !jump st fr
+          | Rfloat ->
+            let fg = fget srcs.(0) in
+            fun st fr ->
+              charge st ctrs k_phi limit;
+              Array.unsafe_set fr.fr_fregs d (fg fr);
+              !jump st fr
+          | Rbox -> begin
+            match srcs.(0) with
+            | Preg rs when cls.(rs) = Rbox ->
+              fun st fr ->
+                charge st ctrs k_phi limit;
+                fr.fr_regs.(d) <- fr.fr_regs.(rs);
+                !jump st fr
+            | src ->
+              let g = getter src in
+              fun st fr ->
+                charge st ctrs k_phi limit;
+                fr.fr_regs.(d) <- g fr;
+                !jump st fr
+          end
+        end
+        else begin
+          (* parallel copy with a mixed register file: each class
+             moves through its own scratch array; all sources are
+             read before any write, as in the interpreter *)
+          let kinds = Array.map (fun d -> cls.(d)) dests in
+          let igs =
+            Array.mapi
+              (fun i s -> if kinds.(i) = Rint then iget s else fun _ -> 0)
+              srcs
+          in
+          let fgs =
+            Array.mapi
+              (fun i s -> if kinds.(i) = Rfloat then fget s else fun _ -> 0.0)
+              srcs
+          in
+          let gs =
+            Array.mapi
+              (fun i s ->
+                if kinds.(i) = Rbox then getter s else fun _ -> Mval.zero)
+              srcs
+          in
+          fun st fr ->
+            let tmpi = Array.make n 0 in
+            let tmpf = Array.make n 0.0 in
+            let tmpv = Array.make n Mval.zero in
+            for i = 0 to n - 1 do
+              charge st ctrs k_phi limit;
+              match kinds.(i) with
+              | Rint -> tmpi.(i) <- igs.(i) fr
+              | Rfloat -> tmpf.(i) <- fgs.(i) fr
+              | Rbox -> tmpv.(i) <- gs.(i) fr
+            done;
+            for i = 0 to n - 1 do
+              match kinds.(i) with
+              | Rint -> Array.unsafe_set fr.fr_iregs dests.(i) tmpi.(i)
+              | Rfloat -> Array.unsafe_set fr.fr_fregs dests.(i) tmpf.(i)
+              | Rbox -> fr.fr_regs.(dests.(i)) <- tmpv.(i)
+            done;
+            !jump st fr
+        end
+    in
+    let compile_edge (Edge (idx, copies) : pedge) : cont =
+      compile_jump copies cells.(idx)
+    in
+    (* A copy-free edge is just its target cell: branch closures inline
+       the [!cell] dereference instead of hopping through a wrapper
+       closure. *)
+    let edge_plain (e : pedge) : cont ref option =
+      match e with Edge (idx, Pc_none) -> Some cells.(idx) | _ -> None
+    in
+
+    (* --- terminators --- *)
+    (* [Pret] under [Ret_inline] replays the interpreter's post-call
+       order exactly: terminator charge, result read, depth decrement
+       (the frame pop has no observable effect — no frame was pushed),
+       then the call's result write and continuation. *)
+    let compile_ret (v : pval option) : cont =
+      match (ret, v) with
+      | Ret_fun, Some v ->
+        let g = getter v in
+        fun st fr ->
+          charge st ctrs k_term limit;
+          Some (g fr)
+      | Ret_fun, None ->
+        fun st _fr ->
+          charge st ctrs k_term limit;
+          None
+      | Ret_inline (rres, next), Some v -> (
+        (* Guest-profiler leave: the ret charge lands before [leave]
+           flushes, so it is attributed to the callee exactly as in
+           the interpreter (whose next flush after the ret charge is
+           the [Profile.leave] in [call_function]).  [prof] is fixed
+           at compile time, so the unprofiled closures keep their
+           exact shape — no per-return branch. *)
+        let g = getter v in
+        match prof with
+        | None ->
+          if rres >= 0 then fun st fr ->
+            charge st ctrs k_term limit;
+            let res = g fr in
+            st.depth <- st.depth - 1;
+            fr.fr_regs.(rres) <- res;
+            next st fr
+          else fun st fr ->
+            charge st ctrs k_term limit;
+            ignore (g fr);
+            st.depth <- st.depth - 1;
+            next st fr
+        | Some p ->
+          if rres >= 0 then fun st fr ->
+            charge st ctrs k_term limit;
+            Profile.leave p ~steps:st.steps;
+            let res = g fr in
+            st.depth <- st.depth - 1;
+            fr.fr_regs.(rres) <- res;
+            next st fr
+          else fun st fr ->
+            charge st ctrs k_term limit;
+            Profile.leave p ~steps:st.steps;
+            ignore (g fr);
+            st.depth <- st.depth - 1;
+            next st fr)
+      | Ret_inline (rres, next), None -> (
+        match prof with
+        | None ->
+          if rres >= 0 then fun st fr ->
+            charge st ctrs k_term limit;
+            st.depth <- st.depth - 1;
+            fr.fr_regs.(rres) <- Mval.zero;
+            next st fr
+          else fun st fr ->
+            charge st ctrs k_term limit;
+            st.depth <- st.depth - 1;
+            next st fr
+        | Some p ->
+          if rres >= 0 then fun st fr ->
+            charge st ctrs k_term limit;
+            Profile.leave p ~steps:st.steps;
+            st.depth <- st.depth - 1;
+            fr.fr_regs.(rres) <- Mval.zero;
+            next st fr
+          else fun st fr ->
+            charge st ctrs k_term limit;
+            Profile.leave p ~steps:st.steps;
+            st.depth <- st.depth - 1;
+            next st fr)
+    in
+    let compile_term (t : pterm) : cont =
+      match t with
+      | Pret v -> compile_ret v
+      | Pbr e -> begin
+        match edge_plain e with
+        | Some cell ->
+          fun st fr ->
+            charge st ctrs k_term limit;
+            !cell st fr
+        | None ->
+          let k = compile_edge e in
+          fun st fr ->
+            charge st ctrs k_term limit;
+            k st fr
+      end
+      | Pcondbr (c, a, b) -> begin
+        match (c, edge_plain a, edge_plain b) with
+        | Preg rc, Some ca, Some cb when cls.(rc) = Rint ->
+          fun st fr ->
+            charge st ctrs k_term limit;
+            if Array.unsafe_get fr.fr_iregs rc = 0 then !cb st fr
+            else !ca st fr
+        | Preg rc, Some ca, Some cb when cls.(rc) = Rbox ->
+          fun st fr ->
+            charge st ctrs k_term limit;
+            if Int64.equal (Mval.as_int fr.fr_regs.(rc)) 0L then !cb st fr
+            else !ca st fr
+        | c, _, _ ->
+          let ka = compile_edge a and kb = compile_edge b in
+          (match c with
+          | Preg rc when cls.(rc) = Rint ->
+            fun st fr ->
+              charge st ctrs k_term limit;
+              if Array.unsafe_get fr.fr_iregs rc = 0 then kb st fr
+              else ka st fr
+          | Preg rc when cls.(rc) = Rbox ->
+            fun st fr ->
+              charge st ctrs k_term limit;
+              if Int64.equal (Mval.as_int fr.fr_regs.(rc)) 0L then kb st fr
+              else ka st fr
+          | c ->
+            let g = getter c in
+            fun st fr ->
+              charge st ctrs k_term limit;
+              if Int64.equal (Mval.as_int (g fr)) 0L then kb st fr
+              else ka st fr)
+      end
+      | Pswitch (v, impl, default) ->
+        let gv = getter v in
+        let kd = compile_edge default in
+        (match impl with
+        | Sw_linear (keys, edges) ->
+          let ks = Array.map compile_edge edges in
+          let nk = Array.length keys in
+          fun st fr ->
+            charge st ctrs k_term limit;
+            let x = Mval.as_int (gv fr) in
+            let rec find i =
+              if i >= nk then kd
+              else if Int64.equal keys.(i) x then ks.(i)
+              else find (i + 1)
+            in
+            (find 0) st fr
+        | Sw_table tbl ->
+          let ctbl = Hashtbl.create (2 * Hashtbl.length tbl) in
+          Hashtbl.iter (fun k e -> Hashtbl.replace ctbl k (compile_edge e)) tbl;
+          fun st fr ->
+            charge st ctrs k_term limit;
+            let x = Mval.as_int (gv fr) in
+            (match Hashtbl.find_opt ctbl x with Some k -> k | None -> kd)
+              st fr)
+      | Punreachable ->
+        fun st _fr ->
+          charge st ctrs k_term limit;
+          Merror.raise_error
+            (Merror.Type_violation "reached an unreachable instruction")
+            ctx
+    in
+    (* --- instructions, chained through their continuation --- *)
+    let compile_instr (key : int * int) (i : pinstr) (next : cont) : cont =
+      match i with
+      (* --- scalar-replaced allocas (virtual stack slots) ---
+         [plan_slots] proved the object unobservable, so the slot
+         lives in a register of its scalar's class and every access
+         replays the exact memory round trip.  The alloca still
+         consumes an allocation id (the ids of later allocations are
+         observable through cookies) and re-zeroes the slot — for an
+         I64 slot the boxed zero [Vint 0] is exactly what a load of
+         the fresh object's zero bytes would box. *)
+      | Palloca (r, _, _) when Hashtbl.mem slots r -> begin
         match cls.(r) with
         | Rint ->
-          fun fr -> Mval.Vint (Int64.of_int (Array.unsafe_get fr.fr_iregs r))
-        | Rfloat -> fun fr -> Mval.Vfloat (Array.unsafe_get fr.fr_fregs r)
-        | Rbox -> fun fr -> Array.unsafe_get fr.fr_regs r
-      end
-      | Pimm v -> fun _ -> v
-      | Pfail msg -> fun _ -> failwith msg
-    in
-    (* Native-int view, for operands of small-scalar operations.  The
-       [Int64.to_int] truncation of a boxed operand is exact for every
-       well-typed small operand (normalized <=32-bit values), and for
-       any other int64 every consumer below re-masks/re-normalizes to
-       <=32 bits, which only depends on the low bits [to_int]
-       preserves.  Float-classified operands fall through the
-       boxed view so [Mval.as_int] raises or cookies exactly like the
-       interpreter. *)
-    let iget (v : pval) : frame -> int =
-      match v with
-      | Preg r when cls.(r) = Rint ->
-        fun fr -> Array.unsafe_get fr.fr_iregs r
-      | Preg r when cls.(r) = Rbox ->
-        fun fr -> Int64.to_int (Mval.as_int (Array.unsafe_get fr.fr_regs r))
-      | Pimm (Mval.Vint v) ->
-        let c = Int64.to_int v in
-        fun _ -> c
-      | v ->
-        let g = getter v in
-        fun fr -> Int64.to_int (Mval.as_int (g fr))
-    in
-    (* Result writers for int-producing operations (classification
-       guarantees such destinations are [Rint] or [Rbox]). *)
-    let iset (r : int) : frame -> int -> unit =
-      if cls.(r) = Rint then fun fr v -> Array.unsafe_set fr.fr_iregs r v
-      else fun fr v -> Array.unsafe_set fr.fr_regs r (Mval.Vint (Int64.of_int v))
-    in
-    (* Native-float view; non-float operands fall through [Mval.as_float]
-       (int-to-float widening, invalid_arg on pointers) like the
-       interpreter. *)
-    let fget (v : pval) : frame -> float =
-      match v with
-      | Preg r when cls.(r) = Rfloat ->
-        fun fr -> Array.unsafe_get fr.fr_fregs r
-      | Preg r when cls.(r) = Rint ->
-        fun fr -> float_of_int (Array.unsafe_get fr.fr_iregs r)
-      | Preg r when cls.(r) = Rbox ->
-        fun fr -> Mval.as_float (Array.unsafe_get fr.fr_regs r)
-      | Pimm (Mval.Vfloat f) -> fun _ -> f
-      | Pimm (Mval.Vint v) ->
-        let c = Int64.to_float v in
-        fun _ -> c
-      | v ->
-        let g = getter v in
-        fun fr -> Mval.as_float (g fr)
-    in
-    (* Result writers for float-producing operations (destinations are
-       [Rfloat] or [Rbox] by classification). *)
-    let fset (r : int) : frame -> float -> unit =
-      if cls.(r) = Rfloat then fun fr v -> Array.unsafe_set fr.fr_fregs r v
-      else fun fr v -> Array.unsafe_set fr.fr_regs r (Mval.Vfloat v)
-    in
-    (* --- narrow memory access fast paths ---
-
-       The inlined path performs the interpreter's checks on the managed
-       object in the interpreter's order — dereference, memento
-       observation, liveness, bounds, the uninitialized-read map — and
-       bails to the real [Mobject] accessors the moment any of them
-       would take an interesting branch, so every error is raised by the
-       exact same code with the exact same message. *)
-    let iload_fast (s : Irtype.scalar) : Bytes.t -> int -> int =
-      match s with
-      | Irtype.I1 -> fun b off -> Char.code (Bytes.get b off) land 1
-      | Irtype.I8 -> fun b off -> Bytes.get_int8 b off
-      | Irtype.I16 -> fun b off -> Bytes.get_int16_le b off
-      | Irtype.I32 -> fun b off -> Int32.to_int (Bytes.get_int32_le b off)
-      | _ -> invalid_arg "Closcomp.iload_fast: not a small scalar"
-    in
-    let istore_fast (s : Irtype.scalar) : Bytes.t -> int -> int -> unit =
-      match s with
-      | Irtype.I1 | Irtype.I8 ->
-        fun b off v -> Bytes.set b off (Char.chr (v land 0xFF))
-      | Irtype.I16 -> fun b off v -> Bytes.set_uint16_le b off (v land 0xFFFF)
-      | Irtype.I32 -> fun b off v -> Bytes.set_int32_le b off (Int32.of_int v)
-      | _ -> invalid_arg "Closcomp.istore_fast: not a small scalar"
-    in
-    (* Raw-bits float access: [Mobject.load_float]/[store_float] are
-       [load_int]/[store_int] plus a bits conversion, so the fast path
-       is the byte access and the conversion fused. *)
-    let fload_fast (s : Irtype.scalar) : Bytes.t -> int -> float =
-      if s = Irtype.F32 then fun b off ->
-        Int32.float_of_bits (Bytes.get_int32_le b off)
-      else fun b off -> Int64.float_of_bits (Bytes.get_int64_le b off)
-    in
-    let fstore_fast (s : Irtype.scalar) : Bytes.t -> int -> float -> unit =
-      if s = Irtype.F32 then fun b off v ->
-        Bytes.set_int32_le b off (Int32.bits_of_float v)
-      else fun b off v -> Bytes.set_int64_le b off (Int64.bits_of_float v)
-    in
-
-    (* --- one instance: the caller, or an inlined callee --- *)
-    let rec instance (ipf : pfunc) (iblocks : pblock array)
-        (isites : (int * int, inline_site) Hashtbl.t) (ret : ret_mode)
-        (entry_copies : phicopy) : cont * cont ref array =
-      let ctx = ipf.pf_context in
-      let ctrs = ipf.pf_counters.c_kinds in
-      let nblocks = Array.length iblocks in
-      let cells = Array.init nblocks (fun _ -> ref unset) in
-
-      (* --- edges: phi parallel copy, then a direct-threaded jump --- *)
-      let compile_jump (copies : phicopy) (jump : cont ref) : cont =
-        match copies with
-        | Pc_none -> fun st fr -> !jump st fr
-        | Pc_missing ->
-          fun _ _ -> failwith "interp: phi has no incoming edge for predecessor"
-        | Pc_copy (dests, srcs) ->
-          let n = Array.length dests in
-          if n = 1 then begin
-            let d = dests.(0) in
-            match cls.(d) with
-            | Rint ->
-              let ig = iget srcs.(0) in
-              fun st fr ->
-                charge st ctrs k_phi limit;
-                Array.unsafe_set fr.fr_iregs d (ig fr);
-                !jump st fr
-            | Rfloat ->
-              let fg = fget srcs.(0) in
-              fun st fr ->
-                charge st ctrs k_phi limit;
-                Array.unsafe_set fr.fr_fregs d (fg fr);
-                !jump st fr
-            | Rbox -> begin
-              match srcs.(0) with
-              | Preg rs when cls.(rs) = Rbox ->
-                fun st fr ->
-                  charge st ctrs k_phi limit;
-                  fr.fr_regs.(d) <- fr.fr_regs.(rs);
-                  !jump st fr
-              | src ->
-                let g = getter src in
-                fun st fr ->
-                  charge st ctrs k_phi limit;
-                  fr.fr_regs.(d) <- g fr;
-                  !jump st fr
-            end
-          end
-          else begin
-            (* parallel copy with a mixed register file: each class
-               moves through its own scratch array; all sources are
-               read before any write, as in the interpreter *)
-            let kinds = Array.map (fun d -> cls.(d)) dests in
-            let igs =
-              Array.mapi
-                (fun i s -> if kinds.(i) = Rint then iget s else fun _ -> 0)
-                srcs
-            in
-            let fgs =
-              Array.mapi
-                (fun i s -> if kinds.(i) = Rfloat then fget s else fun _ -> 0.0)
-                srcs
-            in
-            let gs =
-              Array.mapi
-                (fun i s ->
-                  if kinds.(i) = Rbox then getter s else fun _ -> Mval.zero)
-                srcs
-            in
-            fun st fr ->
-              let tmpi = Array.make n 0 in
-              let tmpf = Array.make n 0.0 in
-              let tmpv = Array.make n Mval.zero in
-              for i = 0 to n - 1 do
-                charge st ctrs k_phi limit;
-                match kinds.(i) with
-                | Rint -> tmpi.(i) <- igs.(i) fr
-                | Rfloat -> tmpf.(i) <- fgs.(i) fr
-                | Rbox -> tmpv.(i) <- gs.(i) fr
-              done;
-              for i = 0 to n - 1 do
-                match kinds.(i) with
-                | Rint -> Array.unsafe_set fr.fr_iregs dests.(i) tmpi.(i)
-                | Rfloat -> Array.unsafe_set fr.fr_fregs dests.(i) tmpf.(i)
-                | Rbox -> fr.fr_regs.(dests.(i)) <- tmpv.(i)
-              done;
-              !jump st fr
-          end
-      in
-      let compile_edge (e : pedge) : cont =
-        match e with
-        | Edge (idx, copies) -> compile_jump copies cells.(idx)
-        | Edge_unknown l ->
-          fun _ _ -> failwith ("interp: jump to unknown block " ^ l)
-      in
-      (* A copy-free edge is just its target cell: branch closures inline
-         the [!cell] dereference instead of hopping through a wrapper
-         closure. *)
-      let edge_plain (e : pedge) : cont ref option =
-        match e with Edge (idx, Pc_none) -> Some cells.(idx) | _ -> None
-      in
-
-      (* --- terminators --- *)
-      (* [Pret] under [Ret_inline] replays the interpreter's post-call
-         order exactly: terminator charge, result read, depth decrement
-         (the frame pop has no observable effect — no frame was pushed),
-         then the call's result write and continuation. *)
-      let compile_ret (v : pval option) : cont =
-        match (ret, v) with
-        | Ret_fun, Some v ->
-          let g = getter v in
-          fun st fr ->
-            charge st ctrs k_term limit;
-            Some (g fr)
-        | Ret_fun, None ->
-          fun st _fr ->
-            charge st ctrs k_term limit;
-            None
-        | Ret_inline (rres, next), Some v -> (
-          (* Guest-profiler leave: the ret charge lands before [leave]
-             flushes, so it is attributed to the callee exactly as in
-             the interpreter (whose next flush after the ret charge is
-             the [Profile.leave] in [call_function]).  [prof] is fixed
-             at compile time, so the unprofiled closures keep their
-             exact shape — no per-return branch. *)
-          let g = getter v in
-          match prof with
-          | None ->
-            if rres >= 0 then fun st fr ->
-              charge st ctrs k_term limit;
-              let res = g fr in
-              st.depth <- st.depth - 1;
-              fr.fr_regs.(rres) <- res;
-              next st fr
-            else fun st fr ->
-              charge st ctrs k_term limit;
-              ignore (g fr);
-              st.depth <- st.depth - 1;
-              next st fr
-          | Some p ->
-            if rres >= 0 then fun st fr ->
-              charge st ctrs k_term limit;
-              Profile.leave p ~steps:st.steps;
-              let res = g fr in
-              st.depth <- st.depth - 1;
-              fr.fr_regs.(rres) <- res;
-              next st fr
-            else fun st fr ->
-              charge st ctrs k_term limit;
-              Profile.leave p ~steps:st.steps;
-              ignore (g fr);
-              st.depth <- st.depth - 1;
-              next st fr)
-        | Ret_inline (rres, next), None -> (
-          match prof with
-          | None ->
-            if rres >= 0 then fun st fr ->
-              charge st ctrs k_term limit;
-              st.depth <- st.depth - 1;
-              fr.fr_regs.(rres) <- Mval.zero;
-              next st fr
-            else fun st fr ->
-              charge st ctrs k_term limit;
-              st.depth <- st.depth - 1;
-              next st fr
-          | Some p ->
-            if rres >= 0 then fun st fr ->
-              charge st ctrs k_term limit;
-              Profile.leave p ~steps:st.steps;
-              st.depth <- st.depth - 1;
-              fr.fr_regs.(rres) <- Mval.zero;
-              next st fr
-            else fun st fr ->
-              charge st ctrs k_term limit;
-              Profile.leave p ~steps:st.steps;
-              st.depth <- st.depth - 1;
-              next st fr)
-      in
-      let compile_term (t : pterm) : cont =
-        match t with
-        | Pret v -> compile_ret v
-        | Pbr e -> begin
-          match edge_plain e with
-          | Some cell ->
-            fun st fr ->
-              charge st ctrs k_term limit;
-              !cell st fr
-          | None ->
-            let k = compile_edge e in
-            fun st fr ->
-              charge st ctrs k_term limit;
-              k st fr
-        end
-        | Pcondbr (c, a, b) -> begin
-          match (c, edge_plain a, edge_plain b) with
-          | Preg rc, Some ca, Some cb when cls.(rc) = Rint ->
-            fun st fr ->
-              charge st ctrs k_term limit;
-              if Array.unsafe_get fr.fr_iregs rc = 0 then !cb st fr
-              else !ca st fr
-          | Preg rc, Some ca, Some cb when cls.(rc) = Rbox ->
-            fun st fr ->
-              charge st ctrs k_term limit;
-              if Int64.equal (Mval.as_int fr.fr_regs.(rc)) 0L then !cb st fr
-              else !ca st fr
-          | c, _, _ ->
-            let ka = compile_edge a and kb = compile_edge b in
-            (match c with
-            | Preg rc when cls.(rc) = Rint ->
-              fun st fr ->
-                charge st ctrs k_term limit;
-                if Array.unsafe_get fr.fr_iregs rc = 0 then kb st fr
-                else ka st fr
-            | Preg rc when cls.(rc) = Rbox ->
-              fun st fr ->
-                charge st ctrs k_term limit;
-                if Int64.equal (Mval.as_int fr.fr_regs.(rc)) 0L then kb st fr
-                else ka st fr
-            | c ->
-              let g = getter c in
-              fun st fr ->
-                charge st ctrs k_term limit;
-                if Int64.equal (Mval.as_int (g fr)) 0L then kb st fr
-                else ka st fr)
-        end
-        | Pswitch (v, impl, default) ->
-          let gv = getter v in
-          let kd = compile_edge default in
-          (match impl with
-          | Sw_linear (keys, edges) ->
-            let ks = Array.map compile_edge edges in
-            let nk = Array.length keys in
-            fun st fr ->
-              charge st ctrs k_term limit;
-              let x = Mval.as_int (gv fr) in
-              let rec find i =
-                if i >= nk then kd
-                else if Int64.equal keys.(i) x then ks.(i)
-                else find (i + 1)
-              in
-              (find 0) st fr
-          | Sw_table tbl ->
-            let ctbl = Hashtbl.create (2 * Hashtbl.length tbl) in
-            Hashtbl.iter (fun k e -> Hashtbl.replace ctbl k (compile_edge e)) tbl;
-            fun st fr ->
-              charge st ctrs k_term limit;
-              let x = Mval.as_int (gv fr) in
-              (match Hashtbl.find_opt ctbl x with Some k -> k | None -> kd)
-                st fr)
-        | Punreachable ->
-          fun st _fr ->
-            charge st ctrs k_term limit;
-            Merror.raise_error
-              (Merror.Type_violation "reached an unreachable instruction")
-              ctx
-      in
-      (* --- instructions, chained through their continuation --- *)
-      let compile_instr (key : int * int) (i : pinstr) (next : cont) : cont =
-        match i with
-        (* --- scalar-replaced allocas (virtual stack slots) ---
-           [plan_slots] proved the object unobservable, so the slot
-           lives in a register of its scalar's class and every access
-           replays the exact memory round trip.  The alloca still
-           consumes an allocation id (the ids of later allocations are
-           observable through cookies) and re-zeroes the slot — for an
-           I64 slot the boxed zero [Vint 0] is exactly what a load of
-           the fresh object's zero bytes would box. *)
-        | Palloca (r, _, _) when Hashtbl.mem slots r -> begin
-          match cls.(r) with
-          | Rint ->
-            fun st fr ->
-              charge st ctrs k_alloca limit;
-              ignore (Mobject.fresh_id ());
-              Array.unsafe_set fr.fr_iregs r 0;
-              next st fr
-          | Rfloat ->
-            fun st fr ->
-              charge st ctrs k_alloca limit;
-              ignore (Mobject.fresh_id ());
-              Array.unsafe_set fr.fr_fregs r 0.0;
-              next st fr
-          | Rbox ->
-            fun st fr ->
-              charge st ctrs k_alloca limit;
-              ignore (Mobject.fresh_id ());
-              Array.unsafe_set fr.fr_regs r Mval.zero;
-              next st fr
-        end
-        | Pload (r, _, Preg rp) when Hashtbl.mem slots rp -> begin
-          (* whole-slot load: forward the slot register (already the
-             exact value a memory load would produce).  These are the
-             hottest operations in alloca-based code, so each shape is
-             a fully inlined register move — no accessor closures. *)
-          match cls.(rp) with
-          | Rint when cls.(r) = Rint ->
-            fun st fr ->
-              charge st ctrs k_load limit;
-              let ir = fr.fr_iregs in
-              Array.unsafe_set ir r (Array.unsafe_get ir rp);
-              next st fr
-          | Rint ->
-            fun st fr ->
-              charge st ctrs k_load limit;
-              fr.fr_regs.(r) <-
-                Mval.Vint (Int64.of_int (Array.unsafe_get fr.fr_iregs rp));
-              next st fr
-          | Rfloat when cls.(r) = Rfloat ->
-            fun st fr ->
-              charge st ctrs k_load limit;
-              let fl = fr.fr_fregs in
-              Array.unsafe_set fl r (Array.unsafe_get fl rp);
-              next st fr
-          | Rfloat ->
-            fun st fr ->
-              charge st ctrs k_load limit;
-              fr.fr_regs.(r) <-
-                Mval.Vfloat (Array.unsafe_get fr.fr_fregs rp);
-              next st fr
-          | Rbox ->
-            fun st fr ->
-              charge st ctrs k_load limit;
-              Array.unsafe_set fr.fr_regs r (Array.unsafe_get fr.fr_regs rp);
-              next st fr
-        end
-        | Pstore (s, v, Preg rp) when Hashtbl.mem slots rp -> begin
-          (* whole-slot store: normalize exactly like the memory round
-             trip would — small ints sign-extend their stored low bits,
-             F32 rounds through its bit pattern, I64 re-boxes through
-             [Mval.as_int] (same pointer-cookie side effect as the
-             interpreter's store). *)
-          match cls.(rp) with
-          | Rint -> begin
-            let nrm = Scalar.Small.normalize s in
-            match v with
-            | Preg rv when cls.(rv) = Rint ->
-              fun st fr ->
-                charge st ctrs k_store limit;
-                let ir = fr.fr_iregs in
-                Array.unsafe_set ir rp (nrm (Array.unsafe_get ir rv));
-                next st fr
-            | Pimm (Mval.Vint imm) ->
-              let c = nrm (Int64.to_int imm) in
-              fun st fr ->
-                charge st ctrs k_store limit;
-                Array.unsafe_set fr.fr_iregs rp c;
-                next st fr
-            | _ ->
-              let g = iget v in
-              fun st fr ->
-                charge st ctrs k_store limit;
-                Array.unsafe_set fr.fr_iregs rp (nrm (g fr));
-                next st fr
-          end
-          | Rfloat ->
-            let g = fget v in
-            if s = Irtype.F32 then
-              fun st fr ->
-                charge st ctrs k_store limit;
-                Array.unsafe_set fr.fr_fregs rp (Scalar.round_to_f32 (g fr));
-                next st fr
-            else
-              fun st fr ->
-                charge st ctrs k_store limit;
-                Array.unsafe_set fr.fr_fregs rp (g fr);
-                next st fr
-          | Rbox ->
-            let g = getter v in
-            fun st fr ->
-              charge st ctrs k_store limit;
-              Array.unsafe_set fr.fr_regs rp (Mval.Vint (Mval.as_int (g fr)));
-              next st fr
-        end
-        | Palloca (r, mty, size) ->
           fun st fr ->
             charge st ctrs k_alloca limit;
-            let obj = Mobject.alloc ~storage:Merror.Stack ~mty size in
-            fr.fr_regs.(r) <- Mval.Vptr (Mobject.Pobj { Mobject.obj; moff = 0 });
+            ignore (Mobject.fresh_id ());
+            Array.unsafe_set fr.fr_iregs r 0;
             next st fr
-        | Pload (r, s, p) when small s ->
-          let size = Irtype.scalar_size s in
-          let fast = iload_fast s in
-          let norm = Scalar.Small.normalize s in
-          let observe = s <> Irtype.I8 in
-          let set = iset r in
-          (* the hottest operation in alloca-based code (every read of a
-             local): for the dominant register-pointer/unboxed-result
-             shapes everything is inlined — the register reads, the
-             pointer access, the byte load and the result write *)
-          (match p with
-          | Preg rp when cls.(rp) = Rbox && cls.(r) = Rint ->
-            fun st fr ->
-              charge st ctrs k_load limit;
-              let a =
-                match Array.unsafe_get fr.fr_regs rp with
-                | Mval.Vptr (Mobject.Pobj a) -> a
-                | pm -> deref_c ctx pm
-              in
-              let obj = a.Mobject.obj in
-              if observe then observe_memento heap obj s;
-              let off = a.Mobject.moff in
-              let v =
-                match (obj.Mobject.data, obj.Mobject.init_map) with
-                | Some b, None
-                  when off >= 0 && off + size <= obj.Mobject.byte_size ->
-                  fast b off
-                | _ -> norm (Int64.to_int (Mobject.load_int a ~size ctx))
-              in
-              Array.unsafe_set fr.fr_iregs r v;
-              next st fr
-          | p ->
-            let g = getter p in
-            fun st fr ->
-              charge st ctrs k_load limit;
-              let a =
-                match g fr with
-                | Mval.Vptr (Mobject.Pobj a) -> a
-                | pm -> deref_c ctx pm
-              in
-              let obj = a.Mobject.obj in
-              if observe then observe_memento heap obj s;
-              let off = a.Mobject.moff in
-              let v =
-                match (obj.Mobject.data, obj.Mobject.init_map) with
-                | Some b, None
-                  when off >= 0 && off + size <= obj.Mobject.byte_size ->
-                  fast b off
-                | _ -> norm (Int64.to_int (Mobject.load_int a ~size ctx))
-              in
-              set fr v;
-              next st fr)
-        | Pload (r, s, p) when (s = Irtype.F32 || s = Irtype.F64) && cls.(r) = Rfloat ->
-          let size = Irtype.scalar_size s in
-          let fast = fload_fast s in
-          (* float loads always observe heap mementos (s <> I8) *)
-          (match p with
-          | p ->
-            let g = getter p in
-            fun st fr ->
-              charge st ctrs k_load limit;
-              let a =
-                match g fr with
-                | Mval.Vptr (Mobject.Pobj a) -> a
-                | pm -> deref_c ctx pm
-              in
-              let obj = a.Mobject.obj in
-              observe_memento heap obj s;
-              let off = a.Mobject.moff in
-              let v =
-                match (obj.Mobject.data, obj.Mobject.init_map) with
-                | Some b, None
-                  when off >= 0 && off + size <= obj.Mobject.byte_size ->
-                  fast b off
-                | _ -> Mobject.load_float a ~size ctx
-              in
-              Array.unsafe_set fr.fr_fregs r v;
-              next st fr)
-        | Pload (r, s, p) ->
-          let size = Irtype.scalar_size s in
-          let load : Mobject.addr -> Mval.t =
-            match s with
-            | Irtype.Ptr -> fun a -> Mval.Vptr (Mobject.load_ptr a ctx)
-            | Irtype.F32 | Irtype.F64 ->
-              fun a -> Mval.Vfloat (Mobject.load_float a ~size ctx)
-            | _ ->
-              (* I64: bounds+liveness inline, [Mobject] on any slow branch *)
-              fun a ->
-                let obj = a.Mobject.obj in
-                let off = a.Mobject.moff in
-                (match (obj.Mobject.data, obj.Mobject.init_map) with
-                | Some b, None when off >= 0 && off + 8 <= obj.Mobject.byte_size
-                  ->
-                  Mval.Vint (Bytes.get_int64_le b off)
-                | _ -> Mval.Vint (Mobject.load_int a ~size:8 ctx))
-          in
-          (* allocation-memento observation applies to non-i8 heap
-             accesses only; the predicate on the scalar is compile-time *)
-          (match p with
-          | Preg rp when cls.(rp) = Rbox ->
-            fun st fr ->
-              charge st ctrs k_load limit;
-              let a =
-                match Array.unsafe_get fr.fr_regs rp with
-                | Mval.Vptr (Mobject.Pobj a) -> a
-                | pm -> deref_c ctx pm
-              in
-              observe_memento heap a.Mobject.obj s;
-              fr.fr_regs.(r) <- load a;
-              next st fr
-          | p ->
-            let g = getter p in
-            fun st fr ->
-              charge st ctrs k_load limit;
-              let a =
-                match g fr with
-                | Mval.Vptr (Mobject.Pobj a) -> a
-                | pm -> deref_c ctx pm
-              in
-              observe_memento heap a.Mobject.obj s;
-              fr.fr_regs.(r) <- load a;
-              next st fr)
-        | Pstore (s, v, p) when small s ->
-          let gv = iget v in
-          let size = Irtype.scalar_size s in
-          let fast = istore_fast s in
-          let observe = s <> Irtype.I8 in
-          (* operand order matches the interpreter — pointer, then value
-             — and a plain register read cannot raise, so inlining the
-             pointer read keeps every raise point in place *)
-          (match p with
-          | Preg rp when cls.(rp) = Rbox ->
+        | Rfloat ->
+          fun st fr ->
+            charge st ctrs k_alloca limit;
+            ignore (Mobject.fresh_id ());
+            Array.unsafe_set fr.fr_fregs r 0.0;
+            next st fr
+        | Rbox ->
+          fun st fr ->
+            charge st ctrs k_alloca limit;
+            ignore (Mobject.fresh_id ());
+            Array.unsafe_set fr.fr_regs r Mval.zero;
+            next st fr
+      end
+      | Pload (r, _, Preg rp) when Hashtbl.mem slots rp -> begin
+        (* whole-slot load: forward the slot register (already the
+           exact value a memory load would produce).  These are the
+           hottest operations in alloca-based code, so each shape is
+           a fully inlined register move — no accessor closures. *)
+        match cls.(rp) with
+        | Rint when cls.(r) = Rint ->
+          fun st fr ->
+            charge st ctrs k_load limit;
+            let ir = fr.fr_iregs in
+            Array.unsafe_set ir r (Array.unsafe_get ir rp);
+            next st fr
+        | Rint ->
+          fun st fr ->
+            charge st ctrs k_load limit;
+            fr.fr_regs.(r) <-
+              Mval.Vint (Int64.of_int (Array.unsafe_get fr.fr_iregs rp));
+            next st fr
+        | Rfloat when cls.(r) = Rfloat ->
+          fun st fr ->
+            charge st ctrs k_load limit;
+            let fl = fr.fr_fregs in
+            Array.unsafe_set fl r (Array.unsafe_get fl rp);
+            next st fr
+        | Rfloat ->
+          fun st fr ->
+            charge st ctrs k_load limit;
+            fr.fr_regs.(r) <-
+              Mval.Vfloat (Array.unsafe_get fr.fr_fregs rp);
+            next st fr
+        | Rbox ->
+          fun st fr ->
+            charge st ctrs k_load limit;
+            Array.unsafe_set fr.fr_regs r (Array.unsafe_get fr.fr_regs rp);
+            next st fr
+      end
+      | Pstore (s, v, Preg rp) when Hashtbl.mem slots rp -> begin
+        (* whole-slot store: normalize exactly like the memory round
+           trip would — small ints sign-extend their stored low bits,
+           F32 rounds through its bit pattern, I64 re-boxes through
+           [Mval.as_int] (same pointer-cookie side effect as the
+           interpreter's store). *)
+        match cls.(rp) with
+        | Rint -> begin
+          let nrm = Scalar.Small.normalize s in
+          match v with
+          | Preg rv when cls.(rv) = Rint ->
             fun st fr ->
               charge st ctrs k_store limit;
-              let pm = Array.unsafe_get fr.fr_regs rp in
-              let vv = gv fr in
-              let a =
-                match pm with
-                | Mval.Vptr (Mobject.Pobj a) -> a
-                | pm -> deref_c ctx pm
-              in
-              let obj = a.Mobject.obj in
-              if observe then observe_memento heap obj s;
-              let off = a.Mobject.moff in
-              (match (obj.Mobject.data, obj.Mobject.init_map) with
-              | Some b, None
-                when off >= 0
-                     && off + size <= obj.Mobject.byte_size
-                     && obj.Mobject.ptr_slots = None ->
-                fast b off vv
-              | _ -> Mobject.store_int a ~size (Int64.of_int vv) ctx);
+              let ir = fr.fr_iregs in
+              Array.unsafe_set ir rp (nrm (Array.unsafe_get ir rv));
               next st fr
-          | p ->
-            let gp = getter p in
+          | Pimm (Mval.Vint imm) ->
+            let c = nrm (Int64.to_int imm) in
             fun st fr ->
               charge st ctrs k_store limit;
-              let pp = gp fr in
-              let vv = gv fr in
-              let a =
-                match pp with
-                | Mval.Vptr (Mobject.Pobj a) -> a
-                | pm -> deref_c ctx pm
-              in
-              let obj = a.Mobject.obj in
-              if observe then observe_memento heap obj s;
-              let off = a.Mobject.moff in
-              (match (obj.Mobject.data, obj.Mobject.init_map) with
-              | Some b, None
-                when off >= 0
-                     && off + size <= obj.Mobject.byte_size
-                     && obj.Mobject.ptr_slots = None ->
-                fast b off vv
-              | _ -> Mobject.store_int a ~size (Int64.of_int vv) ctx);
-              next st fr)
-        | Pstore (s, v, p) when s = Irtype.F32 || s = Irtype.F64 ->
-          let gv = fget v in
-          let size = Irtype.scalar_size s in
-          let fast = fstore_fast s in
-          (* float stores always observe heap mementos (s <> I8) *)
-          (match p with
-          | p ->
-            let gp = getter p in
+              Array.unsafe_set fr.fr_iregs rp c;
+              next st fr
+          | _ ->
+            let g = iget v in
             fun st fr ->
               charge st ctrs k_store limit;
-              let pp = gp fr in
-              let vv = gv fr in
-              let a =
-                match pp with
-                | Mval.Vptr (Mobject.Pobj a) -> a
-                | pm -> deref_c ctx pm
-              in
+              Array.unsafe_set fr.fr_iregs rp (nrm (g fr));
+              next st fr
+        end
+        | Rfloat ->
+          let g = fget v in
+          if s = Irtype.F32 then
+            fun st fr ->
+              charge st ctrs k_store limit;
+              Array.unsafe_set fr.fr_fregs rp (Scalar.round_to_f32 (g fr));
+              next st fr
+          else
+            fun st fr ->
+              charge st ctrs k_store limit;
+              Array.unsafe_set fr.fr_fregs rp (g fr);
+              next st fr
+        | Rbox ->
+          let g = getter v in
+          fun st fr ->
+            charge st ctrs k_store limit;
+            Array.unsafe_set fr.fr_regs rp (Mval.Vint (Mval.as_int (g fr)));
+            next st fr
+      end
+      | Palloca (r, mty, size) ->
+        fun st fr ->
+          charge st ctrs k_alloca limit;
+          let obj = Mobject.alloc ~storage:Merror.Stack ~mty size in
+          fr.fr_regs.(r) <- Mval.Vptr (Mobject.Pobj { Mobject.obj; moff = 0 });
+          next st fr
+      | Pload (r, s, p) when small s ->
+        let size = Irtype.scalar_size s in
+        let fast = iload_fast s in
+        let norm = Scalar.Small.normalize s in
+        let observe = s <> Irtype.I8 in
+        let set = iset r in
+        (* the hottest operation in alloca-based code (every read of a
+           local): for the dominant register-pointer/unboxed-result
+           shapes everything is inlined — the register reads, the
+           pointer access, the byte load and the result write *)
+        (match p with
+        | Preg rp when cls.(rp) = Rbox && cls.(r) = Rint ->
+          fun st fr ->
+            charge st ctrs k_load limit;
+            let a =
+              match Array.unsafe_get fr.fr_regs rp with
+              | Mval.Vptr (Mobject.Pobj a) -> a
+              | pm -> deref_c ctx pm
+            in
+            let obj = a.Mobject.obj in
+            if observe then observe_memento heap obj s;
+            let off = a.Mobject.moff in
+            let v =
+              match (obj.Mobject.data, obj.Mobject.init_map) with
+              | Some b, None
+                when off >= 0 && off + size <= obj.Mobject.byte_size ->
+                fast b off
+              | _ -> norm (Int64.to_int (Mobject.load_int a ~size ctx))
+            in
+            Array.unsafe_set fr.fr_iregs r v;
+            next st fr
+        | p ->
+          let g = getter p in
+          fun st fr ->
+            charge st ctrs k_load limit;
+            let a =
+              match g fr with
+              | Mval.Vptr (Mobject.Pobj a) -> a
+              | pm -> deref_c ctx pm
+            in
+            let obj = a.Mobject.obj in
+            if observe then observe_memento heap obj s;
+            let off = a.Mobject.moff in
+            let v =
+              match (obj.Mobject.data, obj.Mobject.init_map) with
+              | Some b, None
+                when off >= 0 && off + size <= obj.Mobject.byte_size ->
+                fast b off
+              | _ -> norm (Int64.to_int (Mobject.load_int a ~size ctx))
+            in
+            set fr v;
+            next st fr)
+      | Pload (r, s, p) when (s = Irtype.F32 || s = Irtype.F64) && cls.(r) = Rfloat ->
+        let size = Irtype.scalar_size s in
+        let fast = fload_fast s in
+        (* float loads always observe heap mementos (s <> I8) *)
+        (match p with
+        | p ->
+          let g = getter p in
+          fun st fr ->
+            charge st ctrs k_load limit;
+            let a =
+              match g fr with
+              | Mval.Vptr (Mobject.Pobj a) -> a
+              | pm -> deref_c ctx pm
+            in
+            let obj = a.Mobject.obj in
+            observe_memento heap obj s;
+            let off = a.Mobject.moff in
+            let v =
+              match (obj.Mobject.data, obj.Mobject.init_map) with
+              | Some b, None
+                when off >= 0 && off + size <= obj.Mobject.byte_size ->
+                fast b off
+              | _ -> Mobject.load_float a ~size ctx
+            in
+            Array.unsafe_set fr.fr_fregs r v;
+            next st fr)
+      | Pload (r, s, p) ->
+        let size = Irtype.scalar_size s in
+        let load : Mobject.addr -> Mval.t =
+          match s with
+          | Irtype.Ptr -> fun a -> Mval.Vptr (Mobject.load_ptr a ctx)
+          | Irtype.F32 | Irtype.F64 ->
+            fun a -> Mval.Vfloat (Mobject.load_float a ~size ctx)
+          | _ ->
+            (* I64: bounds+liveness inline, [Mobject] on any slow branch *)
+            fun a ->
               let obj = a.Mobject.obj in
-              observe_memento heap obj s;
               let off = a.Mobject.moff in
               (match (obj.Mobject.data, obj.Mobject.init_map) with
-              | Some b, None
-                when off >= 0
-                     && off + size <= obj.Mobject.byte_size
-                     && obj.Mobject.ptr_slots = None ->
-                fast b off vv
-              | _ -> Mobject.store_float a ~size vv ctx);
-              next st fr)
-        | Pstore (s, v, p) ->
-          let gv = getter v and gp = getter p in
-          let size = Irtype.scalar_size s in
-          let store : Mobject.addr -> Mval.t -> unit =
-            match s with
-            | Irtype.Ptr -> fun a x -> Mobject.store_ptr a (Mval.as_ptr ctx x) ctx
-            | _ -> fun a x -> Mobject.store_int a ~size (Mval.as_int x) ctx
-          in
+              | Some b, None when off >= 0 && off + 8 <= obj.Mobject.byte_size
+                ->
+                Mval.Vint (Bytes.get_int64_le b off)
+              | _ -> Mval.Vint (Mobject.load_int a ~size:8 ctx))
+        in
+        (* allocation-memento observation applies to non-i8 heap
+           accesses only; the predicate on the scalar is compile-time *)
+        (match p with
+        | Preg rp when cls.(rp) = Rbox ->
+          fun st fr ->
+            charge st ctrs k_load limit;
+            let a =
+              match Array.unsafe_get fr.fr_regs rp with
+              | Mval.Vptr (Mobject.Pobj a) -> a
+              | pm -> deref_c ctx pm
+            in
+            observe_memento heap a.Mobject.obj s;
+            fr.fr_regs.(r) <- load a;
+            next st fr
+        | p ->
+          let g = getter p in
+          fun st fr ->
+            charge st ctrs k_load limit;
+            let a =
+              match g fr with
+              | Mval.Vptr (Mobject.Pobj a) -> a
+              | pm -> deref_c ctx pm
+            in
+            observe_memento heap a.Mobject.obj s;
+            fr.fr_regs.(r) <- load a;
+            next st fr)
+      | Pstore (s, v, p) when small s ->
+        let gv = iget v in
+        let size = Irtype.scalar_size s in
+        let fast = istore_fast s in
+        let observe = s <> Irtype.I8 in
+        (* operand order matches the interpreter — pointer, then value
+           — and a plain register read cannot raise, so inlining the
+           pointer read keeps every raise point in place *)
+        (match p with
+        | Preg rp when cls.(rp) = Rbox ->
+          fun st fr ->
+            charge st ctrs k_store limit;
+            let pm = Array.unsafe_get fr.fr_regs rp in
+            let vv = gv fr in
+            let a =
+              match pm with
+              | Mval.Vptr (Mobject.Pobj a) -> a
+              | pm -> deref_c ctx pm
+            in
+            let obj = a.Mobject.obj in
+            if observe then observe_memento heap obj s;
+            let off = a.Mobject.moff in
+            (match (obj.Mobject.data, obj.Mobject.init_map) with
+            | Some b, None
+              when off >= 0
+                   && off + size <= obj.Mobject.byte_size
+                   && obj.Mobject.ptr_slots = None ->
+              fast b off vv
+            | _ -> Mobject.store_int a ~size (Int64.of_int vv) ctx);
+            next st fr
+        | p ->
+          let gp = getter p in
           fun st fr ->
             charge st ctrs k_store limit;
             let pp = gp fr in
@@ -1367,502 +1280,545 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               | Mval.Vptr (Mobject.Pobj a) -> a
               | pm -> deref_c ctx pm
             in
-            observe_memento heap a.Mobject.obj s;
-            store a vv;
-            next st fr
-        | Pgep (r, base, g) ->
-          let gb = getter base in
-          let apply delta (pm : Mval.t) : Mval.t =
-            match Mval.as_ptr ctx pm with
-            | Mobject.Pnull -> Mval.Vptr Mobject.Pnull
-            | Mobject.Pobj a ->
-              Mval.Vptr
-                (Mobject.Pobj { a with Mobject.moff = a.Mobject.moff + delta })
-            | Mobject.Pfunc _ as p ->
-              Mval.Vptr
-                (Mobject.Pinvalid
-                   (Int64.add (Mobject.ptr_to_int p) (Int64.of_int delta)))
-            | Mobject.Pinvalid c ->
-              Mval.Vptr (Mobject.Pinvalid (Int64.add c (Int64.of_int delta)))
-          in
-          let static = g.pg_static in
-          (match g.pg_dyn with
-          | [||] ->
-            fun st fr ->
-              charge st ctrs k_gep limit;
-              fr.fr_regs.(r) <- apply static (gb fr);
-              next st fr
-          | [| (iv, stride) |] ->
-            let gi = iget iv in
-            fun st fr ->
-              charge st ctrs k_gep limit;
-              let b = gb fr in
-              let d = static + (gi fr * stride) in
-              fr.fr_regs.(r) <- apply d b;
-              next st fr
-          | dyn ->
-            let gis = Array.map (fun (v, stride) -> (iget v, stride)) dyn in
-            fun st fr ->
-              charge st ctrs k_gep limit;
-              let b = gb fr in
-              let d = ref static in
-              for i = 0 to Array.length gis - 1 do
-                let gi, stride = gis.(i) in
-                d := !d + (gi fr * stride)
-              done;
-              fr.fr_regs.(r) <- apply !d b;
-              next st fr)
-        | Pbinop (r, op, s, a, b, _) when binop_kind op = k_ibinop && small s ->
-          let f = ints (Scalar.Small.binop ~div0:(div0 ctx) op s) in
-          (match (a, b) with
-          | Preg ra, Preg rb
-            when cls.(ra) = Rint && cls.(rb) = Rint && cls.(r) = Rint ->
-            fun st fr ->
-              charge st ctrs k_ibinop limit;
-              let ir = fr.fr_iregs in
-              Array.unsafe_set ir r
-                (f (Array.unsafe_get ir ra) (Array.unsafe_get ir rb));
-              next st fr
-          | a, b ->
-            let ga = iget a and gb = iget b in
-            let set = iset r in
-            fun st fr ->
-              charge st ctrs k_ibinop limit;
-              (* right-to-left like the interpreter's application order *)
-              let y = gb fr in
-              set fr (f (ga fr) y);
-              next st fr)
-        | Pbinop (r, op, s, a, b, _) when binop_kind op = k_fbinop ->
-          let f = floats (Scalar.binop ~div0:(div0 ctx) op s) in
-          (match (a, b) with
-          | Preg ra, Preg rb
-            when cls.(ra) = Rfloat && cls.(rb) = Rfloat && cls.(r) = Rfloat ->
-            fun st fr ->
-              charge st ctrs k_fbinop limit;
-              let fl = fr.fr_fregs in
-              Array.unsafe_set fl r
-                (f (Array.unsafe_get fl ra) (Array.unsafe_get fl rb));
-              next st fr
-          | a, b ->
-            let ga = fget a and gb = fget b in
-            let set = fset r in
-            fun st fr ->
-              charge st ctrs k_fbinop limit;
-              let y = gb fr in
-              set fr (f (ga fr) y);
-              next st fr)
-        | Pbinop (r, op, _, a, b, f) ->
-          let k = binop_kind op in
-          let ga = getter a and gb = getter b in
+            let obj = a.Mobject.obj in
+            if observe then observe_memento heap obj s;
+            let off = a.Mobject.moff in
+            (match (obj.Mobject.data, obj.Mobject.init_map) with
+            | Some b, None
+              when off >= 0
+                   && off + size <= obj.Mobject.byte_size
+                   && obj.Mobject.ptr_slots = None ->
+              fast b off vv
+            | _ -> Mobject.store_int a ~size (Int64.of_int vv) ctx);
+            next st fr)
+      | Pstore (s, v, p) when s = Irtype.F32 || s = Irtype.F64 ->
+        let gv = fget v in
+        let size = Irtype.scalar_size s in
+        let fast = fstore_fast s in
+        (* float stores always observe heap mementos (s <> I8) *)
+        (match p with
+        | p ->
+          let gp = getter p in
           fun st fr ->
-            charge st ctrs k limit;
-            let y = gb fr in
-            fr.fr_regs.(r) <- f (ga fr) y;
+            charge st ctrs k_store limit;
+            let pp = gp fr in
+            let vv = gv fr in
+            let a =
+              match pp with
+              | Mval.Vptr (Mobject.Pobj a) -> a
+              | pm -> deref_c ctx pm
+            in
+            let obj = a.Mobject.obj in
+            observe_memento heap obj s;
+            let off = a.Mobject.moff in
+            (match (obj.Mobject.data, obj.Mobject.init_map) with
+            | Some b, None
+              when off >= 0
+                   && off + size <= obj.Mobject.byte_size
+                   && obj.Mobject.ptr_slots = None ->
+              fast b off vv
+            | _ -> Mobject.store_float a ~size vv ctx);
+            next st fr)
+      | Pstore (s, v, p) ->
+        let gv = getter v and gp = getter p in
+        let size = Irtype.scalar_size s in
+        let store : Mobject.addr -> Mval.t -> unit =
+          match s with
+          | Irtype.Ptr -> fun a x -> Mobject.store_ptr a (Mval.as_ptr ctx x) ctx
+          | _ -> fun a x -> Mobject.store_int a ~size (Mval.as_int x) ctx
+        in
+        fun st fr ->
+          charge st ctrs k_store limit;
+          let pp = gp fr in
+          let vv = gv fr in
+          let a =
+            match pp with
+            | Mval.Vptr (Mobject.Pobj a) -> a
+            | pm -> deref_c ctx pm
+          in
+          observe_memento heap a.Mobject.obj s;
+          store a vv;
+          next st fr
+      | Pgep (r, base, g) ->
+        let gb = getter base in
+        let apply delta (pm : Mval.t) : Mval.t =
+          match Mval.as_ptr ctx pm with
+          | Mobject.Pnull -> Mval.Vptr Mobject.Pnull
+          | Mobject.Pobj a ->
+            Mval.Vptr
+              (Mobject.Pobj { a with Mobject.moff = a.Mobject.moff + delta })
+          | Mobject.Pfunc _ as p ->
+            Mval.Vptr
+              (Mobject.Pinvalid
+                 (Int64.add (Mobject.ptr_to_int p) (Int64.of_int delta)))
+          | Mobject.Pinvalid c ->
+            Mval.Vptr (Mobject.Pinvalid (Int64.add c (Int64.of_int delta)))
+        in
+        let static = g.pg_static in
+        (match g.pg_dyn with
+        | [||] ->
+          fun st fr ->
+            charge st ctrs k_gep limit;
+            fr.fr_regs.(r) <- apply static (gb fr);
             next st fr
-        | Picmp (r, op, s, a, b, _) when small s ->
-          let cmp = Scalar.Small.icmp op s in
-          (match (a, b) with
-          | Preg ra, Preg rb
-            when cls.(ra) = Rint && cls.(rb) = Rint && cls.(r) = Rint ->
-            fun st fr ->
-              charge st ctrs k_icmp limit;
-              let ir = fr.fr_iregs in
-              Array.unsafe_set ir r
-                (if cmp (Array.unsafe_get ir ra) (Array.unsafe_get ir rb) then 1
-                 else 0);
-              next st fr
-          | a, b ->
-            let ga = iget a and gb = iget b in
-            if cls.(r) = Rint then
-              fun st fr ->
-                charge st ctrs k_icmp limit;
-                let y = gb fr in
-                Array.unsafe_set fr.fr_iregs r (if cmp (ga fr) y then 1 else 0);
-                next st fr
-            else
-              fun st fr ->
-                charge st ctrs k_icmp limit;
-                let y = gb fr in
-                fr.fr_regs.(r) <- (if cmp (ga fr) y then vtrue else vfalse);
-                next st fr)
-        | Picmp (r, _, _, a, b, cmp) ->
-          let ga = getter a and gb = getter b in
+        | [| (iv, stride) |] ->
+          let gi = iget iv in
+          fun st fr ->
+            charge st ctrs k_gep limit;
+            let b = gb fr in
+            let d = static + (gi fr * stride) in
+            fr.fr_regs.(r) <- apply d b;
+            next st fr
+        | dyn ->
+          let gis = Array.map (fun (v, stride) -> (iget v, stride)) dyn in
+          fun st fr ->
+            charge st ctrs k_gep limit;
+            let b = gb fr in
+            let d = ref static in
+            for i = 0 to Array.length gis - 1 do
+              let gi, stride = gis.(i) in
+              d := !d + (gi fr * stride)
+            done;
+            fr.fr_regs.(r) <- apply !d b;
+            next st fr)
+      | Pbinop (r, op, s, a, b, _) when binop_kind op = k_ibinop && small s ->
+        let f = ints (Scalar.Small.binop ~div0:(div0 ctx) op s) in
+        (match (a, b) with
+        | Preg ra, Preg rb
+          when cls.(ra) = Rint && cls.(rb) = Rint && cls.(r) = Rint ->
+          fun st fr ->
+            charge st ctrs k_ibinop limit;
+            let ir = fr.fr_iregs in
+            Array.unsafe_set ir r
+              (f (Array.unsafe_get ir ra) (Array.unsafe_get ir rb));
+            next st fr
+        | a, b ->
+          let ga = iget a and gb = iget b in
           let set = iset r in
           fun st fr ->
+            charge st ctrs k_ibinop limit;
+            (* right-to-left like the interpreter's application order *)
+            let y = gb fr in
+            set fr (f (ga fr) y);
+            next st fr)
+      | Pbinop (r, op, s, a, b, _) when binop_kind op = k_fbinop ->
+        let f = floats (Scalar.binop ~div0:(div0 ctx) op s) in
+        (match (a, b) with
+        | Preg ra, Preg rb
+          when cls.(ra) = Rfloat && cls.(rb) = Rfloat && cls.(r) = Rfloat ->
+          fun st fr ->
+            charge st ctrs k_fbinop limit;
+            let fl = fr.fr_fregs in
+            Array.unsafe_set fl r
+              (f (Array.unsafe_get fl ra) (Array.unsafe_get fl rb));
+            next st fr
+        | a, b ->
+          let ga = fget a and gb = fget b in
+          let set = fset r in
+          fun st fr ->
+            charge st ctrs k_fbinop limit;
+            let y = gb fr in
+            set fr (f (ga fr) y);
+            next st fr)
+      | Pbinop (r, op, _, a, b, f) ->
+        let k = binop_kind op in
+        let ga = getter a and gb = getter b in
+        fun st fr ->
+          charge st ctrs k limit;
+          let y = gb fr in
+          fr.fr_regs.(r) <- f (ga fr) y;
+          next st fr
+      | Picmp (r, op, s, a, b, _) when small s ->
+        let cmp = Scalar.Small.icmp op s in
+        (match (a, b) with
+        | Preg ra, Preg rb
+          when cls.(ra) = Rint && cls.(rb) = Rint && cls.(r) = Rint ->
+          fun st fr ->
             charge st ctrs k_icmp limit;
-            let y = Mval.as_int (gb fr) in
-            set fr (if cmp (Mval.as_int (ga fr)) y then 1 else 0)
-            |> fun () -> next st fr
-        | Pfcmp (r, _, a, b, cmp) ->
-          (match (a, b) with
-          | Preg ra, Preg rb
-            when cls.(ra) = Rfloat && cls.(rb) = Rfloat && cls.(r) = Rint ->
+            let ir = fr.fr_iregs in
+            Array.unsafe_set ir r
+              (if cmp (Array.unsafe_get ir ra) (Array.unsafe_get ir rb) then 1
+               else 0);
+            next st fr
+        | a, b ->
+          let ga = iget a and gb = iget b in
+          if cls.(r) = Rint then
+            fun st fr ->
+              charge st ctrs k_icmp limit;
+              let y = gb fr in
+              Array.unsafe_set fr.fr_iregs r (if cmp (ga fr) y then 1 else 0);
+              next st fr
+          else
+            fun st fr ->
+              charge st ctrs k_icmp limit;
+              let y = gb fr in
+              fr.fr_regs.(r) <- (if cmp (ga fr) y then vtrue else vfalse);
+              next st fr)
+      | Picmp (r, _, _, a, b, cmp) ->
+        let ga = getter a and gb = getter b in
+        let set = iset r in
+        fun st fr ->
+          charge st ctrs k_icmp limit;
+          let y = Mval.as_int (gb fr) in
+          set fr (if cmp (Mval.as_int (ga fr)) y then 1 else 0)
+          |> fun () -> next st fr
+      | Pfcmp (r, _, a, b, cmp) ->
+        (match (a, b) with
+        | Preg ra, Preg rb
+          when cls.(ra) = Rfloat && cls.(rb) = Rfloat && cls.(r) = Rint ->
+          fun st fr ->
+            charge st ctrs k_fcmp limit;
+            let fl = fr.fr_fregs in
+            Array.unsafe_set fr.fr_iregs r
+              (if cmp (Array.unsafe_get fl ra) (Array.unsafe_get fl rb) then 1
+               else 0);
+            next st fr
+        | a, b ->
+          let ga = fget a and gb = fget b in
+          if cls.(r) = Rint then
             fun st fr ->
               charge st ctrs k_fcmp limit;
-              let fl = fr.fr_fregs in
-              Array.unsafe_set fr.fr_iregs r
-                (if cmp (Array.unsafe_get fl ra) (Array.unsafe_get fl rb) then 1
-                 else 0);
+              let y = gb fr in
+              Array.unsafe_set fr.fr_iregs r (if cmp (ga fr) y then 1 else 0);
               next st fr
-          | a, b ->
-            let ga = fget a and gb = fget b in
-            if cls.(r) = Rint then
-              fun st fr ->
-                charge st ctrs k_fcmp limit;
-                let y = gb fr in
-                Array.unsafe_set fr.fr_iregs r (if cmp (ga fr) y then 1 else 0);
-                next st fr
-            else
-              fun st fr ->
-                charge st ctrs k_fcmp limit;
-                let y = gb fr in
-                fr.fr_regs.(r) <- (if cmp (ga fr) y then vtrue else vfalse);
-                next st fr)
-        | Pcast (r, op, from, into, v, boxed) ->
-          (* one charge, then [set (f (get))]; the carriers mirror the
-             classification of the result register above *)
-          let conv get f set : cont =
-           fun st fr ->
-            charge st ctrs k_cast limit;
-            set fr (f (get fr));
-            next st fr
+          else
+            fun st fr ->
+              charge st ctrs k_fcmp limit;
+              let y = gb fr in
+              fr.fr_regs.(r) <- (if cmp (ga fr) y then vtrue else vfalse);
+              next st fr)
+      | Pcast (r, op, from, into, v, boxed) ->
+        (* one charge, then [set (f (get))]; the carriers mirror the
+           classification of the result register above *)
+        let conv get f set : cont =
+         fun st fr ->
+          charge st ctrs k_cast limit;
+          set fr (f (get fr));
+          next st fr
+        in
+        let fl = Irtype.is_float_scalar in
+        let rint = match v with Preg rv -> cls.(rv) = Rint | _ -> false in
+        let unboxed =
+          match op with
+          | Instr.Trunc | Instr.Sext | Instr.Zext | Instr.Fptosi
+          | Instr.Fptoui ->
+            small into
+          | Instr.Fptrunc | Instr.Fpext -> true
+          | Instr.Sitofp | Instr.Uitofp -> rint && small from
+          | Instr.Bitcast ->
+            (fl from && into = Irtype.I32)
+            || ((not (fl from)) && into = Irtype.F32 && rint)
+          | Instr.Ptrtoint | Instr.Inttoptr -> false
+        in
+        if unboxed then
+          match Scalar.Small.cast op from into with
+          | Scalar.Int_to_int f -> conv (iget v) f (iset r)
+          | Scalar.Float_to_int f -> conv (fget v) f (iset r)
+          | Scalar.Int_to_float f -> conv (iget v) f (fset r)
+          | Scalar.Float_to_float f -> conv (fget v) f (fset r)
+        else (
+          let boxed_int =
+            let g = getter v in
+            fun fr -> Mval.as_int (g fr)
           in
-          let fl = Irtype.is_float_scalar in
-          let rint = match v with Preg rv -> cls.(rv) = Rint | _ -> false in
-          let unboxed =
-            match op with
-            | Instr.Trunc | Instr.Sext | Instr.Zext | Instr.Fptosi
-            | Instr.Fptoui ->
-              small into
-            | Instr.Fptrunc | Instr.Fpext -> true
-            | Instr.Sitofp | Instr.Uitofp -> rint && small from
-            | Instr.Bitcast ->
-              (fl from && into = Irtype.I32)
-              || ((not (fl from)) && into = Irtype.F32 && rint)
-            | Instr.Ptrtoint | Instr.Inttoptr -> false
+          match (op, Scalar.cast op from into) with
+          | (Instr.Sitofp | Instr.Uitofp | Instr.Bitcast), Scalar.Int_to_float f
+            ->
+            conv boxed_int f (fset r)
+          | (Instr.Trunc | Instr.Sext | Instr.Zext), Scalar.Int_to_int f ->
+            conv boxed_int f (fun fr x -> fr.fr_regs.(r) <- Mval.Vint x)
+          | _ -> conv (getter v) boxed (fun fr x -> fr.fr_regs.(r) <- x))
+      | Pselect (r, c, a, b) -> begin
+        match cls.(r) with
+        | Rint ->
+          let gc = iget c and ga = iget a and gb = iget b in
+          fun st fr ->
+            charge st ctrs k_select limit;
+            Array.unsafe_set fr.fr_iregs r (if gc fr = 0 then gb fr else ga fr);
+            next st fr
+        | Rfloat ->
+          let gc = iget c and ga = fget a and gb = fget b in
+          fun st fr ->
+            charge st ctrs k_select limit;
+            Array.unsafe_set fr.fr_fregs r (if gc fr = 0 then gb fr else ga fr);
+            next st fr
+        | Rbox ->
+          let gc = getter c and ga = getter a and gb = getter b in
+          fun st fr ->
+            charge st ctrs k_select limit;
+            fr.fr_regs.(r) <-
+              (if Int64.equal (Mval.as_int (gc fr)) 0L then gb fr else ga fr);
+            next st fr
+      end
+      | Psancheck ->
+        fun st fr ->
+          charge st ctrs k_sancheck limit;
+          next st fr
+      | Ploc (line, col) ->
+        (* provenance marker: free, exactly like the interpreter *)
+        fun st fr ->
+          fr.fr_line <- line;
+          fr.fr_col <- col;
+          next st fr
+      | Pcall (r, callee, pargs, scalars) -> begin
+        match Hashtbl.find_opt isites key with
+        | Some site ->
+          (* Inlined direct call: the callee's blocks were compiled as
+             an instance at a disjoint register window; replay the
+             interpreter's call protocol without the frame push.
+             Order, as in [exec_instrs]/[call_function]: call charge
+             (into the caller's [k_call] count), argument evaluation
+             (ascending), depth increment and guard (context =
+             caller's: the interpreter checks before pushing the
+             callee frame), callee's c_invocations, then the callee
+             entry. *)
+          let callee_pf = site.is_callee in
+          let cctrs = callee_pf.pf_counters in
+          let centry, _ccells =
+            instance callee_pf site.is_blocks empty_sites
+              (Ret_inline (r, next))
           in
-          if unboxed then
-            match Scalar.Small.cast op from into with
-            | Scalar.Int_to_int f -> conv (iget v) f (iset r)
-            | Scalar.Float_to_int f -> conv (fget v) f (iset r)
-            | Scalar.Int_to_float f -> conv (iget v) f (fset r)
-            | Scalar.Float_to_float f -> conv (fget v) f (fset r)
-          else (
-            let boxed_int =
-              let g = getter v in
-              fun fr -> Mval.as_int (g fr)
-            in
-            match (op, Scalar.cast op from into) with
-            | (Instr.Sitofp | Instr.Uitofp | Instr.Bitcast), Scalar.Int_to_float f
-              ->
-              conv boxed_int f (fset r)
-            | (Instr.Trunc | Instr.Sext | Instr.Zext), Scalar.Int_to_int f ->
-              conv boxed_int f (fun fr x -> fr.fr_regs.(r) <- Mval.Vint x)
-            | _ -> conv (getter v) boxed (fun fr x -> fr.fr_regs.(r) <- x))
-        | Pselect (r, c, a, b) -> begin
-          match cls.(r) with
-          | Rint ->
-            let gc = iget c and ga = iget a and gb = iget b in
-            fun st fr ->
-              charge st ctrs k_select limit;
-              Array.unsafe_set fr.fr_iregs r (if gc fr = 0 then gb fr else ga fr);
-              next st fr
-          | Rfloat ->
-            let gc = iget c and ga = fget a and gb = fget b in
-            fun st fr ->
-              charge st ctrs k_select limit;
-              Array.unsafe_set fr.fr_fregs r (if gc fr = 0 then gb fr else ga fr);
-              next st fr
-          | Rbox ->
-            let gc = getter c and ga = getter a and gb = getter b in
-            fun st fr ->
-              charge st ctrs k_select limit;
-              fr.fr_regs.(r) <-
-                (if Int64.equal (Mval.as_int (gc fr)) 0L then gb fr else ga fr);
-              next st fr
-        end
-        | Psancheck ->
+          (* Guest-profiler enter: fires after the call charge (so the
+             call instruction is attributed to the caller, as in
+             [call_function]) and before any callee charge.  Wrapping
+             [centry] keeps the non-profiling closure untouched. *)
+          let centry =
+            match prof with
+            | None -> centry
+            | Some p ->
+              let cname = callee_pf.pf_name in
+              fun st fr ->
+                Profile.enter p ~steps:st.steps cname;
+                centry st fr
+          in
+          let na = Array.length pargs in
+          let gs = Array.map getter pargs in
+          let params = site.is_params in
+          let bound = min (Array.length params) na in
           fun st fr ->
-            charge st ctrs k_sancheck limit;
-            next st fr
-        | Ploc (line, col) ->
-          (* provenance marker: free, exactly like the interpreter *)
-          fun st fr ->
-            fr.fr_line <- line;
-            fr.fr_col <- col;
-            next st fr
-        | Pcall (r, callee, pargs, scalars) -> begin
-          match Hashtbl.find_opt isites key with
-          | Some site ->
-            (* Inlined direct call: the callee's blocks were compiled as
-               an instance at a disjoint register window; replay the
-               interpreter's call protocol without the frame push.
-               Order, as in [exec_instrs]/[call_function]: call charge
-               (into the caller's [k_call] count), argument evaluation
-               (ascending), depth increment and guard (context =
-               caller's: the interpreter checks before pushing the
-               callee frame), callee's c_invocations, then the callee
-               entry. *)
-            let callee_pf = site.is_callee in
-            let cctrs = callee_pf.pf_counters in
-            let centry, _ccells =
-              instance callee_pf site.is_blocks
-                empty_sites
-                (Ret_inline (r, next))
-                Pc_none
-            in
-            (* Guest-profiler enter: fires after the call charge (so the
-               call instruction is attributed to the caller, as in
-               [call_function]) and before any callee charge.  Wrapping
-               [centry] keeps the non-profiling closure untouched. *)
-            let centry =
-              match prof with
-              | None -> centry
-              | Some p ->
-                let cname = callee_pf.pf_name in
-                fun st fr ->
-                  Profile.enter p ~steps:st.steps cname;
-                  centry st fr
-            in
-            let na = Array.length pargs in
-            let gs = Array.map getter pargs in
-            let params = site.is_params in
-            let bound = min (Array.length params) na in
-            fun st fr ->
-              charge st ctrs k_call limit;
-              (* direct writes into the callee window are equivalent to
-                 the interpreter's argv: the windows are disjoint, so
-                 later argument reads cannot observe them *)
-              for k = 0 to bound - 1 do
-                fr.fr_regs.(params.(k)) <- gs.(k) fr
-              done;
-              for k = bound to na - 1 do
-                ignore (gs.(k) fr)
-              done;
-              st.depth <- st.depth + 1;
-              if st.depth > depth_limit then
-                Merror.raise_error Merror.Stack_overflow_guard ctx;
-              cctrs.c_invocations <- cctrs.c_invocations + 1;
-              centry st fr
-          | None ->
-            let na = Array.length pargs in
-            let gs = Array.map getter pargs in
-            let eval_args fr =
-              let argv = Array.make na Mval.zero in
-              for k = 0 to na - 1 do
-                argv.(k) <- gs.(k) fr
-              done;
-              argv
-            in
-            let finish : frame -> Mval.t option -> unit =
-              if r < 0 then fun _ _ -> ()
-              else fun fr res ->
-                fr.fr_regs.(r) <- (match res with Some v -> v | None -> Mval.zero)
-            in
-            (match callee with
-            | Pdirect tgt -> begin
-              (* direct targets were linked when [pf] was prepared, so
-                 the target is known at compile time *)
-              match tgt with
-              | Tgt_user callee_pf ->
-                fun st fr ->
-                  charge st ctrs k_call limit;
-                  finish fr (call_function st callee_pf (eval_args fr) scalars);
-                  next st fr
-              | Tgt_builtin (_, fn) ->
-                fun st fr ->
-                  charge st ctrs k_call limit;
-                  finish fr (fn st (eval_args fr));
-                  next st fr
-              | Tgt_unknown name ->
-                fun st fr ->
-                  charge st ctrs k_call limit;
-                  ignore (eval_args fr);
-                  failwith ("interp: unknown builtin " ^ name)
-            end
-            | Pindirect (v, ic) ->
-              let gv = getter v in
+            charge st ctrs k_call limit;
+            (* direct writes into the callee window are equivalent to
+               the interpreter's argv: the windows are disjoint, so
+               later argument reads cannot observe them *)
+            for k = 0 to bound - 1 do
+              fr.fr_regs.(params.(k)) <- gs.(k) fr
+            done;
+            for k = bound to na - 1 do
+              ignore (gs.(k) fr)
+            done;
+            st.depth <- st.depth + 1;
+            if st.depth > depth_limit then
+              Merror.raise_error Merror.Stack_overflow_guard ctx;
+            cctrs.c_invocations <- cctrs.c_invocations + 1;
+            centry st fr
+        | None ->
+          let na = Array.length pargs in
+          let gs = Array.map getter pargs in
+          let eval_args fr =
+            let argv = Array.make na Mval.zero in
+            for k = 0 to na - 1 do
+              argv.(k) <- gs.(k) fr
+            done;
+            argv
+          in
+          let finish : frame -> Mval.t option -> unit =
+            if r < 0 then fun _ _ -> ()
+            else fun fr res ->
+              fr.fr_regs.(r) <- (match res with Some v -> v | None -> Mval.zero)
+          in
+          (match callee with
+          | Pdirect tgt -> begin
+            (* direct targets were linked when [pf] was prepared, so
+               the target is known at compile time *)
+            match tgt with
+            | Tgt_user callee_pf ->
               fun st fr ->
                 charge st ctrs k_call limit;
-                let argv = eval_args fr in
-                (match Mval.as_ptr ctx (gv fr) with
-                | Mobject.Pfunc name ->
-                  let tgt =
-                    if name == ic.ic_name || String.equal name ic.ic_name
-                    then begin
-                      st.ic_hits <- st.ic_hits + 1;
-                      ic.ic_target
-                    end
-                    else begin
-                      st.ic_misses <- st.ic_misses + 1;
-                      let t = resolve_callee st name in
-                      ic.ic_name <- name;
-                      ic.ic_target <- t;
-                      t
-                    end
-                  in
-                  finish fr (exec_target st tgt argv scalars)
-                | Mobject.Pnull -> Merror.raise_error Merror.Null_deref ctx
-                | Mobject.Pobj _ | Mobject.Pinvalid _ ->
-                  Merror.raise_error
-                    (Merror.Type_violation
-                       "indirect call through a data pointer")
-                    ctx);
-                next st fr)
-        end
-      in
-
-      (* --- blocks: fold the instruction chain onto the terminator --- *)
-      let compile_block (blk : pblock) : cont =
-        let rec build i acc =
-          if i < 0 then acc
-          else build (i - 1) (compile_instr (blk.pb_index, i) blk.pb_instrs.(i) acc)
-        in
-        build (Array.length blk.pb_instrs - 1) (compile_term blk.pb_term)
-      in
-
-      for j = 0 to nblocks - 1 do
-        cells.(j) := compile_block iblocks.(j)
-      done;
-      (* Guest-profiler block notes: when profiling, wrap every block
-         cell so entering the block flushes the step delta into the
-         previous block and switches attribution — the same point the
-         interpreter notes in [exec_instrs], i.e. after the edge's phi
-         copies (credited to the predecessor, [compile_jump] runs them
-         before dereferencing the cell).  When not profiling the cells
-         stay untouched: zero cost. *)
-      (match prof with
-      | None -> ()
-      | Some p ->
-        for j = 0 to nblocks - 1 do
-          let inner = !(cells.(j)) in
-          let bs =
-            Profile.block_stat p ~func:ipf.pf_name ~label:iblocks.(j).pb_label
-          in
-          cells.(j) :=
+                finish fr (call_function st callee_pf (eval_args fr) scalars);
+                next st fr
+            | Tgt_builtin (_, fn) ->
+              fun st fr ->
+                charge st ctrs k_call limit;
+                finish fr (fn st (eval_args fr));
+                next st fr
+            | Tgt_unknown name ->
+              fun st fr ->
+                charge st ctrs k_call limit;
+                ignore (eval_args fr);
+                failwith ("interp: unknown builtin " ^ name)
+          end
+          | Pindirect (v, ic) ->
+            let gv = getter v in
             fun st fr ->
-              Profile.note_block p ~steps:st.steps bs;
-              inner st fr
-        done);
-      let entry =
-        match entry_copies with
-        | Pc_none ->
-          let c0 = cells.(0) in
-          fun st fr -> !c0 st fr
-        | copies -> compile_jump copies cells.(0)
-      in
-      (entry, cells)
-    in
-
-    let entry, cells =
-      instance pf pf.pf_blocks sites Ret_fun
-        pf.pf_entry_copies
-    in
-
-    (* --- register-file installation and OSR frame transfer --- *)
-    let any_i = Array.mem Rint cls and any_f = Array.mem Rfloat cls in
-    let install (fr : frame) =
-      if nregs > Array.length fr.fr_regs then begin
-        (* inlined callees enlarged the register file *)
-        let regs = Array.make nregs Mval.zero in
-        Array.blit fr.fr_regs 0 regs 0 (Array.length fr.fr_regs);
-        fr.fr_regs <- regs
-      end;
-      if any_i then fr.fr_iregs <- Array.make nregs 0;
-      if any_f then fr.fr_fregs <- Array.make nregs 0.0
-    in
-    (* Direct frame construction (DESIGN.md §11): [call_function]
-       obtains frames through [cb_frame], which builds the register
-       files right-sized in one shot — the generic path would allocate
-       a [pf_nregs] boxed file only for [install] to immediately
-       replace it with the enlarged copy.  (A recycling pool was
-       measured and rejected: re-zeroing promoted arrays pays a write
-       barrier per element, which loses to the minor allocator.)
-       [cb_entry] therefore starts execution directly: acquired frames
-       arrive fully installed. *)
-    let nparams = pf.pf_nparams in
-    let param_regs = pf.pf_param_regs in
-    let acquire args arg_scalars =
-      let regs = Array.make nregs Mval.zero in
-      let bound = min nparams (Array.length args) in
-      for i = 0 to bound - 1 do
-        regs.(param_regs.(i)) <- args.(i)
-      done;
-      {
-        fr_func = pf;
-        fr_regs = regs;
-        fr_iregs = (if any_i then Array.make nregs 0 else [||]);
-        fr_fregs = (if any_f then Array.make nregs 0.0 else [||]);
-        fr_args = args;
-        fr_arg_scalars = arg_scalars;
-        fr_variadic = pf.pf_variadic;
-        fr_nparams = nparams;
-        fr_line = 0;
-        fr_col = 0;
-      }
-    in
-    let cb_entry = entry in
-    let cb_osr =
-      if not (Array.exists (fun b -> b.pb_osr) pf.pf_blocks) then None
-      else
-        Some
-          (fun st fr idx ->
-            (* Frame transfer: the interpreter ran this invocation so
-               far, so every live register sits boxed in [fr_regs];
-               move each into its compiled class file.  A register
-               whose box does not match its class is either unwritten
-               (still [Mval.zero], represented identically by every
-               class' zero — [as_float (Vint 0)] is [0.0]) or dead by
-               SSA dominance, so the transfer is exact. *)
-            let boxed = fr.fr_regs in
-            let nold = Array.length boxed in
-            install fr;
-            for r = 0 to nold - 1 do
-              match cls.(r) with
-              | Rint -> begin
-                match boxed.(r) with
-                | Mval.Vint v -> fr.fr_iregs.(r) <- Int64.to_int v
-                | Mval.Vfloat _ | Mval.Vptr _ -> ()
-              end
-              | Rfloat -> begin
-                match boxed.(r) with
-                | Mval.Vfloat f -> fr.fr_fregs.(r) <- f
-                | Mval.Vint v -> fr.fr_fregs.(r) <- Int64.to_float v
-                | Mval.Vptr _ -> ()
-              end
-              | Rbox -> ()
-            done;
-            (* Scalar-replaced allocas: the interpreter prefix kept the
-               slot in a real stack object (the box holds its pointer);
-               read the live value through it into the slot register.
-               The object itself goes stale from here on — sound
-               because [plan_slots] proved its address unreachable from
-               anywhere else.  The entry block (no predecessors) always
-               ran before any OSR-able loop header, so the box is
-               always a written pointer; anything else means the
-               register is dead and the class zero stands. *)
-            Hashtbl.iter
-              (fun r s ->
-                if r < nold then
-                  match boxed.(r) with
-                  | Mval.Vptr (Mobject.Pobj a) -> begin
-                    let size = Irtype.scalar_size s in
-                    match cls.(r) with
-                    | Rint ->
-                      fr.fr_iregs.(r) <-
-                        Int64.to_int
-                          (Scalar.normalize_int s
-                             (Mobject.load_int a ~size pf.pf_context))
-                    | Rfloat ->
-                      fr.fr_fregs.(r) <- Mobject.load_float a ~size pf.pf_context
-                    | Rbox ->
-                      fr.fr_regs.(r) <-
-                        Mval.Vint (Mobject.load_int a ~size:8 pf.pf_context)
+              charge st ctrs k_call limit;
+              let argv = eval_args fr in
+              (match Mval.as_ptr ctx (gv fr) with
+              | Mobject.Pfunc name ->
+                let tgt =
+                  if name == ic.ic_name || String.equal name ic.ic_name
+                  then begin
+                    st.ic_hits <- st.ic_hits + 1;
+                    ic.ic_target
                   end
-                  | Mval.Vint _ | Mval.Vfloat _ | Mval.Vptr _ -> ())
-              slots;
-            !(cells.(idx)) st fr)
+                  else begin
+                    st.ic_misses <- st.ic_misses + 1;
+                    let t = resolve_callee st name in
+                    ic.ic_name <- name;
+                    ic.ic_target <- t;
+                    t
+                  end
+                in
+                finish fr (exec_target st tgt argv scalars)
+              | Mobject.Pnull -> Merror.raise_error Merror.Null_deref ctx
+              | Mobject.Pobj _ | Mobject.Pinvalid _ ->
+                Merror.raise_error
+                  (Merror.Type_violation
+                     "indirect call through a data pointer")
+                  ctx);
+              next st fr)
+      end
     in
-    { cb_entry; cb_osr; cb_frame = Some acquire }
-  end
 
+    (* --- blocks: fold the instruction chain onto the terminator --- *)
+    let compile_block (blk : pblock) : cont =
+      let rec build i acc =
+        if i < 0 then acc
+        else build (i - 1) (compile_instr (blk.pb_index, i) blk.pb_instrs.(i) acc)
+      in
+      build (Array.length blk.pb_instrs - 1) (compile_term blk.pb_term)
+    in
+
+    for j = 0 to nblocks - 1 do
+      cells.(j) := compile_block iblocks.(j)
+    done;
+    (* Guest-profiler block notes: when profiling, wrap every block
+       cell so entering the block flushes the step delta into the
+       previous block and switches attribution — the same point the
+       interpreter notes in [exec_instrs], i.e. after the edge's phi
+       copies (credited to the predecessor, [compile_jump] runs them
+       before dereferencing the cell).  When not profiling the cells
+       stay untouched: zero cost. *)
+    (match prof with
+    | None -> ()
+    | Some p ->
+      for j = 0 to nblocks - 1 do
+        let inner = !(cells.(j)) in
+        let bs =
+          Profile.block_stat p ~func:ipf.pf_name ~label:iblocks.(j).pb_label
+        in
+        cells.(j) :=
+          fun st fr ->
+            Profile.note_block p ~steps:st.steps bs;
+            inner st fr
+      done);
+    let c0 = cells.(0) in
+    ((fun st fr -> !c0 st fr), cells)
+  in
+
+  let entry, cells = instance pf pf.pf_blocks sites Ret_fun in
+
+  (* --- register-file installation and OSR frame transfer --- *)
+  let any_i = Array.mem Rint cls and any_f = Array.mem Rfloat cls in
+  let install (fr : frame) =
+    if nregs > Array.length fr.fr_regs then begin
+      (* inlined callees enlarged the register file *)
+      let regs = Array.make nregs Mval.zero in
+      Array.blit fr.fr_regs 0 regs 0 (Array.length fr.fr_regs);
+      fr.fr_regs <- regs
+    end;
+    if any_i then fr.fr_iregs <- Array.make nregs 0;
+    if any_f then fr.fr_fregs <- Array.make nregs 0.0
+  in
+  (* Direct frame construction (DESIGN.md §11): [call_function]
+     obtains frames through [cb_frame], which builds the register
+     files right-sized in one shot — the generic path would allocate
+     a [pf_nregs] boxed file only for [install] to immediately
+     replace it with the enlarged copy.  (A recycling pool was
+     measured and rejected: re-zeroing promoted arrays pays a write
+     barrier per element, which loses to the minor allocator.)
+     [cb_entry] therefore starts execution directly: acquired frames
+     arrive fully installed. *)
+  let nparams = pf.pf_nparams in
+  let param_regs = pf.pf_param_regs in
+  let acquire args arg_scalars =
+    let regs = Array.make nregs Mval.zero in
+    let bound = min nparams (Array.length args) in
+    for i = 0 to bound - 1 do
+      regs.(param_regs.(i)) <- args.(i)
+    done;
+    {
+      fr_func = pf;
+      fr_regs = regs;
+      fr_iregs = (if any_i then Array.make nregs 0 else [||]);
+      fr_fregs = (if any_f then Array.make nregs 0.0 else [||]);
+      fr_args = args;
+      fr_arg_scalars = arg_scalars;
+      fr_variadic = pf.pf_variadic;
+      fr_nparams = nparams;
+      fr_line = 0;
+      fr_col = 0;
+    }
+  in
+  let cb_entry = entry in
+  let cb_osr =
+    if not (Array.exists (fun b -> b.pb_osr) pf.pf_blocks) then None
+    else
+      Some
+        (fun st fr idx ->
+          (* Frame transfer: the interpreter ran this invocation so
+             far, so every live register sits boxed in [fr_regs];
+             move each into its compiled class file.  A register
+             whose box does not match its class is either unwritten
+             (still [Mval.zero], represented identically by every
+             class' zero — [as_float (Vint 0)] is [0.0]) or dead by
+             SSA dominance, so the transfer is exact. *)
+          let boxed = fr.fr_regs in
+          let nold = Array.length boxed in
+          install fr;
+          for r = 0 to nold - 1 do
+            match cls.(r) with
+            | Rint -> begin
+              match boxed.(r) with
+              | Mval.Vint v -> fr.fr_iregs.(r) <- Int64.to_int v
+              | Mval.Vfloat _ | Mval.Vptr _ -> ()
+            end
+            | Rfloat -> begin
+              match boxed.(r) with
+              | Mval.Vfloat f -> fr.fr_fregs.(r) <- f
+              | Mval.Vint v -> fr.fr_fregs.(r) <- Int64.to_float v
+              | Mval.Vptr _ -> ()
+            end
+            | Rbox -> ()
+          done;
+          (* Scalar-replaced allocas: the interpreter prefix kept the
+             slot in a real stack object (the box holds its pointer);
+             read the live value through it into the slot register.
+             The object itself goes stale from here on — sound
+             because [plan_slots] proved its address unreachable from
+             anywhere else.  The entry block (no predecessors) always
+             ran before any OSR-able loop header, so the box is
+             always a written pointer; anything else means the
+             register is dead and the class zero stands. *)
+          Hashtbl.iter
+            (fun r s ->
+              if r < nold then
+                match boxed.(r) with
+                | Mval.Vptr (Mobject.Pobj a) -> begin
+                  let size = Irtype.scalar_size s in
+                  match cls.(r) with
+                  | Rint ->
+                    fr.fr_iregs.(r) <-
+                      Int64.to_int
+                        (Scalar.normalize_int s
+                           (Mobject.load_int a ~size pf.pf_context))
+                  | Rfloat ->
+                    fr.fr_fregs.(r) <- Mobject.load_float a ~size pf.pf_context
+                  | Rbox ->
+                    fr.fr_regs.(r) <-
+                      Mval.Vint (Mobject.load_int a ~size:8 pf.pf_context)
+                end
+                | Mval.Vint _ | Mval.Vfloat _ | Mval.Vptr _ -> ())
+            slots;
+          !(cells.(idx)) st fr)
+  in
+  { cb_entry; cb_osr; cb_frame = Some acquire }

@@ -134,40 +134,21 @@ let func_addr st name =
     Hashtbl.replace st.addr_funcs a name;
     a
 
-let rec write_ginit st (gty : Irtype.mty) (addr : int64) (init : Irmod.ginit) =
-  match (init, gty) with
-  | Irmod.Gzero, _ -> ()
-  | Irmod.Gint v, Irtype.MScalar s ->
-    if Irtype.is_float_scalar s then
-      Mem.store_float st.mem addr ~size:(Irtype.scalar_size s) (Int64.to_float v)
-    else Mem.store_int st.mem addr ~size:(Irtype.scalar_size s) v
-  | Irmod.Gint v, _ -> Mem.store_int st.mem addr ~size:8 v
-  | Irmod.Gfloat f, Irtype.MScalar s ->
-    Mem.store_float st.mem addr ~size:(Irtype.scalar_size s) f
-  | Irmod.Gfloat f, _ -> Mem.store_float st.mem addr ~size:8 f
-  | Irmod.Gstring s, _ -> Mem.write_string st.mem addr s
-  | Irmod.Garray items, Irtype.MArray (elem, _) ->
-    let esize = Irtype.mty_size elem in
-    List.iteri
-      (fun i item ->
-        write_ginit st elem (Int64.add addr (Int64.of_int (i * esize))) item)
-      items
-  | Irmod.Gstruct_init items, Irtype.MStruct s ->
-    List.iteri
-      (fun i item ->
-        if i < List.length s.Irtype.s_fields then begin
-          let f = List.nth s.Irtype.s_fields i in
-          write_ginit st f.Irtype.mf_ty
-            (Int64.add addr (Int64.of_int f.Irtype.mf_off))
-            item
-        end)
-      items
-  | Irmod.Gglobal_addr name, _ ->
-    Mem.store_int st.mem addr ~size:8 (Hashtbl.find st.globals name)
-  | Irmod.Gfunc_addr name, _ ->
-    Mem.store_int st.mem addr ~size:8 (func_addr st name)
-  | (Irmod.Garray _ | Irmod.Gstruct_init _), _ ->
-    failwith "nexec: malformed global initializer"
+(* Store [g]'s initial image at [addr]: the one layout walker
+   ([Irmod.iter_init]) says where each leaf lands. *)
+let write_ginit st (g : Irmod.global) (addr : int64) =
+  let store off (leaf : Irmod.leaf) =
+    let a = Int64.add addr (Int64.of_int off) in
+    match leaf with
+    | Irmod.Lint (s, v) -> Mem.store_int st.mem a ~size:(Irtype.scalar_size s) v
+    | Irmod.Lfloat (s, f) ->
+      Mem.store_float st.mem a ~size:(Irtype.scalar_size s) f
+    | Irmod.Lbytes b -> Mem.write_string st.mem a b
+    | Irmod.Lglobal name ->
+      Mem.store_int st.mem a ~size:8 (Hashtbl.find st.globals name)
+    | Irmod.Lfunc name -> Mem.store_int st.mem a ~size:8 (func_addr st name)
+  in
+  Irmod.iter_init store g.Irmod.g_ty g.Irmod.g_init
 
 (** Lay out globals; [global_gap] is the engine's redzone spacing (0 for
     plain native, 32 under ASan with -fno-common). *)
@@ -183,8 +164,7 @@ let layout_globals st ~global_gap =
     st.m.Irmod.globals;
   List.iter
     (fun (g : Irmod.global) ->
-      write_ginit st g.Irmod.g_ty (Hashtbl.find st.globals g.Irmod.g_name)
-        g.Irmod.g_init)
+      write_ginit st g (Hashtbl.find st.globals g.Irmod.g_name))
     st.m.Irmod.globals
 
 (** Set up argv/envp above the stack, as the kernel would, before any
@@ -365,9 +345,7 @@ and exec_block st (pf : pfunc) (regs : Nvalue.t array) (block_idx : int)
             match blk.pb_instrs.(k) with
             | Instr.Phi (_, _, incoming) ->
               charge st Cop;
-              (match List.assoc_opt prev_label incoming with
-              | Some v -> vals.(k - i) <- ev v
-              | None -> failwith "nexec: phi without incoming edge")
+              vals.(k - i) <- ev (List.assoc prev_label incoming)
             | _ -> assert false
           done;
           for k = i to stop - 1 do
@@ -446,10 +424,9 @@ and exec_term st (pf : pfunc) (regs : Nvalue.t array) (blk : pblock)
     jump st pf regs blk.pb_label target
   | Instr.Unreachable -> raise (Native_trap "SIGILL (unreachable)")
 
+(* [Verify] proved that every target and phi entry exists. *)
 and jump st pf regs from_label target =
-  match Hashtbl.find_opt pf.pf_index target with
-  | Some idx -> exec_block st pf regs idx from_label
-  | None -> failwith ("nexec: unknown block " ^ target)
+  exec_block st pf regs (Hashtbl.find pf.pf_index target) from_label
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)

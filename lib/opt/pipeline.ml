@@ -22,6 +22,9 @@ let timed name pass m =
   Trace.span name (fun () ->
       Metrics.time (Printf.sprintf "pass.%s_us" name) (fun () -> pass m))
 
+(** Run [passes] in order over [m], round after round, until a round
+    changes nothing or 8 rounds did; the number of rounds that changed
+    something. *)
 let fixpoint passes m =
   let rounds = ref 0 in
   let changed = ref true in

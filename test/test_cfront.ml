@@ -632,7 +632,11 @@ let test_sema_rejects () =
   expect_sema_error "struct parameter by value"
     "struct s { int v; }; int f(struct s x) { return x.v; } int main(void) { return 0; }";
   expect_sema_error "struct return by value"
-    "struct s { int v; }; struct s f(void) { struct s x; return x; } int main(void) { return 0; }"
+    "struct s { int v; }; struct s f(void) { struct s x; return x; } int main(void) { return 0; }";
+  (* an array takes a brace list, or a string literal if it holds chars *)
+  expect_sema_error "array from an integer" "int a[2] = 5; int main(void) { return a[0]; }";
+  expect_sema_error "local array from a pointer"
+    "int main(void) { int x = 1; int a[2] = &x; return a[0]; }"
 
 (* A function neither the program nor the runtime (the libc's
    functions, the host builtins) defines is a link error of the shared

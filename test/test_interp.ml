@@ -281,6 +281,55 @@ let test_unknown_symbol_never_called () =
   let r = Interp.run (Interp.create m) in
   Alcotest.(check int) "dead unknown call is harmless" 5 r.Interp.exit_code
 
+(* Apart from a callee, everything a body names must exist: [prepare]
+   defers no failure to run time, even on a path that never executes,
+   and rejects what [Verify] rejects. *)
+let test_unverified_body () =
+  let imm v = Instr.ImmInt (Int64.of_int v, Irtype.I32) in
+  let ret = Instr.Ret (Some (Irtype.I32, imm 5)) in
+  let main blocks =
+    let m = Irmod.create () in
+    Irmod.add_func m
+      { Irfunc.name = "main"; params = []; ret = Some Irtype.I32;
+        variadic = false; blocks; next_reg = 1; src_pos = (0, 0);
+        src_file = "<test>" };
+    m
+  in
+  let dead_block ?(instrs = []) term =
+    [ { Irfunc.label = "entry"; instrs = []; term = Instr.Condbr (imm 0, "dead", "out") };
+      { Irfunc.label = "dead"; instrs; term };
+      { Irfunc.label = "out"; instrs = []; term = ret } ]
+  in
+  List.iter
+    (fun (what, m) ->
+      (match Verify.verify m with
+      | () -> Alcotest.failf "%s: verified" what
+      | exception Verify.Invalid _ -> ());
+      match Interp.run (Interp.create m) with
+      | _ -> Alcotest.failf "%s: prepared" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("unknown block", main (dead_block (Instr.Br "nowhere")));
+      ( "unknown global",
+        main
+          (dead_block
+             ~instrs:[ Instr.Load (0, Irtype.I32, Instr.GlobalAddr "nope") ]
+             ret) );
+      ( "phi without an entry",
+        main
+          [ { Irfunc.label = "entry"; instrs = []; term = Instr.Br "out" };
+            { Irfunc.label = "out";
+              instrs = [ Instr.Phi (0, Irtype.I32, [ ("other", imm 1) ]) ];
+              term = ret };
+            { Irfunc.label = "other"; instrs = []; term = Instr.Br "out" } ] );
+      ( "phi in the entry block",
+        main
+          [ { Irfunc.label = "entry";
+              instrs = [ Instr.Phi (0, Irtype.I32, [ ("entry", imm 1) ]) ];
+              term = ret } ] );
+      ("no blocks", main []);
+    ]
+
 let test_never_executed_block () =
   let r =
     run
@@ -629,6 +678,8 @@ let () =
             test_unknown_symbol_call;
           Alcotest.test_case "unknown symbol: harmless when dead" `Quick
             test_unknown_symbol_never_called;
+          Alcotest.test_case "unverified body: rejected when prepared" `Quick
+            test_unverified_body;
           Alcotest.test_case "never-executed block" `Quick
             test_never_executed_block;
           Alcotest.test_case "switch dense small" `Quick test_switch_dense_small;

@@ -57,11 +57,13 @@ let phi_without_entry_pred =
     { Irfunc.label = "other"; instrs = []; term = Instr.Br "next" };
   ]
 
-(* A module whose only global is [@g = init] (pointer typed). *)
-let with_global init =
-  { Irmod.globals = [ { Irmod.g_name = "g"; g_ty = Irtype.MScalar Irtype.Ptr;
-                        g_init = init } ];
+(* A module whose only global is [@g = init], of type [ty] (default a
+   pointer). *)
+let with_global ?(ty = Irtype.MScalar Irtype.Ptr) init =
+  { Irmod.globals = [ { Irmod.g_name = "g"; g_ty = ty; g_init = init } ];
     funcs = [ mk_func ~blocks:[ entry_block [] ] ]; externs = [] }
+
+let i32_array n = Irtype.MArray (Irtype.MScalar Irtype.I32, n)
 
 let rejection_cases () : (string * Irmod.t) list =
   let one blocks = mk_mod (mk_func ~blocks) in
@@ -159,7 +161,60 @@ let rejection_cases () : (string * Irmod.t) list =
     ("global @g references unknown global @nope",
      with_global (Irmod.Gglobal_addr "nope"));
     ("global @g references unknown function @ghost",
-     with_global (Irmod.Garray [ Irmod.Gzero; Irmod.Gfunc_addr "ghost" ]));
+     with_global
+       ~ty:(Irtype.MArray (Irtype.MScalar Irtype.Ptr, 2))
+       (Irmod.Garray [ Irmod.Gzero; Irmod.Gfunc_addr "ghost" ]));
+    ("f: function has no blocks", one []);
+    (* Operands of the other class than their use computes on: an
+       immediate, a register, a returned register and immediate (a
+       function's result has its return type's class), a branch
+       condition. *)
+    ( "f: %1 = add i32 double 0x1p+0, i32 2 uses double 0x1p+0 of the wrong class",
+      one [ entry_block [ Instr.Binop (1, Instr.Add, Irtype.I32, f64 1.0, i32 2L) ] ] );
+    ( "f: %2 = fadd double %1, double 0x1p+0 uses %1 of the wrong class",
+      one
+        [
+          entry_block
+            [
+              Instr.Alloca (1, Irtype.MScalar Irtype.F64);
+              Instr.Binop (2, Instr.FAdd, Irtype.F64, Instr.Reg 1, f64 1.0);
+            ];
+        ] );
+    ( "f: terminator uses %1 of the wrong class",
+      one
+        [
+          { Irfunc.label = "entry";
+            instrs = [ Instr.Cast (1, Instr.Sitofp, Irtype.I32, Irtype.F64, i32 1L) ];
+            term = Instr.Ret (Some (Irtype.I32, Instr.Reg 1)) };
+        ] );
+    ( "f: terminator uses double 0x1p+0 of the wrong class",
+      one
+        [
+          { Irfunc.label = "entry"; instrs = [];
+            term = Instr.Ret (Some (Irtype.F64, f64 1.0)) };
+        ] );
+    ( "f: terminator uses double 0x1p+1 of the wrong class",
+      one
+        [
+          { Irfunc.label = "entry"; instrs = [];
+            term = Instr.Condbr (f64 2.0, "entry", "entry") };
+        ] );
+    (* Initializers that do not fit their global's type. *)
+    ( "global @g: initializer 0x1.8p+0 does not fit type [2 x i32]",
+      with_global ~ty:(i32_array 2) (Irmod.Gfloat 1.5) );
+    ( "global @g: initializer [1, 2] does not fit type i32",
+      with_global ~ty:(Irtype.MScalar Irtype.I32)
+        (Irmod.Garray [ Irmod.Gint 1L; Irmod.Gint 2L ]) );
+    ( "global @g: initializer [1, 2, 3] does not fit type [2 x i32]",
+      with_global ~ty:(i32_array 2)
+        (Irmod.Garray [ Irmod.Gint 1L; Irmod.Gint 2L; Irmod.Gint 3L ]) );
+    ( "global @g: initializer c\"hello\" does not fit type [2 x i8]",
+      with_global
+        ~ty:(Irtype.MArray (Irtype.MScalar Irtype.I8, 2))
+        (Irmod.Gstring "hello") );
+    ( "global @g: initializer [1] does not fit type i32",
+      with_global ~ty:(i32_array 2)
+        (Irmod.Garray [ Irmod.Gzero; Irmod.Garray [ Irmod.Gint 1L ] ]) );
   ]
 
 let expect_rejection expected =
@@ -181,8 +236,9 @@ let test_verify_unknown_callee () =
 
 let test_verify_unknown_global () =
   expect_rejection "f: %1 = load i32, @nope references unknown global @nope";
-  (* [@name] may also name a function *)
-  Verify.verify (mk_mod (mk_func ~blocks:[ load_global "f" ]))
+  (* [@name] names a global, the only thing the engines resolve it to *)
+  expect_invalid_mod "f: %1 = load i32, @f references unknown global @f"
+    (mk_mod (mk_func ~blocks:[ load_global "f" ]))
 
 let test_verify_unknown_function_address () =
   expect_rejection
@@ -233,6 +289,40 @@ let test_verify_type_classes () =
                 ];
             ]))
 
+(* A value is a float or an integer, and every use computes on one of
+   the two: each operand must be of its use's class. *)
+let test_verify_operand_classes () =
+  let cases =
+    List.filter
+      (fun (text, _) -> String.ends_with ~suffix:"of the wrong class" text)
+      (rejection_cases ())
+  in
+  (* an immediate and a register operand, a result, a return type, a
+     branch condition *)
+  Alcotest.(check int) "operand class cases" 5 (List.length cases);
+  List.iter (fun (text, m) -> expect_invalid_mod text m) cases;
+  (* pointers and integers mix: pointer arithmetic through cookies, a
+     pointer stored as an integer and an integer used as an address *)
+  Verify.verify
+    (mk_mod
+       (mk_func
+          ~blocks:
+            [
+              { Irfunc.label = "entry";
+                instrs =
+                  [
+                    Instr.Alloca (1, Irtype.MScalar Irtype.I64);
+                    Instr.Binop (2, Instr.Add, Irtype.I64, Instr.Reg 1,
+                                 Instr.ImmInt (8L, Irtype.I64));
+                    Instr.Store (Irtype.I64, Instr.Reg 1, Instr.Reg 2);
+                    Instr.Load (3, Irtype.F64, Instr.Reg 2);
+                    Instr.Cast (4, Instr.Fptosi, Irtype.F64, Irtype.I32, Instr.Reg 3);
+                  ];
+                term = Instr.Ret (Some (Irtype.I32, Instr.Reg 4)) };
+            ]))
+
+let test_verify_function_blocks () = expect_rejection "f: function has no blocks"
+
 (* A phi needs an entry for each predecessor edge; the entry block has
    none to give it. *)
 let test_verify_phi_predecessors () =
@@ -258,7 +348,18 @@ let test_verify_phi_predecessors () =
 let test_verify_global_initializers () =
   expect_rejection "global @g references unknown global @nope";
   expect_rejection "global @g references unknown function @ghost";
-  let m = with_global (Irmod.Gstruct_init [ Irmod.Gfunc_addr "f"; Irmod.Gfunc_addr "ext" ]) in
+  let two_ptrs =
+    let field i =
+      { Irtype.mf_name = string_of_int i; mf_ty = Irtype.MScalar Irtype.Ptr;
+        mf_off = 8 * i }
+    in
+    { Irtype.s_tag = "pair"; s_fields = [ field 0; field 1 ]; s_size = 16;
+      s_align = 8 }
+  in
+  let m =
+    with_global ~ty:(Irtype.MStruct two_ptrs)
+      (Irmod.Gstruct_init [ Irmod.Gfunc_addr "f"; Irmod.Gfunc_addr "ext" ])
+  in
   m.Irmod.externs <-
     [ { Irmod.e_name = "ext"; e_ret = None; e_params = []; e_variadic = false } ];
   m.Irmod.globals <-
@@ -266,6 +367,50 @@ let test_verify_global_initializers () =
     @ [ { Irmod.g_name = "h"; g_ty = Irtype.MScalar Irtype.Ptr;
           g_init = Irmod.Gglobal_addr "g" } ];
   Verify.verify m
+
+(* One walker lays every initializer out ([Irmod.iter_init]); [Verify]
+   rejects what it cannot lay out, and both engines store its leaves. *)
+let test_verify_initializer_layouts () =
+  let cases =
+    List.filter
+      (fun (text, _) -> Util.string_contains ~needle:": initializer " text)
+      (rejection_cases ())
+  in
+  (* a float in an array, a list in a scalar, a list or a string longer
+     than its array, a list in a nested scalar *)
+  Alcotest.(check int) "layout cases" 5 (List.length cases);
+  List.iter (fun (text, m) -> expect_invalid_mod text m) cases;
+  let layout ty init =
+    let leaves = ref [] in
+    Irmod.iter_init (fun off l -> leaves := (off, l) :: !leaves) ty init;
+    List.rev !leaves
+  in
+  Alcotest.(check bool) "offsets and converted leaves" true
+    (layout (i32_array 3) (Irmod.Garray [ Irmod.Gint 1L; Irmod.Gzero; Irmod.Gint 3L ])
+     = [ (0, Irmod.Lint (Irtype.I32, 1L)); (8, Irmod.Lint (Irtype.I32, 3L)) ]
+    && layout (Irtype.MScalar Irtype.F32) (Irmod.Gint 2L)
+       = [ (0, Irmod.Lfloat (Irtype.F32, 2.0)) ]
+    && layout (Irtype.MArray (Irtype.MScalar Irtype.I8, 4)) (Irmod.Gstring "ab\000")
+       = [ (0, Irmod.Lbytes "ab\000") ]);
+  (* the shapes the front end emits, run by both engines *)
+  let src =
+    {|
+struct P { int x; double d; char *s; };
+struct P ps[2] = { { 1, 2.5, "hi" }, { 3 } };
+char name[8] = "ok";
+int *ip = (int *)0;
+float f = 2;
+int main(void) {
+  printf("%d %g %s %d %s %g\n", ps[0].x, ps[0].d, ps[0].s, ps[1].x, name, f);
+  return ps[1].s == 0;
+}
+|}
+  in
+  let r = Loader.run_source src in
+  Alcotest.(check string) "managed image" "1 2.5 hi 3 ok 2\n" r.Interp.output;
+  let n = Engine.run (Engine.Clang Pipeline.O0) src in
+  Alcotest.(check string) "native image" r.Interp.output n.Engine.output;
+  Alcotest.(check int) "exit code" 1 r.Interp.exit_code
 
 (* Textual IR may spell an i8 constant as 255 or 200; every engine reads
    those as -1 and -56.  A folder computing on the raw literals gets
@@ -1015,12 +1160,8 @@ let check_traversals (m : Irmod.t) =
         (fun i (b : Irfunc.block) ->
           let reached = ref [] in
           Interp.iter_edges
-            (fun e ->
-              reached :=
-                (match e with
-                | Interp.Edge (j, _) -> pf.Interp.pf_blocks.(j).Interp.pb_label
-                | Interp.Edge_unknown l -> l)
-                :: !reached)
+            (fun (Interp.Edge (j, _)) ->
+              reached := pf.Interp.pf_blocks.(j).Interp.pb_label :: !reached)
             pf.Interp.pf_blocks.(i).Interp.pb_term;
           let set = List.sort_uniq String.compare in
           if set !reached <> set (Instr.term_successors b.Irfunc.term) then
@@ -1136,6 +1277,12 @@ let () =
             test_verify_phi_predecessors;
           Alcotest.test_case "global initializers name known symbols" `Quick
             test_verify_global_initializers;
+          Alcotest.test_case "global initializers fit their types" `Quick
+            test_verify_initializer_layouts;
+          Alcotest.test_case "operands have their use's class" `Quick
+            test_verify_operand_classes;
+          Alcotest.test_case "functions have blocks" `Quick
+            test_verify_function_blocks;
           Alcotest.test_case "duplicate function" `Quick
             test_verify_duplicate_function;
           Alcotest.test_case "canonical immediates" `Quick
