@@ -48,15 +48,14 @@ let k_fbinop = 5
 let k_icmp = 6
 let k_fcmp = 7
 let k_cast = 8
-let k_select = 9
-let k_sancheck = 10
-let k_call = 11
-let k_term = 12
-let k_phi = 13
+let k_sancheck = 9
+let k_call = 10
+let k_term = 11
+let k_phi = 12
 
 let kind_names =
   [| "alloca"; "load"; "store"; "gep"; "binop.int"; "binop.float"; "icmp";
-     "fcmp"; "cast"; "select"; "sancheck"; "call"; "terminator"; "phi_copy" |]
+     "fcmp"; "cast"; "sancheck"; "call"; "terminator"; "phi_copy" |]
 
 let n_kinds = Array.length kind_names
 
@@ -125,31 +124,25 @@ type phicopy =
 
 type pedge = Edge of int * phicopy  (** target block index + phi copies *)
 
-type pswitch =
-  | Sw_linear of int64 array * pedge array  (** few cases: linear scan *)
-  | Sw_table of (int64, pedge) Hashtbl.t    (** many cases: hashed on the
-                                                int64 key, no strings *)
-
 type pterm =
   | Pret of pval option
   | Pbr of pedge
   | Pcondbr of pval * pedge * pedge
-  | Pswitch of pval * pswitch * pedge  (** (value, cases, default) *)
+  | Pswitch of pval * int64 array * pedge array * pedge
+      (** (value, case keys, their edges, default), scanned in order *)
   | Punreachable
 
 (** Apply [f] to each outgoing edge of a prepared terminator: a
-    switch's cases (a hashed switch's in table order), then its
-    default.  Prepare- and compile-time analyses walk the CFG with it. *)
+    switch's cases in order, then its default.  Prepare- and
+    compile-time analyses walk the CFG with it. *)
 let iter_edges f = function
   | Pret _ | Punreachable -> ()
   | Pbr e -> f e
   | Pcondbr (_, a, b) ->
     f a;
     f b
-  | Pswitch (_, impl, default) ->
-    (match impl with
-    | Sw_linear (_, edges) -> Array.iter f edges
-    | Sw_table tbl -> Hashtbl.iter (fun _ e -> f e) tbl);
+  | Pswitch (_, _, edges, default) ->
+    Array.iter f edges;
     f default
 
 type pinstr =
@@ -167,7 +160,6 @@ type pinstr =
   | Pfcmp of int * Instr.fcmp * pval * pval * (float -> float -> bool)
   | Pcast of
       int * Instr.cast * Irtype.scalar * Irtype.scalar * pval * (Mval.t -> Mval.t)
-  | Pselect of int * pval * pval * pval
   | Psancheck
   | Pcall of int * pcallee * pval array * Irtype.scalar array
       (** (result reg or -1, callee, prepared args, arg scalars) *)
@@ -177,7 +169,7 @@ type pinstr =
 
 and pcallee =
   | Pdirect of call_target  (** resolved when the caller is prepared *)
-  | Pindirect of pval * icache
+  | Pindirect of pval  (** resolved by name at each call *)
 
 (** Where a call goes, resolved ahead of execution.  Builtins carry
     their name so the closure compiler can recognize the effect-free
@@ -187,10 +179,6 @@ and call_target =
   | Tgt_builtin of string * (state -> Mval.t array -> Mval.t option)
   | Tgt_unknown of string  (** raises the unprepared interpreter's
                                "unknown builtin" error when called *)
-
-(** One-entry inline cache for indirect calls, keyed on the callee name
-    carried by the function pointer (physical equality fast path). *)
-and icache = { mutable ic_name : string; mutable ic_target : call_target }
 
 and pblock = {
   pb_label : string;
@@ -253,11 +241,9 @@ and tier =
 and compiled = {
   cb_entry : compiled_body;
   cb_osr : osr_body option;
-  cb_frame : (Mval.t array -> Irtype.scalar array -> frame) option;
+  cb_frame : Mval.t array -> Irtype.scalar array -> frame;
       (** build a frame with the compiled register-file layout installed
-          and parameters copied; [None] falls back to the generic frame
-          construction in [call_function] (and then [cb_entry] must
-          install its own register files) *)
+          and parameters copied *)
 }
 
 (** A compiled function body: runs the function from its entry block in
@@ -318,8 +304,6 @@ and state = {
   rng : Prng.t;                 (** backs the libc rand() builtin *)
   trace : Buffer.t option;      (** call tracing, when enabled *)
   obs : bool;                   (** metrics enabled at create time *)
-  mutable ic_hits : int;        (** indirect calls the inline cache served *)
-  mutable ic_misses : int;      (** indirect calls that re-resolved *)
   tier : tierctl option;        (** tier controller; [None]: interp only *)
   prof : Profile.t option;
       (** guest profiler handle; [None] (the default) keeps the hot
@@ -756,10 +740,6 @@ let is_builtin name = Option.is_some (lookup_builtin name)
    managed object, so object ids do not depend on which functions a run
    entered. *)
 
-(** Switch terminators with at least this many cases use a hashtable
-    keyed on the int64 case value instead of a linear scan. *)
-let switch_table_threshold = 8
-
 (** Resolve a callee name to its target: a user function shadows a
     builtin of the same name; unknown names fail only when called. *)
 let resolve_callee st (name : string) : call_target =
@@ -817,8 +797,6 @@ let prepare_instr st ctx (i : Instr.instr) : pinstr =
     Pfcmp (r, op, prepare_value st a, prepare_value st b, Scalar.fcmp op)
   | Instr.Cast (r, op, from, into, v) ->
     Pcast (r, op, from, into, prepare_value st v, cast_fn op from into)
-  | Instr.Select (r, _, c, a, b) ->
-    Pselect (r, prepare_value st c, prepare_value st a, prepare_value st b)
   | Instr.Call (r, _, callee, cargs) ->
     let pargs =
       Array.of_list (List.map (fun (_, v) -> prepare_value st v) cargs)
@@ -827,9 +805,7 @@ let prepare_instr st ctx (i : Instr.instr) : pinstr =
     let pc =
       match callee with
       | Instr.Direct name -> Pdirect (resolve_callee st name)
-      | Instr.Indirect v ->
-        Pindirect
-          (prepare_value st v, { ic_name = ""; ic_target = Tgt_unknown "" })
+      | Instr.Indirect v -> Pindirect (prepare_value st v)
     in
     Pcall ((match r with Some r -> r | None -> -1), pc, pargs, scalars)
   | Instr.Sancheck _ -> Psancheck
@@ -919,24 +895,12 @@ let prepare_body (st : state) (pf : pfunc) : pblock array =
           (prepare_value st c, resolve_edge from_label a,
            resolve_edge from_label bl)
       | Instr.Switch (v, cases, default) ->
-        let impl =
-          if List.length cases >= switch_table_threshold then begin
-            let tbl = Hashtbl.create (2 * List.length cases) in
-            List.iter
-              (fun (k, l) ->
-                (* first case wins on duplicate keys, like the scan *)
-                if not (Hashtbl.mem tbl k) then
-                  Hashtbl.replace tbl k (resolve_edge from_label l))
-              cases;
-            Sw_table tbl
-          end
-          else
-            Sw_linear
-              ( Array.of_list (List.map fst cases),
-                Array.of_list
-                  (List.map (fun (_, l) -> resolve_edge from_label l) cases) )
-        in
-        Pswitch (prepare_value st v, impl, resolve_edge from_label default)
+        Pswitch
+          ( prepare_value st v,
+            Array.of_list (List.map fst cases),
+            Array.of_list
+              (List.map (fun (_, l) -> resolve_edge from_label l) cases),
+            resolve_edge from_label default )
       | Instr.Unreachable -> Punreachable
     in
     {
@@ -1020,10 +984,10 @@ let rec call_function st (pf : pfunc) (args : Mval.t array)
   (match st.tier with Some ctl -> tier_up st ctl pf ~osr:false | None -> ());
   let fr =
     match pf.pf_tier with
-    | Tier_compiled { cb_frame = Some acquire; _ } ->
+    | Tier_compiled c ->
       (* register files installed and parameters copied *)
-      acquire args arg_scalars
-    | Tier_compiled { cb_frame = None; _ } | Tier_interp | Tier_deopt ->
+      c.cb_frame args arg_scalars
+    | Tier_interp | Tier_deopt ->
       let regs = Array.make pf.pf_nregs Mval.zero in
       let fr =
         {
@@ -1183,10 +1147,6 @@ and exec_instrs st (fr : frame) (blk : pblock) : Mval.t option =
       | Pcast (r, _, _, _, v, f) ->
         charge st fr k_cast;
         fr.fr_regs.(r) <- f (pv fr v)
-      | Pselect (r, c, a, b) ->
-        charge st fr k_select;
-        let cv = Mval.as_int (pv fr c) in
-        fr.fr_regs.(r) <- pv fr (if cv <> 0L then a else b)
       | Psancheck ->
         charge st fr k_sancheck
       | Ploc (line, col) ->
@@ -1204,24 +1164,10 @@ and exec_instrs st (fr : frame) (blk : pblock) : Mval.t option =
         let result =
           match callee with
           | Pdirect tgt -> exec_target st tgt argv scalars
-          | Pindirect (v, ic) -> begin
+          | Pindirect v -> begin
             match Mval.as_ptr (context st) (pv fr v) with
             | Mobject.Pfunc name ->
-              let tgt =
-                if name == ic.ic_name || String.equal name ic.ic_name then begin
-                  st.ic_hits <- st.ic_hits + 1;
-                  ic.ic_target
-                end
-                else begin
-                  (* inline-cache miss: re-resolve and remember *)
-                  st.ic_misses <- st.ic_misses + 1;
-                  let t = resolve_callee st name in
-                  ic.ic_name <- name;
-                  ic.ic_target <- t;
-                  t
-                end
-              in
-              exec_target st tgt argv scalars
+              exec_target st (resolve_callee st name) argv scalars
             | Mobject.Pnull -> Merror.raise_error Merror.Null_deref (context st)
             | Mobject.Pobj _ | Mobject.Pinvalid _ ->
               Merror.raise_error
@@ -1251,23 +1197,15 @@ and exec_term st (fr : frame) (t : pterm) : Mval.t option =
   | Pbr e -> goto st fr e
   | Pcondbr (c, a, b) ->
     goto st fr (if Mval.as_int (pv fr c) <> 0L then a else b)
-  | Pswitch (v, impl, default) ->
+  | Pswitch (v, keys, edges, default) ->
     let x = Mval.as_int (pv fr v) in
-    let e =
-      match impl with
-      | Sw_linear (keys, edges) ->
-        let nk = Array.length keys in
-        let rec find i =
-          if i >= nk then default
-          else if Int64.equal keys.(i) x then edges.(i)
-          else find (i + 1)
-        in
-        find 0
-      | Sw_table tbl -> begin
-        match Hashtbl.find_opt tbl x with Some e -> e | None -> default
-      end
+    let nk = Array.length keys in
+    let rec find i =
+      if i >= nk then default
+      else if Int64.equal keys.(i) x then edges.(i)
+      else find (i + 1)
     in
-    goto st fr e
+    goto st fr (find 0)
   | Punreachable ->
     Merror.raise_error
       (Merror.Type_violation "reached an unreachable instruction")
@@ -1340,8 +1278,6 @@ let create ?(step_limit = 500_000_000) ?(mementos = true)
       rng = Prng.create rng_seed;
       trace = (if trace then Some (Buffer.create 1024) else None);
       obs = !Metrics.enabled;
-      ic_hits = 0;
-      ic_misses = 0;
       tier;
       prof;
       detect_uninit;
@@ -1411,8 +1347,6 @@ let reset ?input (st : state) : unit =
     st.funcs;
   st.profile.p_allocs <- 0;
   st.profile.p_alloc_bytes <- 0;
-  st.ic_hits <- 0;
-  st.ic_misses <- 0;
   (match st.trace with Some b -> Buffer.clear b | None -> ());
   (* Step counter rewound to zero: re-arm the profiler's delta markers
      (accumulated attribution survives — bench iterations sum). *)
@@ -1483,8 +1417,6 @@ let flush_metrics st =
           pf.pf_counters.c_kinds)
       st.funcs;
     Array.iteri (fun k n -> c (kind_metric k) n) sums;
-    c "interp.ic.hits" st.ic_hits;
-    c "interp.ic.misses" st.ic_misses;
     c "interp.steps" st.steps;
     c "heap.allocs" st.heap.Mheap.alloc_count;
     c "heap.frees" st.heap.Mheap.free_count;

@@ -22,7 +22,8 @@ exception Step_limit_exceeded
     Every executed operation is charged once, in both tiers: one step
     of the budget and one count in its function's counter for the
     operation's kind.  The kinds index [counters.c_kinds]: one per
-    instruction opcode, binops split into integer ([k_ibinop]) and
+    executed instruction opcode (alloca, load, store, gep, icmp, fcmp,
+    cast, sancheck, call), binops split into integer ([k_ibinop]) and
     float ([k_fbinop]: [FAdd]/[FSub]/[FMul]/[FDiv]) work, plus the block
     terminator ([k_term]) and one phi-copied value ([k_phi], counted
     once per value of an edge's parallel copy).  A call counts at its
@@ -37,7 +38,6 @@ val k_fbinop : int
 val k_icmp : int
 val k_fcmp : int
 val k_cast : int
-val k_select : int
 val k_sancheck : int
 val k_call : int
 val k_term : int
@@ -86,15 +86,13 @@ type phicopy =
 
 type pedge = Edge of int * phicopy  (** target block index + phi copies *)
 
-type pswitch =
-  | Sw_linear of int64 array * pedge array
-  | Sw_table of (int64, pedge) Hashtbl.t
-
 type pterm =
   | Pret of pval option
   | Pbr of pedge
   | Pcondbr of pval * pedge * pedge
-  | Pswitch of pval * pswitch * pedge
+  | Pswitch of pval * int64 array * pedge array * pedge
+      (** (value, case keys, their edges, default): both tiers scan the
+          keys in order *)
   | Punreachable
 
 type pinstr =
@@ -112,21 +110,20 @@ type pinstr =
   | Pfcmp of int * Instr.fcmp * pval * pval * (float -> float -> bool)
   | Pcast of
       int * Instr.cast * Irtype.scalar * Irtype.scalar * pval * (Mval.t -> Mval.t)
-  | Pselect of int * pval * pval * pval
   | Psancheck
   | Pcall of int * pcallee * pval array * Irtype.scalar array
   | Ploc of int * int
 
 and pcallee =
   | Pdirect of call_target  (** resolved when the caller is prepared *)
-  | Pindirect of pval * icache
+  | Pindirect of pval
+      (** the function pointer; both tiers resolve the name it carries
+          through [resolve_callee] at each call *)
 
 and call_target =
   | Tgt_user of pfunc
   | Tgt_builtin of string * (state -> Mval.t array -> Mval.t option)
   | Tgt_unknown of string
-
-and icache = { mutable ic_name : string; mutable ic_target : call_target }
 
 and pblock = {
   pb_label : string;
@@ -163,15 +160,14 @@ and tier =
   | Tier_deopt
 
 (** A compiled function: normal entry plus an optional on-stack
-    replacement entry for functions with loop headers.  [cb_frame], when
-    provided, lets [call_function] build frames in the compiled layout
-    directly: [cb_frame args scalars] returns a frame with the compiled
-    register files already installed (arrays zeroed, parameters
-    copied). *)
+    replacement entry for functions with loop headers.  [call_function]
+    builds the frames of a compiled function with [cb_frame]:
+    [cb_frame args scalars] returns a frame with the compiled register
+    files already installed (arrays zeroed, parameters copied). *)
 and compiled = {
   cb_entry : compiled_body;
   cb_osr : osr_body option;
-  cb_frame : (Mval.t array -> Irtype.scalar array -> frame) option;
+  cb_frame : Mval.t array -> Irtype.scalar array -> frame;
 }
 
 (** A compiled function body: runs the function from its entry block in
@@ -226,8 +222,6 @@ and state = {
   rng : Prng.t;
   trace : Buffer.t option;
   obs : bool;  (** metrics were enabled at [create] *)
-  mutable ic_hits : int;  (** indirect calls the inline cache served *)
-  mutable ic_misses : int;  (** indirect calls that re-resolved *)
   tier : tierctl option;
   prof : Profile.t option;
       (** guest profiler handle; [None] (the default) keeps the hot
@@ -244,8 +238,8 @@ and state = {
 (* ------------------------------------------------------------------ *)
 
 (** [iter_edges f t] applies [f] to each outgoing edge of the prepared
-    terminator [t]: a switch's cases (a hashed switch's in table
-    order), then its default; nothing for [Pret] and [Punreachable].
+    terminator [t]: a switch's cases in order, then its default;
+    nothing for [Pret] and [Punreachable].
     The one CFG walk of the prepare-time loop-header marking and the
     closure compiler's slot planning and register classification. *)
 val iter_edges : (pedge -> unit) -> pterm -> unit
@@ -280,7 +274,8 @@ val is_builtin : string -> bool
 
 (** Resolve a callee name: user function shadows builtin; unknown names
     fail only when called.  Links direct calls as their caller is
-    prepared, and indirect calls on inline-cache misses. *)
+    prepared, and resolves every indirect call, in both tiers, when it
+    executes. *)
 val resolve_callee : state -> string -> call_target
 
 (** [prepare st pf] builds [pf]'s body in the pre-resolved form (branch

@@ -123,19 +123,21 @@ let compile_user ?(file = "<input>") (src : string) : Irmod.t =
   check_references prog m;
   m
 
+let libc_callees = lazy (Verify.callees (libc_module_shared ()))
+
 (** Link [user] against the libc and verify the result.  The libc passed
-    full verification when the cache filled, and linking only adds names
-    and drops the libc definitions the user redefines, so each libc
-    function and global left stays valid: checking the user's globals
-    and functions against the linked module's names raises exactly what
-    [Verify.verify] of the whole linked module would. *)
+    full verification when the cache filled, so [Verify.verify_link]
+    checks only the user's globals and functions and the libc functions
+    that call a name the user gave another signature, which raises
+    exactly what [Verify.verify] of the whole linked module would. *)
 let link_libc ?(shared = false) (user : Irmod.t) : Irmod.t =
   let linked =
     Trace.span "link" (fun () ->
         Irmod.link user
           (if shared then libc_module_shared () else libc_module ()))
   in
-  Trace.span "verify" (fun () -> Verify.verify_part linked user);
+  Trace.span "verify" (fun () ->
+      Verify.verify_link ~lib_callees:(Lazy.force libc_callees) linked user);
   linked
 
 (** Compile and link a complete program: user code + managed libc. *)

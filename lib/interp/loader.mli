@@ -3,7 +3,8 @@
     for once per process: its front end runs and its module is verified
     in full when the cache fills, and the prelude is lexed and parsed
     once; per program only the user's source is parsed and only the
-    user's definitions are verified. *)
+    user's definitions (and the libc functions calling a name they give
+    another signature) are verified. *)
 
 (** The managed libc as a fresh IR module (front-end output, cached and
     deep-copied per call). *)
@@ -31,11 +32,12 @@ val compile_user : ?file:string -> string -> Irmod.t
     address of, a function that neither [m] nor the runtime defines. *)
 val check_references : Ast.program -> Irmod.t -> unit
 
-(** Link a user module against the managed libc and verify it: only the
-    user's globals and functions are checked, against the linked
-    module's names, which raises exactly the [Verify.Invalid] a full
-    [Verify.verify] of the linked module would (the libc was verified in
-    full once).
+(** Link a user module against the managed libc and verify it: the
+    user's globals and functions are checked against the linked
+    module's names and signatures, and so are the libc functions that
+    call a name the user gave another signature ([Verify.verify_link]).
+    That raises exactly the [Verify.Invalid] a full [Verify.verify] of
+    the linked module would (the libc was verified in full once).
     [shared] (default false) links the cached libc itself instead of a
     deep copy; the result then aliases the cache and must be treated as
     frozen. *)

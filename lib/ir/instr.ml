@@ -55,7 +55,6 @@ type instr =
       (** (result, op, from, to, v) *)
   | Call of reg option * Irtype.scalar option * callee * (Irtype.scalar * value) list
       (** (result, return type, callee, typed args) *)
-  | Select of reg * Irtype.scalar * value * value * value
   | Phi of reg * Irtype.scalar * (string * value) list
       (** (incoming block label, value) pairs *)
   | Sancheck of access_kind * value * int
@@ -84,7 +83,6 @@ let def_of = function
   | Icmp (r, _, _, _, _)
   | Fcmp (r, _, _, _, _)
   | Cast (r, _, _, _, _)
-  | Select (r, _, _, _, _)
   | Phi (r, _, _) ->
     Some r
   | Call (r, _, _, _) -> r
@@ -104,7 +102,6 @@ let uses_of = function
   | Call (_, _, callee, args) ->
     let base = match callee with Indirect v -> [ v ] | Direct _ -> [] in
     base @ List.map snd args
-  | Select (_, _, c, a, b) -> [ c; a; b ]
   | Phi (_, _, incoming) -> List.map snd incoming
   | Sancheck (_, p, _) -> [ p ]
   | Srcloc _ -> []
@@ -135,7 +132,6 @@ let map_values f = function
   | Call (r, ret, callee, args) ->
     let callee = match callee with Indirect v -> Indirect (f v) | c -> c in
     Call (r, ret, callee, List.map (fun (s, v) -> (s, f v)) args)
-  | Select (r, s, c, a, b) -> Select (r, s, f c, f a, f b)
   | Phi (r, s, incoming) -> Phi (r, s, List.map (fun (l, v) -> (l, f v)) incoming)
   | Sancheck (kind, p, size) -> Sancheck (kind, f p, size)
   | (Alloca _ | Srcloc _) as i -> i

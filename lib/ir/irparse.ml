@@ -329,13 +329,6 @@ let parse_instr env st : Instr.instr =
       let a = value () in
       expect_punct st ',';
       Instr.Fcmp (r, cmp, s, a, value ())
-    | "select" ->
-      let s = scalar_of_word st (expect_word st) in
-      let c = value () in
-      expect_punct st ',';
-      let a = value () in
-      expect_punct st ',';
-      Instr.Select (r, s, c, a, value ())
     | "phi" ->
       let s = scalar_of_word st (expect_word st) in
       let incoming = ref [] in

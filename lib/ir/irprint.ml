@@ -87,9 +87,6 @@ let instr_to_string i =
     (match r with
     | Some r -> Printf.sprintf "%%%d = call %s %s(%s)" r ret_s callee_s args_s
     | None -> Printf.sprintf "call %s %s(%s)" ret_s callee_s args_s)
-  | Select (r, s, c, a, b) ->
-    Printf.sprintf "%%%d = select %s %s, %s, %s" r (Irtype.scalar_to_string s)
-      (v c) (v a) (v b)
   | Phi (r, s, incoming) ->
     Printf.sprintf "%%%d = phi %s %s" r (Irtype.scalar_to_string s)
       (String.concat ", "

@@ -9,14 +9,16 @@
     They are the one gate for runnable IR: the engines assume what they
     prove.  Beyond names, that is a block in every function, types and
     operands of the class (integer or float) their operation computes
-    on, a phi entry per predecessor and none in the entry block, and
-    initializers that fit their types ([Irmod.iter_init]).
+    on, direct calls whose result and arguments have the classes of the
+    callee's declared signature, a phi entry per predecessor and none
+    in the entry block, and initializers that fit their types
+    ([Irmod.iter_init]).
 
     A function's or global's check reads only itself and the module's
-    name sets, so [verify_part m part] can check just some of [m]'s
-    definitions: the loader verifies the libc once and, per program,
-    only the user's globals and functions against the linked module's
-    names. *)
+    names and signatures, so [verify_link] can check just part of a
+    linked module: the loader verifies the libc once and, per program,
+    the user's globals and functions, and the libc functions that call
+    a name the user gave another signature. *)
 
 exception Invalid of string
 
@@ -25,17 +27,26 @@ let fail fmt = Format.kasprintf (fun msg -> raise (Invalid msg)) fmt
 (* The module's top-level names, by what may refer to them: [@g] as a
    value or in a global initializer names a global, the only thing the
    engines resolve it to; a function address or a direct callee names a
-   function or an extern. *)
+   function or an extern.  A callee's signature is its return type and
+   parameter types; where a function and an extern share a name the
+   function's counts, as it is the one the engines call. *)
+type signature = Irtype.scalar option * Irtype.scalar list
+
 type names = {
   data : (string, unit) Hashtbl.t;  (** globals *)
-  code : (string, unit) Hashtbl.t;  (** functions and externs *)
+  code : (string, signature) Hashtbl.t;  (** functions and externs *)
 }
 
 let index (m : Irmod.t) =
   let data = Hashtbl.create 256 and code = Hashtbl.create 256 in
   List.iter (fun g -> Hashtbl.replace data g.Irmod.g_name ()) m.Irmod.globals;
-  List.iter (fun f -> Hashtbl.replace code f.Irfunc.name ()) m.Irmod.funcs;
-  List.iter (fun e -> Hashtbl.replace code e.Irmod.e_name ()) m.Irmod.externs;
+  List.iter
+    (fun e -> Hashtbl.replace code e.Irmod.e_name (e.Irmod.e_ret, e.Irmod.e_params))
+    m.Irmod.externs;
+  List.iter
+    (fun f ->
+      Hashtbl.replace code f.Irfunc.name (f.Irfunc.ret, List.map snd f.Irfunc.params))
+    m.Irmod.funcs;
   { data; code }
 
 (* Where a checked value occurs: an instruction (rendered into the
@@ -77,7 +88,6 @@ let defines_float (i : Instr.instr) =
   | Instr.Load (_, s, _)
   | Instr.Binop (_, _, s, _, _)
   | Instr.Cast (_, _, _, s, _)
-  | Instr.Select (_, s, _, _, _)
   | Instr.Phi (_, s, _)
   | Instr.Call (_, Some s, _, _) -> fl s
   | _ -> false
@@ -91,7 +101,6 @@ let use_classes (i : Instr.instr) =
   | Instr.Call (_, _, callee, args) ->
     (match callee with Instr.Indirect _ -> [ false ] | Instr.Direct _ -> [])
     @ List.map (fun (s, _) -> fl s) args
-  | Instr.Select (_, s, _, _, _) -> [ false; fl s; fl s ]
   | Instr.Phi (_, s, incoming) -> List.map (fun _ -> fl s) incoming
   | i -> List.map (fun _ -> false) (Instr.uses_of i)
 
@@ -177,9 +186,26 @@ let verify_func names (f : Irfunc.t) =
               f.Irfunc.name (Irprint.instr_to_string i);
           List.iter2 (check_use (Some i)) (Instr.uses_of i) (use_classes i);
           match i with
-          | Instr.Call (_, _, Instr.Direct callee, _) ->
-            if not (Hashtbl.mem names.code callee) then
-              fail "%s: call to unknown function @%s" f.Irfunc.name callee
+          | Instr.Call (_, ret, Instr.Direct callee, args) -> (
+            match Hashtbl.find_opt names.code callee with
+            | None -> fail "%s: call to unknown function @%s" f.Irfunc.name callee
+            | Some (cret, cparams) ->
+              (* the callee computes its result and reads its parameters
+                 in the classes it declares *)
+              (match (ret, cret) with
+              | Some s, Some c when fl s <> fl c ->
+                fail "%s: %s has a result of the wrong class for @%s"
+                  f.Irfunc.name (Irprint.instr_to_string i) callee
+              | _ -> ());
+              List.iteri
+                (fun k (s, v) ->
+                  match List.nth_opt cparams k with
+                  | Some p when fl p <> fl s ->
+                    fail "%s: %s passes %s of the wrong class to @%s"
+                      f.Irfunc.name (Irprint.instr_to_string i)
+                      (Irprint.value_to_string v) callee
+                  | _ -> ())
+                args)
           | Instr.Phi (_, _, incoming) ->
             List.iter
               (fun (l, _) ->
@@ -228,11 +254,9 @@ let verify_global names (g : Irmod.global) =
     fail "global @%s: initializer %s does not fit type %s" g.Irmod.g_name
       (Irprint.ginit_to_string init) (Irtype.mty_to_string ty)
 
-(** Check the globals, then the functions, of [part], in order, against
-    the top-level names of [m], including that no function name is
-    defined twice among them. *)
-let verify_part (m : Irmod.t) (part : Irmod.t) =
-  let names = index m in
+(* Check [part]'s globals, then its functions, in order, including that
+   no function name is defined twice among them. *)
+let verify_part names (part : Irmod.t) =
   List.iter (verify_global names) part.Irmod.globals;
   let seen = Hashtbl.create 64 in
   List.iter
@@ -243,4 +267,48 @@ let verify_part (m : Irmod.t) (part : Irmod.t) =
       verify_func names f)
     part.Irmod.funcs
 
-let verify (m : Irmod.t) = verify_part m m
+let verify (m : Irmod.t) = verify_part (index m) m
+
+(* The names [f] calls directly, in order. *)
+let direct_callees (f : Irfunc.t) =
+  List.concat_map
+    (fun (b : Irfunc.block) ->
+      List.filter_map
+        (function Instr.Call (_, _, Instr.Direct n, _) -> Some n | _ -> None)
+        b.Irfunc.instrs)
+    f.Irfunc.blocks
+
+(** Each name a function of [m] calls directly, with its signature in
+    [m]. *)
+let callees (m : Irmod.t) : (string * signature) list =
+  let names = index m in
+  List.sort_uniq compare (List.concat_map direct_callees m.Irmod.funcs)
+  |> List.map (fun n -> (n, Hashtbl.find names.code n))
+
+(** Check [linked] = [Irmod.link user lib], where [lib] passed [verify]
+    and [lib_callees] is [callees lib], raising exactly what [verify
+    linked] would.  Linking only adds names and replaces the library
+    definitions [user] redefines, so a library function left in
+    [linked] can fail only by calling a name whose signature differs in
+    [linked]; those functions are checked after the user's globals and
+    functions. *)
+let verify_link ~lib_callees (linked : Irmod.t) (user : Irmod.t) =
+  let names = index linked in
+  verify_part names user;
+  let changed =
+    List.filter_map
+      (fun (n, s) -> if Hashtbl.find names.code n <> s then Some n else None)
+      lib_callees
+  in
+  if changed <> [] then
+    let nuser = List.length user.Irmod.funcs in
+    let calls_changed f =
+      List.exists (fun n -> List.mem n changed) (direct_callees f)
+    in
+    verify_part names
+      {
+        linked with
+        Irmod.globals = [];
+        funcs =
+          List.filteri (fun i f -> i >= nuser && calls_changed f) linked.Irmod.funcs;
+      }

@@ -15,12 +15,15 @@
     *unboxed* in flat side arrays instead of [fr_regs] (DESIGN.md §11):
 
     - [Rint] ([frame.fr_iregs]): every writer is a <=32-bit integer
-      producer (narrow load, binop, compare, int cast — and, through a
-      fixpoint, phi/select moves of such registers).
+      producer (narrow load, binop, compare, int cast).
     - [Rfloat] ([frame.fr_fregs]): every writer is a float producer
       (F32/F64 load, float binop, float cast).  The array holds exactly
       the float a [Vfloat] box would (F32 results stored pre-rounded),
       so re-boxing on escape is bit-identical.
+
+    Phi destinations stay boxed: the -O0-shaped code every workload
+    compiles has no phi, so their edges' parallel copies only need to
+    be right, not fast.
 
     Unboxed registers never allocate a box and never pay the OCaml
     write barrier, and narrow/float loads and stores hit an inlined
@@ -151,16 +154,9 @@ let shift_term base = function
   | Pbr e -> Pbr (shift_edge base e)
   | Pcondbr (c, a, b) ->
     Pcondbr (shift_pval base c, shift_edge base a, shift_edge base b)
-  | Pswitch (v, impl, d) ->
-    let impl =
-      match impl with
-      | Sw_linear (keys, es) -> Sw_linear (keys, Array.map (shift_edge base) es)
-      | Sw_table tbl ->
-        let t = Hashtbl.create (2 * Hashtbl.length tbl) in
-        Hashtbl.iter (fun k e -> Hashtbl.replace t k (shift_edge base e)) tbl;
-        Sw_table t
-    in
-    Pswitch (shift_pval base v, impl, shift_edge base d)
+  | Pswitch (v, keys, es, d) ->
+    Pswitch
+      (shift_pval base v, keys, Array.map (shift_edge base) es, shift_edge base d)
   | Punreachable -> Punreachable
 
 let shift_gep base (g : pgep) : pgep =
@@ -179,8 +175,6 @@ let shift_instr base = function
     Pfcmp (r + base, op, shift_pval base a, shift_pval base b, f)
   | Pcast (r, op, from, into, v, f) ->
     Pcast (r + base, op, from, into, shift_pval base v, f)
-  | Pselect (r, c, a, b) ->
-    Pselect (r + base, shift_pval base c, shift_pval base a, shift_pval base b)
   | Psancheck -> Psancheck
   | Ploc (l, c) -> Ploc (l, c)
   | Pcall (r, callee, args, scalars) ->
@@ -189,7 +183,7 @@ let shift_instr base = function
     let callee =
       match callee with
       | Pdirect _ as c -> c
-      | Pindirect (v, ic) -> Pindirect (shift_pval base v, ic)
+      | Pindirect v -> Pindirect (shift_pval base v)
     in
     Pcall ((if r >= 0 then r + base else r), callee, Array.map (shift_pval base) args, scalars)
 
@@ -374,8 +368,7 @@ let plan_slots (blocks_list : pblock array list)
               | Pbinop (r, _, _, _, _, _)
               | Picmp (r, _, _, _, _, _)
               | Pfcmp (r, _, _, _, _)
-              | Pcast (r, _, _, _, _, _)
-              | Pselect (r, _, _, _) -> wr r
+              | Pcast (r, _, _, _, _, _) -> wr r
               | Pcall (r, _, _, _) -> if r >= 0 then wr r
               | Pstore _ | Psancheck | Ploc _ -> ())
             blk.pb_instrs)
@@ -431,16 +424,12 @@ let plan_slots (blocks_list : pblock array list)
                 pv a;
                 pv b
               | Pcast (_, _, _, _, v, _) -> pv v
-              | Pselect (_, c, a, b) ->
-                pv c;
-                pv a;
-                pv b
               | Pcall (_, callee, args, _) ->
-                (match callee with Pindirect (v, _) -> pv v | Pdirect _ -> ());
+                (match callee with Pindirect v -> pv v | Pdirect _ -> ());
                 Array.iter pv args)
             blk.pb_instrs;
           (match blk.pb_term with
-          | Pret (Some v) | Pcondbr (v, _, _) | Pswitch (v, _, _) -> pv v
+          | Pret (Some v) | Pcondbr (v, _, _) | Pswitch (v, _, _, _) -> pv v
           | Pret None | Pbr _ | Punreachable -> ());
           iter_edges edge blk.pb_term)
         blocks)
@@ -459,30 +448,18 @@ let plan_slots (blocks_list : pblock array list)
 (* Register classification                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* A register's writer, for the unboxed classification analyses. *)
-type writer =
-  | Wyes  (** produces a value of the analysis' class *)
-  | Wno  (** produces anything else *)
-  | Wdep of int  (** moves another register's value (phi copy, select) *)
-
 (** A register's storage class in compiled code (DESIGN.md §11). *)
 type rclass =
   | Rint  (** unboxed native int in [fr_iregs] *)
   | Rfloat  (** unboxed float in [fr_fregs] *)
   | Rbox  (** boxed [Mval.t] in [fr_regs] *)
 
-(** Classify every register of the merged file.  Two independent
-    writer analyses (int / float) share one walk and one fixpoint: a
-    register is unboxed in a class iff it has at least one writer,
-    every concrete writer produces that class, and every register it
-    is moved from is unboxed in that class too.  The classes' concrete
-    writer sets are disjoint, so at most one analysis marks a register
-    with a concrete writer; pure-move cycles (no concrete writer
-    anywhere) can satisfy several analyses at once and are resolved by
-    priority int > float — such registers only ever hold their
-    initial zero, which every class represents identically.
+(** Classify every register of the merged file in one pass over its
+    writers: a register is unboxed in a class iff it has at least one
+    writer and every writer produces that class.  Phi destinations
+    (written by the edges' boxed parallel copies), call results and
     [boxed_roots] (parameter registers: caller's and each inlined
-    instance's, written boxed by the call protocol) are forced [Rbox].
+    instance's, written boxed by the call protocol) are [Rbox].
     [slots] (scalar-replaced allocas, see [plan_slots]) classify by
     their scalar instead of as pointers: a small-int slot's only
     writers are the alloca's zero and whole-slot integer stores, so it
@@ -493,122 +470,62 @@ type rclass =
 let classify (blocks_list : pblock array list)
     (boxed_roots : int array list) (slots : (int, Irtype.scalar) Hashtbl.t)
     (nregs : int) : rclass array =
-  let wi : writer list array = Array.make nregs [] in
-  let wf : writer list array = Array.make nregs [] in
-  let add tbl r w = if r >= 0 && r < nregs then tbl.(r) <- w :: tbl.(r) in
-  let fits_imm = function
-    (* the value survives an int round trip, so re-boxing is exact *)
-    | Mval.Vint v -> Int64.equal (Int64.of_int (Int64.to_int v)) v
-    | Mval.Vfloat _ | Mval.Vptr _ -> false
+  let cls : rclass option array = Array.make nregs None in
+  let write r c =
+    if r >= 0 && r < nregs then
+      cls.(r) <-
+        (match cls.(r) with
+        | None -> Some c
+        | Some c0 -> Some (if c0 = c then c else Rbox))
   in
-  let ik = function
-    | Preg r -> Wdep r
-    | Pimm v -> if fits_imm v then Wyes else Wno
+  let of_scalar s =
+    if small s then Rint
+    else if s = Irtype.F32 || s = Irtype.F64 then Rfloat
+    else Rbox
   in
-  let fk = function
-    | Preg r -> Wdep r
-    | Pimm (Mval.Vfloat _) -> Wyes
-    | Pimm _ -> Wno
-  in
-  let move r src =
-    add wi r (ik src);
-    add wf r (fk src)
-  in
-  let boxed r =
-    add wi r Wno;
-    add wf r Wno
-  in
-  let int_res r =
-    add wi r Wyes;
-    add wf r Wno
-  in
-  let float_res r =
-    add wi r Wno;
-    add wf r Wyes
-  in
-  let copies = function
-    | Pc_copy (dests, srcs) -> Array.iteri (fun i d -> move d srcs.(i)) dests
-    | Pc_none -> ()
-  in
-  let edge (Edge (_, c)) = copies c in
   let instr = function
-    | Palloca (r, _, _) -> begin
-      match Hashtbl.find_opt slots r with
-      | None -> boxed r
-      | Some s ->
-        (* the alloca writes the slot's zero in the slot's class *)
-        if small s then int_res r
-        else if s = Irtype.F32 || s = Irtype.F64 then float_res r
-        else boxed r
-    end
-    | Pload (r, s, _) ->
-      if small s then int_res r
-      else if s = Irtype.F32 || s = Irtype.F64 then float_res r
-      else boxed r
+    | Palloca (r, _, _) ->
+      (* a slot's alloca writes the slot's zero in the slot's class *)
+      write r
+        (match Hashtbl.find_opt slots r with Some s -> of_scalar s | None -> Rbox)
+    | Pload (r, s, _) -> write r (of_scalar s)
     | Pstore (s, _, Preg rp) when Hashtbl.mem slots rp ->
       (* a whole-slot store writes the slot register in its class *)
-      if small s then int_res rp
-      else if s = Irtype.F32 || s = Irtype.F64 then float_res rp
-      else boxed rp
+      write rp (of_scalar s)
     | Pstore _ | Psancheck | Ploc _ -> ()
-    | Pgep (r, _, _) -> boxed r
+    | Pgep (r, _, _) | Pcall (r, _, _, _) -> write r Rbox
     | Pbinop (r, op, s, _, _, _) ->
-      if binop_kind op = k_fbinop then float_res r
-      else if small s then int_res r
-      else boxed r
-    | Picmp (r, _, _, _, _, _) -> int_res r
-    | Pfcmp (r, _, _, _, _) -> int_res r
-    | Pcast (r, op, from, into, _, _) -> begin
-      match op with
-      | (Instr.Trunc | Instr.Sext | Instr.Zext) when small into -> int_res r
-      | (Instr.Fptosi | Instr.Fptoui) when small into -> int_res r
-      | Instr.Fptrunc | Instr.Fpext | Instr.Sitofp | Instr.Uitofp ->
-        float_res r
-      | Instr.Bitcast when Irtype.is_float_scalar from && into = Irtype.I32 ->
-        int_res r
-      | Instr.Bitcast
-        when (not (Irtype.is_float_scalar from))
-             && Irtype.is_float_scalar into ->
-        float_res r
-      | _ -> boxed r
-    end
-    | Pselect (r, _, a, b) ->
-      move r a;
-      move r b
-    | Pcall (r, _, _, _) -> boxed r
+      write r
+        (if binop_kind op = k_fbinop then Rfloat
+         else if small s then Rint
+         else Rbox)
+    | Picmp (r, _, _, _, _, _) | Pfcmp (r, _, _, _, _) -> write r Rint
+    | Pcast (r, op, from, into, _, _) ->
+      write r
+        (match op with
+        | (Instr.Trunc | Instr.Sext | Instr.Zext) when small into -> Rint
+        | (Instr.Fptosi | Instr.Fptoui) when small into -> Rint
+        | Instr.Fptrunc | Instr.Fpext | Instr.Sitofp | Instr.Uitofp -> Rfloat
+        | Instr.Bitcast when Irtype.is_float_scalar from && into = Irtype.I32 ->
+          Rint
+        | Instr.Bitcast
+          when (not (Irtype.is_float_scalar from))
+               && Irtype.is_float_scalar into ->
+          Rfloat
+        | _ -> Rbox)
+  in
+  let edge (Edge (_, c)) =
+    match c with
+    | Pc_copy (dests, _) -> Array.iter (fun d -> write d Rbox) dests
+    | Pc_none -> ()
   in
   List.iter
     (Array.iter (fun blk ->
          Array.iter instr blk.pb_instrs;
          iter_edges edge blk.pb_term))
     blocks_list;
-  List.iter (Array.iter boxed) boxed_roots;
-  let solve (writers : writer list array) : bool array =
-    let unboxed =
-      Array.map
-        (fun ws -> ws <> [] && not (List.exists (fun w -> w = Wno) ws))
-        writers
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for r = 0 to nregs - 1 do
-        if
-          unboxed.(r)
-          && List.exists
-               (function Wdep d -> not unboxed.(d) | Wyes | Wno -> false)
-               writers.(r)
-        then begin
-          unboxed.(r) <- false;
-          changed := true
-        end
-      done
-    done;
-    unboxed
-  in
-  let ui = solve wi and uf = solve wf in
-  Array.init nregs (fun r ->
-      if ui.(r) then Rint else if uf.(r) then Rfloat else Rbox)
+  List.iter (Array.iter (fun r -> write r Rbox)) boxed_roots;
+  Array.map (function Some c -> c | None -> Rbox) cls
 
 (* ------------------------------------------------------------------ *)
 (* The compiler                                                        *)
@@ -688,8 +605,8 @@ let compile (st0 : state) (pf : pfunc) : compiled =
     else fun fr v -> Array.unsafe_set fr.fr_regs r (Mval.Vint (Int64.of_int v))
   in
   (* Native-float view.  [Verify] keeps integer operands out of float
-     uses; the one [Rint] register a float use can read is a pure-move
-     cycle's, which holds its zero and falls through the boxed view. *)
+     uses, so a register read here is [Rfloat] or [Rbox]; anything else
+     falls through the boxed view. *)
   let fget (v : pval) : frame -> float =
     match v with
     | Preg r when cls.(r) = Rfloat ->
@@ -754,82 +671,26 @@ let compile (st0 : state) (pf : pfunc) : compiled =
     let nblocks = Array.length iblocks in
     let cells = Array.init nblocks (fun _ -> ref unset) in
 
-    (* --- edges: phi parallel copy, then a direct-threaded jump --- *)
+    (* --- edges: phi parallel copy, then a direct-threaded jump ---
+       Phi destinations are boxed ([classify]); every source is read,
+       each after its charge, before any destination is written, as in
+       the interpreter. *)
     let compile_jump (copies : phicopy) (jump : cont ref) : cont =
       match copies with
       | Pc_none -> fun st fr -> !jump st fr
       | Pc_copy (dests, srcs) ->
         let n = Array.length dests in
-        if n = 1 then begin
-          let d = dests.(0) in
-          match cls.(d) with
-          | Rint ->
-            let ig = iget srcs.(0) in
-            fun st fr ->
-              charge st ctrs k_phi limit;
-              Array.unsafe_set fr.fr_iregs d (ig fr);
-              !jump st fr
-          | Rfloat ->
-            let fg = fget srcs.(0) in
-            fun st fr ->
-              charge st ctrs k_phi limit;
-              Array.unsafe_set fr.fr_fregs d (fg fr);
-              !jump st fr
-          | Rbox -> begin
-            match srcs.(0) with
-            | Preg rs when cls.(rs) = Rbox ->
-              fun st fr ->
-                charge st ctrs k_phi limit;
-                fr.fr_regs.(d) <- fr.fr_regs.(rs);
-                !jump st fr
-            | src ->
-              let g = getter src in
-              fun st fr ->
-                charge st ctrs k_phi limit;
-                fr.fr_regs.(d) <- g fr;
-                !jump st fr
-          end
-        end
-        else begin
-          (* parallel copy with a mixed register file: each class
-             moves through its own scratch array; all sources are
-             read before any write, as in the interpreter *)
-          let kinds = Array.map (fun d -> cls.(d)) dests in
-          let igs =
-            Array.mapi
-              (fun i s -> if kinds.(i) = Rint then iget s else fun _ -> 0)
-              srcs
-          in
-          let fgs =
-            Array.mapi
-              (fun i s -> if kinds.(i) = Rfloat then fget s else fun _ -> 0.0)
-              srcs
-          in
-          let gs =
-            Array.mapi
-              (fun i s ->
-                if kinds.(i) = Rbox then getter s else fun _ -> Mval.zero)
-              srcs
-          in
-          fun st fr ->
-            let tmpi = Array.make n 0 in
-            let tmpf = Array.make n 0.0 in
-            let tmpv = Array.make n Mval.zero in
-            for i = 0 to n - 1 do
-              charge st ctrs k_phi limit;
-              match kinds.(i) with
-              | Rint -> tmpi.(i) <- igs.(i) fr
-              | Rfloat -> tmpf.(i) <- fgs.(i) fr
-              | Rbox -> tmpv.(i) <- gs.(i) fr
-            done;
-            for i = 0 to n - 1 do
-              match kinds.(i) with
-              | Rint -> Array.unsafe_set fr.fr_iregs dests.(i) tmpi.(i)
-              | Rfloat -> Array.unsafe_set fr.fr_fregs dests.(i) tmpf.(i)
-              | Rbox -> fr.fr_regs.(dests.(i)) <- tmpv.(i)
-            done;
-            !jump st fr
-        end
+        let gs = Array.map getter srcs in
+        fun st fr ->
+          let tmp = Array.make n Mval.zero in
+          for i = 0 to n - 1 do
+            charge st ctrs k_phi limit;
+            tmp.(i) <- gs.(i) fr
+          done;
+          for i = 0 to n - 1 do
+            fr.fr_regs.(dests.(i)) <- tmp.(i)
+          done;
+          !jump st fr
     in
     let compile_edge (Edge (idx, copies) : pedge) : cont =
       compile_jump copies cells.(idx)
@@ -964,30 +825,20 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               if Int64.equal (Mval.as_int (g fr)) 0L then kb st fr
               else ka st fr)
       end
-      | Pswitch (v, impl, default) ->
+      | Pswitch (v, keys, edges, default) ->
         let gv = getter v in
         let kd = compile_edge default in
-        (match impl with
-        | Sw_linear (keys, edges) ->
-          let ks = Array.map compile_edge edges in
-          let nk = Array.length keys in
-          fun st fr ->
-            charge st ctrs k_term limit;
-            let x = Mval.as_int (gv fr) in
-            let rec find i =
-              if i >= nk then kd
-              else if Int64.equal keys.(i) x then ks.(i)
-              else find (i + 1)
-            in
-            (find 0) st fr
-        | Sw_table tbl ->
-          let ctbl = Hashtbl.create (2 * Hashtbl.length tbl) in
-          Hashtbl.iter (fun k e -> Hashtbl.replace ctbl k (compile_edge e)) tbl;
-          fun st fr ->
-            charge st ctrs k_term limit;
-            let x = Mval.as_int (gv fr) in
-            (match Hashtbl.find_opt ctbl x with Some k -> k | None -> kd)
-              st fr)
+        let ks = Array.map compile_edge edges in
+        let nk = Array.length keys in
+        fun st fr ->
+          charge st ctrs k_term limit;
+          let x = Mval.as_int (gv fr) in
+          let rec find i =
+            if i >= nk then kd
+            else if Int64.equal keys.(i) x then ks.(i)
+            else find (i + 1)
+          in
+          (find 0) st fr
       | Punreachable ->
         fun st _fr ->
           charge st ctrs k_term limit;
@@ -1528,28 +1379,6 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           | (Instr.Trunc | Instr.Sext | Instr.Zext), Scalar.Int_to_int f ->
             conv boxed_int f (fun fr x -> fr.fr_regs.(r) <- Mval.Vint x)
           | _ -> conv (getter v) boxed (fun fr x -> fr.fr_regs.(r) <- x))
-      | Pselect (r, c, a, b) -> begin
-        match cls.(r) with
-        | Rint ->
-          let gc = iget c and ga = iget a and gb = iget b in
-          fun st fr ->
-            charge st ctrs k_select limit;
-            Array.unsafe_set fr.fr_iregs r (if gc fr = 0 then gb fr else ga fr);
-            next st fr
-        | Rfloat ->
-          let gc = iget c and ga = fget a and gb = fget b in
-          fun st fr ->
-            charge st ctrs k_select limit;
-            Array.unsafe_set fr.fr_fregs r (if gc fr = 0 then gb fr else ga fr);
-            next st fr
-        | Rbox ->
-          let gc = getter c and ga = getter a and gb = getter b in
-          fun st fr ->
-            charge st ctrs k_select limit;
-            fr.fr_regs.(r) <-
-              (if Int64.equal (Mval.as_int (gc fr)) 0L then gb fr else ga fr);
-            next st fr
-      end
       | Psancheck ->
         fun st fr ->
           charge st ctrs k_sancheck limit;
@@ -1647,28 +1476,14 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                 ignore (eval_args fr);
                 failwith ("interp: unknown builtin " ^ name)
           end
-          | Pindirect (v, ic) ->
+          | Pindirect v ->
             let gv = getter v in
             fun st fr ->
               charge st ctrs k_call limit;
               let argv = eval_args fr in
               (match Mval.as_ptr ctx (gv fr) with
               | Mobject.Pfunc name ->
-                let tgt =
-                  if name == ic.ic_name || String.equal name ic.ic_name
-                  then begin
-                    st.ic_hits <- st.ic_hits + 1;
-                    ic.ic_target
-                  end
-                  else begin
-                    st.ic_misses <- st.ic_misses + 1;
-                    let t = resolve_callee st name in
-                    ic.ic_name <- name;
-                    ic.ic_target <- t;
-                    t
-                  end
-                in
-                finish fr (exec_target st tgt argv scalars)
+                finish fr (exec_target st (resolve_callee st name) argv scalars)
               | Mobject.Pnull -> Merror.raise_error Merror.Null_deref ctx
               | Mobject.Pobj _ | Mobject.Pinvalid _ ->
                 Merror.raise_error
@@ -1821,4 +1636,4 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             slots;
           !(cells.(idx)) st fr)
   in
-  { cb_entry; cb_osr; cb_frame = Some acquire }
+  { cb_entry; cb_osr; cb_frame = acquire }

@@ -322,12 +322,6 @@ and exec_block st (pf : pfunc) (regs : Nvalue.t array) (block_idx : int)
       | Instr.Cast (r, _, _, _, v) ->
         charge st Cop;
         regs.(r) <- op1 blk.pb_ops.(i) (ev v)
-      | Instr.Select (r, _, c, a, b) ->
-        charge st Cop;
-        let cv = ev c in
-        if not (defined cv) then
-          st.hooks.Hooks.on_undef_use "select on uninitialised value";
-        regs.(r) <- (if as_int cv <> 0L then ev a else ev b)
       | Instr.Phi _ ->
         (* LLVM phis are a parallel copy: the head of the maximal run of
            phis is evaluated in full before any destination is written,

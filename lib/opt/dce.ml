@@ -14,7 +14,7 @@ let run_func ~(semantics : [ `Ub | `Safe ]) (f : Irfunc.t) : bool =
     match i with
     | Instr.Load _ -> semantics = `Ub
     | Instr.Alloca _ | Instr.Gep _ | Instr.Binop _ | Instr.Icmp _
-    | Instr.Fcmp _ | Instr.Cast _ | Instr.Select _ | Instr.Phi _ ->
+    | Instr.Fcmp _ | Instr.Cast _ | Instr.Phi _ ->
       true
     | Instr.Store _ | Instr.Call _ | Instr.Sancheck _ | Instr.Srcloc _ -> false
   in

@@ -70,8 +70,6 @@ let run_func (f : Irfunc.t) : bool =
       | Instr.Binop (_, op, s, a, b) -> fold_binop op s a b
       | Instr.Icmp (_, op, s, a, b) -> fold_icmp op s a b
       | Instr.Cast (_, op, from, into, v) -> fold_cast op from into v
-      | Instr.Select (_, _, c, a, b) ->
-        Option.map (fun x -> if x <> 0L then a else b) (as_const c)
       | _ -> None
     in
     match (folded, Instr.def_of i) with

@@ -34,7 +34,6 @@ let remap_instr map relabel (i : Instr.instr) : Instr.instr =
   | Instr.Icmp (r, op, s, a, b) -> Instr.Icmp (d r, op, s, a, b)
   | Instr.Fcmp (r, op, s, a, b) -> Instr.Fcmp (d r, op, s, a, b)
   | Instr.Cast (r, op, from, into, x) -> Instr.Cast (d r, op, from, into, x)
-  | Instr.Select (r, s, c, a, b) -> Instr.Select (d r, s, c, a, b)
   | Instr.Call (r, ret, callee, args) -> Instr.Call (Option.map d r, ret, callee, args)
   | Instr.Phi (r, s, incoming) ->
     Instr.Phi (d r, s, List.map (fun (l, x) -> (relabel l, x)) incoming)

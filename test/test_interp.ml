@@ -207,11 +207,14 @@ let swap_phi_module () =
   m
 
 let test_phi_parallel_copy () =
-  let st = Interp.create (swap_phi_module ()) in
-  let r = Interp.run st in
   (* after 3 parallel swaps of (1,2): a=1 b=2 -> 12; the sequential
-     (buggy) execution returns 22 *)
-  Alcotest.(check int) "parallel swap survives the loop" 12 r.Interp.exit_code
+     (buggy) execution returns 22 — interpreted, and with [main]
+     compiled at its first call *)
+  List.iter
+    (fun tier ->
+      let r = Interp.run (Interp.create ?tier (swap_phi_module ())) in
+      Alcotest.(check int) "parallel swap survives the loop" 12 r.Interp.exit_code)
+    [ None; Some (Tier.controller ~threshold:0 ()) ]
 
 let test_unknown_symbol_call () =
   (* A direct call to a symbol that is neither a user function nor a
@@ -354,7 +357,7 @@ let check_output name src expected () =
   Alcotest.(check string) name expected r.Interp.output
 
 let test_switch_dense_small =
-  check_output "switch dense below threshold"
+  check_output "switch dense, three cases"
     {|
 int main(void) {
   int i;
@@ -375,7 +378,7 @@ int main(void) {
     "10 20 30 -1 -1 -1 \n"
 
 let test_switch_sparse_small =
-  check_output "switch sparse below threshold"
+  check_output "switch sparse, three cases"
     {|
 int main(void) {
   int keys[5] = { 1, 100, 1000, 7, 100 };
@@ -395,7 +398,7 @@ int main(void) {
     "abc?b\n"
 
 let test_switch_dense_large =
-  check_output "switch dense above hashtable threshold"
+  check_output "switch dense, ten cases"
     {|
 int main(void) {
   int i;
@@ -423,7 +426,7 @@ int main(void) {
     "3 6 9 12 15 18 21 24 27 30 -7 -7 \n"
 
 let test_switch_sparse_large =
-  check_output "switch sparse above hashtable threshold"
+  check_output "switch sparse, ten cases"
     {|
 int classify(int x) {
   switch (x) {
@@ -449,10 +452,10 @@ int main(void) {
 |}
     "1 6 9 0 10\n"
 
-let test_indirect_call_cache_flip =
-  (* The one-entry inline cache must survive a callee that changes on
-     every iteration (permanent miss path) and still call the right
-     function. *)
+let test_indirect_call_target_flip =
+  (* An indirect call resolves the name its pointer carries at each
+     call, so a target that changes on every iteration is called right
+     each time. *)
   check_output "indirect call target flips each iteration"
     {|
 int add1(int x) { return x + 1; }
@@ -688,8 +691,8 @@ let () =
           Alcotest.test_case "switch dense large" `Quick test_switch_dense_large;
           Alcotest.test_case "switch sparse large" `Quick
             test_switch_sparse_large;
-          Alcotest.test_case "indirect call inline-cache miss path" `Quick
-            test_indirect_call_cache_flip;
+          Alcotest.test_case "indirect call target flips" `Quick
+            test_indirect_call_target_flip;
           Alcotest.test_case "bodies are prepared at first call" `Quick
             test_prepare_at_first_call;
         ] );

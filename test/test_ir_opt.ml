@@ -65,6 +65,47 @@ let with_global ?(ty = Irtype.MScalar Irtype.Ptr) init =
 
 let i32_array n = Irtype.MArray (Irtype.MScalar Irtype.I32, n)
 
+(* [@f] calls [@g], defined to return a double, as returning an i32. *)
+let call_result_class () =
+  let g =
+    { (mk_func
+         ~blocks:
+           [ { Irfunc.label = "entry"; instrs = [];
+               term = Instr.Ret (Some (Irtype.F64, f64 1.0)) } ])
+      with Irfunc.name = "g"; ret = Some Irtype.F64 }
+  in
+  let f =
+    mk_func
+      ~blocks:
+        [
+          { Irfunc.label = "entry";
+            instrs = [ Instr.Call (Some 1, Some Irtype.I32, Instr.Direct "g", []) ];
+            term = Instr.Ret (Some (Irtype.I32, Instr.Reg 1)) };
+        ]
+  in
+  { Irmod.globals = []; funcs = [ f; g ]; externs = [] }
+
+(* [@f] passes a pointer where the extern [@__sulong_sqrt] declares a
+   double. *)
+let call_argument_class () =
+  let m =
+    mk_mod
+      (mk_func
+         ~blocks:
+           [
+             entry_block
+               [
+                 Instr.Call
+                   (Some 1, Some Irtype.F64, Instr.Direct "__sulong_sqrt",
+                    [ (Irtype.Ptr, Instr.Null) ]);
+               ];
+           ])
+  in
+  m.Irmod.externs <-
+    [ { Irmod.e_name = "__sulong_sqrt"; e_ret = Some Irtype.F64;
+        e_params = [ Irtype.F64 ]; e_variadic = false } ];
+  m
+
 let rejection_cases () : (string * Irmod.t) list =
   let one blocks = mk_mod (mk_func ~blocks) in
   let add1 =
@@ -165,6 +206,12 @@ let rejection_cases () : (string * Irmod.t) list =
        ~ty:(Irtype.MArray (Irtype.MScalar Irtype.Ptr, 2))
        (Irmod.Garray [ Irmod.Gzero; Irmod.Gfunc_addr "ghost" ]));
     ("f: function has no blocks", one []);
+    (* Direct calls whose classes disagree with the callee's signature. *)
+    ( "f: %1 = call i32 @g() has a result of the wrong class for @g",
+      call_result_class () );
+    ( "f: %1 = call double @__sulong_sqrt(ptr null) passes null of the wrong \
+       class to @__sulong_sqrt",
+      call_argument_class () );
     (* Operands of the other class than their use computes on: an
        immediate, a register, a returned register and immediate (a
        function's result has its return type's class), a branch
@@ -322,6 +369,34 @@ let test_verify_operand_classes () =
             ]))
 
 let test_verify_function_blocks () = expect_rejection "f: function has no blocks"
+
+(* A callee computes its result and reads its parameters in the classes
+   it declares, so a direct call must agree with them; a variadic
+   callee's extra arguments and a void callee's result are free. *)
+let test_verify_call_signatures () =
+  expect_rejection "f: %1 = call i32 @g() has a result of the wrong class for @g";
+  expect_rejection
+    "f: %1 = call double @__sulong_sqrt(ptr null) passes null of the wrong \
+     class to @__sulong_sqrt";
+  let m =
+    mk_mod
+      (mk_func
+         ~blocks:
+           [
+             entry_block
+               [
+                 Instr.Call
+                   (Some 1, Some Irtype.I32, Instr.Direct "v",
+                    [ (Irtype.Ptr, Instr.Null); (Irtype.F64, f64 1.0) ]);
+                 Instr.Call (Some 2, Some Irtype.F64, Instr.Direct "w", []);
+               ];
+           ])
+  in
+  m.Irmod.externs <-
+    [ { Irmod.e_name = "v"; e_ret = Some Irtype.I32; e_params = [ Irtype.Ptr ];
+        e_variadic = true };
+      { Irmod.e_name = "w"; e_ret = None; e_params = []; e_variadic = false } ];
+  Verify.verify m
 
 (* A phi needs an entry for each predecessor edge; the entry block has
    none to give it. *)
@@ -497,7 +572,19 @@ int main(void) { return (int)strlen("abc"); }
   (* A broken user definition replacing a libc one is checked too. *)
   rejects "strlen: terminator uses undefined register %7"
     (mk_mod
-       { undefined_reg_func with Irfunc.name = "strlen" })
+       { undefined_reg_func with Irfunc.name = "strlen" });
+  (* A replacement under another signature breaks the libc's own calls
+     to it, which the per-program check must find too. *)
+  rejects
+    "strcat: %6 = call i64 @strlen(ptr %5) has a result of the wrong class \
+     for @strlen"
+    (mk_mod
+       { (mk_func
+            ~blocks:
+              [ { Irfunc.label = "entry"; instrs = [];
+                  term = Instr.Ret (Some (Irtype.F64, Instr.Reg 1)) } ])
+         with Irfunc.name = "strlen"; params = [ (1, Irtype.F64) ];
+              ret = Some Irtype.F64 })
 
 (* ---------------- CFG analyses ---------------- *)
 
@@ -1015,7 +1102,13 @@ let test_parse_errors_have_lines () =
   expect_error (in_body "  %1 = fadd double double 1.x, double 0x1p+0");
   expect_error (in_body "  %1 = alloca [x x i32]");
   expect_error "%struct.s = type { i32 a @x } size 4 align 4\n";
-  expect_error "@s = global [2 x i8] c\"\\999\"\n"
+  expect_error "@s = global [2 x i8] c\"\\999\"\n";
+  (* the IR has no select instruction *)
+  match Irparse.parse (in_body "  %1 = select i32 i1 1, i32 2, i32 3") with
+  | _ -> Alcotest.fail "expected parse error for select"
+  | exception Irparse.Parse_error (line, msg) ->
+    Alcotest.(check (pair int string)) "select" (3, "unknown opcode \"select\"")
+      (line, msg)
 
 let gen_roundtrip_prop =
   QCheck.Test.make ~count:15 ~name:"random programs round-trip through text"
@@ -1093,7 +1186,7 @@ let parse_fuzz_prop =
    successors [term_successors] lists: an instruction variant added to
    one traversal and missed in another fails here.  Over the
    libc-linked corpus modules, their -O3 and ASan-instrumented forms,
-   and a program with a hashed (>= 8 cases) and a scanned switch. *)
+   and a program with a nine-case and a two-case switch. *)
 let switch_program =
   {|
 int big(int x) {
@@ -1283,6 +1376,8 @@ let () =
             test_verify_operand_classes;
           Alcotest.test_case "functions have blocks" `Quick
             test_verify_function_blocks;
+          Alcotest.test_case "direct calls match the callee's signature" `Quick
+            test_verify_call_signatures;
           Alcotest.test_case "duplicate function" `Quick
             test_verify_duplicate_function;
           Alcotest.test_case "canonical immediates" `Quick

@@ -639,8 +639,7 @@ let test_switch_long_scrutinee_exact () =
    sums of the per-function kind counters, so together they equal
    [interp.steps] — also when the run stops at its step limit, on any
    kind of operation.  The program runs after the safe-jit pipeline
-   (phi copies), calls through a pointer (inline cache) and mixes float
-   work in. *)
+   (phi copies), calls through a pointer and mixes float work in. *)
 let op_sum_src =
   {|
 int twice(int x) { return 2 * x; }

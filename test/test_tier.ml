@@ -11,12 +11,22 @@
 
 let step_limit = 50_000_000
 
-(* Run [p] through the standard Safe Sulong pipeline, optionally with
-   the tier controller forced hot so every function compiles at first
-   call, or at the production threshold. *)
-let run_program ?tier (p : Groundtruth.program) : Interp.run_result =
+(* [p] through the standard Safe Sulong pipeline, or after the safe-jit
+   pipeline when [safe_jit]. *)
+let load ?(safe_jit = false) (p : Groundtruth.program) : Irmod.t =
   let m = Loader.load_program p.Groundtruth.source in
   Pipeline.compile_sulong m;
+  if safe_jit then begin
+    ignore (Pipeline.safe_jit m);
+    Verify.verify m
+  end;
+  m
+
+(* Run [p]'s module [m], optionally with the tier controller forced hot
+   so every function compiles at first call, or at the production
+   threshold. *)
+let run_module ?tier (p : Groundtruth.program) (m : Irmod.t) :
+    Interp.run_result =
   let tier =
     match tier with
     | Some `Forced -> Some (Tier.controller ~threshold:0 ())
@@ -27,6 +37,8 @@ let run_program ?tier (p : Groundtruth.program) : Interp.run_result =
     Interp.create ~step_limit ~mementos:true ~input:p.Groundtruth.input ?tier m
   in
   Interp.run ~argv:p.Groundtruth.argv st
+
+let run_program ?tier p = run_module ?tier p (load p)
 
 (* The per-function counters of [run_profile], one line per function in
    name order, every kind's count by name.  Both tiers charge every
@@ -82,12 +94,18 @@ let check_kind_sum what (r : Interp.run_result) =
   in
   Alcotest.(check int) (what ^ ": kind counts sum to steps") r.Interp.steps total
 
-let check_program ?(tier = `Forced) (p : Groundtruth.program) =
-  let interp = run_program p and tiered = run_program ~tier p in
+(* Both tiers agree on [p]; the tiered run. *)
+let check_program ?(tier = `Forced) ?safe_jit (p : Groundtruth.program) =
+  let m = load ?safe_jit p in
+  let interp = run_module p m and tiered = run_module ~tier p m in
   check_kind_sum p.Groundtruth.id interp;
   check_kind_sum (p.Groundtruth.id ^ ", tiered") tiered;
   Alcotest.(check string) ("tier equivalence: " ^ p.Groundtruth.id)
-    (observe interp) (observe tiered)
+    (observe interp) (observe tiered);
+  tiered
+
+let check_programs ?tier ps =
+  List.iter (fun p -> ignore (check_program ?tier p)) ps
 
 (* ---------------- whole-corpus sweep ---------------- *)
 
@@ -104,8 +122,26 @@ let fixed_programs =
         p.Groundtruth.fixed)
     Corpus.all
 
-let test_corpus_sweep () = List.iter check_program Corpus.all
-let test_fixed_sweep () = List.iter check_program fixed_programs
+let test_corpus_sweep () = check_programs Corpus.all
+let test_fixed_sweep () = check_programs fixed_programs
+
+(* The front end emits no phi, so the sweeps above run no phi edge in
+   compiled code.  After the safe-jit pipeline (mem2reg) the linked
+   modules hold tens of thousands of phis, and at threshold 0 their
+   edges run through the compiled boxed parallel copy: on the bugs'
+   error paths (deopt, then the interpreted provenance replay) and on
+   the repaired variants' clean runs. *)
+let test_safe_jit_sweep () =
+  let phi_copies =
+    List.fold_left
+      (fun acc p ->
+        let r = check_program ~safe_jit:true p in
+        Hashtbl.fold
+          (fun _ c acc -> acc + c.Interp.c_kinds.(Interp.k_phi))
+          r.Interp.run_profile.Interp.funcs acc)
+      0 (Corpus.all @ fixed_programs)
+  in
+  if phi_copies = 0 then Alcotest.fail "no phi edge ran after safe-jit"
 
 (* ---------------- tier-up really happens ---------------- *)
 
@@ -541,7 +577,7 @@ let test_step_limit_law () =
    production threshold, where corpus functions stay interpreted under
    the controller's probes. *)
 let test_corpus_default_threshold () =
-  List.iter (check_program ~tier:`Default) (Corpus.all @ fixed_programs)
+  check_programs ~tier:`Default (Corpus.all @ fixed_programs)
 
 (* ---------------- tiny-callee inlining ---------------- *)
 
@@ -678,6 +714,8 @@ let () =
             test_corpus_sweep;
           Alcotest.test_case "repaired corpus, interp vs tiered" `Quick
             test_fixed_sweep;
+          Alcotest.test_case "corpus after safe-jit, interp vs tiered" `Quick
+            test_safe_jit_sweep;
         ] );
       ( "controller",
         [
