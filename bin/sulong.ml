@@ -158,21 +158,18 @@ let do_run file engine level tiered args input_text detect_uninit detect_leaks
               Printf.eprintf "run: --profile is Safe Sulong only; ignored\n";
             let r = Engine.run ~argv ~input:input_text ~detect_uninit tool src in
             print_string r.Engine.output;
-            match r.Engine.outcome with
+            (match r.Engine.outcome with
             | Outcome.Finished code ->
               Printf.eprintf "[%s] exited with %d (%d operations)\n"
-                (Engine.tool_name tool) code r.Engine.steps;
-              code
+                (Engine.tool_name tool) code r.Engine.steps
             | Outcome.Detected { tool = t; kind; message } ->
-              Printf.eprintf "[%s] ERROR DETECTED (%s): %s\n" t kind message;
-              1
+              Printf.eprintf "[%s] ERROR DETECTED (%s): %s\n" t kind message
             | Outcome.Crashed what ->
               Printf.eprintf "[%s] program crashed: %s\n" (Engine.tool_name tool)
-                what;
-              139
+                what
             | Outcome.Timeout ->
-              Printf.eprintf "[%s] step limit exceeded\n" (Engine.tool_name tool);
-              124
+              Printf.eprintf "[%s] step limit exceeded\n" (Engine.tool_name tool));
+            r.Engine.exit_code
           end)
     in
     obs_end ~metrics ~trace_file code
@@ -309,7 +306,8 @@ let do_run_ir file args input_text =
   diagnosing file (fun () ->
       let m = Irparse.parse (read_file file) in
       Loader.check_references [] m;
-      run_managed ~argv:(file :: args) ~input:input_text (Loader.link_libc m))
+      run_managed ~argv:(file :: args) ~input:input_text
+        (Loader.link_libc (Loader.libc ()) m))
 
 let ir_file_arg =
   Arg.(

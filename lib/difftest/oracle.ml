@@ -91,13 +91,13 @@ let guard (f : unit -> 'a) : ('a, string) result =
 (** Front-end products shared by every configuration with the same
     immediate-folding setting: the user module is parsed once and the
     managed link (link + verify of the user's functions) runs once,
-    instead of once per configuration.  Safe to share because nothing downstream
-    mutates them: the native pipeline and the managed middle-end
-    configurations each rewrite an [Irmod.copy], and the interpreter
-    only reads the module it prepares.  Lazy so a seed exercising only
-    one folding mode never pays for the other, and so a front-end
-    failure memoizes as the same error key the failing configurations
-    all report. *)
+    instead of once per configuration.  Safe to share because nothing
+    downstream mutates them: the native pipeline and the managed
+    middle-end configurations each rewrite an [Irmod.copy] of the user
+    module, and the interpreter only reads the module it prepares.  Lazy
+    so a seed exercising only one folding mode never pays for the other,
+    and so a front-end failure memoizes as the same error key the
+    failing configurations all report. *)
 type frontend = {
   fe_user : (Irmod.t, string) result Lazy.t;
   fe_managed : (Irmod.t, string) result Lazy.t;
@@ -112,11 +112,37 @@ let frontend_of (src : string) (fold : bool) : frontend =
       (match Lazy.force fe_user with
       | Error _ as e -> e
       | Ok user ->
-        (* the shared (uncopied) libc: [link] is pure and every
-           mutating configuration copies the linked module first *)
-        guard (fun () -> Loader.link_libc ~shared:true user))
+        (* the shared (uncopied) libc: [link] is pure and the
+           interpreter only reads the module it runs *)
+        guard (fun () -> Loader.link_libc ~shared:true (Loader.libc ()) user))
   in
   { fe_user; fe_managed }
+
+(* The middle-end pipelines of [sulong/fold] and [sulong/safe-jit]. *)
+let fold_pipeline m = ignore (Pipeline.fixpoint [ ("fold", Fold.run) ] m)
+let safe_jit_pipeline m = ignore (Pipeline.safe_jit m)
+
+(** The libc after each pipeline, built and verified in full once per
+    process: the libc is the same on every seed. *)
+let folded_libc = lazy (Loader.optimized_libc fold_pipeline)
+let safe_jit_libc = lazy (Loader.optimized_libc safe_jit_pipeline)
+
+(** The module [sulong/fold] or [sulong/safe-jit] runs for [user]: the
+    pipeline over a copy of [user] alone, linked against the libc after
+    the same pipeline and checked with [Verify.verify_link].  That is
+    the module the pipeline makes of the whole linked program: every
+    pass works function by function, and a fixpoint round that reports
+    no change has made none, so a function's result does not depend on
+    the functions around it (test_ir_opt's per-part law pins it). *)
+let optimized mode (user : Irmod.t) : Irmod.t =
+  let pipeline, libc =
+    match mode with
+    | `FoldOnly -> (fold_pipeline, folded_libc)
+    | `SafeJit -> (safe_jit_pipeline, safe_jit_libc)
+  in
+  let m = Irmod.copy user in
+  pipeline m;
+  Loader.link_libc ~shared:true (Lazy.force libc) m
 
 let run_config (fe : frontend) (c : config) : observation =
   let key, output, loc =
@@ -139,16 +165,9 @@ let run_config (fe : frontend) (c : config) : observation =
               let m =
                 match mode with
                 | `Plain | `Tiered -> linked
-                | `FoldOnly ->
-                  let m = Irmod.copy linked in
-                  ignore (Pipeline.fixpoint [ ("fold", Fold.run) ] m);
-                  Verify.verify m;
-                  m
-                | `SafeJit ->
-                  let m = Irmod.copy linked in
-                  ignore (Pipeline.safe_jit m);
-                  Verify.verify m;
-                  m
+                | (`FoldOnly | `SafeJit) as mode ->
+                  (* the user module linked, so it was built *)
+                  optimized mode (Result.get_ok (Lazy.force fe.fe_user))
               in
               let tier =
                 match mode with

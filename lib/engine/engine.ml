@@ -22,6 +22,7 @@ let tool_name = function
 
 type result = {
   outcome : Outcome.t;
+  exit_code : int;
   output : string;
   steps : int;
   managed_profile : Interp.profile option;
@@ -39,6 +40,16 @@ type asan_options = {
 
 let default_asan =
   { strtok_interceptor = false; quarantine_cap = 1 lsl 18; fno_common = true }
+
+(* The status [sulong run] exits with: a failed symbol binding ends
+   with the dynamic linker's 127, any other crash with 139. *)
+let exit_status (o : Outcome.t) (crash : Nexec.crash option) =
+  match (o, crash) with
+  | Outcome.Finished code, _ -> code
+  | Outcome.Detected _, _ -> 1
+  | Outcome.Crashed _, Some (Nexec.Unbound _) -> 127
+  | Outcome.Crashed _, _ -> 139
+  | Outcome.Timeout, _ -> 124
 
 let run_sulong ~argv ~input ~step_limit ~mementos ~detect_uninit ~tier
     (src : string) : result =
@@ -65,6 +76,7 @@ let run_sulong ~argv ~input ~step_limit ~mementos ~detect_uninit ~tier
   in
   {
     outcome;
+    exit_code = exit_status outcome None;
     output = r.Interp.output;
     steps = r.Interp.steps;
     managed_profile = Some r.Interp.run_profile;
@@ -80,19 +92,23 @@ let native_outcome (r : Nexec.run_result) : Outcome.t =
         { tool = rep.Hooks.tool; kind = rep.Hooks.kind; message = rep.Hooks.message }
     | None, Some (Nexec.Segv addr) -> Outcome.Crashed (Printf.sprintf "SIGSEGV at 0x%Lx" addr)
     | None, Some (Nexec.Trap t) -> Outcome.Crashed t
+    | None, Some (Nexec.Unbound name) ->
+      Outcome.Crashed ("undefined symbol: " ^ name)
     | None, None -> Outcome.Finished r.Nexec.exit_code
 
 let wrap_native (r : Nexec.run_result) ~(promote_crash : string option) :
     result =
   let outcome =
-    match (native_outcome r, promote_crash) with
-    | Outcome.Crashed what, Some tool ->
-      (* Sanitizers catch fatal signals and report them. *)
+    match (native_outcome r, r.Nexec.crash, promote_crash) with
+    | Outcome.Crashed what, Some (Nexec.Segv _ | Nexec.Trap _), Some tool ->
+      (* Sanitizers catch fatal signals and report them; a failed symbol
+         binding ends the process before the program runs on. *)
       Outcome.Detected { tool; kind = "SEGV"; message = what }
-    | o, _ -> o
+    | o, _, _ -> o
   in
   {
     outcome;
+    exit_code = exit_status outcome r.Nexec.crash;
     output = r.Nexec.output;
     steps = r.Nexec.steps;
     managed_profile = None;

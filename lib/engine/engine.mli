@@ -18,6 +18,11 @@ val tool_name : tool -> string
 
 type result = {
   outcome : Outcome.t;
+  exit_code : int;
+      (** the status the process ends with, as [sulong run] reports it:
+          the program's own when it finished, 1 on a detection, 124 on a
+          timeout, 127 when the dynamic linker could not bind a symbol
+          the program calls, 139 on any other crash *)
   output : string;
   steps : int;  (** IR operations executed *)
   managed_profile : Interp.profile option;  (** Safe Sulong runs *)

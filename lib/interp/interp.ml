@@ -539,19 +539,32 @@ let read_input_char st =
   else -1
 
 (** Resolve a builtin name to its implementation.  Called when a direct
-    call site is prepared and on indirect-call cache misses — never on
-    the per-call hot path. *)
+    call site is prepared and at each indirect call. *)
 let lookup_builtin (name : string) :
     (state -> Mval.t array -> Mval.t option) option =
+  (* A builtin that reads its first [n] arguments.  A call passing fewer
+     (through a cast function pointer, or in IR text) is a type
+     violation, the same in both tiers, not a host exception. *)
+  let reads n f =
+    Some
+      (fun st args ->
+        if Array.length args < n then
+          Merror.raise_error
+            (Merror.Type_violation
+               (Printf.sprintf "%s called with %d arguments, it reads %d" name
+                  (Array.length args) n))
+            (context st)
+        else f st args)
+  in
   match name with
   | "__sulong_putchar" ->
-    Some
+    reads 1
       (fun st args ->
         Buffer.add_char st.out
           (Char.chr (Int64.to_int (arg_int args 0) land 0xff));
         Some (Mval.Vint (arg_int args 0)))
   | "__sulong_exit" ->
-    Some (fun _st args -> raise (Exit_program (Int64.to_int (arg_int args 0))))
+    reads 1 (fun _st args -> raise (Exit_program (Int64.to_int (arg_int args 0))))
   | "__sulong_abort" -> Some (fun _st _args -> raise (Exit_program 134))
   | "count_varargs" ->
     Some
@@ -565,7 +578,7 @@ let lookup_builtin (name : string) :
             (Merror.Varargs_error "count_varargs outside a variadic function")
             (context st))
   | "get_vararg" ->
-    Some
+    reads 1
       (fun st args ->
         let ctx = context st in
         match nearest_variadic_frame st with
@@ -600,23 +613,23 @@ let lookup_builtin (name : string) :
             (Merror.Varargs_error "get_vararg outside a variadic function")
             (context st))
   | "__sulong_format_pointer" ->
-    Some (fun _st args -> Some (Mval.Vint (Mval.as_int args.(0))))
+    reads 1 (fun _st args -> Some (Mval.Vint (Mval.as_int args.(0))))
   | "__sulong_read_char" ->
     Some (fun st _args -> Some (Mval.Vint (Int64.of_int (read_input_char st))))
   | "__sulong_unread_char" ->
-    Some
+    reads 1
       (fun st args ->
         if st.input_pos > 0 && Int64.to_int (arg_int args 0) >= 0 then
           st.input_pos <- st.input_pos - 1;
         Some (Mval.Vint 0L))
   | "malloc" ->
-    Some
+    reads 1
       (fun st args ->
         let size = Int64.to_int (arg_int args 0) in
         let obj = builtin_malloc st size in
         Some (Mval.Vptr (Mobject.Pobj { Mobject.obj; moff = 0 })))
   | "calloc" ->
-    Some
+    reads 2
       (fun st args ->
         let n = Int64.to_int (arg_int args 0) in
         let esize = Int64.to_int (arg_int args 1) in
@@ -625,7 +638,7 @@ let lookup_builtin (name : string) :
         Mobject.mark_initialized obj ~off:0 ~size:(n * esize);
         Some (Mval.Vptr (Mobject.Pobj { Mobject.obj; moff = 0 })))
   | "realloc" ->
-    Some
+    reads 2
       (fun st args ->
         let ctx = context st in
         let p = Mval.as_ptr ctx args.(0) in
@@ -670,25 +683,25 @@ let lookup_builtin (name : string) :
           Merror.raise_error
             (Merror.Invalid_free "bad pointer passed to realloc") ctx)
   | "free" ->
-    Some
+    reads 1
       (fun st args ->
         let ctx = context st in
         Mheap.free st.heap (Mval.as_ptr ctx args.(0)) ctx;
         None)
   | "__sulong_sqrt" ->
-    Some (fun _st args -> Some (Mval.Vfloat (sqrt (arg_float args 0))))
+    reads 1 (fun _st args -> Some (Mval.Vfloat (sqrt (arg_float args 0))))
   | "__sulong_sin" ->
-    Some (fun _st args -> Some (Mval.Vfloat (sin (arg_float args 0))))
+    reads 1 (fun _st args -> Some (Mval.Vfloat (sin (arg_float args 0))))
   | "__sulong_cos" ->
-    Some (fun _st args -> Some (Mval.Vfloat (cos (arg_float args 0))))
+    reads 1 (fun _st args -> Some (Mval.Vfloat (cos (arg_float args 0))))
   | "__sulong_atan" ->
-    Some (fun _st args -> Some (Mval.Vfloat (atan (arg_float args 0))))
+    reads 1 (fun _st args -> Some (Mval.Vfloat (atan (arg_float args 0))))
   | "__sulong_exp" ->
-    Some (fun _st args -> Some (Mval.Vfloat (exp (arg_float args 0))))
+    reads 1 (fun _st args -> Some (Mval.Vfloat (exp (arg_float args 0))))
   | "__sulong_log" ->
-    Some (fun _st args -> Some (Mval.Vfloat (log (arg_float args 0))))
+    reads 1 (fun _st args -> Some (Mval.Vfloat (log (arg_float args 0))))
   | "__sulong_pow" ->
-    Some
+    reads 2
       (fun _st args ->
         Some (Mval.Vfloat (Float.pow (arg_float args 0) (arg_float args 1))))
   | "__sulong_rand" ->
@@ -700,7 +713,7 @@ let lookup_builtin (name : string) :
        The decimal conversion itself happens host-side in [Floatfmt] so
        the managed libc, the native model and the difftest oracle share
        one float renderer (DESIGN.md §10). *)
-    Some
+    reads 5
       (fun st args ->
         let ctx = context st in
         let v = arg_float args 0 in

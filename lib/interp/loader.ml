@@ -13,14 +13,27 @@
     The result is the module Safe Sulong interprets: user code first (its
     definitions win), libc filling in the rest. *)
 
-let libc_cache : Irmod.t option ref = ref None
+(** A library a program links against: a module that passed
+    [Verify.verify] in full, and each name its functions call directly
+    with that name's signature in it ([Verify.callees]), which is what
+    [Verify.verify_link] needs to check a link against it.  Frozen: a
+    module linked from it shares its functions. *)
+type library = {
+  lib : Irmod.t;
+  lib_callees : (string * Verify.signature) list;
+}
 
-(** The cached libc front-end product, shared.  Callers must treat the
-    result — and anything a module linked from it aliases — as frozen:
-    copy before running a mutating pass. *)
-let libc_module_shared () : Irmod.t =
+let library (m : Irmod.t) : library =
+  Trace.span "verify" (fun () -> Verify.verify m);
+  { lib = m; lib_callees = Verify.callees m }
+
+let libc_cache : library option ref = ref None
+
+(** The libc as the front end produced it, compiled and verified once
+    per process. *)
+let libc () : library =
   match !libc_cache with
-  | Some m -> m
+  | Some l -> l
   | None ->
     (* Lowered with immediate folding on, as every production pipeline
        lowers, even when the first caller is a front end the
@@ -34,12 +47,23 @@ let libc_module_shared () : Irmod.t =
           Lower.frontend ~string_prefix:".libc.str" ~file:"<libc>"
             Libc_src.source)
     in
-    Trace.span "verify" (fun () -> Verify.verify m);
-    libc_cache := Some m;
-    m
+    let l = library m in
+    libc_cache := Some l;
+    l
+
+(** The cached libc front-end product, shared.  Callers must treat the
+    result — and anything a module linked from it aliases — as frozen:
+    copy before running a mutating pass. *)
+let libc_module_shared () : Irmod.t = (libc ()).lib
 
 (** The libc as an IR module (front-end output, unoptimized). *)
 let libc_module () : Irmod.t = Irmod.copy (libc_module_shared ())
+
+(** The libc after [pipeline], which runs on a copy; verified in full. *)
+let optimized_libc (pipeline : Irmod.t -> unit) : library =
+  let m = libc_module () in
+  pipeline m;
+  library m
 
 (* The prelude goes in front of every user source; it is lexed from
    below line 1 so the *user's* first line is line 1 in diagnostics and
@@ -123,26 +147,23 @@ let compile_user ?(file = "<input>") (src : string) : Irmod.t =
   check_references prog m;
   m
 
-let libc_callees = lazy (Verify.callees (libc_module_shared ()))
-
-(** Link [user] against the libc and verify the result.  The libc passed
-    full verification when the cache filled, so [Verify.verify_link]
-    checks only the user's globals and functions and the libc functions
-    that call a name the user gave another signature, which raises
-    exactly what [Verify.verify] of the whole linked module would. *)
-let link_libc ?(shared = false) (user : Irmod.t) : Irmod.t =
+(** Link [user] against [lib] and verify the result.  [lib] passed full
+    verification, so [Verify.verify_link] checks only the user's globals
+    and functions and the library functions that call a name the user
+    gave another signature, which raises exactly what [Verify.verify] of
+    the whole linked module would. *)
+let link_libc ?(shared = false) (lib : library) (user : Irmod.t) : Irmod.t =
   let linked =
     Trace.span "link" (fun () ->
-        Irmod.link user
-          (if shared then libc_module_shared () else libc_module ()))
+        Irmod.link user (if shared then lib.lib else Irmod.copy lib.lib))
   in
   Trace.span "verify" (fun () ->
-      Verify.verify_link ~lib_callees:(Lazy.force libc_callees) linked user);
+      Verify.verify_link ~lib_callees:lib.lib_callees linked user);
   linked
 
 (** Compile and link a complete program: user code + managed libc. *)
 let load_program ?file (src : string) : Irmod.t =
-  link_libc (compile_user ?file src)
+  link_libc (libc ()) (compile_user ?file src)
 
 (** Convenience for tests and examples: compile, link, interpret.  The
     interpreter knobs (step limit, mementos, uninitialized-read

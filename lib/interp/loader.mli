@@ -6,16 +6,32 @@
     user's definitions (and the libc functions calling a name they give
     another signature) are verified. *)
 
+(** A library a program links against: a module that passed
+    [Verify.verify] in full, with each name its functions call directly
+    and that name's signature in it ([Verify.callees]).  Frozen: a
+    module linked from it shares its functions, so run mutating passes
+    only on an [Irmod.copy]. *)
+type library = {
+  lib : Irmod.t;
+  lib_callees : (string * Verify.signature) list;
+}
+
+(** The managed libc as the front end produced it, compiled and verified
+    once per process. *)
+val libc : unit -> library
+
 (** The managed libc as a fresh IR module (front-end output, cached and
     deep-copied per call). *)
 val libc_module : unit -> Irmod.t
 
-(** The cached libc module itself, without the per-call deep copy.  The
-    result must be treated as frozen: a module linked from it aliases
-    its functions, so run mutating passes only on an [Irmod.copy].  Used
-    by the differential oracle, whose managed configurations copy before
-    any middle-end rewrite. *)
+(** The cached libc module itself, without the per-call deep copy: the
+    [lib] of [libc ()], frozen. *)
 val libc_module_shared : unit -> Irmod.t
+
+(** The libc after [pipeline], run on a fresh copy of it, as a library
+    (so verified in full).  The differential oracle builds one per
+    middle-end configuration, once per process. *)
+val optimized_libc : (Irmod.t -> unit) -> library
 
 (** Compile a user program (prelude visible, libc *not* linked) — what
     the native engines execute against the precompiled libc.  [file] is
@@ -32,16 +48,15 @@ val compile_user : ?file:string -> string -> Irmod.t
     address of, a function that neither [m] nor the runtime defines. *)
 val check_references : Ast.program -> Irmod.t -> unit
 
-(** Link a user module against the managed libc and verify it: the
-    user's globals and functions are checked against the linked
-    module's names and signatures, and so are the libc functions that
-    call a name the user gave another signature ([Verify.verify_link]).
-    That raises exactly the [Verify.Invalid] a full [Verify.verify] of
-    the linked module would (the libc was verified in full once).
-    [shared] (default false) links the cached libc itself instead of a
-    deep copy; the result then aliases the cache and must be treated as
-    frozen. *)
-val link_libc : ?shared:bool -> Irmod.t -> Irmod.t
+(** Link a user module against [lib] and verify it: the user's globals
+    and functions are checked against the linked module's names and
+    signatures, and so are the library functions that call a name the
+    user gave another signature ([Verify.verify_link]).  That raises
+    exactly the [Verify.Invalid] a full [Verify.verify] of the linked
+    module would.  [shared] (default false) links [lib]'s module itself
+    instead of a deep copy; the result then shares the library's
+    functions and must be treated as frozen. *)
+val link_libc : ?shared:bool -> library -> Irmod.t -> Irmod.t
 
 (** Compile and link the complete managed program (user + libc); the
     module Safe Sulong interprets.  [link_libc] of [compile_user]. *)

@@ -426,7 +426,10 @@ and jump st pf regs from_label target =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type crash = Segv of int64 | Trap of string
+(** How a run ended abnormally: a fatal signal, or a call to a function
+    neither the program nor the precompiled libc defines, which fails
+    the dynamic linker's lazy binding at the first call (exit 127). *)
+type crash = Segv of int64 | Trap of string | Unbound of string
 
 type run_result = {
   exit_code : int;
@@ -544,6 +547,8 @@ let run ?(argv = [ "program" ]) ?(envp = default_envp) (st : state) :
     | Nvalue.Prog_exit code -> finish ~code ~timed_out:false ()
     | Mem.Segfault addr -> finish ~code:139 ~crash:(Segv addr) ~timed_out:false ()
     | Nvalue.Native_trap name -> finish ~code:132 ~crash:(Trap name) ~timed_out:false ()
+    | Nlibc.Unknown_function name ->
+      finish ~code:127 ~crash:(Unbound name) ~timed_out:false ()
     | Hooks.Sanitizer_report r -> finish ~code:1 ~report:r ~timed_out:false ()
     | Step_limit_exceeded -> finish ~code:255 ~timed_out:true ()
   end

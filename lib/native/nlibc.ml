@@ -730,9 +730,9 @@ let call (ctx : ctx) (name : string) (args : Nvalue.t list) : Nvalue.t option =
   | "memcpy" | "memmove" ->
     intercept [ ai 0; ai 1; ai 2 ];
     let n = Int64.to_int (ai 2) in
-    Mem.check ctx.mem (ai 0) n;
-    Mem.check ctx.mem (ai 1) n;
     if sees ctx then begin
+      Mem.check ctx.mem (ai 0) n;
+      Mem.check ctx.mem (ai 1) n;
       (* memmove semantics via an OCaml-side copy of the source *)
       let tmp =
         String.init n (fun i ->
@@ -740,22 +740,19 @@ let call (ctx : ctx) (name : string) (args : Nvalue.t list) : Nvalue.t option =
       in
       write_str ctx (ai 0) tmp
     end
-    else
-      Bytes.blit ctx.mem.Mem.bytes (Int64.to_int (ai 1)) ctx.mem.Mem.bytes
-        (Int64.to_int (ai 0)) n;
+    else Mem.blit ctx.mem ~src:(ai 1) ~dst:(ai 0) n;
     ret_int (ai 0)
   | "memset" ->
     intercept [ ai 0; ai 2 ];
     let n = Int64.to_int (ai 2) in
-    Mem.check ctx.mem (ai 0) n;
-    if sees ctx then
+    if sees ctx then begin
+      Mem.check ctx.mem (ai 0) n;
       for i = 0 to n - 1 do
         lc_store ctx (Int64.add (ai 0) (Int64.of_int i)) ~size:1
           (Int64.logand (ai 1) 0xFFL)
       done
-    else
-      Bytes.fill ctx.mem.Mem.bytes (Int64.to_int (ai 0)) n
-        (Char.chr (Int64.to_int (ai 1) land 0xff));
+    end
+    else Mem.fill ctx.mem (ai 0) n (Char.chr (Int64.to_int (ai 1) land 0xff));
     ret_int (ai 0)
   | "memcmp" ->
     intercept [ ai 0; ai 1; ai 2 ];

@@ -162,11 +162,12 @@ let natural_loops (f : Irfunc.t) (info : info) : (string * string list) list =
   !loops
 
 (** Remove blocks unreachable from the entry, dropping phi edges that
-    came from removed blocks. *)
-let remove_unreachable (f : Irfunc.t) =
+    came from removed blocks; whether any block was removed. *)
+let remove_unreachable (f : Irfunc.t) : bool =
   let info = compute f in
   let reachable = Hashtbl.create 16 in
   Array.iter (fun l -> Hashtbl.replace reachable l ()) info.order;
+  let before = List.length f.Irfunc.blocks in
   f.Irfunc.blocks <-
     List.filter (fun (b : Irfunc.block) -> Hashtbl.mem reachable b.Irfunc.label)
       f.Irfunc.blocks;
@@ -181,4 +182,5 @@ let remove_unreachable (f : Irfunc.t) =
                 (r, s, List.filter (fun (l, _) -> Hashtbl.mem reachable l) incoming)
             | i -> i)
           b.Irfunc.instrs)
-    f.Irfunc.blocks
+    f.Irfunc.blocks;
+  List.length f.Irfunc.blocks < before

@@ -65,7 +65,7 @@ let run_func (f : Irfunc.t) : bool =
   let vars = promotable_allocas f in
   if vars = [] then false
   else begin
-    Cfg.remove_unreachable f;
+    ignore (Cfg.remove_unreachable f);
     let info = Cfg.compute f in
     let blocks = Cfg.block_map f in
     let var_of_reg = Hashtbl.create 16 in

@@ -60,11 +60,10 @@ let merge_pairs (f : Irfunc.t) : bool =
   !changed
 
 let run_func (f : Irfunc.t) : bool =
-  Cfg.remove_unreachable f;
-  let changed = ref false in
+  let changed = ref (Cfg.remove_unreachable f) in
   while merge_pairs f do
     changed := true;
-    Cfg.remove_unreachable f
+    ignore (Cfg.remove_unreachable f)
   done;
   !changed
 

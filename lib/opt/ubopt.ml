@@ -12,7 +12,7 @@
     null-pointer checks, even at -O0"). *)
 
 let delete_dead_loops_func (f : Irfunc.t) : bool =
-  Cfg.remove_unreachable f;
+  ignore (Cfg.remove_unreachable f);
   let info = Cfg.compute f in
   let blocks = Cfg.block_map f in
   let loops = Cfg.natural_loops f info in
@@ -96,7 +96,7 @@ let delete_dead_loops_func (f : Irfunc.t) : bool =
         | None -> ()
       end)
     loops;
-  if !changed then Cfg.remove_unreachable f;
+  if !changed then ignore (Cfg.remove_unreachable f);
   !changed
 
 (* A header whose phis feed only the loop cannot simply be rewired if

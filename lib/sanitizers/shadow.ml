@@ -40,16 +40,18 @@ let describe = function
   | Heap_unallocated -> "unknown-address (not malloc'ed)"
   | Undefined_area -> "unaddressable memory"
 
-type t = { shadow : Bytes.t }
+(* One shadow byte per application byte, in [Mem]'s page store: a fresh
+   shadow and each whole page a poisoning covers is a shared page. *)
+type t = { shadow : Mem.pages }
 
-let create () = { shadow = Bytes.make Mem.mem_size (code Addressable) }
+let create () = { shadow = Mem.make_pages (code Addressable) }
 
 let clamp a = max 0 (min Mem.mem_size a)
 
 let poison t ~(kind : poison) (addr : int64) (size : int) =
   let lo = clamp (Int64.to_int addr) in
   let hi = clamp (Int64.to_int addr + size) in
-  if hi > lo then Bytes.fill t.shadow lo (hi - lo) (code kind)
+  if hi > lo then Mem.fill_pages t.shadow lo (hi - lo) (code kind)
 
 let unpoison t (addr : int64) (size : int) = poison t ~kind:Addressable addr size
 
@@ -62,7 +64,7 @@ let check t (addr : int64) (size : int) : (poison * int64) option =
     let rec go a =
       if a >= hi then None
       else begin
-        let c = Bytes.get t.shadow a in
+        let c = Mem.get_byte t.shadow a in
         if c <> '\000' then Some (of_code c, Int64.of_int a) else go (a + 1)
       end
     in

@@ -520,42 +520,51 @@ let test_accepts_frontend_output () =
   let m = Loader.load_program "int main(void) { return 0; }" in
   Verify.verify m
 
-(* The loader verifies the libc once and, per program, only the user's
+(* The loader verifies a library once and, per program, only the user's
    functions against the linked module's names.  The law: that check
    and a full [Verify.verify] of the linked module both pass, or both
    raise [Verify.Invalid] with the same text. *)
-let check_link_law what (user : Irmod.t) =
+let check_link_law ?(lib = Loader.libc ()) what (user : Irmod.t) =
   let outcome f =
     match f () with _ -> None | exception Verify.Invalid m -> Some m
   in
-  let per_program = outcome (fun () -> Loader.link_libc ~shared:true user) in
+  let per_program = outcome (fun () -> Loader.link_libc ~shared:true lib user) in
   let full =
-    outcome (fun () ->
-        Verify.verify (Irmod.link user (Loader.libc_module_shared ())))
+    outcome (fun () -> Verify.verify (Irmod.link user lib.Loader.lib))
   in
   Alcotest.(check (option string)) what full per_program;
   per_program
+
+(* The libcs the oracle's middle-end configurations link against. *)
+let optimized_libcs () =
+  [ ("fold", Lazy.force Oracle.folded_libc);
+    ("safe-jit", Lazy.force Oracle.safe_jit_libc) ]
+
+(* The user programs both link laws run over: the corpus and its
+   repaired variants, the bench programs and difftest seeds 0-499. *)
+let law_programs (f : string -> Irmod.t -> unit) =
+  List.iter
+    (fun (p : Groundtruth.program) ->
+      f p.Groundtruth.id (Loader.compile_user p.Groundtruth.source);
+      Option.iter
+        (fun src -> f (p.Groundtruth.id ^ " fixed") (Loader.compile_user src))
+        p.Groundtruth.fixed)
+    Corpus.all;
+  List.iter
+    (fun (b : Benchprogs.bench) ->
+      f b.Benchprogs.b_name (Loader.compile_user b.Benchprogs.b_source))
+    Benchprogs.all;
+  for seed = 0 to 499 do
+    f
+      (Printf.sprintf "seed %d" seed)
+      (Loader.compile_user (Cprog.render (Cgen.generate ~seed ())))
+  done
 
 let test_link_check_law () =
   let accepts what user =
     Alcotest.(check (option string)) what None (check_link_law what user)
   in
-  List.iter
-    (fun (p : Groundtruth.program) ->
-      accepts p.Groundtruth.id (Loader.compile_user p.Groundtruth.source);
-      Option.iter
-        (fun src -> accepts (p.Groundtruth.id ^ " fixed") (Loader.compile_user src))
-        p.Groundtruth.fixed)
-    Corpus.all;
-  List.iter
-    (fun (b : Benchprogs.bench) ->
-      accepts b.Benchprogs.b_name (Loader.compile_user b.Benchprogs.b_source))
-    Benchprogs.all;
-  for seed = 0 to 499 do
-    accepts
-      (Printf.sprintf "seed %d" seed)
-      (Loader.compile_user (Cprog.render (Cgen.generate ~seed ())))
-  done;
+  law_programs accepts;
   (* A user definition replaces the libc's. *)
   accepts "strlen redefined"
     (Loader.compile_user
@@ -575,16 +584,49 @@ int main(void) { return (int)strlen("abc"); }
        { undefined_reg_func with Irfunc.name = "strlen" });
   (* A replacement under another signature breaks the libc's own calls
      to it, which the per-program check must find too. *)
+  let strlen_as_double =
+    mk_mod
+      { (mk_func
+           ~blocks:
+             [ { Irfunc.label = "entry"; instrs = [];
+                 term = Instr.Ret (Some (Irtype.F64, Instr.Reg 1)) } ])
+        with Irfunc.name = "strlen"; params = [ (1, Irtype.F64) ];
+             ret = Some Irtype.F64 }
+  in
   rejects
     "strcat: %6 = call i64 @strlen(ptr %5) has a result of the wrong class \
      for @strlen"
-    (mk_mod
-       { (mk_func
-            ~blocks:
-              [ { Irfunc.label = "entry"; instrs = [];
-                  term = Instr.Ret (Some (Irtype.F64, Instr.Reg 1)) } ])
-         with Irfunc.name = "strlen"; params = [ (1, Irtype.F64) ];
-              ret = Some Irtype.F64 })
+    strlen_as_double;
+  (* The same against each optimized libc: the user's errors read the
+     same, and the libc's own broken call is found in its optimized
+     form. *)
+  List.iter
+    (fun (name, lib) ->
+      List.iter
+        (fun (expected, m) ->
+          Alcotest.(check (option string)) (name ^ ": " ^ expected)
+            (Some expected) (check_link_law ~lib expected m))
+        (rejection_cases ());
+      Alcotest.(check bool) (name ^ ": strlen as double") true
+        (check_link_law ~lib "strlen as double" strlen_as_double <> None))
+    (optimized_libcs ())
+
+(* [sulong/fold] and [sulong/safe-jit] run their pipeline over a copy of
+   the user module alone and link it against the libc after the same
+   pipeline, built once per process ([Oracle.optimized]).  The law: that
+   module prints as the whole linked module does after the pipeline. *)
+let test_per_part_law () =
+  let whole pipeline user =
+    let m = Irmod.copy (Loader.link_libc ~shared:true (Loader.libc ()) user) in
+    pipeline m;
+    Irprint.module_to_string m
+  in
+  law_programs (fun what user ->
+      List.iter
+        (fun (mode, pipeline) ->
+          Alcotest.(check string) what (whole pipeline user)
+            (Irprint.module_to_string (Oracle.optimized mode user)))
+        [ (`FoldOnly, Oracle.fold_pipeline); (`SafeJit, Oracle.safe_jit_pipeline) ])
 
 (* ---------------- CFG analyses ---------------- *)
 
@@ -652,9 +694,10 @@ let test_cfg_unreachable_removal () =
           b "island2" (Instr.Br "island");
         ]
   in
-  Cfg.remove_unreachable f;
+  Alcotest.(check bool) "reports the removal" true (Cfg.remove_unreachable f);
   Alcotest.(check (list string)) "islands removed" [ "entry" ]
-    (List.map (fun (b : Irfunc.block) -> b.Irfunc.label) f.Irfunc.blocks)
+    (List.map (fun (b : Irfunc.block) -> b.Irfunc.label) f.Irfunc.blocks);
+  Alcotest.(check bool) "nothing left to remove" false (Cfg.remove_unreachable f)
 
 (* ---------------- individual passes ---------------- *)
 
@@ -759,6 +802,24 @@ let test_simplifycfg_merges () =
   ignore (Mem2reg.run m);
   ignore (Simplifycfg.run m);
   Verify.verify m
+
+(* A round that reports no change must have made none (the oracle's
+   per-part law rests on it): dropping an unreachable block is a
+   change. *)
+let test_simplifycfg_reports_unreachable () =
+  let ret0 = Instr.Ret (Some (Irtype.I32, Instr.ImmInt (0L, Irtype.I32))) in
+  let f =
+    mk_func
+      ~blocks:
+        [ { Irfunc.label = "entry"; instrs = []; term = ret0 };
+          { Irfunc.label = "island"; instrs = []; term = ret0 } ]
+  in
+  Alcotest.(check bool) "run_func reports the removal" true
+    (Simplifycfg.run_func f);
+  Alcotest.(check (list string)) "island removed" [ "entry" ]
+    (List.map (fun (b : Irfunc.block) -> b.Irfunc.label) f.Irfunc.blocks);
+  Alcotest.(check bool) "a second run changes nothing" false
+    (Simplifycfg.run_func f)
 
 (* ---------------- differential property test ---------------- *)
 
@@ -1386,6 +1447,8 @@ let () =
             test_accepts_frontend_output;
           Alcotest.test_case "per-program check agrees with full verify" `Quick
             test_link_check_law;
+          Alcotest.test_case "per-part pipeline agrees with the whole module"
+            `Slow test_per_part_law;
         ] );
       ( "cfg",
         [
@@ -1415,6 +1478,8 @@ let () =
             test_backendfold_keeps_inbounds;
           Alcotest.test_case "cfg simplification verifies" `Quick
             test_simplifycfg_merges;
+          Alcotest.test_case "cfg simplification reports unreachable blocks"
+            `Quick test_simplifycfg_reports_unreachable;
         ] );
       ( "inlining",
         [

@@ -134,6 +134,155 @@ int main(void) {
   in
   Alcotest.(check string) "lengths" "2 0 11\n" r.Engine.output
 
+(* ---------------- host builtins, natively ---------------- *)
+
+(* The precompiled libc has no host builtins: a call to one fails the
+   dynamic linker's lazy binding, a crash that names the symbol (exit
+   127), which a sanitizer does not report as a SEGV. *)
+let test_builtin_is_an_undefined_symbol () =
+  let src = "int main(void) { return (int)__sulong_sqrt(16.0); }" in
+  List.iter
+    (fun tool ->
+      let r = Engine.run tool src in
+      Alcotest.(check string) (Engine.tool_name tool)
+        "crashed: undefined symbol: __sulong_sqrt"
+        (Outcome.to_string r.Engine.outcome);
+      Alcotest.(check int) (Engine.tool_name tool ^ " exit code") 127
+        r.Engine.exit_code)
+    [ Engine.Clang Pipeline.O0; Engine.Clang Pipeline.O3; Engine.Asan Pipeline.O0;
+      Engine.Valgrind Pipeline.O0 ]
+
+(* ---------------- demand-zero pages ---------------- *)
+
+(* [Mem] and [Shadow] keep their 16 MiB as 4 KiB pages, each whole-page
+   fill a pointer to a shared constant page.  The property: any sequence
+   of loads, stores, fills and overlapping blits, page-straddling ones
+   included, and of shadow poisonings and checks, reads what a flat
+   16 MiB [Bytes] model reads, and no shared page is ever written. *)
+type mem_op =
+  | Store of int * int * int64  (** address, size, value *)
+  | Load of int * int
+  | Fill of int * int * char  (** address, length, byte *)
+  | Blit of int * int * int  (** source, destination, length *)
+  | Poison of int * int * Shadow.poison
+  | Check of int * int
+
+let window_pages = 6
+let window_base = Mem.globals_base
+let window_limit = window_base + (window_pages * Mem.page_size)
+
+let show_op = function
+  | Store (a, n, v) -> Printf.sprintf "store 0x%x %d 0x%Lx" a n v
+  | Load (a, n) -> Printf.sprintf "load 0x%x %d" a n
+  | Fill (a, n, c) -> Printf.sprintf "fill 0x%x %d %d" a n (Char.code c)
+  | Blit (s, d, n) -> Printf.sprintf "blit 0x%x -> 0x%x %d" s d n
+  | Poison (a, n, k) -> Printf.sprintf "poison 0x%x %d %s" a n (Shadow.describe k)
+  | Check (a, n) -> Printf.sprintf "check 0x%x %d" a n
+
+(* An address for an [n]-byte access inside the window, usually a few
+   bytes before a page boundary. *)
+let gen_addr n =
+  let clamp a = max window_base (min (window_limit - n) a) in
+  QCheck.Gen.(
+    frequency
+      [ (1, int_range window_base (window_limit - n));
+        ( 2,
+          map2
+            (fun p back -> clamp (window_base + (p * Mem.page_size) - back))
+            (int_range 1 (window_pages - 1)) (int_range 0 8) ) ])
+
+let gen_op =
+  let open QCheck.Gen in
+  let size = oneofl [ 1; 2; 4; 8 ] in
+  let byte = frequency [ (3, map Char.chr (int_range 0 3)); (1, char) ] in
+  let kind =
+    oneofl
+      Shadow.[ Addressable; Heap_redzone; Stack_redzone; Heap_freed; Undefined_area ]
+  in
+  let length = int_range 0 (3 * Mem.page_size) in
+  frequency
+    [ (4, size >>= fun n -> map2 (fun a v -> Store (a, n, v)) (gen_addr n) ui64);
+      (4, size >>= fun n -> map (fun a -> Load (a, n)) (gen_addr n));
+      (1, length >>= fun n -> map2 (fun a c -> Fill (a, n, c)) (gen_addr n) byte);
+      ( 1,
+        int_range 0 (2 * Mem.page_size) >>= fun n ->
+        gen_addr n >>= fun src ->
+        map
+          (fun d ->
+            Blit (src, max window_base (min (window_limit - n) (src + d)), n))
+          (int_range (-n - 8) (n + 8)) );
+      (1, length >>= fun n -> map2 (fun a k -> Poison (a, n, k)) (gen_addr n) kind);
+      (2, int_range 1 16 >>= fun n -> map (fun a -> Check (a, n)) (gen_addr n)) ]
+
+(* The flat models of the memory and of the shadow, reset per case. *)
+let flat = lazy (Bytes.make Mem.mem_size '\000', Bytes.make Mem.mem_size '\000')
+
+let flat_load b a = function
+  | 1 -> Int64.of_int (Char.code (Bytes.get b a))
+  | 2 -> Int64.of_int (Bytes.get_uint16_le b a)
+  | 4 -> Int64.of_int32 (Bytes.get_int32_le b a)
+  | _ -> Bytes.get_int64_le b a
+
+let flat_store b a n v =
+  for k = 0 to n - 1 do
+    Bytes.set b (a + k)
+      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * k)) 0xFFL)))
+  done
+
+let flat_check b a n =
+  let rec go i =
+    if i >= a + n then None
+    else if Bytes.get b i <> '\000' then
+      Some (Shadow.of_code (Bytes.get b i), Int64.of_int i)
+    else go (i + 1)
+  in
+  go a
+
+let shared_pages_intact () =
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun i pg -> Bytes.for_all (fun c -> Char.code c = i) pg)
+       Mem.shared)
+
+let prop_pages_match_flat =
+  QCheck.Test.make ~count:300 ~name:"pages read as flat memory; shared pages unwritten"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_op))
+    (fun ops ->
+      let model, shadow_model = Lazy.force flat in
+      Bytes.fill model window_base (window_limit - window_base) '\000';
+      Bytes.fill shadow_model window_base (window_limit - window_base) '\000';
+      let mem = Mem.create () and sh = Shadow.create () in
+      let a64 = Int64.of_int in
+      let step = function
+        | Store (a, n, v) ->
+          Mem.store_int mem (a64 a) ~size:n v;
+          flat_store model a n v;
+          true
+        | Load (a, n) -> Mem.load_int mem (a64 a) ~size:n = flat_load model a n
+        | Fill (a, n, c) ->
+          Mem.fill mem (a64 a) n c;
+          Bytes.fill model a n c;
+          true
+        | Blit (src, dst, n) ->
+          Mem.blit mem ~src:(a64 src) ~dst:(a64 dst) n;
+          Bytes.blit model src model dst n;
+          true
+        | Poison (a, n, kind) ->
+          Shadow.poison sh ~kind (a64 a) n;
+          Bytes.fill shadow_model a n (Shadow.code kind);
+          true
+        | Check (a, n) -> Shadow.check sh (a64 a) n = flat_check shadow_model a n
+      in
+      let rec window a =
+        a >= window_limit
+        || Mem.load_int mem (a64 a) ~size:8 = flat_load model a 8
+           && Shadow.check sh (a64 a) 8 = flat_check shadow_model a 8
+           && window (a + 8)
+      in
+      List.for_all step ops && window window_base && shared_pages_intact ())
+
 let () =
   Alcotest.run "native"
     [
@@ -156,4 +305,10 @@ let () =
           Alcotest.test_case "word-wise strlen" `Quick
             test_wordwise_strlen_reads_past_nul;
         ] );
+      ( "host builtins",
+        [
+          Alcotest.test_case "a builtin is an undefined symbol" `Quick
+            test_builtin_is_an_undefined_symbol;
+        ] );
+      ("pages", [ QCheck_alcotest.to_alcotest prop_pages_match_flat ]);
     ]

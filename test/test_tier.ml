@@ -167,6 +167,30 @@ let test_deopt_fires_on_managed_error () =
   if deopts.Metrics.c_value <= before then
     Alcotest.fail "managed error in compiled code did not deoptimize"
 
+(* A host builtin called with fewer arguments than it reads, through a
+   cast function pointer, is a managed type violation with the same
+   report in both tiers, not an escaped host exception. *)
+let test_builtin_arity_error () =
+  let p =
+    { (List.hd Corpus.all) with
+      Groundtruth.id = "builtin arity";
+      source =
+        "double __sulong_sqrt(double);\n\
+         int main(void) {\n\
+        \  double (*fp)(void) = (double (*)(void))__sulong_sqrt;\n\
+        \  return (int)fp();\n\
+         }\n";
+      argv = [ "prog" ];
+      input = "" }
+  in
+  let r = check_program p in
+  Alcotest.(check (option (pair string string))) "error"
+    (Some
+       ( "type-violation",
+         "type violation: __sulong_sqrt called with 0 arguments, it reads 1 \
+          (in function main)" ))
+    (Option.map (fun (cat, msg) -> (Merror.category_name cat, msg)) r.Interp.error)
+
 (* The production threshold must leave short programs un-tiered: the
    controller's hotness check is the shared [Hotness] policy. *)
 let test_default_threshold_stays_cold () =
@@ -723,6 +747,8 @@ let () =
             test_tier_actually_compiles;
           Alcotest.test_case "managed error deoptimizes" `Quick
             test_deopt_fires_on_managed_error;
+          Alcotest.test_case "builtin called with too few arguments" `Quick
+            test_builtin_arity_error;
           Alcotest.test_case "default threshold stays cold" `Quick
             test_default_threshold_stays_cold;
         ] );
