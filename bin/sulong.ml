@@ -90,46 +90,41 @@ let diagnosing file f =
     Printf.eprintf "%s: invalid IR: %s\n" file msg;
     2
 
-(* Execute a linked module under Safe Sulong directly: provenance
-   reports, leak details and call traces all need the full managed run
-   result.  The program's output goes to stdout; the call trace, the
-   guest profile, the report of a managed error and the leaks go to
-   stderr.  The exit code is the program's, 1 after a managed error and
-   124 on a timeout. *)
-let run_managed ?(tiered = false) ?profile ?profile_out
-    ?(detect_uninit = false) ?(detect_leaks = false) ?(trace_calls = false)
-    ~argv ~input m =
-  let prof = Option.map (fun _ -> Profile.create ()) profile in
-  let st =
-    Interp.create
-      ?tier:(if tiered then Some (Tier.controller ()) else None)
-      ?profile:prof ~detect_uninit ~trace:trace_calls ~input m
-  in
-  let r = Interp.run ~argv st in
-  if trace_calls then prerr_string r.Interp.trace_output;
-  (match (prof, profile) with
-  | Some p, Some format -> emit_profile p ~format ~out:profile_out
+(* Print a run as [run] reports it and return its exit status.  The
+   program's output goes to stdout; the call trace, the guest profile,
+   the report of a detected error, the leaks and how a native run ended
+   go to stderr. *)
+let report_run ?profile ?profile_out ?(detect_leaks = false) tool
+    (r : Engine.result) : int =
+  let name = Engine.tool_name tool in
+  Option.iter
+    (fun (m : Interp.run_result) -> prerr_string m.Interp.trace_output)
+    r.Engine.managed;
+  Option.iter (fun (p, format) -> emit_profile p ~format ~out:profile_out) profile;
+  print_string r.Engine.output;
+  (match (r.Engine.outcome, r.Engine.managed) with
+  | Outcome.Detected _, Some { Interp.report = Some rep; _ } ->
+    prerr_string (Bugreport.render rep)
+  | Outcome.Detected { tool = t; kind; message }, _ ->
+    Printf.eprintf "[%s] ERROR DETECTED (%s): %s\n" t kind message
   | _ -> ());
-  print_string r.Interp.output;
-  (match (r.Interp.error, r.Interp.report) with
-  | Some _, Some rep -> prerr_string (Bugreport.render rep)
-  | Some (cat, msg), None ->
-    Printf.eprintf "[Safe Sulong] ERROR DETECTED (%s): %s\n"
-      (Merror.category_name cat) msg
-  | None, _ -> ());
-  if detect_leaks then begin
-    if r.Interp.leaks > 0 then begin
-      Printf.eprintf "[Safe Sulong] %d memory leak(s):\n" r.Interp.leaks;
-      List.iter (Printf.eprintf "  %s\n") r.Interp.leak_details
+  (match r.Engine.managed with
+  | Some m when detect_leaks ->
+    if m.Interp.leaks > 0 then begin
+      Printf.eprintf "[Safe Sulong] %d memory leak(s):\n" m.Interp.leaks;
+      List.iter (Printf.eprintf "  %s\n") m.Interp.leak_details
     end
     else Printf.eprintf "[Safe Sulong] no memory leaks\n"
-  end;
-  if r.Interp.timed_out then begin
-    Printf.eprintf "[Safe Sulong] step limit exceeded\n";
-    124
-  end
-  else if r.Interp.error <> None then 1
-  else r.Interp.exit_code
+  | _ -> ());
+  (match (r.Engine.outcome, r.Engine.managed) with
+  | Outcome.Finished code, None ->
+    Printf.eprintf "[%s] exited with %d (%d operations)\n" name code
+      r.Engine.steps
+  | Outcome.Crashed what, _ ->
+    Printf.eprintf "[%s] program crashed: %s\n" name what
+  | Outcome.Timeout, _ -> Printf.eprintf "[%s] step limit exceeded\n" name
+  | _ -> ());
+  r.Engine.exit_code
 
 let do_run file engine level tiered args input_text detect_uninit detect_leaks
     trace_calls profile profile_out metrics trace_file =
@@ -146,31 +141,24 @@ let do_run file engine level tiered args input_text detect_uninit detect_leaks
     2
   | Ok tool -> begin
     obs_begin ~metrics ~trace_file;
-    let argv = file :: args in
+    let managed = tool = Engine.Safe_sulong in
     let code =
       diagnosing file (fun () ->
-          if tool = Engine.Safe_sulong then
-            run_managed ~tiered ?profile ?profile_out ~detect_uninit
-              ~detect_leaks ~trace_calls ~argv ~input:input_text
-              (Loader.load_program ~file src)
-          else begin
-            if profile <> None then
-              Printf.eprintf "run: --profile is Safe Sulong only; ignored\n";
-            let r = Engine.run ~argv ~input:input_text ~detect_uninit tool src in
-            print_string r.Engine.output;
-            (match r.Engine.outcome with
-            | Outcome.Finished code ->
-              Printf.eprintf "[%s] exited with %d (%d operations)\n"
-                (Engine.tool_name tool) code r.Engine.steps
-            | Outcome.Detected { tool = t; kind; message } ->
-              Printf.eprintf "[%s] ERROR DETECTED (%s): %s\n" t kind message
-            | Outcome.Crashed what ->
-              Printf.eprintf "[%s] program crashed: %s\n" (Engine.tool_name tool)
-                what
-            | Outcome.Timeout ->
-              Printf.eprintf "[%s] step limit exceeded\n" (Engine.tool_name tool));
-            r.Engine.exit_code
-          end)
+          if profile <> None && not managed then
+            Printf.eprintf "run: --profile is Safe Sulong only; ignored\n";
+          let profile =
+            if managed then
+              Option.map (fun format -> (Profile.create (), format)) profile
+            else None
+          in
+          let r =
+            Engine.run ~argv:(file :: args) ~input:input_text
+              ?step_limit:(if managed then Some Engine.long_step_limit else None)
+              ~detect_uninit ~trace:trace_calls
+              ?tier:(if tiered then Some (Tier.controller ()) else None)
+              ?profile:(Option.map fst profile) ~file tool src
+          in
+          report_run ?profile ?profile_out ~detect_leaks tool r)
     in
     obs_end ~metrics ~trace_file code
   end
@@ -306,8 +294,10 @@ let do_run_ir file args input_text =
   diagnosing file (fun () ->
       let m = Irparse.parse (read_file file) in
       Loader.check_references [] m;
-      run_managed ~argv:(file :: args) ~input:input_text
-        (Loader.link_libc (Loader.libc ()) m))
+      report_run Engine.Safe_sulong
+        (Engine.run_module ~argv:(file :: args) ~input:input_text
+           ~step_limit:Engine.long_step_limit Engine.Safe_sulong
+           (Loader.link_libc (Loader.libc ()) m)))
 
 let ir_file_arg =
   Arg.(
@@ -330,17 +320,14 @@ let do_compare file args input_text =
       Engine.Valgrind Pipeline.O0; Engine.Valgrind Pipeline.O3;
     ]
   in
-  try
-    List.iter
-      (fun tool ->
-        let r = Engine.run ~argv:(file :: args) ~input:input_text tool src in
-        Printf.printf "%-14s %s\n" (Engine.tool_name tool)
-          (Outcome.to_string r.Engine.outcome))
-      tools;
-    0
-  with Diag.Error (pos, msg) ->
-    Printf.eprintf "%s: %s\n" file (Diag.to_string pos msg);
-    2
+  diagnosing file (fun () ->
+      List.iter
+        (fun tool ->
+          let r = Engine.run ~argv:(file :: args) ~input:input_text tool src in
+          Printf.printf "%-14s %s\n" (Engine.tool_name tool)
+            (Outcome.to_string r.Engine.outcome))
+        tools;
+      0)
 
 let compare_cmd =
   let doc = "run a C file under every tool and print the detection matrix" in
@@ -936,7 +923,14 @@ let do_obs_selftest () =
     \  return (int)s;\n\
      }\n"
   in
-  let r = Loader.run_source ~argv:[ "selftest" ] src in
+  (* each run through [Engine], as every program the tool runs *)
+  let run ?argv ?tier ?profile src =
+    Option.get
+      (Engine.run ~step_limit:Engine.long_step_limit ?argv ?tier ?profile
+         Engine.Safe_sulong src)
+        .Engine.managed
+  in
+  let r = run ~argv:[ "selftest" ] src in
   check "managed error detected" (r.Interp.error <> None);
   (* Bodies are prepared at first call: exactly the functions the run
      entered, a fraction of the libc-linked module.  (The provenance
@@ -1003,7 +997,7 @@ let do_obs_selftest () =
      }\n"
   in
   let prof = Profile.create () in
-  let pr = Interp.run (Interp.create ~profile:prof (Loader.load_program psrc)) in
+  let pr = run ~profile:prof psrc in
   check "profile: run finished" (pr.Interp.error = None && not pr.Interp.timed_out);
   check "profile: tree total equals step counter"
     (Profile.total_steps prof = pr.Interp.steps);
@@ -1037,11 +1031,7 @@ let do_obs_selftest () =
     \  return a[0];\n\
      }\n"
   in
-  let br =
-    Interp.run
-      (Interp.create ~tier:(Tier.controller ~threshold:0 ())
-         (Loader.load_program bsrc))
-  in
+  let br = run ~tier:(Tier.controller ~threshold:0 ()) bsrc in
   check "events: managed error detected" (br.Interp.error <> None);
   let ev_lines = Events.to_lines () in
   check "events: ring non-empty" (ev_lines <> []);

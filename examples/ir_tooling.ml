@@ -69,8 +69,7 @@ let () =
     (count_instrs reparsed);
 
   (* 5. execute the re-parsed module on the managed interpreter *)
-  let linked = Irmod.link reparsed (Loader.libc_module ()) in
-  let st = Interp.create linked in
-  let r = Interp.run st in
+  let linked = Loader.link_libc (Loader.libc ()) reparsed in
+  let r = Engine.run_module Engine.Safe_sulong linked in
   Printf.printf "executed re-parsed IR: output = %S, exit = %d\n"
-    r.Interp.output r.Interp.exit_code
+    r.Engine.output r.Engine.exit_code

@@ -36,20 +36,22 @@ int main(void) {
 let () =
   (* A correct program runs to completion; its output and exit code are
      what the native machine would produce. *)
-  let ok = Loader.run_source correct_program in
-  print_string ok.Interp.output;
-  Printf.printf "exit code: %d\n\n" ok.Interp.exit_code;
+  let ok = Engine.run Engine.Safe_sulong correct_program in
+  print_string ok.Engine.output;
+  Printf.printf "exit code: %d\n\n" ok.Engine.exit_code;
 
   (* A buggy program is stopped at the *first* invalid access, with a
      message naming the managed object class, the offset and the kind of
-     violation -- no instrumentation, no recompilation, no heuristics. *)
-  let bad = Loader.run_source buggy_program in
-  (match bad.Interp.error with
-  | Some (category, message) ->
-    Printf.printf "bug found!\n  category: %s\n  message:  %s\n"
-      (Merror.category_name category)
-      message
-  | None -> print_endline "no bug found (unexpected!)");
+     violation -- no instrumentation, no recompilation, no heuristics.
+     The managed run itself carries the provenance report. *)
+  let bad = Engine.run Engine.Safe_sulong buggy_program in
+  (match bad.Engine.outcome with
+  | Outcome.Detected { kind; message; _ } ->
+    Printf.printf "bug found!\n  category: %s\n  message:  %s\n" kind message
+  | _ -> print_endline "no bug found (unexpected!)");
+  (match bad.Engine.managed with
+  | Some { Interp.report = Some rep; _ } -> print_string (Bugreport.render rep)
+  | _ -> ());
 
   (* The same API exposes every baseline engine for comparison. *)
   let under tool =

@@ -3,8 +3,8 @@
     Runs one C source through every engine configuration — the managed
     Safe Sulong interpreter (plain, folded, safe-JIT-optimized, and with
     front-end immediate folding disabled), plus the modeled Clang -O0 and
-    -O3 native pipelines — and demands identical outcome, output and
-    exit status from all of them.  Additionally, when the caller knows a
+    -O3 native pipelines, each an [Engine.run_module] call — and demands
+    identical outcome, output and exit status from all of them.  Additionally, when the caller knows a
     reference-predicted prefix of the output (see [Cprog.expected_lines]),
     the common output must start with it: front-end constant folding is
     shared by every configuration, so a folding bug produces outputs
@@ -109,96 +109,54 @@ let frontend_of (src : string) (fold : bool) : frontend =
   in
   let fe_managed =
     lazy
-      (match Lazy.force fe_user with
-      | Error _ as e -> e
-      | Ok user ->
-        (* the shared (uncopied) libc: [link] is pure and the
-           interpreter only reads the module it runs *)
-        guard (fun () -> Loader.link_libc ~shared:true (Loader.libc ()) user))
+      (Result.bind (Lazy.force fe_user) (fun user ->
+           (* the shared (uncopied) libc: [link] is pure and the
+              interpreter only reads the module it runs *)
+           guard (fun () -> Loader.link_libc ~shared:true (Loader.libc ()) user)))
   in
   { fe_user; fe_managed }
 
-(* The middle-end pipelines of [sulong/fold] and [sulong/safe-jit]. *)
-let fold_pipeline m = ignore (Pipeline.fixpoint [ ("fold", Fold.run) ] m)
-let safe_jit_pipeline m = ignore (Pipeline.safe_jit m)
+(* The fault location of a managed run that detected an error. *)
+let fault_loc (r : Engine.result) : string option =
+  Option.bind r.Engine.managed (fun (m : Interp.run_result) ->
+      Option.bind m.Interp.report (fun rep ->
+          Option.map Bugreport.frame_loc (Bugreport.fault_frame rep)))
 
-(** The libc after each pipeline, built and verified in full once per
-    process: the libc is the same on every seed. *)
-let folded_libc = lazy (Loader.optimized_libc fold_pipeline)
-let safe_jit_libc = lazy (Loader.optimized_libc safe_jit_pipeline)
-
-(** The module [sulong/fold] or [sulong/safe-jit] runs for [user]: the
-    pipeline over a copy of [user] alone, linked against the libc after
-    the same pipeline and checked with [Verify.verify_link].  That is
-    the module the pipeline makes of the whole linked program: every
-    pass works function by function, and a fixpoint round that reports
-    no change has made none, so a function's result does not depend on
-    the functions around it (test_ir_opt's per-part law pins it). *)
-let optimized mode (user : Irmod.t) : Irmod.t =
-  let pipeline, libc =
-    match mode with
-    | `FoldOnly -> (fold_pipeline, folded_libc)
-    | `SafeJit -> (safe_jit_pipeline, safe_jit_libc)
-  in
-  let m = Irmod.copy user in
-  pipeline m;
-  Loader.link_libc ~shared:true (Lazy.force libc) m
-
+(** One configuration's run: an [Engine.run_module] call on the shared
+    front end ([Engine.optimized] for the middle-end configurations). *)
 let run_config (fe : frontend) (c : config) : observation =
-  let key, output, loc =
+  let run =
     match c.cfg_target with
-    | `Native level -> (
-      match Lazy.force fe.fe_user with
-      | Error key -> (key, "", None)
-      | Ok user -> (
-        match
-          guard (fun () -> Engine.run_clang_module ~step_limit ~level user)
-        with
-        | Error key -> (key, "", None)
-        | Ok r -> (outcome_key r.Engine.outcome, r.Engine.output, None)))
-    | `Managed mode -> (
-      match Lazy.force fe.fe_managed with
-      | Error key -> (key, "", None)
-      | Ok linked -> (
-        match
+    | `Native level ->
+      Result.bind (Lazy.force fe.fe_user) (fun user ->
           guard (fun () ->
-              let m =
+              Engine.run_module ~step_limit (Engine.Clang level) user))
+    | `Managed mode ->
+      Result.bind (Lazy.force fe.fe_managed) (fun linked ->
+          guard (fun () ->
+              let m, tier =
                 match mode with
-                | `Plain | `Tiered -> linked
+                | `Plain -> (linked, None)
+                | `Tiered -> (linked, Some (Tier.controller ~threshold:0 ()))
                 | (`FoldOnly | `SafeJit) as mode ->
                   (* the user module linked, so it was built *)
-                  optimized mode (Result.get_ok (Lazy.force fe.fe_user))
+                  ( Engine.optimized mode (Result.get_ok (Lazy.force fe.fe_user)),
+                    None )
               in
-              let tier =
-                match mode with
-                | `Tiered -> Some (Tier.controller ~threshold:0 ())
-                | `Plain | `FoldOnly | `SafeJit -> None
-              in
-              let st =
-                Interp.create ~step_limit ~mementos:true ~detect_uninit:false
-                  ~input:"" ?tier m
-              in
-              Interp.run ~argv:[ "program" ] st)
-        with
-        | Error key -> (key, "", None)
-        | Ok r ->
-          steps_counter := !steps_counter + r.Interp.steps;
-          let key =
-            if r.Interp.timed_out then "timeout"
-            else
-              match r.Interp.error with
-              | Some (cat, _) -> "detected:" ^ Merror.category_name cat
-              | None -> Printf.sprintf "finished:%d" r.Interp.exit_code
-          in
-          let loc =
-            match r.Interp.report with
-            | None -> None
-            | Some rep ->
-              Option.map Bugreport.frame_loc (Bugreport.fault_frame rep)
-          in
-          (key, r.Interp.output, loc)))
+              Engine.run_module ~step_limit ?tier Engine.Safe_sulong m))
   in
-  { ob_config = c.cfg_name; ob_key = key; ob_output = output; ob_loc = loc }
+  match run with
+  | Error key ->
+    { ob_config = c.cfg_name; ob_key = key; ob_output = ""; ob_loc = None }
+  | Ok r ->
+    if r.Engine.managed <> None then
+      steps_counter := !steps_counter + r.Engine.steps;
+    {
+      ob_config = c.cfg_name;
+      ob_key = outcome_key r.Engine.outcome;
+      ob_output = r.Engine.output;
+      ob_loc = fault_loc r;
+    }
 
 let has_prefix ~prefix s =
   let pl = String.length prefix in
@@ -206,16 +164,18 @@ let has_prefix ~prefix s =
 
 let is_error key = has_prefix ~prefix:"error:" key
 
+(** Run [src] under every configuration, in [configs] order. *)
+let observations (src : string) : observation list =
+  let fold_fe = frontend_of src true in
+  let nofold_fe = frontend_of src false in
+  List.map
+    (fun c -> run_config (if c.cfg_fe_fold then fold_fe else nofold_fe) c)
+    configs
+
 (** Compare [src] across all configurations.  [expected] is the
     reference-predicted output prefix, when available. *)
 let check ?expected (src : string) : verdict =
-  let fold_fe = frontend_of src true in
-  let nofold_fe = frontend_of src false in
-  let obs =
-    List.map
-      (fun c -> run_config (if c.cfg_fe_fold then fold_fe else nofold_fe) c)
-      configs
-  in
+  let obs = observations src in
   match obs with
   | [] -> assert false
   | first :: rest ->

@@ -1,12 +1,5 @@
-(** The uniform tool driver: compile a C source through the pipeline a
-    given tool implies and execute it, returning a comparable outcome.
-
-    | tool           | middle end   | backend fold | libc            | checking                    |
-    |----------------|--------------|--------------|-----------------|-----------------------------|
-    | Safe Sulong    | none         | no           | managed C libc  | automatic managed checks    |
-    | Clang -O0/-O3  | none / UB O3 | yes          | precompiled     | none (the native machine)   |
-    | ASan -O0/-O3   | none / UB O3 | yes          | precompiled     | inserted checks+interceptors|
-    | Valgrind (-O0/-O3 binaries) | same as Clang | yes | precompiled | dynamic per-access checks   | *)
+(** The uniform tool driver and the library's one run path; the table of
+    what each tool runs is in engine.mli. *)
 
 type tool =
   | Safe_sulong
@@ -25,11 +18,12 @@ type result = {
   exit_code : int;
   output : string;
   steps : int;
-  managed_profile : Interp.profile option;
+  managed : Interp.run_result option;
   native_profile : Nexec.profile option;
 }
 
 let default_step_limit = 200_000_000
+let long_step_limit = 500_000_000
 
 (** ASan options that the effectiveness experiment ablates. *)
 type asan_options = {
@@ -41,6 +35,30 @@ type asan_options = {
 let default_asan =
   { strtok_interceptor = false; quarantine_cap = 1 lsl 18; fno_common = true }
 
+(* ---------------- the managed middle ends ---------------- *)
+
+type middle_end = [ `FoldOnly | `SafeJit ]
+
+let pipeline : middle_end -> Irmod.t -> unit = function
+  | `FoldOnly -> fun m -> ignore (Pipeline.fixpoint [ ("fold", Fold.run) ] m)
+  | `SafeJit -> fun m -> ignore (Pipeline.safe_jit m)
+
+(* The libc after each middle end, built and verified in full once per
+   process: the libc is the same for every program. *)
+let folded_libc = lazy (Loader.optimized_libc (pipeline `FoldOnly))
+let safe_jit_libc = lazy (Loader.optimized_libc (pipeline `SafeJit))
+
+let optimized_libc = function
+  | `FoldOnly -> Lazy.force folded_libc
+  | `SafeJit -> Lazy.force safe_jit_libc
+
+let optimized mode (user : Irmod.t) : Irmod.t =
+  let m = Irmod.copy user in
+  pipeline mode m;
+  Loader.link_libc ~shared:true (optimized_libc mode) m
+
+(* ---------------- running ---------------- *)
+
 (* The status [sulong run] exits with: a failed symbol binding ends
    with the dynamic linker's 127, any other crash with 139. *)
 let exit_status (o : Outcome.t) (crash : Nexec.crash option) =
@@ -51,118 +69,84 @@ let exit_status (o : Outcome.t) (crash : Nexec.crash option) =
   | Outcome.Crashed _, _ -> 139
   | Outcome.Timeout, _ -> 124
 
-let run_sulong ~argv ~input ~step_limit ~mementos ~detect_uninit ~tier
-    (src : string) : result =
-  let m = Loader.load_program src in
-  Pipeline.compile_sulong m;
-  let st =
-    match tier with
-    | `Interp -> Interp.create ~step_limit ~mementos ~detect_uninit ~input m
-    | `Tiered ->
-      (* interpreter + profile-driven closure compiler with deopt; the
-         observable behavior is identical to [`Interp] by contract *)
-      Interp.create ~step_limit ~mementos ~detect_uninit ~input
-        ~tier:(Tier.controller ()) m
+let native_outcome ~sanitizer (r : Nexec.run_result) : Outcome.t =
+  let crashed = function
+    | Nexec.Segv addr -> Printf.sprintf "SIGSEGV at 0x%Lx" addr
+    | Nexec.Trap t -> t
+    | Nexec.Unbound name -> "undefined symbol: " ^ name
   in
-  let r = Interp.run ~argv st in
-  let outcome =
-    if r.Interp.timed_out then Outcome.Timeout
-    else
+  match (r.Nexec.report, r.Nexec.crash, sanitizer) with
+  | _ when r.Nexec.timed_out -> Outcome.Timeout
+  | Some rep, _, _ ->
+    Outcome.Detected
+      { tool = rep.Hooks.tool; kind = rep.Hooks.kind; message = rep.Hooks.message }
+  | None, Some ((Nexec.Segv _ | Nexec.Trap _) as c), Some tool ->
+    (* Sanitizers catch fatal signals and report them; a failed symbol
+       binding ends the process before the program runs on. *)
+    Outcome.Detected { tool; kind = "SEGV"; message = crashed c }
+  | None, Some c, _ -> Outcome.Crashed (crashed c)
+  | None, None, _ -> Outcome.Finished r.Nexec.exit_code
+
+let run_module ?(argv = [ "program" ]) ?(input = "")
+    ?(step_limit = default_step_limit) ?(mementos = true)
+    ?(detect_uninit = false) ?(trace = false) ?tier ?profile
+    ?(asan_options = default_asan) (tool : tool) (m : Irmod.t) : result =
+  match tool with
+  | Safe_sulong ->
+    let r =
+      Interp.run ~argv
+        (Interp.create ~step_limit ~mementos ~detect_uninit ~trace ~input
+           ?tier ?profile m)
+    in
+    let outcome =
       match r.Interp.error with
+      | _ when r.Interp.timed_out -> Outcome.Timeout
       | Some (cat, msg) ->
         Outcome.Detected
           { tool = "Safe Sulong"; kind = Merror.category_name cat; message = msg }
       | None -> Outcome.Finished r.Interp.exit_code
+    in
+    { outcome; exit_code = exit_status outcome None; output = r.Interp.output;
+      steps = r.Interp.steps; managed = Some r; native_profile = None }
+  | Clang level | Asan level | Valgrind level ->
+    (* [compile_native] rewrites in place: copy, so one front-end product
+       serves every tool and level (the differential oracle parses once
+       and fans out from here). *)
+    let m = Irmod.copy m in
+    Pipeline.compile_native ~level m;
+    let mem = Mem.create () in
+    let alloc = Alloc.create mem in
+    let hooks, global_gap, sanitizer =
+      match tool with
+      | Asan _ ->
+        (* Instrumentation attaches to whatever accesses survived
+           compilation. *)
+        Asan.instrument m;
+        Verify.verify m;
+        let _, hooks =
+          Asan.make ~quarantine_cap:asan_options.quarantine_cap
+            ~strtok_interceptor:asan_options.strtok_interceptor
+            ~fno_common:asan_options.fno_common ~mem ~alloc ()
+        in
+        (Some hooks, 32, Some "AddressSanitizer")
+      | Valgrind _ -> (Some (snd (Memcheck.make ~mem ~alloc ())), 0, Some "Memcheck")
+      | Clang _ | Safe_sulong -> (None, 0, None)
+    in
+    let r =
+      Nexec.run ~argv
+        (Nexec.create ?hooks ~global_gap ~step_limit ~input ~mem ~alloc m)
+    in
+    let outcome = native_outcome ~sanitizer r in
+    { outcome; exit_code = exit_status outcome r.Nexec.crash;
+      output = r.Nexec.output; steps = r.Nexec.steps; managed = None;
+      native_profile = Some r.Nexec.run_profile }
+
+let run ?argv ?input ?step_limit ?mementos ?detect_uninit ?trace ?tier
+    ?profile ?asan_options ?file (tool : tool) (src : string) : result =
+  let m =
+    match tool with
+    | Safe_sulong -> Loader.load_program ?file src
+    | Clang _ | Asan _ | Valgrind _ -> Loader.compile_user ?file src
   in
-  {
-    outcome;
-    exit_code = exit_status outcome None;
-    output = r.Interp.output;
-    steps = r.Interp.steps;
-    managed_profile = Some r.Interp.run_profile;
-    native_profile = None;
-  }
-
-let native_outcome (r : Nexec.run_result) : Outcome.t =
-  if r.Nexec.timed_out then Outcome.Timeout
-  else
-    match (r.Nexec.report, r.Nexec.crash) with
-    | Some rep, _ ->
-      Outcome.Detected
-        { tool = rep.Hooks.tool; kind = rep.Hooks.kind; message = rep.Hooks.message }
-    | None, Some (Nexec.Segv addr) -> Outcome.Crashed (Printf.sprintf "SIGSEGV at 0x%Lx" addr)
-    | None, Some (Nexec.Trap t) -> Outcome.Crashed t
-    | None, Some (Nexec.Unbound name) ->
-      Outcome.Crashed ("undefined symbol: " ^ name)
-    | None, None -> Outcome.Finished r.Nexec.exit_code
-
-let wrap_native (r : Nexec.run_result) ~(promote_crash : string option) :
-    result =
-  let outcome =
-    match (native_outcome r, r.Nexec.crash, promote_crash) with
-    | Outcome.Crashed what, Some (Nexec.Segv _ | Nexec.Trap _), Some tool ->
-      (* Sanitizers catch fatal signals and report them; a failed symbol
-         binding ends the process before the program runs on. *)
-      Outcome.Detected { tool; kind = "SEGV"; message = what }
-    | o, _, _ -> o
-  in
-  {
-    outcome;
-    exit_code = exit_status outcome r.Nexec.crash;
-    output = r.Nexec.output;
-    steps = r.Nexec.steps;
-    managed_profile = None;
-    native_profile = Some r.Nexec.run_profile;
-  }
-
-let run_clang_module ?(argv = [ "program" ]) ?(input = "")
-    ?(step_limit = default_step_limit) ~level (user : Irmod.t) : result =
-  (* [compile_native] rewrites in place; copy so the caller can reuse
-     one front-ended module across levels (the differential oracle
-     parses once and fans out from here). *)
-  let m = Irmod.copy user in
-  Pipeline.compile_native ~level m;
-  let st = Nexec.create ~step_limit ~input m in
-  wrap_native (Nexec.run ~argv st) ~promote_crash:None
-
-let run_clang ~level ~argv ~input ~step_limit (src : string) : result =
-  run_clang_module ~argv ~input ~step_limit ~level (Loader.compile_user src)
-
-let run_asan ~level ~options ~argv ~input ~step_limit (src : string) : result =
-  let m = Loader.compile_user src in
-  Pipeline.compile_native ~level m;
-  (* Instrumentation attaches to whatever accesses survived compilation. *)
-  Asan.instrument m;
-  Verify.verify m;
-  let mem = Mem.create () in
-  let alloc = Alloc.create mem in
-  let _asan, hooks =
-    Asan.make ~quarantine_cap:options.quarantine_cap
-      ~strtok_interceptor:options.strtok_interceptor
-      ~fno_common:options.fno_common ~mem ~alloc ()
-  in
-  let st = Nexec.create ~hooks ~global_gap:32 ~step_limit ~input ~mem ~alloc m in
-  wrap_native (Nexec.run ~argv st) ~promote_crash:(Some "AddressSanitizer")
-
-let run_valgrind ~level ~argv ~input ~step_limit (src : string) : result =
-  let m = Loader.compile_user src in
-  Pipeline.compile_native ~level m;
-  let mem = Mem.create () in
-  let alloc = Alloc.create mem in
-  let _mc, hooks = Memcheck.make ~mem ~alloc () in
-  let st = Nexec.create ~hooks ~step_limit ~input ~mem ~alloc m in
-  wrap_native (Nexec.run ~argv st) ~promote_crash:(Some "Memcheck")
-
-(** Run [src] under [tool].  [tier] selects the Safe Sulong execution
-    configuration: the interpreter alone (default) or the real two-tier
-    engine (interpreter + closure compiler); other tools ignore it. *)
-let run ?(argv = [ "program" ]) ?(input = "") ?(step_limit = default_step_limit)
-    ?(mementos = true) ?(detect_uninit = false) ?(asan_options = default_asan)
-    ?(tier = `Interp) (tool : tool) (src : string) : result =
-  match tool with
-  | Safe_sulong ->
-    run_sulong ~argv ~input ~step_limit ~mementos ~detect_uninit ~tier src
-  | Clang level -> run_clang ~level ~argv ~input ~step_limit src
-  | Asan level ->
-    run_asan ~level ~options:asan_options ~argv ~input ~step_limit src
-  | Valgrind level -> run_valgrind ~level ~argv ~input ~step_limit src
+  run_module ?argv ?input ?step_limit ?mementos ?detect_uninit ?trace ?tier
+    ?profile ?asan_options tool m

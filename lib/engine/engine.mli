@@ -1,5 +1,6 @@
-(** The uniform tool driver: compile a C source through the pipeline a
-    given tool implies and execute it.
+(** The uniform tool driver and the library's one run path: every
+    program the library runs goes through [run_module], under the
+    pipeline a given tool implies.
 
     | tool           | middle end   | backend fold | libc            | checking                    |
     |----------------|--------------|--------------|-----------------|-----------------------------|
@@ -25,11 +26,19 @@ type result = {
           the program calls, 139 on any other crash *)
   output : string;
   steps : int;  (** IR operations executed *)
-  managed_profile : Interp.profile option;  (** Safe Sulong runs *)
-  native_profile : Nexec.profile option;    (** native-engine runs *)
+  managed : Interp.run_result option;
+      (** Safe Sulong runs: the managed run itself, with its provenance
+          report, leaks, call trace and profile *)
+  native_profile : Nexec.profile option;  (** native-engine runs *)
 }
 
 val default_step_limit : int
+
+(** The budget of the runs that must reach their end whatever the
+    program: Safe Sulong under [sulong run] and [run-ir], and the
+    measurement, ablation and bench harnesses.  It equals the default
+    [Interp.create] and [Nexec.create] keep for their direct callers. *)
+val long_step_limit : int
 
 (** ASan options the effectiveness experiment ablates: the strtok
     interceptor the paper's authors later contributed, the quarantine
@@ -43,33 +52,60 @@ type asan_options = {
 
 val default_asan : asan_options
 
-(** Run [src] under [tool].  [detect_uninit] enables Safe Sulong's
-    uninitialized-read detection; [mementos] toggles allocation-site
-    typing (an ablation).  [tier] (Safe Sulong only, default [`Interp])
-    selects the execution configuration: the threaded interpreter alone,
-    or the real two-tier engine that closure-compiles hot functions and
-    deoptimizes on managed errors — observably identical, faster warm. *)
+(** The middle ends of the oracle's [sulong/fold] (the folder to a
+    fixpoint) and [sulong/safe-jit] ([Pipeline.safe_jit]). *)
+type middle_end = [ `FoldOnly | `SafeJit ]
+
+val pipeline : middle_end -> Irmod.t -> unit
+
+(** The libc after a middle end, built and verified in full once per
+    process. *)
+val optimized_libc : middle_end -> Loader.library
+
+(** The one way to build the module a middle end makes of a user module:
+    the pipeline over a copy of it alone, linked against [optimized_libc]
+    and checked with [Verify.verify_link].  Every pass works function by
+    function, so that is the module the pipeline makes of the whole
+    linked program (test_ir_opt's per-part law).  It shares the cached
+    libc: run it, do not rewrite it. *)
+val optimized : middle_end -> Irmod.t -> Irmod.t
+
+(** Run [m] under [tool].  [m] is the module the tool loads: the
+    libc-linked module for Safe Sulong, the user's module
+    ([Loader.compile_user]) for the others, copied before the native
+    pipeline rewrites it.  [step_limit] defaults to [default_step_limit].
+    [mementos] (allocation-site typing, an ablation), [detect_uninit],
+    [trace] (the call trace), [tier] (the two-tier engine: observably
+    identical, faster warm) and [profile] pass through to
+    [Interp.create]; [asan_options] configures ASan. *)
+val run_module :
+  ?argv:string list ->
+  ?input:string ->
+  ?step_limit:int ->
+  ?mementos:bool ->
+  ?detect_uninit:bool ->
+  ?trace:bool ->
+  ?tier:Interp.tierctl ->
+  ?profile:Profile.t ->
+  ?asan_options:asan_options ->
+  tool ->
+  Irmod.t ->
+  result
+
+(** The front end [tool] implies ([Loader.load_program] for Safe Sulong,
+    [Loader.compile_user] for the others; [file] names the source in
+    diagnostics and reports), then [run_module]. *)
 val run :
   ?argv:string list ->
   ?input:string ->
   ?step_limit:int ->
   ?mementos:bool ->
   ?detect_uninit:bool ->
+  ?trace:bool ->
+  ?tier:Interp.tierctl ->
+  ?profile:Profile.t ->
   ?asan_options:asan_options ->
-  ?tier:[ `Interp | `Tiered ] ->
+  ?file:string ->
   tool ->
   string ->
-  result
-
-(** Run an already-front-ended user module (from [Loader.compile_user])
-    under plain Clang semantics at [level].  The module is copied before
-    the native pipeline rewrites it, so one front-end product can be
-    reused across levels — the differential oracle's per-seed parse is
-    done once, not once per configuration. *)
-val run_clang_module :
-  ?argv:string list ->
-  ?input:string ->
-  ?step_limit:int ->
-  level:Pipeline.level ->
-  Irmod.t ->
   result

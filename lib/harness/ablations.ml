@@ -58,22 +58,13 @@ let asan_with options src =
     (Engine.run ~asan_options:options (Engine.Asan Pipeline.O0) src)
       .Engine.outcome
 
-let run_asan_custom ~pre src =
-  (* ASan -O3 with an extra pre-pass (the inlining ablation). *)
+(* ASan -O3, optionally with the inliner run first (P2). *)
+let asan_o3 ~inline src =
   let m = Loader.compile_user src in
-  pre m;
-  ignore (Pipeline.o3 m);
-  ignore (Pipeline.backend m);
-  Asan.instrument m;
-  Verify.verify m;
-  let mem = Mem.create () in
-  let alloc = Alloc.create mem in
-  let _, hooks = Asan.make ~mem ~alloc () in
-  let st = Nexec.create ~hooks ~global_gap:32 ~mem ~alloc m in
-  let r = Nexec.run st in
-  match r.Nexec.report with
-  | Some rep -> "FOUND (" ^ rep.Hooks.kind ^ ")"
-  | None -> "missed"
+  if inline then ignore (Inline.run m);
+  Outcome.short
+    (Engine.run_module ~step_limit:Engine.long_step_limit (Engine.Asan Pipeline.O3) m)
+      .Engine.outcome
 
 let table () : Table.t =
   let t =
@@ -108,10 +99,10 @@ let table () : Table.t =
   (* inlining escalates P2 *)
   Table.add_row t
     [ "inlining before -O3 (P2)"; "ASan -O3, no inlining";
-      run_asan_custom ~pre:(fun _ -> ()) inline_victim_program ];
+      asan_o3 ~inline:false inline_victim_program ];
   Table.add_row t
     [ ""; "ASan -O3 + inlining";
-      run_asan_custom ~pre:(fun m -> ignore (Inline.run m)) inline_victim_program ];
+      asan_o3 ~inline:true inline_victim_program ];
   Table.add_row t
     [ ""; "Safe Sulong (either way)";
       Outcome.short

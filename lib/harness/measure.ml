@@ -9,10 +9,15 @@ let profile_exn = function
   | Some p -> p
   | None -> failwith "measure: engine did not produce a profile"
 
+let managed_profile (r : Engine.result) =
+  profile_exn
+    (Option.map (fun (m : Interp.run_result) -> m.Interp.run_profile)
+       r.Engine.managed)
+
 (** Run [src] under all engines once and price the profiles. *)
 let measure ?(argv = [ "bench" ]) ?(input = "") ~name (src : string) :
     Simulate.measurement =
-  let run tool = Engine.run ~argv ~input ~step_limit:500_000_000 tool src in
+  let run tool = Engine.run ~argv ~input ~step_limit:Engine.long_step_limit tool src in
   let o0 = run (Engine.Clang Pipeline.O0) in
   let o3 = run (Engine.Clang Pipeline.O3) in
   let asan_r = run (Engine.Asan Pipeline.O0) in
@@ -20,15 +25,16 @@ let measure ?(argv = [ "bench" ]) ?(input = "") ~name (src : string) :
   let sulong_r = run Engine.Safe_sulong in
   (* Safe Sulong compiled tier: interpret the safe-jit-optimized module
      to measure what Graal-compiled code would execute. *)
-  let compiled_m = Loader.load_program src in
-  ignore (Pipeline.safe_jit compiled_m);
-  Verify.verify compiled_m;
-  let compiled_st = Interp.create ~input compiled_m in
-  let compiled_run = Interp.run ~argv compiled_st in
-  (match compiled_run.Interp.error with
-  | Some (_, msg) -> failwith ("measure: compiled-tier run failed: " ^ msg)
-  | None -> ());
-  let interp_profile = profile_exn sulong_r.Engine.managed_profile in
+  let compiled_m = Engine.optimized `SafeJit (Loader.compile_user src) in
+  let compiled_r =
+    Engine.run_module ~argv ~input ~step_limit:Engine.long_step_limit Engine.Safe_sulong
+      compiled_m
+  in
+  (match compiled_r.Engine.outcome with
+  | Outcome.Detected { message; _ } ->
+    failwith ("measure: compiled-tier run failed: " ^ message)
+  | _ -> ());
+  let interp_profile = managed_profile sulong_r in
   let sulong_interp_fns =
     Hashtbl.fold
       (fun fname c acc ->
@@ -41,7 +47,7 @@ let measure ?(argv = [ "bench" ]) ?(input = "") ~name (src : string) :
     Hashtbl.fold
       (fun fname c acc ->
         (fname, Costmodel.sulong_compiled_fn_cycles c) :: acc)
-      compiled_run.Interp.run_profile.Interp.funcs []
+      (managed_profile compiled_r).Interp.funcs []
   in
   let static_sizes =
     List.map

@@ -211,7 +211,9 @@ let speedups (rows : row list) : (string * float) list =
 let obs_rows () : (string * string) list =
   Metrics.reset ();
   Metrics.enabled := true;
-  ignore (Interp.run (Interp.create (Lazy.force meteor)));
+  ignore
+    (Engine.run_module ~step_limit:Engine.long_step_limit Engine.Safe_sulong
+       (Lazy.force meteor));
   Metrics.enabled := false;
   let sn = Metrics.snapshot () in
   List.map

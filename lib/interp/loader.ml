@@ -164,15 +164,3 @@ let link_libc ?(shared = false) (lib : library) (user : Irmod.t) : Irmod.t =
 (** Compile and link a complete program: user code + managed libc. *)
 let load_program ?file (src : string) : Irmod.t =
   link_libc (libc ()) (compile_user ?file src)
-
-(** Convenience for tests and examples: compile, link, interpret.  The
-    interpreter knobs (step limit, mementos, uninitialized-read
-    detection, call tracing) pass straight through to [Interp.create]. *)
-let run_source ?(argv = [ "program" ]) ?(input = "") ?step_limit
-    ?(mementos = true) ?(detect_uninit = false) ?trace (src : string) :
-    Interp.run_result =
-  let m = load_program src in
-  let st =
-    Interp.create ?step_limit ~mementos ~detect_uninit ?trace ~input m
-  in
-  Interp.run ~argv st

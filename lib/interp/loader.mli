@@ -1,5 +1,5 @@
-(** Program loading: compile a user C source against the prelude, link
-    the managed libc, and (optionally) run the result.  The libc is paid
+(** Program loading: compile a user C source against the prelude and
+    link the managed libc ([Engine] runs the result).  The libc is paid
     for once per process: its front end runs and its module is verified
     in full when the cache fills, and the prelude is lexed and parsed
     once; per program only the user's source is parsed and only the
@@ -61,15 +61,3 @@ val link_libc : ?shared:bool -> library -> Irmod.t -> Irmod.t
 (** Compile and link the complete managed program (user + libc); the
     module Safe Sulong interprets.  [link_libc] of [compile_user]. *)
 val load_program : ?file:string -> string -> Irmod.t
-
-(** Compile, link and interpret in one call.  The optional arguments
-    pass through to [Interp.create]. *)
-val run_source :
-  ?argv:string list ->
-  ?input:string ->
-  ?step_limit:int ->
-  ?mementos:bool ->
-  ?detect_uninit:bool ->
-  ?trace:bool ->
-  string ->
-  Interp.run_result

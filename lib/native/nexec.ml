@@ -388,7 +388,9 @@ and dispatch st name argv : Nvalue.t option =
       st.profile.n_allocs <- st.profile.n_allocs + 1;
       st.profile.n_alloc_bytes <-
         st.profile.n_alloc_bytes
-        + Int64.to_int (Nvalue.as_int (List.nth argv (if name = "realloc" then 1 else 0)))
+        + Int64.to_int
+            (Nvalue.as_int
+               (Nlibc.nth_arg argv (if name = "realloc" then 1 else 0)))
     | _ -> ());
     Nlibc.call st.libc name argv
 

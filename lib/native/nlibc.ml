@@ -27,15 +27,20 @@ type ctx = {
 }
 
 let garbage_arg_value = Int64.of_int (Mem.globals_base + 0x100)
-(* What reading past the last variadic argument yields: junk that looks
-   like a nearby address.  Deterministic, printable, does not crash. *)
+(* What reading past the last argument a call passed yields (a missing
+   vararg, or an argument a cast function pointer left out): junk that
+   looks like a nearby address.  Deterministic, printable, does not crash. *)
+
+let missing_arg = Nvalue.NI (garbage_arg_value, true)
+let nth_arg args n = Option.value (List.nth_opt args n) ~default:missing_arg
+let args_from n args = List.filteri (fun i _ -> i >= n) args
 
 let pop_arg args =
   match !args with
   | a :: rest ->
     args := rest;
     a
-  | [] -> Nvalue.NI (garbage_arg_value, true)
+  | [] -> missing_arg
 
 let arg_addr v = Nvalue.as_int v
 
@@ -408,8 +413,8 @@ exception Unknown_function of string
     variadic functions the fixed arguments come first. *)
 let call (ctx : ctx) (name : string) (args : Nvalue.t list) : Nvalue.t option =
   ctx.libc_call_count <- ctx.libc_call_count + 1;
-  let ai n = Nvalue.as_int (List.nth args n) in
-  let af n = Nvalue.as_float (List.nth args n) in
+  let ai n = Nvalue.as_int (nth_arg args n) in
+  let af n = Nvalue.as_float (nth_arg args n) in
   let ret_int v = Some (Nvalue.int_ v) in
   let ret_float v = Some (Nvalue.float_ v) in
   let intercept ptrs = ctx.hooks.Hooks.intercept name ptrs in
@@ -517,7 +522,7 @@ let call (ctx : ctx) (name : string) (args : Nvalue.t list) : Nvalue.t option =
     write_str ctx (Int64.add (ai 0) (Int64.of_int dst_len)) (s ^ "\000");
     ret_int (ai 0)
   | "strncat" ->
-    intercept [ ai 0; ai 1 ];
+    intercept [ ai 0; ai 1; ai 2 ];
     let n = Int64.to_int (ai 2) in
     let dst_len = cstrlen ctx (ai 0) in
     let s = read_cstr ctx (ai 1) in
@@ -807,29 +812,29 @@ let call (ctx : ctx) (name : string) (args : Nvalue.t list) : Nvalue.t option =
   end
   | "printf" ->
     let fmt = read_cstr ctx (ai 0) in
-    ret_int (Int64.of_int (format_engine ctx To_stream fmt (List.tl args)))
+    ret_int (Int64.of_int (format_engine ctx To_stream fmt (args_from 1 args)))
   | "fprintf" ->
     let fmt = read_cstr ctx (ai 1) in
     ret_int
-      (Int64.of_int (format_engine ctx To_stream fmt (List.tl (List.tl args))))
+      (Int64.of_int (format_engine ctx To_stream fmt (args_from 2 args)))
   | "sprintf" ->
     let fmt = read_cstr ctx (ai 1) in
     ret_int
       (Int64.of_int
-         (format_engine ctx (To_buffer (ref (ai 0))) fmt (List.tl (List.tl args))))
+         (format_engine ctx (To_buffer (ref (ai 0))) fmt (args_from 2 args)))
   | "snprintf" ->
     (* cap ignored beyond NUL handling: good enough for the corpus *)
     let fmt = read_cstr ctx (ai 2) in
     ret_int
       (Int64.of_int
          (format_engine ctx (To_buffer (ref (ai 0))) fmt
-            (List.tl (List.tl (List.tl args)))))
+            (args_from 3 args)))
   | "scanf" ->
     let fmt = read_cstr ctx (ai 0) in
-    ret_int (Int64.of_int (scan_engine ctx fmt (List.tl args)))
+    ret_int (Int64.of_int (scan_engine ctx fmt (args_from 1 args)))
   | "fscanf" ->
     let fmt = read_cstr ctx (ai 1) in
-    ret_int (Int64.of_int (scan_engine ctx fmt (List.tl (List.tl args))))
+    ret_int (Int64.of_int (scan_engine ctx fmt (args_from 2 args)))
   | "isdigit" -> ret_int (if ai 0 >= 48L && ai 0 <= 57L then 1L else 0L)
   | "isalpha" ->
     let c = Int64.to_int (ai 0) in

@@ -101,9 +101,10 @@ let check_string t addr =
   in
   go addr
 
-let string_length t addr =
+let string_length ?(max = max_int) t addr =
   let rec go n =
-    if Mem.load_int t.mem (Int64.add addr (Int64.of_int n)) ~size:1 = 0L then n
+    if n >= max || Mem.load_int t.mem (Int64.add addr (Int64.of_int n)) ~size:1 = 0L
+    then n
     else go (n + 1)
   in
   go 0
@@ -140,10 +141,18 @@ let intercept t (name : string) (args : int64 list) : unit =
   | "strtol" -> check_string t (arg 0)
   | "memchr" ->
     check_range t ~access:Instr.AccLoad (arg 0) (Int64.to_int (arg 1))
-  | "strncpy" | "strncat" ->
-    (* reads at most n bytes of src; writes at most n (+1) to dst *)
+  | "strncpy" ->
+    (* reads at most n bytes of src; writes exactly n to dst (NUL padded) *)
     let n = Int64.to_int (arg 2) in
     check_range t ~access:Instr.AccStore (arg 0) n
+  | "strncat" ->
+    (* appends at most n bytes of src and a NUL after dst's string *)
+    check_string t (arg 0);
+    let dst_len = string_length t (arg 0) in
+    let n = string_length ~max:(Int64.to_int (arg 2)) t (arg 1) + 1 in
+    check_range t ~access:Instr.AccStore
+      (Int64.add (arg 0) (Int64.of_int dst_len))
+      n
   | "strncmp" -> ()
   | "strdup" -> check_string t (arg 0)
   | "memcpy" | "memmove" ->

@@ -607,3 +607,11 @@ int main(void) {
 }
 |} "";
   ]
+
+(** Run [src] under Safe Sulong through [Engine.run], as every run, and
+    return the managed run itself. *)
+let sulong ?argv ?input ?step_limit ?detect_uninit (src : string) :
+    Interp.run_result =
+  Option.get
+    (Engine.run ?argv ?input ?step_limit ?detect_uninit Engine.Safe_sulong src)
+      .Engine.managed

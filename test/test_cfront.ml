@@ -62,7 +62,7 @@ let test_lex_octal_escapes () =
   check_tokens "stops at a non-octal digit" [ Token.STR_LIT "\0018" ] {|"\18"|};
   check_tokens "bare \\0 is NUL" [ Token.STR_LIT "\000x" ] {|"\0x"|};
   let r =
-    Loader.run_source
+    Cases.sulong
       {|int main(void) { printf("a\012b"); return sizeof("\012"); }|}
   in
   Alcotest.(check string) "printf prints the newline and what follows" "a\nb"
@@ -127,7 +127,7 @@ let test_lex_define () =
   (* the libc prelude, lexed before the user's source, keeps its own
      parameter names *)
   let r =
-    Loader.run_source
+    Cases.sulong
       "#define size 3\nint main(void) { char *p = malloc(size); free(p); return size; }"
   in
   Alcotest.(check int) "user #define leaves the prelude alone" 3 r.Interp.exit_code

@@ -320,6 +320,75 @@ let test_oracle_deterministic () =
   in
   Alcotest.(check string) "stable verdict" (verdict 99) (verdict 99)
 
+(* Programs with memory errors: the five managed configurations read the
+   outcome key and the fault location ([ob_loc]) from the managed run
+   [Engine.run_module] returns, so they must agree on both, and every
+   detected error must carry a location; the native configurations
+   carry none.  Over the 68 corpus bugs (under the oracle's fixed argv
+   and empty input, 64 are detected) and three hand-written errors whose
+   location is pinned. *)
+let test_managed_error_locations () =
+  let managed (o : Oracle.observation) =
+    String.starts_with ~prefix:"sulong" o.Oracle.ob_config
+  in
+  let locate what src =
+    let obs = Oracle.observations src in
+    let m = List.filter managed obs in
+    Alcotest.(check int) (what ^ ": managed configurations") 5 (List.length m);
+    let first = List.hd m in
+    List.iter
+      (fun (o : Oracle.observation) ->
+        let at = what ^ ": " ^ o.Oracle.ob_config in
+        if managed o then begin
+          Alcotest.(check string) (at ^ " key") first.Oracle.ob_key o.Oracle.ob_key;
+          Alcotest.(check (option string)) (at ^ " loc") first.Oracle.ob_loc
+            o.Oracle.ob_loc
+        end
+        else Alcotest.(check (option string)) (at ^ " loc") None o.Oracle.ob_loc)
+      obs;
+    if
+      String.starts_with ~prefix:"detected:" first.Oracle.ob_key
+      && first.Oracle.ob_loc = None
+    then
+      Alcotest.failf "%s: %s without a location" what first.Oracle.ob_key;
+    (first.Oracle.ob_key, first.Oracle.ob_loc)
+  in
+  let detected =
+    List.filter
+      (fun (p : Groundtruth.program) ->
+        String.starts_with ~prefix:"detected:"
+          (fst (locate p.Groundtruth.id p.Groundtruth.source)))
+      Corpus.all
+  in
+  Alcotest.(check int) "corpus bugs detected" 64 (List.length detected);
+  List.iter
+    (fun (what, src, expected) ->
+      Alcotest.(check (pair string (option string))) what expected
+        (locate what src))
+    [ ( "out-of-bounds write in a loop",
+        "int main(void) {\n\
+        \  int a[4];\n\
+        \  for (int i = 0; i <= 4; i++) a[i] = i;\n\
+        \  return a[0];\n\
+         }\n",
+        ("detected:out-of-bounds", Some "<input>:3:37") );
+      ( "use after free",
+        "int main(void) {\n\
+        \  int *p = (int *)malloc(4 * sizeof(int));\n\
+        \  p[0] = 1;\n\
+        \  free(p);\n\
+        \  return p[0];\n\
+         }\n",
+        ("detected:use-after-free", Some "<input>:5:3") );
+      ( "NULL dereference in a callee",
+        "int get(int *p) {\n\
+        \  return *p;\n\
+         }\n\
+         int main(void) {\n\
+        \  return get(0);\n\
+         }\n",
+        ("detected:null-dereference", Some "<input>:2:3") ) ]
+
 (* ---------------- the shrinker ---------------- *)
 
 let test_shrinker_reduces () =
@@ -754,6 +823,8 @@ let () =
           Alcotest.test_case "fixed-seed smoke run" `Slow test_oracle_smoke;
           Alcotest.test_case "deterministic verdict" `Quick
             test_oracle_deterministic;
+          Alcotest.test_case "managed configurations agree on error locations"
+            `Quick test_managed_error_locations;
         ] );
       ( "shrinker",
         [

@@ -6,7 +6,7 @@
 (* ---------------- uninitialized-read detection ---------------- *)
 
 let run ?(detect_uninit = false) ?(argv = [ "prog" ]) ?(input = "") src =
-  Loader.run_source ~detect_uninit ~argv ~input src
+  Cases.sulong ~detect_uninit ~argv ~input src
 
 let expect_uninit src =
   let r = run ~detect_uninit:true src in
@@ -198,7 +198,7 @@ int main(void) { return add(1, 2); }
     [ "-> main"; "-> add(1, 2)"; "<- add = 3"; "<- main = 3" ]
 
 let test_trace_off_by_default () =
-  let r = Loader.run_source "int main(void) { return 0; }" in
+  let r = Cases.sulong "int main(void) { return 0; }" in
   Alcotest.(check string) "no trace" "" r.Interp.trace_output
 
 (* ---------------- module linking ---------------- *)
@@ -206,7 +206,7 @@ let test_trace_off_by_default () =
 let test_link_user_overrides_libc () =
   (* a program defining its own strlen wins over the libc's *)
   let r =
-    Loader.run_source
+    Cases.sulong
       {|
 size_t strlen(const char *s) { (void)s; return 999; }
 int main(void) { printf("%d\n", (int)strlen("ab")); return 0; }
@@ -218,7 +218,7 @@ let test_link_tentative_definitions () =
   (* 'extern FILE *stdout;' in user code must not shadow the libc's
      initialized definition *)
   let r =
-    Loader.run_source
+    Cases.sulong
       {|
 extern FILE *stdout;
 int main(void) { fputs("via stdout\n", stdout); return 0; }

@@ -1,7 +1,7 @@
 (** Safe Sulong interpreter tests: the shared semantic battery, every
     error class of the paper, the varargs machinery, and engine limits. *)
 
-let run ?(argv = [ "prog" ]) ?(input = "") src = Loader.run_source ~argv ~input src
+let run ?(argv = [ "prog" ]) ?(input = "") src = Cases.sulong ~argv ~input src
 
 let check_case (c : Cases.case) () =
   let r = run ~input:c.Cases.input c.Cases.src in
@@ -536,7 +536,7 @@ let test_f32_nan_all_engines () =
 (* ---------------- limits ---------------- *)
 
 let test_step_limit () =
-  let r = Loader.run_source ~step_limit:10_000 "int main(void) { while (1) {} return 0; }" in
+  let r = Cases.sulong ~step_limit:10_000 "int main(void) { while (1) {} return 0; }" in
   Alcotest.(check bool) "timed out" true r.Interp.timed_out
 
 let test_recursion_guard () =

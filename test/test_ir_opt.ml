@@ -481,7 +481,7 @@ int main(void) {
 }
 |}
   in
-  let r = Loader.run_source src in
+  let r = Cases.sulong src in
   Alcotest.(check string) "managed image" "1 2.5 hi 3 ok 2\n" r.Interp.output;
   let n = Engine.run (Engine.Clang Pipeline.O0) src in
   Alcotest.(check string) "native image" r.Interp.output n.Engine.output;
@@ -537,8 +537,8 @@ let check_link_law ?(lib = Loader.libc ()) what (user : Irmod.t) =
 
 (* The libcs the oracle's middle-end configurations link against. *)
 let optimized_libcs () =
-  [ ("fold", Lazy.force Oracle.folded_libc);
-    ("safe-jit", Lazy.force Oracle.safe_jit_libc) ]
+  [ ("fold", Engine.optimized_libc `FoldOnly);
+    ("safe-jit", Engine.optimized_libc `SafeJit) ]
 
 (* The user programs both link laws run over: the corpus and its
    repaired variants, the bench programs and difftest seeds 0-499. *)
@@ -613,20 +613,20 @@ int main(void) { return (int)strlen("abc"); }
 
 (* [sulong/fold] and [sulong/safe-jit] run their pipeline over a copy of
    the user module alone and link it against the libc after the same
-   pipeline, built once per process ([Oracle.optimized]).  The law: that
+   pipeline, built once per process ([Engine.optimized]).  The law: that
    module prints as the whole linked module does after the pipeline. *)
 let test_per_part_law () =
-  let whole pipeline user =
+  let whole mode user =
     let m = Irmod.copy (Loader.link_libc ~shared:true (Loader.libc ()) user) in
-    pipeline m;
+    Engine.pipeline mode m;
     Irprint.module_to_string m
   in
   law_programs (fun what user ->
       List.iter
-        (fun (mode, pipeline) ->
-          Alcotest.(check string) what (whole pipeline user)
-            (Irprint.module_to_string (Oracle.optimized mode user)))
-        [ (`FoldOnly, Oracle.fold_pipeline); (`SafeJit, Oracle.safe_jit_pipeline) ])
+        (fun mode ->
+          Alcotest.(check string) what (whole mode user)
+            (Irprint.module_to_string (Engine.optimized mode user)))
+        [ `FoldOnly; `SafeJit ])
 
 (* ---------------- CFG analyses ---------------- *)
 

@@ -152,6 +152,37 @@ let test_builtin_is_an_undefined_symbol () =
     [ Engine.Clang Pipeline.O0; Engine.Clang Pipeline.O3; Engine.Asan Pipeline.O0;
       Engine.Valgrind Pipeline.O0 ]
 
+(* A libc function called through a cast function pointer with fewer
+   arguments than it reads reads junk for the missing ones, as a missing
+   vararg does ([Nlibc.missing_arg]): the run ends as a return value, a
+   simulated crash or a sanitizer report, never as a host exception. *)
+let test_libc_call_missing_arguments () =
+  let programs =
+    [ ( "strlen",
+        "int main(void) { size_t (*f)(void) = (size_t (*)(void))strlen; \
+         return (int)f(); }" );
+      ( "malloc",
+        "int main(void) { char *(*f)(void) = (char *(*)(void))malloc; \
+         char *p = f(); p[0] = 1; return p[0]; }" );
+      ( "printf",
+        "int main(void) { int (*f)(void) = (int (*)(void))printf; return f(); }" );
+      ( "strcpy",
+        "int main(void) { char b[8]; \
+         char *(*f)(char *) = (char *(*)(char *))strcpy; f(b); return b[0]; }" ) ]
+  in
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun tool ->
+          match Engine.run tool src with
+          | _ -> ()
+          | exception e ->
+            Alcotest.failf "%s under %s: %s" name (Engine.tool_name tool)
+              (Printexc.to_string e))
+        [ Engine.Clang Pipeline.O0; Engine.Clang Pipeline.O3;
+          Engine.Asan Pipeline.O0; Engine.Valgrind Pipeline.O0 ])
+    programs
+
 (* ---------------- demand-zero pages ---------------- *)
 
 (* [Mem] and [Shadow] keep their 16 MiB as 4 KiB pages, each whole-page
@@ -309,6 +340,8 @@ let () =
         [
           Alcotest.test_case "a builtin is an undefined symbol" `Quick
             test_builtin_is_an_undefined_symbol;
+          Alcotest.test_case "a libc call missing arguments reads junk" `Quick
+            test_libc_call_missing_arguments;
         ] );
       ("pages", [ QCheck_alcotest.to_alcotest prop_pages_match_flat ]);
     ]

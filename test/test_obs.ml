@@ -347,7 +347,7 @@ let test_profile_rewind_accumulates () =
 (* Each program is written as an explicit line list so the expected
    fault line is visible in the test itself (line 1 = first element). *)
 let run_lines ?(argv = [ "prog" ]) (lines : string list) : Interp.run_result =
-  Loader.run_source ~argv (String.concat "\n" lines)
+  Cases.sulong ~argv (String.concat "\n" lines)
 
 let check_report ~kind ~line ?(detail = []) (r : Interp.run_result) :
     Bugreport.t =
@@ -508,24 +508,21 @@ let test_report_stack_trace () =
     Alcotest.(check (list int)) "per-frame lines" [ 1; 2; 5 ] lines
 
 (* Every corpus bug must come back with a provenance report carrying a
-   real C source line (acceptance criterion for the PR).  Mirrors
-   Engine.run_sulong's knobs. *)
+   real C source line, in the managed run [Engine.run] returns. *)
 let test_corpus_reports () =
   List.iter
     (fun (p : Groundtruth.program) ->
-      let m = Loader.load_program p.Groundtruth.source in
-      Pipeline.compile_sulong m;
-      let st =
-        Interp.create ~step_limit:200_000_000 ~mementos:true
-          ~input:p.Groundtruth.input m
+      let r =
+        Engine.run ~argv:p.Groundtruth.argv ~input:p.Groundtruth.input
+          Engine.Safe_sulong p.Groundtruth.source
       in
-      let r = Interp.run ~argv:p.Groundtruth.argv st in
-      match (r.Interp.error, r.Interp.report) with
-      | None, _ ->
+      match r.Engine.managed with
+      | None -> Alcotest.fail (p.Groundtruth.id ^ ": no managed run")
+      | Some { Interp.error = None; _ } ->
         Alcotest.fail (p.Groundtruth.id ^ ": Safe Sulong missed the bug")
-      | Some _, None ->
+      | Some { Interp.report = None; _ } ->
         Alcotest.fail (p.Groundtruth.id ^ ": no provenance report")
-      | Some (cat, _), Some rep ->
+      | Some { Interp.error = Some (cat, _); report = Some rep; _ } ->
         (match Bugreport.fault_frame rep with
         | None ->
           Alcotest.fail (p.Groundtruth.id ^ ": no faulting source line")
@@ -594,7 +591,7 @@ let test_switch_duplicate_after_conversion () =
         "}";
       ]
   in
-  match Loader.run_source src with
+  match Cases.sulong src with
   | exception Diag.Error (_, msg) ->
     Alcotest.(check bool)
       "mentions duplicate label" true
@@ -612,7 +609,7 @@ let test_switch_rejects_non_integer () =
         "}";
       ]
   in
-  match Loader.run_source src with
+  match Cases.sulong src with
   | exception Diag.Error (_, _) -> ()
   | _ -> Alcotest.fail "floating switch scrutinee accepted"
 

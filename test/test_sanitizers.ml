@@ -147,6 +147,34 @@ let test_asan_interceptor_checks_strcpy () =
        (run_asan
           {|int main(void) { char d[4]; strcpy(d, "much too long"); return d[0]; }|}))
 
+let test_asan_interceptor_checks_strncat () =
+  (* strncat writes after dst's string: at most n bytes of src, then a
+     NUL.  A bound larger than the buffer is correct C. *)
+  let correct =
+    [
+      ( "heap",
+        {|int main(void) { char *d = (char*)malloc(16); d[0] = 0; strncat(d, "ab", 1); printf("%s\n", d); free(d); return 0; }|},
+        "a\n" );
+      ( "global",
+        {|char g[16]; int main(void) { strcpy(g, "ab"); strncat(g, "cdef", 100); printf("%s\n", g); return 0; }|},
+        "abcdef\n" );
+    ]
+  in
+  List.iter
+    (fun level ->
+      List.iter
+        (fun (name, src, out) ->
+          let r = run_asan ~level src in
+          Alcotest.(check bool) (name ^ ": no report") false (detected r);
+          Alcotest.(check int) (name ^ ": exit") 0 r.Engine.exit_code;
+          Alcotest.(check string) (name ^ ": output") out r.Engine.output)
+        correct;
+      Alcotest.(check bool) "overflow found" true
+        (detected
+           (run_asan ~level
+              {|int main(void) { char d[4]; strcpy(d, "ab"); strncat(d, "cdef", 3); return d[0]; }|})))
+    [ Pipeline.O0; Pipeline.O3 ]
+
 let test_asan_clean_program_unaffected () =
   let r = run_asan {|int main(void) { printf("fine\n"); return 0; }|} in
   Alcotest.(check bool) "no report" false (detected r);
@@ -238,6 +266,8 @@ let () =
           Alcotest.test_case "finite redzone" `Quick test_asan_redzone_is_finite;
           Alcotest.test_case "strcpy interceptor" `Quick
             test_asan_interceptor_checks_strcpy;
+          Alcotest.test_case "strncat interceptor" `Quick
+            test_asan_interceptor_checks_strncat;
           Alcotest.test_case "clean program unaffected" `Quick
             test_asan_clean_program_unaffected;
         ] );
