@@ -297,7 +297,7 @@ let do_run_ir file args input_text =
       report_run Engine.Safe_sulong
         (Engine.run_module ~argv:(file :: args) ~input:input_text
            ~step_limit:Engine.long_step_limit Engine.Safe_sulong
-           (Loader.link_libc (Loader.libc ()) m)))
+           (Loader.link_libc ~shared:true (Loader.libc ()) m)))
 
 let ir_file_arg =
   Arg.(

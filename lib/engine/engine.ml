@@ -143,10 +143,14 @@ let run_module ?(argv = [ "program" ]) ?(input = "")
 
 let run ?argv ?input ?step_limit ?mementos ?detect_uninit ?trace ?tier
     ?profile ?asan_options ?file (tool : tool) (src : string) : result =
+  let user = Loader.compile_user ?file src in
   let m =
     match tool with
-    | Safe_sulong -> Loader.load_program ?file src
-    | Clang _ | Asan _ | Valgrind _ -> Loader.compile_user ?file src
+    | Safe_sulong ->
+      (* The interpreter only reads the module it runs: link the shared
+         libc, not a copy of it. *)
+      Loader.link_libc ~shared:true (Loader.libc ()) user
+    | Clang _ | Asan _ | Valgrind _ -> user
   in
   run_module ?argv ?input ?step_limit ?mementos ?detect_uninit ?trace ?tier
     ?profile ?asan_options tool m

@@ -92,9 +92,11 @@ val run_module :
   Irmod.t ->
   result
 
-(** The front end [tool] implies ([Loader.load_program] for Safe Sulong,
-    [Loader.compile_user] for the others; [file] names the source in
-    diagnostics and reports), then [run_module]. *)
+(** The front end [tool] implies ([Loader.compile_user]; [file] names
+    the source in diagnostics and reports), then [run_module].  Safe
+    Sulong links the program against the shared libc
+    ([Loader.link_libc ~shared:true]): the interpreter only reads the
+    module it runs, so no verdict copies the libc. *)
 val run :
   ?argv:string list ->
   ?input:string ->

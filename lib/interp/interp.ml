@@ -1500,7 +1500,9 @@ let rec run ?(argv = [ "program" ]) (st : state) : run_result =
         else
           (* Fast path has no line markers: deoptimize — re-execute the
              same program deterministically with eager provenance
-             tracking and take the report from the replayed fault. *)
+             tracking and take the report from the replayed fault.  One
+             [report] span holds the replay and the report it builds. *)
+          Trace.span "report" @@ fun () ->
           match rerun_for_report st argv cat with
           | Some r -> r
           | None -> report_of_error st cat msg (* frames, no lines *)

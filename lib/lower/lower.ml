@@ -1087,23 +1087,31 @@ let lower ?(string_prefix = ".str") ?(file = "<input>") (env : Sema.env)
       | A.Gfunc _ | A.Gfundecl _ | A.Gstruct _ | A.Gtypedef _ | A.Genum _ -> ())
     prog;
   (* Prototypes for functions that are declared but not defined in this
-     unit become externs (resolved at link time against libc). *)
+     unit become externs (resolved at link time against libc), in the
+     order of their first declaration.  [seen]: the names that need no
+     (further) extern. *)
+  let seen = Hashtbl.create 128 in
   List.iter
-    (fun g ->
-      match g with
-      | A.Gfundecl (name, fsig)
-        when (not (List.exists (function A.Gfunc f -> f.A.fn_name = name | _ -> false) prog))
-             && Irmod.find_extern m name = None ->
-        Irmod.add_extern m
-          {
-            Irmod.e_name = name;
-            e_ret = ret_scalar Token.dummy_pos fsig.Ctype.ret;
-            e_params =
-              List.map (scalar_of_ctype Token.dummy_pos) fsig.Ctype.params;
-            e_variadic = fsig.Ctype.variadic;
-          }
-      | _ -> ())
+    (function A.Gfunc f -> Hashtbl.replace seen f.A.fn_name () | _ -> ())
     prog;
+  List.iter (fun (name, _, _, _) -> Hashtbl.replace seen name ()) builtin_externs;
+  let protos =
+    List.filter_map
+      (function
+        | A.Gfundecl (name, fsig) when not (Hashtbl.mem seen name) ->
+          Hashtbl.replace seen name ();
+          Some
+            {
+              Irmod.e_name = name;
+              e_ret = ret_scalar Token.dummy_pos fsig.Ctype.ret;
+              e_params =
+                List.map (scalar_of_ctype Token.dummy_pos) fsig.Ctype.params;
+              e_variadic = fsig.Ctype.variadic;
+            }
+        | _ -> None)
+      prog
+  in
+  m.Irmod.externs <- m.Irmod.externs @ protos;
   List.iter (fun g -> match g with A.Gfunc f -> lower_func ctx f | _ -> ()) prog;
   m
 

@@ -50,7 +50,11 @@ type event =
     }
   | Error_raised of { ev_kind : string; ev_msg : string }
 
-type entry = { e_seq : int; e_event : event }
+(** [e_line] is the entry's rendered line, made at most once, when a
+    [to_lines] call first needs it: a report lists every entry still in
+    the ring, so rendering at each call would re-format the lines that
+    earlier programs left. *)
+type entry = { e_seq : int; e_event : event; mutable e_line : string option }
 
 let capacity = 256
 
@@ -73,7 +77,7 @@ let kind_name = function
 let record (ev : event) : unit =
   if not !masked then begin
     Metrics.incr (Metrics.counter ("events." ^ kind_name ev));
-    ring.(!seq mod capacity) <- Some { e_seq = !seq; e_event = ev };
+    ring.(!seq mod capacity) <- Some { e_seq = !seq; e_event = ev; e_line = None };
     incr seq
   end
 
@@ -124,5 +128,15 @@ let render (e : entry) : string =
   Printf.sprintf "#%-5d %s" e.e_seq body
 
 (** The ring rendered one line per entry, oldest first — the form
-    [Bugreport] and difftest divergences embed. *)
-let to_lines () : string list = List.map render (recent ())
+    [Bugreport] and difftest divergences embed.  Each entry is rendered
+    once; later calls return the same strings. *)
+let to_lines () : string list =
+  List.map
+    (fun e ->
+      match e.e_line with
+      | Some l -> l
+      | None ->
+        let l = render e in
+        e.e_line <- Some l;
+        l)
+    (recent ())

@@ -657,6 +657,33 @@ int main(void) {
   Alcotest.(check bool) "sq never called" true
     (sq.Interp.pf_tier = Interp.Tier_interp)
 
+(* [Engine.run] links every Safe Sulong program against the libc module
+   itself, not a copy, so no run may rewrite it: before and after the 76
+   [bugs] programs, interpreted and at threshold 0, the libc prints as
+   a fresh front end of it does (whatever this process ran earlier). *)
+let test_shared_libc_frozen () =
+  let libc () = Irprint.module_to_string (Loader.libc_module_shared ()) in
+  let fresh =
+    Irprint.module_to_string
+      (fst
+         (Lower.frontend ~string_prefix:".libc.str" ~file:"<libc>"
+            Libc_src.source))
+  in
+  Alcotest.(check string) "libc before the runs" fresh (libc ());
+  List.iter
+    (fun tier ->
+      List.iter
+        (fun (p : Groundtruth.program) ->
+          List.iter
+            (fun src ->
+              ignore
+                (Engine.run ~argv:p.Groundtruth.argv ~input:p.Groundtruth.input
+                   ~step_limit:50_000_000 ?tier Engine.Safe_sulong src))
+            (p.Groundtruth.source :: Option.to_list p.Groundtruth.fixed))
+        Corpus.all)
+    [ None; Some (Tier.controller ~threshold:0 ()) ];
+  Alcotest.(check string) "libc after the runs" fresh (libc ())
+
 let () =
   Alcotest.run "interp"
     [
@@ -695,6 +722,8 @@ let () =
             test_indirect_call_target_flip;
           Alcotest.test_case "bodies are prepared at first call" `Quick
             test_prepare_at_first_call;
+          Alcotest.test_case "runs leave the shared libc as it was" `Quick
+            test_shared_libc_frozen;
         ] );
       ( "float semantics",
         [

@@ -540,25 +540,23 @@ let optimized_libcs () =
   [ ("fold", Engine.optimized_libc `FoldOnly);
     ("safe-jit", Engine.optimized_libc `SafeJit) ]
 
-(* The user programs both link laws run over: the corpus and its
-   repaired variants, the bench programs and difftest seeds 0-499. *)
-let law_programs (f : string -> Irmod.t -> unit) =
+(* The user programs the link and extern laws run over: the corpus and
+   its repaired variants, the bench programs and difftest seeds 0-499. *)
+let law_sources (f : string -> string -> unit) =
   List.iter
     (fun (p : Groundtruth.program) ->
-      f p.Groundtruth.id (Loader.compile_user p.Groundtruth.source);
-      Option.iter
-        (fun src -> f (p.Groundtruth.id ^ " fixed") (Loader.compile_user src))
-        p.Groundtruth.fixed)
+      f p.Groundtruth.id p.Groundtruth.source;
+      Option.iter (f (p.Groundtruth.id ^ " fixed")) p.Groundtruth.fixed)
     Corpus.all;
   List.iter
-    (fun (b : Benchprogs.bench) ->
-      f b.Benchprogs.b_name (Loader.compile_user b.Benchprogs.b_source))
+    (fun (b : Benchprogs.bench) -> f b.Benchprogs.b_name b.Benchprogs.b_source)
     Benchprogs.all;
   for seed = 0 to 499 do
-    f
-      (Printf.sprintf "seed %d" seed)
-      (Loader.compile_user (Cprog.render (Cgen.generate ~seed ())))
+    f (Printf.sprintf "seed %d" seed) (Cprog.render (Cgen.generate ~seed ()))
   done
+
+let law_programs (f : string -> Irmod.t -> unit) =
+  law_sources (fun what src -> f what (Loader.compile_user src))
 
 let test_link_check_law () =
   let accepts what user =
@@ -627,6 +625,59 @@ let test_per_part_law () =
           Alcotest.(check string) what (whole mode user)
             (Irprint.module_to_string (Engine.optimized mode user)))
         [ `FoldOnly; `SafeJit ])
+
+(* The externs [Lower.lower] emits, by their first definition: the
+   builtins, then each prototype of a function the unit does not define
+   and no earlier extern names, in program order. *)
+let reference_externs (prog : Ast.program) : Irmod.extern_decl list =
+  let defined name =
+    List.exists (function Ast.Gfunc f -> f.Ast.fn_name = name | _ -> false) prog
+  in
+  List.fold_left
+    (fun externs g ->
+      match g with
+      | Ast.Gfundecl (name, fsig)
+        when (not (defined name))
+             && not (List.exists (fun e -> e.Irmod.e_name = name) externs) ->
+        externs
+        @ [ { Irmod.e_name = name;
+              e_ret = Lower.ret_scalar Token.dummy_pos fsig.Ctype.ret;
+              e_params =
+                List.map (Lower.scalar_of_ctype Token.dummy_pos) fsig.Ctype.params;
+              e_variadic = fsig.Ctype.variadic } ]
+      | _ -> externs)
+    (List.map
+       (fun (name, ret, params, variadic) ->
+         { Irmod.e_name = name; e_ret = ret; e_params = params; e_variadic = variadic })
+       Lower.builtin_externs)
+    prog
+
+(* Names, signatures and order, as the module prints them. *)
+let externs_text externs =
+  Irprint.module_to_string { Irmod.globals = []; funcs = []; externs }
+
+let test_extern_law () =
+  let check what src =
+    let prog = Parser.parse_string (Libc_src.prelude ^ src) in
+    let expected = externs_text (reference_externs prog) in
+    let m, _ = Lower.check_and_lower prog in
+    Alcotest.(check string) what expected (externs_text m.Irmod.externs)
+  in
+  law_sources check;
+  (* A repeated prototype, a prototype of a function the unit defines,
+     a builtin (malloc) and a prelude function (strlen) declared again,
+     and a variadic prototype nothing defines. *)
+  check "hand-written prototypes"
+    {|
+int helper(int x);
+int twice(int x);
+int helper(int x);
+void *malloc(size_t size);
+size_t strlen(const char *s);
+double scaled(double d, ...);
+int twice(int x) { return 2 * x; }
+int main(void) { return twice(3); }
+|}
 
 (* ---------------- CFG analyses ---------------- *)
 
@@ -1449,6 +1500,11 @@ let () =
             test_link_check_law;
           Alcotest.test_case "per-part pipeline agrees with the whole module"
             `Slow test_per_part_law;
+        ] );
+      ( "lower",
+        [
+          Alcotest.test_case "externs: builtins, then undefined prototypes"
+            `Quick test_extern_law;
         ] );
       ( "cfg",
         [

@@ -288,6 +288,29 @@ let test_events_mask_and_render () =
           (contains line "at loop header")
       | ls -> Alcotest.failf "expected one line, got %d" (List.length ls))
 
+(* A report lists every entry still in the ring, so the ring renders
+   each entry once and hands later calls the same strings. *)
+let test_events_render_once () =
+  with_metrics (fun () ->
+      Events.reset ();
+      for i = 0 to 299 do
+        Events.record
+          (Events.Inline_reject
+             { ev_caller = "main"; ev_callee = Printf.sprintf "f%d" i;
+               ev_size = i; ev_budget = 300 - i; ev_reason = "too big" })
+      done;
+      let lines = Events.to_lines () in
+      Alcotest.(check (list string)) "cached lines render as before"
+        (List.map Events.render (Events.recent ()))
+        lines;
+      Alcotest.(check bool) "a second call returns the same strings" true
+        (List.for_all2 ( == ) lines (Events.to_lines ()));
+      Events.reset ();
+      Events.record
+        (Events.Deopt { ev_fn = "g"; ev_kind = "out-of-bounds"; ev_osr = true });
+      Alcotest.(check (list string)) "reset forgets the old lines"
+        [ "#0     deopt          g (out-of-bounds, osr frame)" ]
+        (Events.to_lines ()))
 
 (* ---------------- guest profiler: delta attribution ---------------- *)
 
@@ -734,6 +757,8 @@ let () =
             test_events_ring_capacity;
           Alcotest.test_case "mask suppresses, render shapes" `Quick
             test_events_mask_and_render;
+          Alcotest.test_case "each entry renders once" `Quick
+            test_events_render_once;
           Alcotest.test_case "bug reports embed the ring" `Quick
             test_bugreport_embeds_events;
         ] );
