@@ -184,9 +184,10 @@ let tier_flag =
     & info [ "tier" ]
         ~doc:
           "Run under the two-tier engine (Safe Sulong only): hot functions \
-           are closure-compiled after crossing the hotness threshold, and \
-           deoptimize back to the interpreter on any managed error so bug \
-           reports are identical to the interpreter's.")
+           are closure-compiled after crossing the hotness threshold.  \
+           Compiled code reports a managed error itself, with the \
+           interpreter's source locations and call stack, and the function \
+           deoptimizes back to the interpreter.")
 
 let args_arg =
   Arg.(
@@ -270,9 +271,9 @@ let run_cmd =
 let do_ir file level with_libc =
   let src = read_file file in
   diagnosing file (fun () ->
-      let m =
-        if with_libc then Loader.load_program src else Loader.compile_user src
-      in
+      (* a unit to print, not a program to run: [main] is optional *)
+      let m = Loader.compile_user ~main:false src in
+      let m = if with_libc then Loader.link_libc (Loader.libc ()) m else m in
       if level = 3 then ignore (Pipeline.o3 m);
       print_string (Irprint.module_to_string m);
       0)
@@ -933,8 +934,7 @@ let do_obs_selftest () =
   let r = run ~argv:[ "selftest" ] src in
   check "managed error detected" (r.Interp.error <> None);
   (* Bodies are prepared at first call: exactly the functions the run
-     entered, a fraction of the libc-linked module.  (The provenance
-     replay runs with metrics off and does not count.) *)
+     entered, a fraction of the libc-linked module. *)
   let prepared = (Metrics.counter "interp.prepared_funcs").Metrics.c_value in
   let funcs = r.Interp.run_profile.Interp.funcs in
   let entered =
@@ -964,12 +964,26 @@ let do_obs_selftest () =
   (match Trace.validate json with
   | Ok () -> ()
   | Error e -> check (Printf.sprintf "trace is valid Chrome JSON (%s)" e) false);
-  check "trace covers the execute phase"
-    (let rec has_sub i =
-       i + 9 <= String.length json
-       && (String.sub json i 9 = "\"execute\"" || has_sub (i + 1))
-     in
-     has_sub 0);
+  (* The faulting run executed once: one [execute] span, and the
+     [prepare] spans a clean run has, [create]'s and one per body. *)
+  let spans name =
+    let b = Printf.sprintf "{\"name\":\"%s\",\"ph\":\"B\"" name in
+    let n = String.length b in
+    let rec go i k = if i + n > String.length json then k else go (i + 1) (if String.sub json i n = b then k + 1 else k) in
+    go 0 0
+  in
+  check
+    (Printf.sprintf "one execute span (%d)" (spans "execute"))
+    (spans "execute" = 1);
+  check
+    (Printf.sprintf "prepare spans (%d) are create's and the %d bodies'"
+       (spans "prepare") prepared)
+    (spans "prepare" = 1 + prepared);
+  (* Compiled code reports the faulting line itself. *)
+  let tiered = run ~argv:[ "selftest" ] ~tier:(Tier.controller ~threshold:0 ()) src in
+  check "tier 2 report names the faulting line"
+    (Option.bind tiered.Interp.report Bugreport.fault_frame
+     |> Option.map (fun f -> f.Bugreport.bf_line) = Some 4);
   let sn = Metrics.snapshot () in
   check "interp step counter recorded"
     (List.mem_assoc "interp.steps" sn.Metrics.sn_counters);

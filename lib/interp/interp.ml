@@ -132,9 +132,7 @@ type pterm =
       (** (value, case keys, their edges, default), scanned in order *)
   | Punreachable
 
-(** Apply [f] to each outgoing edge of a prepared terminator: a
-    switch's cases in order, then its default.  Prepare- and
-    compile-time analyses walk the CFG with it. *)
+(* Each outgoing edge of a prepared terminator (interp.mli). *)
 let iter_edges f = function
   | Pret _ | Punreachable -> ()
   | Pbr e -> f e
@@ -163,9 +161,6 @@ type pinstr =
   | Psancheck
   | Pcall of int * pcallee * pval array * Irtype.scalar array
       (** (result reg or -1, callee, prepared args, arg scalars) *)
-  | Ploc of int * int
-      (** source-provenance marker: updates the frame's current line/col;
-          free — never charged, so modeled cycles are unchanged *)
 
 and pcallee =
   | Pdirect of call_target  (** resolved when the caller is prepared *)
@@ -184,6 +179,9 @@ and pblock = {
   pb_label : string;
   pb_instrs : pinstr array;  (** phis excluded; they live on the edges *)
   pb_term : pterm;
+  pb_locs : (int * int) array;
+      (** each instruction's, then the terminator's, static location
+          (interp.mli); read only by [locate] *)
   pb_index : int;            (** position in [pf_blocks] *)
   mutable pb_osr : bool;
       (** loop header: target of some back edge.  The interpreter probes
@@ -220,12 +218,10 @@ and pfunc = {
    ([compiled_body], produced by the closure compiler over the prepared
    representation below).  The compiled body is observably equivalent to
    the interpreter — same outputs, same [steps] accounting (hence the
-   same timeout point), same managed errors — except faster.  When a
-   managed error fires inside compiled code the function *deoptimizes*:
-   it is permanently dropped back to the interpreter and the error
-   propagates, so the deoptimizing provenance replay (which never tiers
-   up) reports the bug exactly as the marker-carrying interpreter
-   would. *)
+   same timeout point), same managed errors and reports — except faster.
+   When a managed error fires inside compiled code the function
+   *deoptimizes*: it is permanently dropped back to the interpreter and
+   the error propagates, its frames located as the interpreter's. *)
 
 and tier =
   | Tier_interp                (** cold: threaded interpreter *)
@@ -284,7 +280,7 @@ and frame = {
   mutable fr_arg_scalars : Irtype.scalar array;
   fr_variadic : bool;
   fr_nparams : int;
-  mutable fr_line : int;  (** C line of the last [Ploc] executed (0: none) *)
+  mutable fr_line : int;  (** written only by a managed error ([locate]) *)
   mutable fr_col : int;
 }
 
@@ -315,13 +311,6 @@ and state = {
   mutable snapshot : Mobject.checkpoint option;
       (** object-registry state right after [create]; reinstalled by
           [reset] so re-runs replay the same observable object ids *)
-  provenance : bool;
-      (** true only in the provenance replay: [Ploc] markers stay in the
-          prepared body and track the current source line eagerly
-          (slower dispatch loop).  Every other state strips them at
-          prepare time, and a fault triggers one deterministic
-          re-execution with markers ([rerun_for_report]) to recover the
-          source location — the fast path pays nothing. *)
 }
 
 let context st =
@@ -822,9 +811,9 @@ let prepare_instr st ctx (i : Instr.instr) : pinstr =
     in
     Pcall ((match r with Some r -> r | None -> -1), pc, pargs, scalars)
   | Instr.Sancheck _ -> Psancheck
-  | Instr.Srcloc (line, col) -> Ploc (line, col)
-  | Instr.Phi _ ->
-    (* phis are compiled into the incoming edges, never into the body *)
+  | Instr.Srcloc _ | Instr.Phi _ ->
+    (* markers become [pb_locs]; phis are compiled into the incoming
+       edges, never into the body *)
     assert false
 
 (** A registered, unprepared function: everything but the body. *)
@@ -885,19 +874,11 @@ let prepare_body (st : state) (pf : pfunc) : pblock array =
       in
       Edge (j, copies)
   in
+  (* Markers are not dispatched: each instruction carries the last one
+     before it in layout order ([Array.mapi] visits blocks in order). *)
+  let loc = ref (0, 0) in
   let prep_block bidx (b : Irfunc.block) : pblock =
     let from_label = b.Irfunc.label in
-    let body =
-      List.filter
-        (function
-          | Instr.Phi _ -> false
-          (* provenance markers cost a dispatch-loop iteration each, so
-             the fast path drops them; a fault re-executes with
-             [provenance=true] to recover source locations *)
-          | Instr.Srcloc _ -> st.provenance
-          | _ -> true)
-        b.Irfunc.instrs
-    in
     let term =
       match b.Irfunc.term with
       | Instr.Ret (Some (_, v)) -> Pret (Some (prepare_value st v))
@@ -916,10 +897,20 @@ let prepare_body (st : state) (pf : pfunc) : pblock array =
             resolve_edge from_label default )
       | Instr.Unreachable -> Punreachable
     in
+    let body = ref [] and locs = ref [] in
+    List.iter
+      (function
+        | Instr.Phi _ -> ()
+        | Instr.Srcloc (line, col) -> loc := (line, col)
+        | i ->
+          body := prepare_instr st ctx i :: !body;
+          locs := !loc :: !locs)
+      b.Irfunc.instrs;
     {
       pb_label = from_label;
-      pb_instrs = Array.of_list (List.map (prepare_instr st ctx) body);
+      pb_instrs = Array.of_list (List.rev !body);
       pb_term = term;
+      pb_locs = Array.of_list (List.rev (!loc :: !locs));
       pb_index = bidx;
       pb_osr = false;
     }
@@ -936,8 +927,7 @@ let prepare_body (st : state) (pf : pfunc) : pblock array =
     pblocks;
   pblocks
 
-(** Build [pf]'s body, once.  Runs under the library's "prepare" span
-    and counts into [interp.prepared_funcs] when metrics are on. *)
+(* [pf]'s body, built once (interp.mli). *)
 let prepare st (pf : pfunc) =
   if not pf.pf_prepared then
     Trace.span "prepare" (fun () ->
@@ -956,6 +946,10 @@ let charge st (fr : frame) k =
   let c = fr.fr_func.pf_counters.c_kinds in
   Array.unsafe_set c k (Array.unsafe_get c k + 1);
   if st.steps > st.step_limit then raise Step_limit_exceeded
+
+(* What a managed error writes into a frame it unwinds through: the
+   location of the instruction it leaves.  The fast path writes none. *)
+let locate (fr : frame) (line, col) = fr.fr_line <- line; fr.fr_col <- col
 
 (* The tier-up decision, probed at every call and, for on-stack
    replacement, at loop headers: a still-interpreted function whose
@@ -1053,11 +1047,9 @@ let rec call_function st (pf : pfunc) (args : Mval.t array)
 
 (** Run a compiled body (an OSR entry when [osr]) under the deopt
     contract: a managed error drops the function back to tier 1
-    permanently ([Tier_deopt]) and propagates, so error reporting —
-    including the deoptimizing provenance replay, which never tiers up
-    — sees exactly the interpreter's behavior.  [Exit_program],
-    [Step_limit_exceeded] and internal failures pass through untouched:
-    they are not managed errors and carry no source provenance. *)
+    permanently ([Tier_deopt]) and propagates, its frames located as
+    [exec_instrs] locates them.  [Exit_program], [Step_limit_exceeded]
+    and internal failures pass through untouched. *)
 and exec_compiled st (pf : pfunc) (fr : frame) ~osr (body : compiled_body) :
     Mval.t option =
   try body st fr
@@ -1126,9 +1118,11 @@ and exec_instrs st (fr : frame) (blk : pblock) : Mval.t option =
   let instrs = blk.pb_instrs in
   let n = Array.length instrs in
   let rec run i =
-    if i >= n then exec_term st fr blk.pb_term
+    if i >= n then exec_term st fr blk
     else begin
-      (match instrs.(i) with
+      (* a handler per instruction, closed before the next one runs *)
+      (try
+      match instrs.(i) with
       | Palloca (r, mty, size) ->
         charge st fr k_alloca;
         let obj = Mobject.alloc ~storage:Merror.Stack ~mty size in
@@ -1162,11 +1156,6 @@ and exec_instrs st (fr : frame) (blk : pblock) : Mval.t option =
         fr.fr_regs.(r) <- f (pv fr v)
       | Psancheck ->
         charge st fr k_sancheck
-      | Ploc (line, col) ->
-        (* provenance marker: free — no [charge], so [steps] and the
-           modeled cycle counts are bit-identical with metrics off/on *)
-        fr.fr_line <- line;
-        fr.fr_col <- col
       | Pcall (r, callee, pargs, scalars) ->
         charge st fr k_call;
         let na = Array.length pargs in
@@ -1190,7 +1179,10 @@ and exec_instrs st (fr : frame) (blk : pblock) : Mval.t option =
         in
         if r >= 0 then
           fr.fr_regs.(r) <-
-            (match result with Some v -> v | None -> Mval.zero));
+            (match result with Some v -> v | None -> Mval.zero)
+      with Merror.Error _ as e ->
+        locate fr blk.pb_locs.(i);
+        raise e);
       run (i + 1)
     end
   in
@@ -1202,9 +1194,9 @@ and exec_target st (tgt : call_target) argv scalars : Mval.t option =
   | Tgt_builtin (_, fn) -> fn st argv
   | Tgt_unknown name -> failwith ("interp: unknown builtin " ^ name)
 
-and exec_term st (fr : frame) (t : pterm) : Mval.t option =
+and exec_term st (fr : frame) (blk : pblock) : Mval.t option =
   charge st fr k_term;
-  match t with
+  match blk.pb_term with
   | Pret (Some v) -> Some (pv fr v)
   | Pret None -> None
   | Pbr e -> goto st fr e
@@ -1220,6 +1212,7 @@ and exec_term st (fr : frame) (t : pterm) : Mval.t option =
     in
     goto st fr (find 0)
   | Punreachable ->
+    locate fr blk.pb_locs.(Array.length blk.pb_instrs);
     Merror.raise_error
       (Merror.Type_violation "reached an unreachable instruction")
       (context st)
@@ -1243,8 +1236,8 @@ type run_result = {
   trace_output : string;  (** call trace, when enabled (empty otherwise) *)
   timed_out : bool;
   report : Bugreport.t option;
-      (** structured provenance report for [error]: faulting C source
-          location, bounds detail, and the managed call stack *)
+      (** structured report for [error]: faulting C source location,
+          bounds detail, and the managed call stack *)
 }
 
 (* ASan-style detail lines derived from the structured error payload. *)
@@ -1295,7 +1288,6 @@ let create ?(step_limit = 500_000_000) ?(mementos = true)
       prof;
       detect_uninit;
       snapshot = None;
-      provenance = false;
     }
   in
   (* The module image: every global object (their ids are observable)
@@ -1312,20 +1304,12 @@ let create ?(step_limit = 500_000_000) ?(mementos = true)
   st.snapshot <- Some (Mobject.checkpoint ());
   st
 
-(** Rewind a prepared state so [run] replays bit-identically to a fresh
-    [create] of the same module — without re-preparing and, crucially,
-    without discarding [pf_tier]: compiled bodies survive, which is the
-    compiled-body cache the tiered engine and the benchmarks rely on.
-    ([Tier_deopt] also survives: a function that deoptimized re-runs
-    interpreted, which is observably identical, and skips pointless
-    recompilation.)
-
-    Everything observable is restored: the object registry prefix (ids
-    are observable through pointer cookies and error messages), global
-    byte images, the heap (including allocation-site mementos), the rng,
-    buffers, counters, and the uninitialized-read flag — even if other
-    engine states were created (and reset the global registry) in
-    between. *)
+(* [pf_tier] survives (interp.mli), [Tier_deopt] too: a function that
+   deoptimized re-runs interpreted, observably the same, uncompiled.
+   Everything observable is restored: the registry prefix (ids show in
+   cookies and messages), global images, the heap and its mementos, the
+   rng, buffers, counters and the uninitialized-read flag, even after
+   other states reset the global registry. *)
 let reset ?input (st : state) : unit =
   (match st.snapshot with
   | Some ck -> Mobject.restore ck
@@ -1392,10 +1376,10 @@ let build_argv (argv : string list) : Mval.t * Mval.t =
   ( Mval.Vint (Int64.of_int argc),
     Mval.Vptr (Mobject.Pobj { Mobject.obj = arr; moff = 0 }) )
 
-(** Snapshot the managed call stack (innermost first) into a provenance
-    report.  Works because [call_function] pops [st.frames] only on a
-    normal return: when [Merror.Error] propagates out, the stack at the
-    faulting instruction is still intact. *)
+(** Snapshot the managed call stack (innermost first) into a report.
+    Works because [call_function] pops [st.frames] only on a normal
+    return: when [Merror.Error] propagates out, the stack at the
+    faulting instruction is still intact, and [locate]d. *)
 let report_of_error st (cat : Merror.category) (msg : string) : Bugreport.t =
   {
     Bugreport.br_kind = Merror.category_name cat;
@@ -1411,9 +1395,7 @@ let report_of_error st (cat : Merror.category) (msg : string) : Bugreport.t =
             bf_col = fr.fr_col;
           })
         st.frames;
-    (* The flight recorder's ring at detection time.  During the
-       deoptimizing provenance replay recording is masked, so these are
-       the decisions of the run that found the bug, not the replay's. *)
+    (* The flight recorder's ring at detection time. *)
     br_events = Events.to_lines ();
   }
 
@@ -1439,7 +1421,7 @@ let flush_metrics st =
       Metrics.set peak (float_of_int st.heap.Mheap.peak_bytes)
   end
 
-let rec run ?(argv = [ "program" ]) (st : state) : run_result =
+let run ?(argv = [ "program" ]) (st : state) : run_result =
   let finish ?(code = 0) ?error ?report ~timed_out () =
     flush_metrics st;
     let leaked = Mheap.leaked st.heap in
@@ -1464,7 +1446,7 @@ let rec run ?(argv = [ "program" ]) (st : state) : run_result =
     }
   in
   match Hashtbl.find_opt st.funcs "main" with
-  | None -> failwith "interp: program has no main function"
+  | None -> invalid_arg "Interp.run: the module defines no main"
   | Some main -> begin
     let vargc, vargv = build_argv argv in
     let args, scalars =
@@ -1495,54 +1477,7 @@ let rec run ?(argv = [ "program" ]) (st : state) : run_result =
       Events.record
         (Events.Error_raised
            { ev_kind = Merror.category_name cat; ev_msg = msg });
-      let report =
-        if st.provenance then report_of_error st cat msg
-        else
-          (* Fast path has no line markers: deoptimize — re-execute the
-             same program deterministically with eager provenance
-             tracking and take the report from the replayed fault.  One
-             [report] span holds the replay and the report it builds. *)
-          Trace.span "report" @@ fun () ->
-          match rerun_for_report st argv cat with
-          | Some r -> r
-          | None -> report_of_error st cat msg (* frames, no lines *)
-      in
+      let report = Trace.span "report" (fun () -> report_of_error st cat msg) in
       finish ~code:255 ~error:(cat, msg) ~report ~timed_out:false ()
     | Step_limit_exceeded -> finish ~code:255 ~timed_out:true ()
   end
-
-(** Replay [st.m] from scratch with [provenance=true] and return the
-    report of the replayed fault.  Execution is deterministic (seeded
-    rng, fixed input, [Ploc] is never charged so step counts agree), so
-    the replay faults at the same instruction; the replay runs with
-    metrics suppressed to avoid double-counting.  Returns [None] if the
-    replay somehow diverges (different error category). *)
-and rerun_for_report (st : state) (argv : string list)
-    (cat : Merror.category) : Bugreport.t option =
-  let saved = !Metrics.enabled in
-  Metrics.enabled := false;
-  Fun.protect
-    ~finally:(fun () -> Metrics.enabled := saved)
-    (fun () ->
-      (* Flight-recorder mask: the replay re-raises the same managed
-         error (and never tiers up), so without the mask the ring would
-         gain a duplicate error event and the report would describe the
-         replay instead of the original run. *)
-      Events.mask @@ fun () ->
-      try
-        (* No [~tier]: the replay always runs in the marker-carrying
-           interpreter, so the report is the same whether the original
-           fault came from interpreted or compiled code. *)
-        let st2 =
-          create ~step_limit:st.step_limit
-            ~mementos:st.heap.Mheap.mementos_enabled
-            ~detect_uninit:st.detect_uninit ~input:st.input st.m
-        in
-        (* The one state that keeps the markers: [create] prepares no
-           body, so every body the replay runs is prepared with them. *)
-        let st2 = { st2 with provenance = true } in
-        let r = run ~argv st2 in
-        match (r.error, r.report) with
-        | Some (cat2, _), (Some _ as rep) when cat2 = cat -> rep
-        | _ -> None
-      with _ -> None)

@@ -112,7 +112,6 @@ type pinstr =
       int * Instr.cast * Irtype.scalar * Irtype.scalar * pval * (Mval.t -> Mval.t)
   | Psancheck
   | Pcall of int * pcallee * pval array * Irtype.scalar array
-  | Ploc of int * int
 
 and pcallee =
   | Pdirect of call_target  (** resolved when the caller is prepared *)
@@ -129,6 +128,11 @@ and pblock = {
   pb_label : string;
   pb_instrs : pinstr array;
   pb_term : pterm;
+  pb_locs : (int * int) array;
+      (** the (line, col) of each instruction, then of the terminator:
+          the last [Srcloc] before it in the function's block layout
+          order ((0, 0) before the first), which both tiers write into
+          the frame when a managed error unwinds through it *)
   pb_index : int;  (** position in [pf_blocks] *)
   mutable pb_osr : bool;
       (** loop header (target of a back edge): the interpreter probes the
@@ -203,7 +207,7 @@ and frame = {
   fr_variadic : bool;
   fr_nparams : int;
   mutable fr_line : int;
-  mutable fr_col : int;
+  mutable fr_col : int;  (** the report's; 0 until an error unwinds *)
 }
 
 and state = {
@@ -230,7 +234,6 @@ and state = {
   detect_uninit : bool;
   mutable snapshot : Mobject.checkpoint option;
       (** object-registry state right after [create]; used by [reset] *)
-  provenance : bool;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -251,12 +254,12 @@ val context : state -> string
     managed stack-overflow guard. *)
 val depth_limit : int
 
+(** [locate fr loc]: what a managed error writes into a frame [fr] it
+    unwinds through, the location [loc] of the instruction it leaves. *)
+val locate : frame -> int * int -> unit
+
 (** Evaluate a prepared operand against a frame. *)
 val pv : frame -> pval -> Mval.t
-
-val exec_load : state -> Irtype.scalar -> Mval.t -> Mval.t
-val exec_store : state -> Irtype.scalar -> Mval.t -> Mval.t -> unit
-val exec_gep : state -> frame -> Mval.t -> pgep -> Mval.t
 
 (** Call a function: depth check, [prepare] on its first entry, tier-up
     check, frame setup, body execution in the function's current tier
@@ -344,10 +347,9 @@ val create :
     the previous input is kept (and rewound). *)
 val reset : ?input:string -> state -> unit
 
-(** Execute [main].  A state is good for one run; [reset] it (or create
-    a fresh one) before running again.  The dispatch loop tracks no
-    source location: after a managed error, [run] re-executes the
-    program once with eager tracking, and never a tier controller, to
-    take [report] from the replayed fault (deterministic deoptimizing
-    replay). *)
+(** Execute [main], which the module must define ([Loader]'s link check
+    rejects a program without one).  A state is good for one run;
+    [reset] it (or create a fresh one) before running again.  A managed
+    error takes [report] from the frames it unwound through, each
+    located by the instruction it left ([pb_locs]). *)
 val run : ?argv:string list -> state -> run_result

@@ -14,18 +14,21 @@
     definitions win), libc filling in the rest. *)
 
 (** A library a program links against: a module that passed
-    [Verify.verify] in full, and each name its functions call directly
-    with that name's signature in it ([Verify.callees]), which is what
-    [Verify.verify_link] needs to check a link against it.  Frozen: a
-    module linked from it shares its functions. *)
+    [Verify.verify] in full, its names ([Verify.index]), and each name
+    its functions call directly with that name's signature in it
+    ([Verify.callees]), which is what [Verify.verify_link] needs to
+    check a link against it.  Frozen: a module linked from it shares its
+    functions. *)
 type library = {
   lib : Irmod.t;
+  lib_names : Verify.names;
   lib_callees : (string * Verify.signature) list;
 }
 
 let library (m : Irmod.t) : library =
   Trace.span "verify" (fun () -> Verify.verify m);
-  { lib = m; lib_callees = Verify.callees m }
+  let lib_names = Verify.index m in
+  { lib = m; lib_names; lib_callees = Verify.callees lib_names m }
 
 let libc_cache : library option ref = ref None
 
@@ -91,8 +94,9 @@ let libc_funcs =
    takes the address of is defined by the program or by the runtime
    (the libc or a host builtin).  An undefined one is a diagnostic at
    the reference: the statement's position in a function, the
-   declaration's in a global initializer. *)
-let check_references (prog : Ast.program) (m : Irmod.t) =
+   declaration's in a global initializer.  A program must define [main]
+   (unless [main] is false: a unit that is only printed). *)
+let check_references ?(main = true) (prog : Ast.program) (m : Irmod.t) =
   let defined name =
     Irmod.has_func m name || Interp.is_builtin name
     || Hashtbl.mem (Lazy.force libc_funcs) name
@@ -100,6 +104,8 @@ let check_references (prog : Ast.program) (m : Irmod.t) =
   let undefined pos name =
     Diag.error pos "undefined reference to function %s" name
   in
+  if main && not (Irmod.has_func m "main") then
+    undefined Token.dummy_pos "main";
   List.iter
     (fun (g : Irmod.global) ->
       let decl_pos pos = function
@@ -139,12 +145,12 @@ let check_references (prog : Ast.program) (m : Irmod.t) =
     m.Irmod.funcs
 
 (** Compile [src] (user program) against the prelude, without linking. *)
-let compile_user ?(file = "<input>") (src : string) : Irmod.t =
+let compile_user ?(file = "<input>") ?main (src : string) : Irmod.t =
   let prog =
     Trace.span "parse" (fun () -> Parser.parse_after (Lazy.force prelude) src)
   in
   let m = fst (Lower.check_and_lower ~file prog) in
-  check_references prog m;
+  check_references ?main prog m;
   m
 
 (** Link [user] against [lib] and verify the result.  [lib] passed full
@@ -158,7 +164,8 @@ let link_libc ?(shared = false) (lib : library) (user : Irmod.t) : Irmod.t =
         Irmod.link user (if shared then lib.lib else Irmod.copy lib.lib))
   in
   Trace.span "verify" (fun () ->
-      Verify.verify_link ~lib_callees:lib.lib_callees linked user);
+      Verify.verify_link ~lib_names:lib.lib_names ~lib_callees:lib.lib_callees
+        linked user);
   linked
 
 (** Compile and link a complete program: user code + managed libc. *)

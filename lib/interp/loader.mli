@@ -7,12 +7,13 @@
     another signature) are verified. *)
 
 (** A library a program links against: a module that passed
-    [Verify.verify] in full, with each name its functions call directly
-    and that name's signature in it ([Verify.callees]).  Frozen: a
-    module linked from it shares its functions, so run mutating passes
-    only on an [Irmod.copy]. *)
+    [Verify.verify] in full, its names ([Verify.index]) and each name
+    its functions call directly with that name's signature in it
+    ([Verify.callees]).  Frozen: a module linked from it shares its
+    functions, so run mutating passes only on an [Irmod.copy]. *)
 type library = {
   lib : Irmod.t;
+  lib_names : Verify.names;
   lib_callees : (string * Verify.signature) list;
 }
 
@@ -40,13 +41,16 @@ val optimized_libc : (Irmod.t -> unit) -> library
     what compiling [prelude ^ src] with the prelude's lines numbered
     below 1 gives.  A call to, or the address of, a function that
     neither the program nor the runtime (the libc, the host builtins)
-    defines raises [Diag.Error] at the reference. *)
-val compile_user : ?file:string -> string -> Irmod.t
+    defines raises [Diag.Error] at the reference, and so does a program
+    without [main] unless [main] is false ([check_references]). *)
+val compile_user : ?file:string -> ?main:bool -> string -> Irmod.t
 
 (** The link check [compile_user] makes, on [m] compiled from [prog]
     ([[]] for IR input): raise [Diag.Error] at the first call to, or
-    address of, a function that neither [m] nor the runtime defines. *)
-val check_references : Ast.program -> Irmod.t -> unit
+    address of, a function that neither [m] nor the runtime defines.
+    Unless [main] is false (a unit [sulong ir] prints), [m] must define
+    [main]; without one it raises [Diag.Error] at line 0. *)
+val check_references : ?main:bool -> Ast.program -> Irmod.t -> unit
 
 (** Link a user module against [lib] and verify it: the user's globals
     and functions are checked against the linked module's names and

@@ -29,25 +29,39 @@ let fail fmt = Format.kasprintf (fun msg -> raise (Invalid msg)) fmt
    engines resolve it to; a function address or a direct callee names a
    function or an extern.  A callee's signature is its return type and
    parameter types; where a function and an extern share a name the
-   function's counts, as it is the one the engines call. *)
+   function's counts, as it is the one the engines call, also when the
+   two are in a user module and the library's index [under] it. *)
 type signature = Irtype.scalar option * Irtype.scalar list
 
 type names = {
   data : (string, unit) Hashtbl.t;  (** globals *)
-  code : (string, signature) Hashtbl.t;  (** functions and externs *)
+  funcs : (string, signature) Hashtbl.t;
+  externs : (string, signature) Hashtbl.t;
+  under : names option;  (** the library a linked module's rest is *)
 }
 
-let index (m : Irmod.t) =
-  let data = Hashtbl.create 256 and code = Hashtbl.create 256 in
+let index ?under (m : Irmod.t) =
+  let data, funcs, externs = Hashtbl.(create 64, create 64, create 64) in
   List.iter (fun g -> Hashtbl.replace data g.Irmod.g_name ()) m.Irmod.globals;
   List.iter
-    (fun e -> Hashtbl.replace code e.Irmod.e_name (e.Irmod.e_ret, e.Irmod.e_params))
+    (fun e -> Hashtbl.replace externs e.Irmod.e_name (e.Irmod.e_ret, e.Irmod.e_params))
     m.Irmod.externs;
   List.iter
     (fun f ->
-      Hashtbl.replace code f.Irfunc.name (f.Irfunc.ret, List.map snd f.Irfunc.params))
+      Hashtbl.replace funcs f.Irfunc.name (f.Irfunc.ret, List.map snd f.Irfunc.params))
     m.Irmod.funcs;
-  { data; code }
+  { data; funcs; externs; under }
+
+let rec lookup table names n =
+  match Hashtbl.find_opt (table names) n with
+  | None -> Option.bind names.under (fun u -> lookup table u n)
+  | s -> s
+
+(** The signature of the function or extern [n] names. *)
+let signature names n =
+  match lookup (fun t -> t.funcs) names n with
+  | None -> lookup (fun t -> t.externs) names n
+  | s -> s
 
 (* Where a checked value occurs: an instruction (rendered into the
    message) or the block's terminator. *)
@@ -155,12 +169,12 @@ let verify_func names (f : Irfunc.t) =
           fail "%s: %s uses undefined register %%%d" f.Irfunc.name
             (site_to_string site) r)
       | Instr.GlobalAddr g ->
-        if not (Hashtbl.mem names.data g) then
+        if lookup (fun t -> t.data) names g = None then
           fail "%s: %s references unknown global @%s" f.Irfunc.name
             (site_to_string site) g;
         false
       | Instr.FuncAddr fn ->
-        if not (Hashtbl.mem names.code fn) then
+        if signature names fn = None then
           fail "%s: %s references unknown function @%s" f.Irfunc.name
             (site_to_string site) fn;
         false
@@ -187,7 +201,7 @@ let verify_func names (f : Irfunc.t) =
           List.iter2 (check_use (Some i)) (Instr.uses_of i) (use_classes i);
           match i with
           | Instr.Call (_, ret, Instr.Direct callee, args) -> (
-            match Hashtbl.find_opt names.code callee with
+            match signature names callee with
             | None -> fail "%s: call to unknown function @%s" f.Irfunc.name callee
             | Some (cret, cparams) ->
               (* the callee computes its result and reads its parameters
@@ -242,10 +256,10 @@ let verify_func names (f : Irfunc.t) =
 let verify_global names (g : Irmod.global) =
   let leaf _ = function
     | Irmod.Lglobal n ->
-      if not (Hashtbl.mem names.data n) then
+      if lookup (fun t -> t.data) names n = None then
         fail "global @%s references unknown global @%s" g.Irmod.g_name n
     | Irmod.Lfunc n ->
-      if not (Hashtbl.mem names.code n) then
+      if signature names n = None then
         fail "global @%s references unknown function @%s" g.Irmod.g_name n
     | Irmod.Lint _ | Irmod.Lfloat _ | Irmod.Lbytes _ -> ()
   in
@@ -278,26 +292,26 @@ let direct_callees (f : Irfunc.t) =
         b.Irfunc.instrs)
     f.Irfunc.blocks
 
-(** Each name a function of [m] calls directly, with its signature in
-    [m]. *)
-let callees (m : Irmod.t) : (string * signature) list =
-  let names = index m in
+(** Each name a function of [m], indexed as [names], calls directly,
+    with its signature in [m]. *)
+let callees names (m : Irmod.t) : (string * signature) list =
   List.sort_uniq compare (List.concat_map direct_callees m.Irmod.funcs)
-  |> List.map (fun n -> (n, Hashtbl.find names.code n))
+  |> List.map (fun n -> (n, Option.get (signature names n)))
 
-(** Check [linked] = [Irmod.link user lib], where [lib] passed [verify]
-    and [lib_callees] is [callees lib], raising exactly what [verify
-    linked] would.  Linking only adds names and replaces the library
-    definitions [user] redefines, so a library function left in
+(** Check [linked] = [Irmod.link user lib], where [lib] passed [verify],
+    [lib_names] is [index lib] and [lib_callees] is [callees lib_names
+    lib], raising exactly what [verify linked] would.  Only [user] is
+    indexed, over [lib_names]: linking only adds names and replaces the
+    library definitions [user] redefines, so a library function left in
     [linked] can fail only by calling a name whose signature differs in
     [linked]; those functions are checked after the user's globals and
     functions. *)
-let verify_link ~lib_callees (linked : Irmod.t) (user : Irmod.t) =
-  let names = index linked in
+let verify_link ~lib_names ~lib_callees (linked : Irmod.t) (user : Irmod.t) =
+  let names = index ~under:lib_names user in
   verify_part names user;
   let changed =
     List.filter_map
-      (fun (n, s) -> if Hashtbl.find names.code n <> s then Some n else None)
+      (fun (n, s) -> if signature names n <> Some s then Some n else None)
       lib_callees
   in
   if changed <> [] then

@@ -31,9 +31,10 @@
     identical order) instead of calling through [Mobject].  This is
     sound because a frame's register file is invisible outside the
     function's own code: calls receive re-boxed arguments, returns
-    re-box the result, and after a managed error the provenance replay
-    re-executes from scratch in the interpreter, never reading the dead
-    frame.
+    re-box the result, and a managed error ends the run, whose report
+    reads each frame's function and location, never a register: a
+    handler around the raising part of each operation only (its slow
+    path, never the continuation) writes the location ([pb_locs]).
 
     Two more §11 features ride on the same machinery:
 
@@ -43,7 +44,8 @@
       living at a disjoint window of the caller's (enlarged) register
       file, replicating the interpreter's call protocol — argument
       evaluation, the depth guard, per-callee counters and step charges
-      — without the [call_function] frame push/pop.
+      — without the [call_function] frame push/pop, which a fault
+      inside puts back.
     - *On-stack replacement* ([cb_osr]): functions with loop headers
       also get an OSR entry that transfers a live interpreter frame
       into the compiled register files and resumes at the loop-header
@@ -87,6 +89,11 @@ let deref_c (ctx : string) (pm : Mval.t) : Mobject.addr =
          (Printf.sprintf "dereference of forged pointer 0x%Lx" c))
       ctx
 
+(* [f x y] on a slow path: a managed error writes the operation's
+   location ([at], see [instance]) on its way out. *)
+let guard at st fr f x y =
+  try f x y with Merror.Error _ as e -> at st fr; raise e
+
 (* Every compiled operation opens with a step charge: the same writes,
    in the same order, with the same raise point as the interpreter's
    charge — the step counter, the instance's counter for the
@@ -121,6 +128,11 @@ let[@inline] observe_memento heap (obj : Mobject.t) s =
 let small = Scalar.Small.fits
 
 let div0 ctx () = Merror.raise_error Merror.Division_by_zero ctx
+
+(* The integer binops that raise a managed error (a zero divisor). *)
+let divides = function
+  | Instr.Sdiv | Instr.Udiv | Instr.Srem | Instr.Urem -> true
+  | _ -> false
 
 let ints = function
   | Scalar.Ints f -> f
@@ -176,7 +188,6 @@ let shift_instr base = function
   | Pcast (r, op, from, into, v, f) ->
     Pcast (r + base, op, from, into, shift_pval base v, f)
   | Psancheck -> Psancheck
-  | Ploc (l, c) -> Ploc (l, c)
   | Pcall (r, callee, args, scalars) ->
     (* unreachable for leaf callees (the only ones instantiated); kept
        total so the translation has no implicit assumptions *)
@@ -226,8 +237,7 @@ let static_size (pf : pfunc) : int =
     frame push, which is only sound because a leaf callee can never
     observe the frame stack (no builtins, no varargs, no nested calls)
     — and call tracing, which does observe it, disables inlining
-    wholesale.  (Eager provenance tracking observes it too, but runs
-    only in the provenance replay, which never has a tier controller.) *)
+    wholesale; a fault puts the frame back ([instance]). *)
 let plan_inlines (st0 : state) (pf : pfunc) :
     (int * int, inline_site) Hashtbl.t * int =
   let sites : (int * int, inline_site) Hashtbl.t = Hashtbl.create 8 in
@@ -370,7 +380,7 @@ let plan_slots (blocks_list : pblock array list)
               | Pfcmp (r, _, _, _, _)
               | Pcast (r, _, _, _, _, _) -> wr r
               | Pcall (r, _, _, _) -> if r >= 0 then wr r
-              | Pstore _ | Psancheck | Ploc _ -> ())
+              | Pstore _ | Psancheck -> ())
             blk.pb_instrs)
         blocks)
     blocks_list;
@@ -397,7 +407,7 @@ let plan_slots (blocks_list : pblock array list)
           Array.iteri
             (fun ii i ->
               match i with
-              | Palloca _ | Psancheck | Ploc _ -> ()
+              | Palloca _ | Psancheck -> ()
               | Pload (_, s, p) -> begin
                 match p with
                 | Preg r when r >= 0 && r < nregs && scalar_of.(r) <> None ->
@@ -492,7 +502,7 @@ let classify (blocks_list : pblock array list)
     | Pstore (s, _, Preg rp) when Hashtbl.mem slots rp ->
       (* a whole-slot store writes the slot register in its class *)
       write rp (of_scalar s)
-    | Pstore _ | Psancheck | Ploc _ -> ()
+    | Pstore _ | Psancheck -> ()
     | Pgep (r, _, _) | Pcall (r, _, _, _) -> write r Rbox
     | Pbinop (r, op, s, _, _, _) ->
       write r
@@ -664,12 +674,24 @@ let compile (st0 : state) (pf : pfunc) : compiled =
 
   (* --- one instance: the caller, or an inlined callee --- *)
   let rec instance (ipf : pfunc) (iblocks : pblock array)
-      (isites : (int * int, inline_site) Hashtbl.t) (ret : ret_mode) :
-      cont * cont ref array =
+      (isites : (int * int, inline_site) Hashtbl.t) (ret : ret_mode)
+      (call_site : (int * int) option) : cont * cont ref array =
     let ctx = ipf.pf_context in
     let ctrs = ipf.pf_counters.c_kinds in
     let nblocks = Array.length iblocks in
     let cells = Array.init nblocks (fun _ -> ref unset) in
+    (* What a managed error leaving an operation at [(line, col)]
+       writes: the frame's location or, in an inlined callee (a leaf,
+       on its caller's innermost frame), the call site's into the
+       caller's frame and, above it, the callee's frame left out. *)
+    let at ((line, col) as loc) : state -> frame -> unit =
+      match call_site with
+      | None -> fun _ fr -> locate fr loc
+      | Some site ->
+        fun st fr ->
+          locate fr site;
+          st.frames <- { fr with fr_func = ipf; fr_line = line; fr_col = col } :: st.frames
+    in
 
     (* --- edges: phi parallel copy, then a direct-threaded jump ---
        Phi destinations are boxed ([classify]); every source is read,
@@ -778,7 +800,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             st.depth <- st.depth - 1;
             next st fr)
     in
-    let compile_term (t : pterm) : cont =
+    let compile_term (t : pterm) (loc : int * int) : cont =
       match t with
       | Pret v -> compile_ret v
       | Pbr e -> begin
@@ -840,15 +862,20 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           in
           (find 0) st fr
       | Punreachable ->
-        fun st _fr ->
+        fun st fr ->
           charge st ctrs k_term limit;
+          at loc st fr;
           Merror.raise_error
             (Merror.Type_violation "reached an unreachable instruction")
             ctx
     in
     (* --- instructions, chained through their continuation --- *)
-    let compile_instr (key : int * int) (i : pinstr) (next : cont) : cont =
-      match i with
+    let compile_instr (blk : pblock) (i : int) (next : cont) : cont =
+      let key = (blk.pb_index, i) and at = at blk.pb_locs.(i) in
+      (* A kernel raises division by zero without the frame: a body runs
+         only in the state that compiled it, on its innermost frame. *)
+      let div0 () = at st0 (List.hd st0.frames); div0 ctx () in
+      match blk.pb_instrs.(i) with
       (* --- scalar-replaced allocas (virtual stack slots) ---
          [plan_slots] proved the object unobservable, so the slot
          lives in a register of its scalar's class and every access
@@ -985,7 +1012,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let a =
               match Array.unsafe_get fr.fr_regs rp with
               | Mval.Vptr (Mobject.Pobj a) -> a
-              | pm -> deref_c ctx pm
+              | pm -> guard at st fr deref_c ctx pm
             in
             let obj = a.Mobject.obj in
             if observe then observe_memento heap obj s;
@@ -995,7 +1022,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               | Some b, None
                 when off >= 0 && off + size <= obj.Mobject.byte_size ->
                 fast b off
-              | _ -> norm (Int64.to_int (Mobject.load_int a ~size ctx))
+              | _ -> norm (Int64.to_int (guard at st fr (Mobject.load_int ~size) a ctx))
             in
             Array.unsafe_set fr.fr_iregs r v;
             next st fr
@@ -1006,7 +1033,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let a =
               match g fr with
               | Mval.Vptr (Mobject.Pobj a) -> a
-              | pm -> deref_c ctx pm
+              | pm -> guard at st fr deref_c ctx pm
             in
             let obj = a.Mobject.obj in
             if observe then observe_memento heap obj s;
@@ -1016,7 +1043,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               | Some b, None
                 when off >= 0 && off + size <= obj.Mobject.byte_size ->
                 fast b off
-              | _ -> norm (Int64.to_int (Mobject.load_int a ~size ctx))
+              | _ -> norm (Int64.to_int (guard at st fr (Mobject.load_int ~size) a ctx))
             in
             set fr v;
             next st fr)
@@ -1032,7 +1059,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let a =
               match g fr with
               | Mval.Vptr (Mobject.Pobj a) -> a
-              | pm -> deref_c ctx pm
+              | pm -> guard at st fr deref_c ctx pm
             in
             let obj = a.Mobject.obj in
             observe_memento heap obj s;
@@ -1042,27 +1069,29 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               | Some b, None
                 when off >= 0 && off + size <= obj.Mobject.byte_size ->
                 fast b off
-              | _ -> Mobject.load_float a ~size ctx
+              | _ -> guard at st fr (Mobject.load_float ~size) a ctx
             in
             Array.unsafe_set fr.fr_fregs r v;
             next st fr)
       | Pload (r, s, p) ->
         let size = Irtype.scalar_size s in
-        let load : Mobject.addr -> Mval.t =
+        (* I64: bounds+liveness inline, [Mobject] on any slow branch;
+           the others have no fast path *)
+        let load : state -> frame -> Mobject.addr -> Mval.t =
           match s with
-          | Irtype.Ptr -> fun a -> Mval.Vptr (Mobject.load_ptr a ctx)
+          | Irtype.Ptr ->
+            fun st fr a ->
+              Mval.Vptr (try Mobject.load_ptr a ctx with Merror.Error _ as e -> at st fr; raise e)
           | Irtype.F32 | Irtype.F64 ->
-            fun a -> Mval.Vfloat (Mobject.load_float a ~size ctx)
+            let load a ctx = Mobject.load_float a ~size ctx in
+            fun st fr a -> Mval.Vfloat (guard at st fr load a ctx)
           | _ ->
-            (* I64: bounds+liveness inline, [Mobject] on any slow branch *)
-            fun a ->
-              let obj = a.Mobject.obj in
-              let off = a.Mobject.moff in
-              (match (obj.Mobject.data, obj.Mobject.init_map) with
-              | Some b, None when off >= 0 && off + 8 <= obj.Mobject.byte_size
-                ->
+            fun st fr a ->
+              let obj = a.Mobject.obj and off = a.Mobject.moff in
+              match (obj.Mobject.data, obj.Mobject.init_map) with
+              | Some b, None when off >= 0 && off + 8 <= obj.Mobject.byte_size ->
                 Mval.Vint (Bytes.get_int64_le b off)
-              | _ -> Mval.Vint (Mobject.load_int a ~size:8 ctx))
+              | _ -> Mval.Vint (guard at st fr (Mobject.load_int ~size:8) a ctx)
         in
         (* allocation-memento observation applies to non-i8 heap
            accesses only; the predicate on the scalar is compile-time *)
@@ -1073,10 +1102,10 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let a =
               match Array.unsafe_get fr.fr_regs rp with
               | Mval.Vptr (Mobject.Pobj a) -> a
-              | pm -> deref_c ctx pm
+              | pm -> guard at st fr deref_c ctx pm
             in
             observe_memento heap a.Mobject.obj s;
-            fr.fr_regs.(r) <- load a;
+            fr.fr_regs.(r) <- load st fr a;
             next st fr
         | p ->
           let g = getter p in
@@ -1085,10 +1114,10 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let a =
               match g fr with
               | Mval.Vptr (Mobject.Pobj a) -> a
-              | pm -> deref_c ctx pm
+              | pm -> guard at st fr deref_c ctx pm
             in
             observe_memento heap a.Mobject.obj s;
-            fr.fr_regs.(r) <- load a;
+            fr.fr_regs.(r) <- load st fr a;
             next st fr)
       | Pstore (s, v, p) when small s ->
         let gv = iget v in
@@ -1107,7 +1136,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let a =
               match pm with
               | Mval.Vptr (Mobject.Pobj a) -> a
-              | pm -> deref_c ctx pm
+              | pm -> guard at st fr deref_c ctx pm
             in
             let obj = a.Mobject.obj in
             if observe then observe_memento heap obj s;
@@ -1118,7 +1147,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                    && off + size <= obj.Mobject.byte_size
                    && obj.Mobject.ptr_slots = None ->
               fast b off vv
-            | _ -> Mobject.store_int a ~size (Int64.of_int vv) ctx);
+            | _ -> guard at st fr (Mobject.store_int a ~size) (Int64.of_int vv) ctx);
             next st fr
         | p ->
           let gp = getter p in
@@ -1129,7 +1158,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let a =
               match pp with
               | Mval.Vptr (Mobject.Pobj a) -> a
-              | pm -> deref_c ctx pm
+              | pm -> guard at st fr deref_c ctx pm
             in
             let obj = a.Mobject.obj in
             if observe then observe_memento heap obj s;
@@ -1140,7 +1169,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                    && off + size <= obj.Mobject.byte_size
                    && obj.Mobject.ptr_slots = None ->
               fast b off vv
-            | _ -> Mobject.store_int a ~size (Int64.of_int vv) ctx);
+            | _ -> guard at st fr (Mobject.store_int a ~size) (Int64.of_int vv) ctx);
             next st fr)
       | Pstore (s, v, p) when s = Irtype.F32 || s = Irtype.F64 ->
         let gv = fget v in
@@ -1157,7 +1186,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             let a =
               match pp with
               | Mval.Vptr (Mobject.Pobj a) -> a
-              | pm -> deref_c ctx pm
+              | pm -> guard at st fr deref_c ctx pm
             in
             let obj = a.Mobject.obj in
             observe_memento heap obj s;
@@ -1168,7 +1197,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                    && off + size <= obj.Mobject.byte_size
                    && obj.Mobject.ptr_slots = None ->
               fast b off vv
-            | _ -> Mobject.store_float a ~size vv ctx);
+            | _ -> guard at st fr (Mobject.store_float a ~size) vv ctx);
             next st fr)
       | Pstore (s, v, p) ->
         let gv = getter v and gp = getter p in
@@ -1185,15 +1214,19 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           let a =
             match pp with
             | Mval.Vptr (Mobject.Pobj a) -> a
-            | pm -> deref_c ctx pm
+            | pm -> guard at st fr deref_c ctx pm
           in
           observe_memento heap a.Mobject.obj s;
-          store a vv;
+          guard at st fr store a vv;
           next st fr
       | Pgep (r, base, g) ->
         let gb = getter base in
-        let apply delta (pm : Mval.t) : Mval.t =
-          match Mval.as_ptr ctx pm with
+        let apply st fr delta (pm : Mval.t) : Mval.t =
+          match
+            match pm with
+            | Mval.Vptr p -> p
+            | pm -> guard at st fr Mval.as_ptr ctx pm
+          with
           | Mobject.Pnull -> Mval.Vptr Mobject.Pnull
           | Mobject.Pobj a ->
             Mval.Vptr
@@ -1210,7 +1243,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
         | [||] ->
           fun st fr ->
             charge st ctrs k_gep limit;
-            fr.fr_regs.(r) <- apply static (gb fr);
+            fr.fr_regs.(r) <- apply st fr static (gb fr);
             next st fr
         | [| (iv, stride) |] ->
           let gi = iget iv in
@@ -1218,7 +1251,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             charge st ctrs k_gep limit;
             let b = gb fr in
             let d = static + (gi fr * stride) in
-            fr.fr_regs.(r) <- apply d b;
+            fr.fr_regs.(r) <- apply st fr d b;
             next st fr
         | dyn ->
           let gis = Array.map (fun (v, stride) -> (iget v, stride)) dyn in
@@ -1230,10 +1263,10 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               let gi, stride = gis.(i) in
               d := !d + (gi fr * stride)
             done;
-            fr.fr_regs.(r) <- apply !d b;
+            fr.fr_regs.(r) <- apply st fr !d b;
             next st fr)
       | Pbinop (r, op, s, a, b, _) when binop_kind op = k_ibinop && small s ->
-        let f = ints (Scalar.Small.binop ~div0:(div0 ctx) op s) in
+        let f = ints (Scalar.Small.binop ~div0 op s) in
         (match (a, b) with
         | Preg ra, Preg rb
           when cls.(ra) = Rint && cls.(rb) = Rint && cls.(r) = Rint ->
@@ -1253,7 +1286,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             set fr (f (ga fr) y);
             next st fr)
       | Pbinop (r, op, s, a, b, _) when binop_kind op = k_fbinop ->
-        let f = floats (Scalar.binop ~div0:(div0 ctx) op s) in
+        let f = floats (Scalar.binop ~div0 op s) in
         (match (a, b) with
         | Preg ra, Preg rb
           when cls.(ra) = Rfloat && cls.(rb) = Rfloat && cls.(r) = Rfloat ->
@@ -1273,6 +1306,10 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             next st fr)
       | Pbinop (r, op, _, a, b, f) ->
         let k = binop_kind op in
+        let f =
+          if divides op then fun x y -> guard at st0 (List.hd st0.frames) f x y
+          else f
+        in
         let ga = getter a and gb = getter b in
         fun st fr ->
           charge st ctrs k limit;
@@ -1383,12 +1420,6 @@ let compile (st0 : state) (pf : pfunc) : compiled =
         fun st fr ->
           charge st ctrs k_sancheck limit;
           next st fr
-      | Ploc (line, col) ->
-        (* provenance marker: free, exactly like the interpreter *)
-        fun st fr ->
-          fr.fr_line <- line;
-          fr.fr_col <- col;
-          next st fr
       | Pcall (r, callee, pargs, scalars) -> begin
         match Hashtbl.find_opt isites key with
         | Some site ->
@@ -1405,7 +1436,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           let cctrs = callee_pf.pf_counters in
           let centry, _ccells =
             instance callee_pf site.is_blocks empty_sites
-              (Ret_inline (r, next))
+              (Ret_inline (r, next)) (Some blk.pb_locs.(i))
           in
           (* Guest-profiler enter: fires after the call charge (so the
              call instruction is attributed to the caller, as in
@@ -1436,8 +1467,10 @@ let compile (st0 : state) (pf : pfunc) : compiled =
               ignore (gs.(k) fr)
             done;
             st.depth <- st.depth + 1;
-            if st.depth > depth_limit then
-              Merror.raise_error Merror.Stack_overflow_guard ctx;
+            if st.depth > depth_limit then begin
+              at st fr;
+              Merror.raise_error Merror.Stack_overflow_guard ctx
+            end;
             cctrs.c_invocations <- cctrs.c_invocations + 1;
             centry st fr
         | None ->
@@ -1463,12 +1496,14 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             | Tgt_user callee_pf ->
               fun st fr ->
                 charge st ctrs k_call limit;
-                finish fr (call_function st callee_pf (eval_args fr) scalars);
+                (try finish fr (call_function st callee_pf (eval_args fr) scalars)
+                 with Merror.Error _ as e -> at st fr; raise e);
                 next st fr
             | Tgt_builtin (_, fn) ->
               fun st fr ->
                 charge st ctrs k_call limit;
-                finish fr (fn st (eval_args fr));
+                (try finish fr (fn st (eval_args fr))
+                 with Merror.Error _ as e -> at st fr; raise e);
                 next st fr
             | Tgt_unknown name ->
               fun st fr ->
@@ -1481,26 +1516,28 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             fun st fr ->
               charge st ctrs k_call limit;
               let argv = eval_args fr in
-              (match Mval.as_ptr ctx (gv fr) with
-              | Mobject.Pfunc name ->
-                finish fr (exec_target st (resolve_callee st name) argv scalars)
-              | Mobject.Pnull -> Merror.raise_error Merror.Null_deref ctx
-              | Mobject.Pobj _ | Mobject.Pinvalid _ ->
-                Merror.raise_error
-                  (Merror.Type_violation
-                     "indirect call through a data pointer")
-                  ctx);
+              (try
+                 match Mval.as_ptr ctx (gv fr) with
+                 | Mobject.Pfunc name ->
+                   finish fr (exec_target st (resolve_callee st name) argv scalars)
+                 | Mobject.Pnull -> Merror.raise_error Merror.Null_deref ctx
+                 | Mobject.Pobj _ | Mobject.Pinvalid _ ->
+                   Merror.raise_error
+                     (Merror.Type_violation
+                        "indirect call through a data pointer")
+                     ctx
+               with Merror.Error _ as e -> at st fr; raise e);
               next st fr)
       end
     in
 
     (* --- blocks: fold the instruction chain onto the terminator --- *)
     let compile_block (blk : pblock) : cont =
+      let n = Array.length blk.pb_instrs in
       let rec build i acc =
-        if i < 0 then acc
-        else build (i - 1) (compile_instr (blk.pb_index, i) blk.pb_instrs.(i) acc)
+        if i < 0 then acc else build (i - 1) (compile_instr blk i acc)
       in
-      build (Array.length blk.pb_instrs - 1) (compile_term blk.pb_term)
+      build (n - 1) (compile_term blk.pb_term blk.pb_locs.(n))
     in
 
     for j = 0 to nblocks - 1 do
@@ -1530,7 +1567,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
     ((fun st fr -> !c0 st fr), cells)
   in
 
-  let entry, cells = instance pf pf.pf_blocks sites Ret_fun in
+  let entry, cells = instance pf pf.pf_blocks sites Ret_fun None in
 
   (* --- register-file installation and OSR frame transfer --- *)
   let any_i = Array.mem Rint cls and any_f = Array.mem Rfloat cls in

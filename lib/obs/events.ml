@@ -16,11 +16,7 @@
     Consumers: [Bugreport] embeds [to_lines] in every provenance report,
     difftest attaches the ring to every divergence, and the per-kind
     [Metrics] counters ride the existing snapshot merge so campaign
-    workers ship event summaries to the parent for free.
-
-    [mask] suppresses recording during deoptimizing replay
-    ([Interp.rerun_for_report]) so the report shows the decisions of the
-    run that *found* the bug, not duplicates from the replay. *)
+    workers ship event summaries to the parent for free. *)
 
 type event =
   | Tier_up of {
@@ -60,7 +56,6 @@ let capacity = 256
 
 let ring : entry option array = Array.make capacity None
 let seq = ref 0
-let masked = ref false
 
 let kind_name = function
   | Tier_up _ -> "tier_up"
@@ -70,22 +65,14 @@ let kind_name = function
   | Inline_reject _ -> "inline_reject"
   | Error_raised _ -> "error_raised"
 
-(** Record [ev] (a no-op under [mask]).  Also bumps the per-kind
-    [events.<kind>] counter unconditionally: these are cold-path sites,
-    and the counters are how campaign workers ship event summaries to
-    the parent (the snapshot merge adds them up). *)
+(** Record [ev].  Also bumps the per-kind [events.<kind>] counter
+    unconditionally: these are cold-path sites, and the counters are how
+    campaign workers ship event summaries to the parent (the snapshot
+    merge adds them up). *)
 let record (ev : event) : unit =
-  if not !masked then begin
-    Metrics.incr (Metrics.counter ("events." ^ kind_name ev));
-    ring.(!seq mod capacity) <- Some { e_seq = !seq; e_event = ev; e_line = None };
-    incr seq
-  end
-
-(** Run [f] with recording suppressed (deoptimizing-replay paths). *)
-let mask (f : unit -> 'a) : 'a =
-  let saved = !masked in
-  masked := true;
-  Fun.protect ~finally:(fun () -> masked := saved) f
+  Metrics.incr (Metrics.counter ("events." ^ kind_name ev));
+  ring.(!seq mod capacity) <- Some { e_seq = !seq; e_event = ev; e_line = None };
+  incr seq
 
 (** Clear the ring.  [Difftest.run_seed] resets per seed so the ring a
     divergence ships is exactly the decisions of that seed's runs,

@@ -1,5 +1,6 @@
-(** Write the corpus bugs, their repaired variants and the bench programs
-    to the directory named on the command line, for test/surfaces.sh:
+(** Write the corpus bugs, their repaired variants, the bench programs
+    and the programs that fault in compiled code ([Tier_faults]) to the
+    directory named on the command line, for test/surfaces.sh:
     [NAME.c], the program arguments after argv[0] one per line in
     [NAME.argv] ([sulong run] passes the file name as argv[0]), and the
     standard input in [NAME.input]. *)
@@ -29,4 +30,6 @@ let () =
   List.iter
     (fun (b : Benchprogs.bench) ->
       program dir b.Benchprogs.b_name ~args:[] ~input:"" b.Benchprogs.b_source)
-    Benchprogs.all
+    Benchprogs.all;
+  List.iter (fun (name, src) -> program dir name ~args:[] ~input:"" src)
+    Tier_faults.all

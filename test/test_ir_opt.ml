@@ -752,7 +752,8 @@ let test_cfg_unreachable_removal () =
 
 (* ---------------- individual passes ---------------- *)
 
-let compile src = Loader.compile_user src
+(* The pass tests compile units, most without [main]. *)
+let compile src = Loader.compile_user ~main:false src
 
 let count_instrs pred (m : Irmod.t) =
   List.fold_left

@@ -270,13 +270,9 @@ let test_events_ring_capacity () =
       Alcotest.(check int) "reset empties the ring" 0
         (List.length (Events.recent ())))
 
-let test_events_mask_and_render () =
+let test_events_render () =
   with_metrics (fun () ->
       Events.reset ();
-      Events.mask (fun () ->
-          Events.record (Events.Deopt { ev_fn = "f"; ev_kind = "oob"; ev_osr = false }));
-      Alcotest.(check int) "masked record dropped" 0
-        (List.length (Events.recent ()));
       Events.record
         (Events.Tier_up { ev_fn = "hot"; ev_ops = 12; ev_invocations = 3; ev_osr = true });
       match Events.to_lines () with
@@ -755,8 +751,7 @@ let () =
         [
           Alcotest.test_case "ring capacity and ordering" `Quick
             test_events_ring_capacity;
-          Alcotest.test_case "mask suppresses, render shapes" `Quick
-            test_events_mask_and_render;
+          Alcotest.test_case "render shapes" `Quick test_events_render;
           Alcotest.test_case "each entry renders once" `Quick
             test_events_render_once;
           Alcotest.test_case "bug reports embed the ring" `Quick

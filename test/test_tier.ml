@@ -110,9 +110,9 @@ let check_programs ?tier ps =
 (* ---------------- whole-corpus sweep ---------------- *)
 
 (* Every corpus program contains a real memory error, so this sweep
-   exercises the deopt path (compiled body raises a managed error, the
-   provenance replay re-runs in the pure interpreter) on all 68 bugs
-   and the clean warm path on the repaired variants. *)
+   exercises the deopt path (a compiled body raises a managed error and
+   reports it itself) on all 68 bugs and the clean warm path on the
+   repaired variants. *)
 let fixed_programs =
   List.filter_map
     (fun p ->
@@ -129,8 +129,8 @@ let test_fixed_sweep () = check_programs fixed_programs
    compiled code.  After the safe-jit pipeline (mem2reg) the linked
    modules hold tens of thousands of phis, and at threshold 0 their
    edges run through the compiled boxed parallel copy: on the bugs'
-   error paths (deopt, then the interpreted provenance replay) and on
-   the repaired variants' clean runs. *)
+   error paths (a compiled report, then deopt) and on the repaired
+   variants' clean runs. *)
 let test_safe_jit_sweep () =
   let phi_copies =
     List.fold_left
@@ -715,6 +715,63 @@ let test_big_leaf_not_inlined () =
     Alcotest.fail "no inline_reject event for the big leaf";
   Alcotest.(check string) "big leaf, interp vs tiered" interp tiered
 
+(* ---------------- reports made by compiled code ---------------- *)
+
+(* [Tier_faults]' programs fault at the production threshold in a
+   function compiled after tier-up, inside a leaf callee inlined into
+   one, and in [main] after OSR.  The tiered run's report names the
+   kind, file:line:col and call stack the interpreter's does; compiled
+   code made it (the faulting function deoptimized, from an OSR frame
+   for [main]), and the run executed once: one [execute] span. *)
+let test_compiled_code_reports () =
+  let stack what (r : Interp.run_result) =
+    match r.Interp.report with
+    | None -> Alcotest.failf "%s: no report" what
+    | Some rep ->
+      rep.Bugreport.br_kind
+      :: List.map
+           (fun f -> f.Bugreport.bf_func ^ " " ^ Bugreport.frame_loc f)
+           rep.Bugreport.br_stack
+  in
+  let spans name json =
+    match Trace.parse_json json with
+    | Trace.Jobj [ (_, Trace.Jarr evs) ] ->
+      List.length
+        (List.filter
+           (function
+             | Trace.Jobj kv ->
+               List.assoc_opt "ph" kv = Some (Trace.Jstr "B")
+               && List.assoc_opt "name" kv = Some (Trace.Jstr name)
+             | _ -> false)
+           evs)
+    | _ -> Alcotest.fail "trace does not parse"
+  in
+  List.iter
+    (fun (name, src) ->
+      let interp = run_src src in
+      Events.reset ();
+      Trace.start ();
+      let tiered = run_src ~tier:(Tier.controller ()) src in
+      let json = Trace.finish () in
+      Alcotest.(check (list string)) (name ^ ": report") (stack name interp)
+        (stack name tiered);
+      Alcotest.(check int) (name ^ ": execute spans") 1 (spans "execute" json);
+      let deopt_from_osr =
+        List.find_map
+          (fun e ->
+            match e.Events.e_event with
+            | Events.Deopt { ev_osr; _ } -> Some ev_osr
+            | _ -> None)
+          (Events.recent ())
+      in
+      Alcotest.(check (option bool)) (name ^ ": deopt")
+        (Some (name = "tier-osr-fault")) deopt_from_osr;
+      if
+        name = "tier-inlined-fault"
+        && not (List.mem (`Accept, "sum", "get") (inline_events ()))
+      then Alcotest.fail "sum did not inline get")
+    Tier_faults.all
+
 (* ---------------- difftest seeds ---------------- *)
 
 (* The oracle's 8 configurations include [sulong/tiered]; any
@@ -805,6 +862,12 @@ let () =
             test_inline_timeouts;
           Alcotest.test_case "leaf over inline_always_instrs is not inlined"
             `Quick test_big_leaf_not_inlined;
+        ] );
+      ( "reports",
+        [
+          Alcotest.test_case
+            "faults in compiled, inlined and OSR code report as tier 1, once"
+            `Quick test_compiled_code_reports;
         ] );
       ( "difftest",
         [
