@@ -147,6 +147,11 @@ type pinstr =
   | Palloca of int * Irtype.mty * int  (** (reg, type, precomputed size) *)
   | Pload of int * Irtype.scalar * pval
   | Pstore of Irtype.scalar * pval * pval
+  | Pslot_alloca of int * Irtype.scalar
+      (** a scalar-replaced alloca: the slot's register and scalar *)
+  | Pslot_load of int * Irtype.scalar * int  (** (result reg, scalar, slot) *)
+  | Pslot_store of Irtype.scalar * pval * int * (Mval.t -> Mval.t)
+      (** (scalar, value, slot, the store's replay, [slot_store]) *)
   | Pgep of int * pval * pgep
   | Pbinop of
       int * Instr.binop * Irtype.scalar * pval * pval
@@ -164,7 +169,8 @@ type pinstr =
 
 and pcallee =
   | Pdirect of call_target  (** resolved when the caller is prepared *)
-  | Pindirect of pval  (** resolved by name at each call *)
+  | Pindirect of pval * Irtype.scalar option
+      (** resolved by name at each call; the call's result type *)
 
 (** Where a call goes, resolved ahead of execution.  Builtins carry
     their name so the closure compiler can recognize the effect-free
@@ -470,6 +476,30 @@ let exec_store st (s : Irtype.scalar) (v : Mval.t) (p : Mval.t) : unit =
     Mobject.store_int a ~size:(Irtype.scalar_size s) (Mval.as_int v)
       (context st)
 
+(* Scalar-replaced allocas (DESIGN.md §5c): a slot's register holds what
+   a load of its object would read.  The alloca leaves the load of fresh
+   zero bytes; a store leaves what the store and a load would make of
+   its value, with the store's side effects: [Mval.as_int] and
+   [Mobject.store_ptr] register the cookies they expose. *)
+let slot_zero (s : Irtype.scalar) : Mval.t =
+  match s with
+  | Irtype.Ptr -> Mval.vnull
+  | Irtype.F32 | Irtype.F64 -> Mval.Vfloat 0.0
+  | _ -> Mval.zero
+
+let slot_store ctx (s : Irtype.scalar) : Mval.t -> Mval.t =
+  match s with
+  | Irtype.Ptr ->
+    fun v ->
+      let p = Mval.as_ptr ctx v in
+      (match p with
+      | Mobject.Pfunc name -> ignore (Mobject.register_func_cookie name)
+      | _ -> ignore (Mobject.ptr_to_int p));
+      Mval.Vptr p
+  | Irtype.F32 -> fun v -> Mval.Vfloat (Scalar.round_to_f32 (Mval.as_float v))
+  | Irtype.F64 -> fun v -> Mval.Vfloat (Mval.as_float v)
+  | _ -> fun v -> Mval.Vint (Scalar.normalize_int s (Mval.as_int v))
+
 let exec_gep st (fr : frame) (base : Mval.t) (g : pgep) : Mval.t =
   (* After constant folding most GEPs have zero or one dynamic index;
      keep those paths free of closures and refs. *)
@@ -753,13 +783,87 @@ let resolve_callee st (name : string) : call_target =
     | None -> Tgt_unknown name
   end
 
+(* A call's result and argument types against its callee's declared
+   ones: a type of the other class, integer or pointer versus float, is
+   a type violation ([indirect_target]). *)
+let class_of s = if Irtype.is_float_scalar s then "a float" else "an integer"
+
+let class_clash ctx msg = Merror.raise_error (Merror.Type_violation msg) ctx
+
+let check_result ctx name dret ret =
+  match (dret, ret) with
+  | Some d, Some c when Irtype.is_float_scalar d <> Irtype.is_float_scalar c ->
+    class_clash ctx
+      (Printf.sprintf "%s returns %s, called as returning %s" name (class_of d)
+         (class_of c))
+  | _ -> ()
+
+(* [param] finds each parameter's type in [params]. *)
+let rec check_params ctx name scalars i param = function
+  | [] -> ()
+  | p :: rest ->
+    let d = param p in
+    if i < Array.length scalars
+       && Irtype.is_float_scalar d <> Irtype.is_float_scalar scalars.(i)
+    then
+      class_clash ctx
+        (Printf.sprintf "%s takes %s as argument %d, called with %s" name
+           (class_of d) (i + 1) (class_of scalars.(i)))
+    else check_params ctx name scalars (i + 1) param rest
+
+(* The target of an indirect call through [v] (interp.mli). *)
+let indirect_target st ctx (v : Mval.t) (ret : Irtype.scalar option)
+    (scalars : Irtype.scalar array) : call_target =
+  match Mval.as_ptr ctx v with
+  | Mobject.Pfunc name ->
+    let tgt = resolve_callee st name in
+    (match tgt with
+    | Tgt_user pf ->
+      check_result ctx name pf.pf_ir.Irfunc.ret ret;
+      check_params ctx name scalars 0 snd pf.pf_ir.Irfunc.params
+    | Tgt_builtin _ | Tgt_unknown _ -> (
+      match Irmod.find_extern st.m name with
+      | Some e ->
+        check_result ctx name e.Irmod.e_ret ret;
+        check_params ctx name scalars 0 Fun.id e.Irmod.e_params
+      | None -> ()));
+    tgt
+  | Mobject.Pnull -> Merror.raise_error Merror.Null_deref ctx
+  | Mobject.Pobj _ | Mobject.Pinvalid _ ->
+    Merror.raise_error
+      (Merror.Type_violation "indirect call through a data pointer") ctx
+
 (* A reference [Verify] rejects: [prepare] never defers a failure. *)
 let unverified fmt =
   Printf.ksprintf (fun msg -> invalid_arg ("Interp.prepare: " ^ msg)) fmt
 
-let prepare_value st (v : Instr.value) : pval =
+(* Slot planning rides on the walk below (DESIGN.md §5c): one byte per
+   register, 0 until the walk meets it, then the [slot_code] of an
+   entry-block alloca's scalar while every use is the pointer of a
+   whole-slot access of that scalar, and [escaped] from any other use
+   on.  The walk gives a candidate's alloca and accesses their slot
+   forms at once; [prepare_body] takes them back from a candidate that
+   escapes later.  The entry block is walked first, so a use before
+   its alloca escapes it too. *)
+let escaped = '\001'
+
+let slot_code (s : Irtype.scalar) =
+  match s with
+  | Irtype.I1 -> '\002' | Irtype.I8 -> '\003' | Irtype.I16 -> '\004'
+  | Irtype.I32 -> '\005' | Irtype.I64 -> '\006' | Irtype.F32 -> '\007'
+  | Irtype.F64 -> '\008' | Irtype.Ptr -> '\009'
+
+let[@inline] plan_get plan r =
+  if r >= 0 && r < Bytes.length plan then Bytes.unsafe_get plan r else escaped
+
+let[@inline] escape plan r =
+  if r >= 0 && r < Bytes.length plan then Bytes.unsafe_set plan r escaped
+
+let prepare_value st plan (v : Instr.value) : pval =
   match v with
-  | Instr.Reg r -> Preg r
+  | Instr.Reg r ->
+    escape plan r;
+    Preg r
   | Instr.ImmInt (v, s) -> Pimm (Mval.Vint (Scalar.normalize_int s v))
   | Instr.ImmFloat (f, _) -> Pimm (Mval.Vfloat f)
   | Instr.Null -> Pimm Mval.vnull
@@ -770,11 +874,23 @@ let prepare_value st (v : Instr.value) : pval =
   end
   | Instr.FuncAddr name -> Pimm (Mval.Vptr (Mobject.Pfunc name))
 
-let prepare_instr st ctx (i : Instr.instr) : pinstr =
+let prepare_instr st ctx plan ~entry (i : Instr.instr) : pinstr =
   match i with
-  | Instr.Alloca (r, mty) -> Palloca (r, mty, Irtype.mty_size mty)
-  | Instr.Load (r, s, p) -> Pload (r, s, prepare_value st p)
-  | Instr.Store (s, v, p) -> Pstore (s, prepare_value st v, prepare_value st p)
+  | Instr.Alloca (r, Irtype.MScalar s) when entry && plan_get plan r = '\000' ->
+    Bytes.unsafe_set plan r (slot_code s);
+    Pslot_alloca (r, s)
+  | Instr.Alloca (r, mty) ->
+    escape plan r;
+    Palloca (r, mty, Irtype.mty_size mty)
+  | Instr.Load (r, s, Instr.Reg p) when plan_get plan p = slot_code s ->
+    Pslot_load (r, s, p)
+  | Instr.Load (r, s, p) -> Pload (r, s, prepare_value st plan p)
+  | Instr.Store (s, v, p) -> (
+    let v = prepare_value st plan v in
+    match p with
+    | Instr.Reg p when plan_get plan p = slot_code s ->
+      Pslot_store (s, v, p, slot_store ctx s)
+    | p -> Pstore (s, v, prepare_value st plan p))
   | Instr.Gep (r, base, idx) ->
     let static = ref 0 and dyn = ref [] in
     List.iter
@@ -782,32 +898,32 @@ let prepare_instr st ctx (i : Instr.instr) : pinstr =
         match gi with
         | Instr.Gfield (_, off) -> static := !static + off
         | Instr.Gindex (v, stride) -> begin
-          match prepare_value st v with
+          match prepare_value st plan v with
           | Pimm (Mval.Vint k) -> static := !static + (Int64.to_int k * stride)
           | p -> dyn := (p, stride) :: !dyn
         end)
       idx;
     Pgep
       ( r,
-        prepare_value st base,
+        prepare_value st plan base,
         { pg_static = !static; pg_dyn = Array.of_list (List.rev !dyn) } )
   | Instr.Binop (r, op, s, a, b) ->
-    Pbinop (r, op, s, prepare_value st a, prepare_value st b, binop_fn ctx op s)
+    Pbinop (r, op, s, prepare_value st plan a, prepare_value st plan b, binop_fn ctx op s)
   | Instr.Icmp (r, op, s, a, b) ->
-    Picmp (r, op, s, prepare_value st a, prepare_value st b, Scalar.icmp op s)
+    Picmp (r, op, s, prepare_value st plan a, prepare_value st plan b, Scalar.icmp op s)
   | Instr.Fcmp (r, op, _, a, b) ->
-    Pfcmp (r, op, prepare_value st a, prepare_value st b, Scalar.fcmp op)
+    Pfcmp (r, op, prepare_value st plan a, prepare_value st plan b, Scalar.fcmp op)
   | Instr.Cast (r, op, from, into, v) ->
-    Pcast (r, op, from, into, prepare_value st v, cast_fn op from into)
-  | Instr.Call (r, _, callee, cargs) ->
+    Pcast (r, op, from, into, prepare_value st plan v, cast_fn op from into)
+  | Instr.Call (r, ret, callee, cargs) ->
     let pargs =
-      Array.of_list (List.map (fun (_, v) -> prepare_value st v) cargs)
+      Array.of_list (List.map (fun (_, v) -> prepare_value st plan v) cargs)
     in
     let scalars = Array.of_list (List.map fst cargs) in
     let pc =
       match callee with
       | Instr.Direct name -> Pdirect (resolve_callee st name)
-      | Instr.Indirect v -> Pindirect (prepare_value st v)
+      | Instr.Indirect v -> Pindirect (prepare_value st plan v, ret)
     in
     Pcall ((match r with Some r -> r | None -> -1), pc, pargs, scalars)
   | Instr.Sancheck _ -> Psancheck
@@ -837,6 +953,8 @@ let register st (f : Irfunc.t) : pfunc =
 (* The prepared body of [pf]. *)
 let prepare_body (st : state) (pf : pfunc) : pblock array =
   let f = pf.pf_ir and ctx = pf.pf_context in
+  (* under [detect_uninit] every register starts escaped: no slots *)
+  let plan = Bytes.make pf.pf_nregs (if st.detect_uninit then escaped else '\000') in
   let blocks = Array.of_list f.Irfunc.blocks in
   let nblocks = Array.length blocks in
   let index = Hashtbl.create (max nblocks 1) in
@@ -865,7 +983,7 @@ let prepare_body (st : state) (pf : pfunc) : pblock array =
         | ps ->
           let source (_, inc) =
             match List.assoc_opt from_label inc with
-            | Some v -> prepare_value st v
+            | Some v -> prepare_value st plan v
             | None ->
               unverified "%s: a phi of %s has no entry for %s" pf.pf_name
                 target from_label
@@ -881,16 +999,16 @@ let prepare_body (st : state) (pf : pfunc) : pblock array =
     let from_label = b.Irfunc.label in
     let term =
       match b.Irfunc.term with
-      | Instr.Ret (Some (_, v)) -> Pret (Some (prepare_value st v))
+      | Instr.Ret (Some (_, v)) -> Pret (Some (prepare_value st plan v))
       | Instr.Ret None -> Pret None
       | Instr.Br l -> Pbr (resolve_edge from_label l)
       | Instr.Condbr (c, a, bl) ->
         Pcondbr
-          (prepare_value st c, resolve_edge from_label a,
+          (prepare_value st plan c, resolve_edge from_label a,
            resolve_edge from_label bl)
       | Instr.Switch (v, cases, default) ->
         Pswitch
-          ( prepare_value st v,
+          ( prepare_value st plan v,
             Array.of_list (List.map fst cases),
             Array.of_list
               (List.map (fun (_, l) -> resolve_edge from_label l) cases),
@@ -903,7 +1021,7 @@ let prepare_body (st : state) (pf : pfunc) : pblock array =
         | Instr.Phi _ -> ()
         | Instr.Srcloc (line, col) -> loc := (line, col)
         | i ->
-          body := prepare_instr st ctx i :: !body;
+          body := prepare_instr st ctx plan ~entry:(bidx = 0) i :: !body;
           locs := !loc :: !locs)
       b.Irfunc.instrs;
     {
@@ -925,6 +1043,28 @@ let prepare_body (st : state) (pf : pfunc) : pblock array =
         (fun (Edge (j, _)) -> if j <= i then pblocks.(j).pb_osr <- true)
         blk.pb_term)
     pblocks;
+  (* A candidate that escaped after the walk gave it slot forms, or
+     every one when the entry block re-runs, takes the memory forms
+     back: one pass, only over a body that has such a candidate. *)
+  if pblocks.(0).pb_osr then Bytes.fill plan 0 (Bytes.length plan) escaped;
+  let back r = plan_get plan r = escaped in
+  if
+    Array.exists
+      (function Pslot_alloca (r, _) -> back r | _ -> false)
+      pblocks.(0).pb_instrs
+  then
+    Array.iter
+      (fun { pb_instrs = a; _ } ->
+        for i = 0 to Array.length a - 1 do
+          match a.(i) with
+          | Pslot_alloca (r, s) when back r ->
+            let mty = Irtype.MScalar s in
+            a.(i) <- Palloca (r, mty, Irtype.mty_size mty)
+          | Pslot_load (r, s, p) when back p -> a.(i) <- Pload (r, s, Preg p)
+          | Pslot_store (s, v, p, _) when back p -> a.(i) <- Pstore (s, v, Preg p)
+          | _ -> ()
+        done)
+      pblocks;
   pblocks
 
 (* [pf]'s body, built once (interp.mli). *)
@@ -1116,13 +1256,10 @@ and exec_instrs st (fr : frame) (blk : pblock) : Mval.t option =
       (Profile.block_stat p ~func:fr.fr_func.pf_name ~label:blk.pb_label)
   | None -> ());
   let instrs = blk.pb_instrs in
-  let n = Array.length instrs in
-  let rec run i =
-    if i >= n then exec_term st fr blk
-    else begin
-      (* a handler per instruction, closed before the next one runs *)
-      (try
-      match instrs.(i) with
+  for i = 0 to Array.length instrs - 1 do
+    (* a handler per instruction, closed before the next one runs *)
+    try
+      match Array.unsafe_get instrs i with
       | Palloca (r, mty, size) ->
         charge st fr k_alloca;
         let obj = Mobject.alloc ~storage:Merror.Stack ~mty size in
@@ -1133,6 +1270,17 @@ and exec_instrs st (fr : frame) (blk : pblock) : Mval.t option =
       | Pstore (s, v, p) ->
         charge st fr k_store;
         exec_store st s (pv fr v) (pv fr p)
+      | Pslot_alloca (r, s) ->
+        (* the id the object would take, and its zero bytes *)
+        charge st fr k_alloca;
+        ignore (Mobject.fresh_id ());
+        fr.fr_regs.(r) <- slot_zero s
+      | Pslot_load (r, _, p) ->
+        charge st fr k_load;
+        fr.fr_regs.(r) <- fr.fr_regs.(p)
+      | Pslot_store (_, v, p, f) ->
+        charge st fr k_store;
+        fr.fr_regs.(p) <- f (pv fr v)
       | Pgep (r, base, g) ->
         charge st fr k_gep;
         fr.fr_regs.(r) <- exec_gep st fr (pv fr base) g
@@ -1163,30 +1311,21 @@ and exec_instrs st (fr : frame) (blk : pblock) : Mval.t option =
         for k = 0 to na - 1 do
           argv.(k) <- pv fr pargs.(k)
         done;
-        let result =
+        let tgt =
           match callee with
-          | Pdirect tgt -> exec_target st tgt argv scalars
-          | Pindirect v -> begin
-            match Mval.as_ptr (context st) (pv fr v) with
-            | Mobject.Pfunc name ->
-              exec_target st (resolve_callee st name) argv scalars
-            | Mobject.Pnull -> Merror.raise_error Merror.Null_deref (context st)
-            | Mobject.Pobj _ | Mobject.Pinvalid _ ->
-              Merror.raise_error
-                (Merror.Type_violation "indirect call through a data pointer")
-                (context st)
-          end
+          | Pdirect tgt -> tgt
+          | Pindirect (v, ret) ->
+            indirect_target st (context st) (pv fr v) ret scalars
         in
+        let result = exec_target st tgt argv scalars in
         if r >= 0 then
           fr.fr_regs.(r) <-
             (match result with Some v -> v | None -> Mval.zero)
-      with Merror.Error _ as e ->
-        locate fr blk.pb_locs.(i);
-        raise e);
-      run (i + 1)
-    end
-  in
-  run 0
+    with Merror.Error _ as e ->
+      locate fr blk.pb_locs.(i);
+      raise e
+  done;
+  exec_term st fr blk
 
 and exec_target st (tgt : call_target) argv scalars : Mval.t option =
   match tgt with

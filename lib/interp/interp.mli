@@ -95,10 +95,26 @@ type pterm =
           keys in order *)
   | Punreachable
 
+(** [Pslot_*] are the forms of a scalar-replaced alloca ([prepare]): an
+    entry-block alloca of one scalar, in a body whose entry block has no
+    predecessor, whose register is only ever the pointer of whole-slot
+    loads and stores of that scalar.  Its object is unobservable, so
+    both tiers keep its value in the register and replay the memory
+    round trip ([slot_zero], and [Pslot_store]'s staged store); the
+    plan is off under
+    [detect_uninit], which watches every alloca's init map. *)
 type pinstr =
   | Palloca of int * Irtype.mty * int
   | Pload of int * Irtype.scalar * pval
   | Pstore of Irtype.scalar * pval * pval
+  | Pslot_alloca of int * Irtype.scalar  (** (slot, scalar) *)
+  | Pslot_load of int * Irtype.scalar * int  (** (result, scalar, slot) *)
+  | Pslot_store of Irtype.scalar * pval * int * (Mval.t -> Mval.t)
+      (** (scalar, value, slot, the value the slot holds after storing
+          a value, with the store's side effects: [Mval.as_int] and
+          [Mval.as_ptr] as the memory path calls them, and the cookie
+          registrations of [Mobject.store_ptr]; staged at prepare
+          time) *)
   | Pgep of int * pval * pgep
   | Pbinop of
       int * Instr.binop * Irtype.scalar * pval * pval
@@ -115,9 +131,9 @@ type pinstr =
 
 and pcallee =
   | Pdirect of call_target  (** resolved when the caller is prepared *)
-  | Pindirect of pval
-      (** the function pointer; both tiers resolve the name it carries
-          through [resolve_callee] at each call *)
+  | Pindirect of pval * Irtype.scalar option
+      (** the function pointer and the call's result type; both tiers
+          resolve it through [indirect_target] at each call *)
 
 and call_target =
   | Tgt_user of pfunc
@@ -244,7 +260,7 @@ and state = {
     terminator [t]: a switch's cases in order, then its default;
     nothing for [Pret] and [Punreachable].
     The one CFG walk of the prepare-time loop-header marking and the
-    closure compiler's slot planning and register classification. *)
+    closure compiler's register classification. *)
 val iter_edges : (pedge -> unit) -> pterm -> unit
 
 (** "in function <name>" of the innermost frame. *)
@@ -277,14 +293,28 @@ val is_builtin : string -> bool
 
 (** Resolve a callee name: user function shadows builtin; unknown names
     fail only when called.  Links direct calls as their caller is
-    prepared, and resolves every indirect call, in both tiers, when it
-    executes. *)
+    prepared. *)
 val resolve_callee : state -> string -> call_target
+
+(** [indirect_target st ctx fp ret scalars]: the target of an indirect
+    call through [fp] with result type [ret] and argument types
+    [scalars], in both tiers.  A null or data pointer, and a callee whose
+    declared result or parameters (a user or libc function, or a
+    builtin's extern declaration) are of the other class, integer or
+    pointer versus float, than the call's, raise a managed error. *)
+val indirect_target :
+  state -> string -> Mval.t -> Irtype.scalar option -> Irtype.scalar array ->
+  call_target
+
+(** The value a slot holds after its alloca: what a load of the fresh
+    object's zero bytes reads. *)
+val slot_zero : Irtype.scalar -> Mval.t
 
 (** [prepare st pf] builds [pf]'s body in the pre-resolved form (branch
     targets as block indices, phi parallel copies on the edges, scalar
     operations staged, direct call sites linked through
-    [resolve_callee]), unless it is already prepared.  [call_function]
+    [resolve_callee], scalar-replaced allocas in their slot forms),
+    unless it is already prepared.  [call_function]
     runs it at a function's first call; the closure compiler runs it on
     the direct callees it considers for inlining.  It allocates no
     managed object, so which functions a run prepares never shows in

@@ -36,6 +36,11 @@
     handler around the raising part of each operation only (its slow
     path, never the continuation) writes the location ([pb_locs]).
 
+    Slots, the scalar-replaced allocas [Interp.prepare] planned for
+    both tiers, compile to register moves in their scalar's class that
+    replay the memory round trip as tier 1 does, pointer slots
+    included; no slot's object exists in either tier.
+
     Two more §11 features ride on the same machinery:
 
     - *Tiny-callee inlining*: a direct call to a leaf callee of at most
@@ -46,10 +51,11 @@
       evaluation, the depth guard, per-callee counters and step charges
       — without the [call_function] frame push/pop, which a fault
       inside puts back.
-    - *On-stack replacement* ([cb_osr]): functions with loop headers
-      also get an OSR entry that transfers a live interpreter frame
-      into the compiled register files and resumes at the loop-header
-      block, so a single long-running invocation can tier up mid-call.
+    - *On-stack replacement* ([cb_osr], built with [cb_frame] by
+      [frames]): functions with loop headers also get an OSR entry
+      that transfers a live interpreter frame into the compiled
+      register files and resumes at the loop-header block, so a single
+      long-running invocation can tier up mid-call.
 
     The contract is *observable bit-equivalence* with the interpreter:
     identical program output, identical managed errors at the same
@@ -178,6 +184,9 @@ let shift_instr base = function
   | Palloca (r, mty, size) -> Palloca (r + base, mty, size)
   | Pload (r, s, p) -> Pload (r + base, s, shift_pval base p)
   | Pstore (s, v, p) -> Pstore (s, shift_pval base v, shift_pval base p)
+  | Pslot_alloca (r, s) -> Pslot_alloca (r + base, s)
+  | Pslot_load (r, s, p) -> Pslot_load (r + base, s, p + base)
+  | Pslot_store (s, v, p, f) -> Pslot_store (s, shift_pval base v, p + base, f)
   | Pgep (r, b, g) -> Pgep (r + base, shift_pval base b, shift_gep base g)
   | Pbinop (r, op, s, a, b, f) ->
     Pbinop (r + base, op, s, shift_pval base a, shift_pval base b, f)
@@ -194,7 +203,7 @@ let shift_instr base = function
     let callee =
       match callee with
       | Pdirect _ as c -> c
-      | Pindirect v -> Pindirect (shift_pval base v)
+      | Pindirect (v, ret) -> Pindirect (shift_pval base v, ret)
     in
     Pcall ((if r >= 0 then r + base else r), callee, Array.map (shift_pval base) args, scalars)
 
@@ -305,156 +314,6 @@ let plan_inlines (st0 : state) (pf : pfunc) :
   (sites, !next_base)
 
 (* ------------------------------------------------------------------ *)
-(* Scalar replacement of allocas (virtual stack slots)                 *)
-(* ------------------------------------------------------------------ *)
-
-(** Plan which allocas compile to virtual stack slots (DESIGN.md §11).
-    A register [r] qualifies when
-
-    - its only writer is a single [Palloca] of exactly one scalar
-      ([MScalar s] with the matching byte size), sitting in its
-      instance's entry block, and that entry block is not a branch
-      target — so the alloca executes first, before any access, and
-      re-executes only when the whole instance re-enters (which is
-      exactly when a fresh object would be allocated);
-    - every other appearance of [r] is as the *pointer* operand of a
-      [Pload]/[Pstore] of that same scalar [s] (a whole-slot access at
-      offset 0), at an instruction position the alloca precedes;
-    - the scalar is not [Ptr]: a pointer store's slot-table and cookie
-      registrations are side effects of the object, which a virtual
-      slot does not have.
-
-    Such a slot's object is unobservable — its address never escapes,
-    so no other pointer, free, or forged cookie can reach it — and the
-    compiled code keeps the value in a register of the scalar's class
-    instead, replaying the memory round trip on every access
-    ([normalize_int], f32 bit-rounding, [as_int] pointer degradation)
-    so values, errors and side effects stay bit-identical to the real
-    memory path.  The allocation id the real object would consume is
-    still ticked ([Mobject.fresh_id]), keeping every later allocation's
-    id — observable through pointer cookies — exactly as interpreted.
-    Slots are per-instance, so an inlined callee's locals qualify
-    independently of its caller's. *)
-let plan_slots (blocks_list : pblock array list)
-    (boxed_roots : int array list) (nregs : int) :
-    (int, Irtype.scalar) Hashtbl.t =
-  let scalar_of : Irtype.scalar option array = Array.make nregs None in
-  let pos_of = Array.make nregs (-1) in
-  let inst_of : pblock array array = Array.make nregs [||] in
-  let writes = Array.make nregs 0 in
-  let disq = Array.make nregs false in
-  let kill r = if r >= 0 && r < nregs then disq.(r) <- true in
-  let pv = function Preg r -> kill r | Pimm _ -> () in
-  let wr r = if r >= 0 && r < nregs then writes.(r) <- writes.(r) + 1 in
-  (* pass 1: candidate allocas and write counts *)
-  List.iter
-    (fun blocks ->
-      let entry_pred = ref false in
-      Array.iter
-        (fun blk ->
-          iter_edges
-            (fun (Edge (j, _)) -> if j = 0 then entry_pred := true)
-            blk.pb_term)
-        blocks;
-      let entry_pred = !entry_pred in
-      Array.iteri
-        (fun bi blk ->
-          Array.iteri
-            (fun ii i ->
-              match i with
-              | Palloca (r, mty, size) -> begin
-                wr r;
-                match mty with
-                | Irtype.MScalar s
-                  when bi = 0 && (not entry_pred) && s <> Irtype.Ptr
-                       && size = Irtype.scalar_size s && r >= 0 && r < nregs ->
-                  scalar_of.(r) <- Some s;
-                  pos_of.(r) <- ii;
-                  inst_of.(r) <- blocks
-                | _ -> kill r
-              end
-              | Pload (r, _, _)
-              | Pgep (r, _, _)
-              | Pbinop (r, _, _, _, _, _)
-              | Picmp (r, _, _, _, _, _)
-              | Pfcmp (r, _, _, _, _)
-              | Pcast (r, _, _, _, _, _) -> wr r
-              | Pcall (r, _, _, _) -> if r >= 0 then wr r
-              | Pstore _ | Psancheck -> ())
-            blk.pb_instrs)
-        blocks)
-    blocks_list;
-  (* pass 2: every use must be a whole-slot access of the candidate's
-     scalar, positioned after the alloca; anything else disqualifies *)
-  let slot_use blocks bi ii r s =
-    match scalar_of.(r) with
-    | Some s0
-      when s0 = s && not (blocks == inst_of.(r) && bi = 0 && ii < pos_of.(r))
-      -> ()
-    | _ -> kill r
-  in
-  let copies = function
-    | Pc_copy (dests, srcs) ->
-      Array.iter wr dests;
-      Array.iter pv srcs
-    | Pc_none -> ()
-  in
-  let edge (Edge (_, c)) = copies c in
-  List.iter
-    (fun blocks ->
-      Array.iteri
-        (fun bi blk ->
-          Array.iteri
-            (fun ii i ->
-              match i with
-              | Palloca _ | Psancheck -> ()
-              | Pload (_, s, p) -> begin
-                match p with
-                | Preg r when r >= 0 && r < nregs && scalar_of.(r) <> None ->
-                  slot_use blocks bi ii r s
-                | p -> pv p
-              end
-              | Pstore (s, v, p) -> begin
-                pv v;
-                match p with
-                | Preg r when r >= 0 && r < nregs && scalar_of.(r) <> None ->
-                  slot_use blocks bi ii r s
-                | p -> pv p
-              end
-              | Pgep (_, b, g) ->
-                pv b;
-                Array.iter (fun (v, _) -> pv v) g.pg_dyn
-              | Pbinop (_, _, _, a, b, _) ->
-                pv a;
-                pv b
-              | Picmp (_, _, _, a, b, _) ->
-                pv a;
-                pv b
-              | Pfcmp (_, _, a, b, _) ->
-                pv a;
-                pv b
-              | Pcast (_, _, _, _, v, _) -> pv v
-              | Pcall (_, callee, args, _) ->
-                (match callee with Pindirect v -> pv v | Pdirect _ -> ());
-                Array.iter pv args)
-            blk.pb_instrs;
-          (match blk.pb_term with
-          | Pret (Some v) | Pcondbr (v, _, _) | Pswitch (v, _, _, _) -> pv v
-          | Pret None | Pbr _ | Punreachable -> ());
-          iter_edges edge blk.pb_term)
-        blocks)
-    blocks_list;
-  List.iter (Array.iter kill) boxed_roots;
-  let slots = Hashtbl.create 16 in
-  Array.iteri
-    (fun r so ->
-      match so with
-      | Some s when (not disq.(r)) && writes.(r) = 1 -> Hashtbl.add slots r s
-      | _ -> ())
-    scalar_of;
-  slots
-
-(* ------------------------------------------------------------------ *)
 (* Register classification                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -470,16 +329,12 @@ type rclass =
     (written by the edges' boxed parallel copies), call results and
     [boxed_roots] (parameter registers: caller's and each inlined
     instance's, written boxed by the call protocol) are [Rbox].
-    [slots] (scalar-replaced allocas, see [plan_slots]) classify by
-    their scalar instead of as pointers: a small-int slot's only
-    writers are the alloca's zero and whole-slot integer stores, so it
-    lands in [Rint]; float slots land in [Rfloat]; I64 slots stay
-    boxed ([Vint]-only by construction — the store re-boxes through
-    [Mval.as_int], and the alloca's zero is [Vint 0], which is exactly
-    what a zero-filled 8-byte load would box). *)
+    A slot ([Interp.Pslot_alloca]) classifies by its scalar: its only
+    writers are its alloca and whole-slot stores, so a small-int slot
+    lands in [Rint], a float slot in [Rfloat], and I64 and pointer
+    slots stay boxed. *)
 let classify (blocks_list : pblock array list)
-    (boxed_roots : int array list) (slots : (int, Irtype.scalar) Hashtbl.t)
-    (nregs : int) : rclass array =
+    (boxed_roots : int array list) (nregs : int) : rclass array =
   let cls : rclass option array = Array.make nregs None in
   let write r c =
     if r >= 0 && r < nregs then
@@ -494,16 +349,11 @@ let classify (blocks_list : pblock array list)
     else Rbox
   in
   let instr = function
-    | Palloca (r, _, _) ->
-      (* a slot's alloca writes the slot's zero in the slot's class *)
-      write r
-        (match Hashtbl.find_opt slots r with Some s -> of_scalar s | None -> Rbox)
-    | Pload (r, s, _) -> write r (of_scalar s)
-    | Pstore (s, _, Preg rp) when Hashtbl.mem slots rp ->
-      (* a whole-slot store writes the slot register in its class *)
-      write rp (of_scalar s)
+    | Pload (r, s, _) | Pslot_alloca (r, s) | Pslot_load (r, s, _)
+    | Pslot_store (s, _, r, _) ->
+      write r (of_scalar s)
     | Pstore _ | Psancheck -> ()
-    | Pgep (r, _, _) | Pcall (r, _, _, _) -> write r Rbox
+    | Palloca (r, _, _) | Pgep (r, _, _) | Pcall (r, _, _, _) -> write r Rbox
     | Pbinop (r, op, s, _, _, _) ->
       write r
         (if binop_kind op = k_fbinop then Rfloat
@@ -538,6 +388,75 @@ let classify (blocks_list : pblock array list)
   Array.map (function Some c -> c | None -> Rbox) cls
 
 (* ------------------------------------------------------------------ *)
+(* Frames of compiled code                                             *)
+(* ------------------------------------------------------------------ *)
+
+(** The frames of [pf]'s compiled code, whose merged register file has
+    the classes [cls] and whose blocks run from [cells]: [cb_frame] and,
+    for a function with loop headers, [cb_osr].
+
+    [call_function] obtains a compiled function's frames through
+    [cb_frame], which builds the register files right-sized in one
+    shot (DESIGN.md §11): the generic path would allocate a
+    [pf_nregs] boxed file only to replace it with the enlarged copy.
+    (A recycling pool was measured and rejected: re-zeroing promoted
+    arrays pays a write barrier per element, which loses to the minor
+    allocator.)  [cb_entry] therefore starts execution directly.
+
+    [cb_osr] transfers a live interpreter frame: the interpreter ran
+    this invocation so far, so every live register, a slot's
+    included, sits boxed in [fr_regs]; each moves into its class's
+    file.  A register whose box does not match its class is either
+    unwritten (still [Mval.zero], represented identically by every
+    class' zero — [as_float (Vint 0)] is [0.0]) or dead by SSA
+    dominance, so the transfer is exact. *)
+let frames (pf : pfunc) (cls : rclass array) (cells : cont ref array) :
+    (Mval.t array -> Irtype.scalar array -> frame) * osr_body option =
+  let nregs = Array.length cls in
+  let any_i = Array.mem Rint cls and any_f = Array.mem Rfloat cls in
+  let iregs () = if any_i then Array.make nregs 0 else [||] in
+  let fregs () = if any_f then Array.make nregs 0.0 else [||] in
+  let acquire args arg_scalars =
+    let regs = Array.make nregs Mval.zero in
+    let bound = min pf.pf_nparams (Array.length args) in
+    for i = 0 to bound - 1 do
+      regs.(pf.pf_param_regs.(i)) <- args.(i)
+    done;
+    {
+      fr_func = pf;
+      fr_regs = regs;
+      fr_iregs = iregs ();
+      fr_fregs = fregs ();
+      fr_args = args;
+      fr_arg_scalars = arg_scalars;
+      fr_variadic = pf.pf_variadic;
+      fr_nparams = pf.pf_nparams;
+      fr_line = 0;
+      fr_col = 0;
+    }
+  in
+  let transfer st fr idx =
+    let boxed = fr.fr_regs in
+    let nold = Array.length boxed in
+    if nregs > nold then begin
+      (* inlined callees enlarged the register file *)
+      fr.fr_regs <- Array.make nregs Mval.zero;
+      Array.blit boxed 0 fr.fr_regs 0 nold
+    end;
+    fr.fr_iregs <- iregs ();
+    fr.fr_fregs <- fregs ();
+    for r = 0 to nold - 1 do
+      match (cls.(r), boxed.(r)) with
+      | Rint, Mval.Vint v -> fr.fr_iregs.(r) <- Int64.to_int v
+      | Rfloat, Mval.Vfloat f -> fr.fr_fregs.(r) <- f
+      | Rfloat, Mval.Vint v -> fr.fr_fregs.(r) <- Int64.to_float v
+      | _ -> ()
+    done;
+    !(cells.(idx)) st fr
+  in
+  (acquire, if Array.exists (fun b -> b.pb_osr) pf.pf_blocks then Some transfer else None)
+
+(* ------------------------------------------------------------------ *)
 (* The compiler                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -562,13 +481,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
     pf.pf_param_regs
     :: Hashtbl.fold (fun _ s acc -> s.is_params :: acc) sites []
   in
-  (* Uninitialized-read detection watches the real init bitmap, so
-     allocas must stay real objects when it is on. *)
-  let slots =
-    if st0.detect_uninit then Hashtbl.create 0
-    else plan_slots blocks_list boxed_roots nregs
-  in
-  let cls = classify blocks_list boxed_roots slots nregs in
+  let cls = classify blocks_list boxed_roots nregs in
   let empty_sites : (int * int, inline_site) Hashtbl.t = Hashtbl.create 1 in
 
   (* --- class-aware operand access (shared by all instances) --- *)
@@ -876,15 +789,15 @@ let compile (st0 : state) (pf : pfunc) : compiled =
          only in the state that compiled it, on its innermost frame. *)
       let div0 () = at st0 (List.hd st0.frames); div0 ctx () in
       match blk.pb_instrs.(i) with
-      (* --- scalar-replaced allocas (virtual stack slots) ---
-         [plan_slots] proved the object unobservable, so the slot
-         lives in a register of its scalar's class and every access
-         replays the exact memory round trip.  The alloca still
-         consumes an allocation id (the ids of later allocations are
-         observable through cookies) and re-zeroes the slot — for an
-         I64 slot the boxed zero [Vint 0] is exactly what a load of
-         the fresh object's zero bytes would box. *)
-      | Palloca (r, _, _) when Hashtbl.mem slots r -> begin
+      (* --- scalar-replaced allocas (slots, [Interp.prepare]) ---
+         A slot lives in a register of its scalar's class and every
+         access replays the memory round trip as tier 1's does
+         ([Interp.slot_zero], and the store [Pslot_store] staged
+         at prepare time): the alloca
+         consumes the allocation id of the object (the ids of later
+         allocations are observable through cookies) and re-zeroes
+         the slot. *)
+      | Pslot_alloca (r, s) -> begin
         match cls.(r) with
         | Rint ->
           fun st fr ->
@@ -899,17 +812,18 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             Array.unsafe_set fr.fr_fregs r 0.0;
             next st fr
         | Rbox ->
+          let zero = slot_zero s in
           fun st fr ->
             charge st ctrs k_alloca limit;
             ignore (Mobject.fresh_id ());
-            Array.unsafe_set fr.fr_regs r Mval.zero;
+            Array.unsafe_set fr.fr_regs r zero;
             next st fr
       end
-      | Pload (r, _, Preg rp) when Hashtbl.mem slots rp -> begin
-        (* whole-slot load: forward the slot register (already the
-           exact value a memory load would produce).  These are the
-           hottest operations in alloca-based code, so each shape is
-           a fully inlined register move — no accessor closures. *)
+      | Pslot_load (r, _, rp) -> begin
+        (* forward the slot register (already the exact value a memory
+           load would produce).  These are the hottest operations in
+           alloca-based code, so each shape is a fully inlined
+           register move — no accessor closures. *)
         match cls.(rp) with
         | Rint when cls.(r) = Rint ->
           fun st fr ->
@@ -941,12 +855,11 @@ let compile (st0 : state) (pf : pfunc) : compiled =
             Array.unsafe_set fr.fr_regs r (Array.unsafe_get fr.fr_regs rp);
             next st fr
       end
-      | Pstore (s, v, Preg rp) when Hashtbl.mem slots rp -> begin
-        (* whole-slot store: normalize exactly like the memory round
-           trip would — small ints sign-extend their stored low bits,
-           F32 rounds through its bit pattern, I64 re-boxes through
-           [Mval.as_int] (same pointer-cookie side effect as the
-           interpreter's store). *)
+      | Pslot_store (s, v, rp, f) -> begin
+        (* the unboxed carriers replay [f]: small ints keep their
+           stored low bits sign-extended, F32 rounds through its bit
+           pattern; [iget] and [fget] convert like [Mval.as_int] and
+           [Mval.as_float] *)
         match cls.(rp) with
         | Rint -> begin
           let nrm = Scalar.Small.normalize s in
@@ -986,7 +899,8 @@ let compile (st0 : state) (pf : pfunc) : compiled =
           let g = getter v in
           fun st fr ->
             charge st ctrs k_store limit;
-            Array.unsafe_set fr.fr_regs rp (Mval.Vint (Mval.as_int (g fr)));
+            let x = try f (g fr) with Merror.Error _ as e -> at st fr; raise e in
+            Array.unsafe_set fr.fr_regs rp x;
             next st fr
       end
       | Palloca (r, mty, size) ->
@@ -1511,21 +1425,14 @@ let compile (st0 : state) (pf : pfunc) : compiled =
                 ignore (eval_args fr);
                 failwith ("interp: unknown builtin " ^ name)
           end
-          | Pindirect v ->
+          | Pindirect (v, ret) ->
             let gv = getter v in
             fun st fr ->
               charge st ctrs k_call limit;
               let argv = eval_args fr in
               (try
-                 match Mval.as_ptr ctx (gv fr) with
-                 | Mobject.Pfunc name ->
-                   finish fr (exec_target st (resolve_callee st name) argv scalars)
-                 | Mobject.Pnull -> Merror.raise_error Merror.Null_deref ctx
-                 | Mobject.Pobj _ | Mobject.Pinvalid _ ->
-                   Merror.raise_error
-                     (Merror.Type_violation
-                        "indirect call through a data pointer")
-                     ctx
+                 let tgt = indirect_target st ctx (gv fr) ret scalars in
+                 finish fr (exec_target st tgt argv scalars)
                with Merror.Error _ as e -> at st fr; raise e);
               next st fr)
       end
@@ -1569,108 +1476,5 @@ let compile (st0 : state) (pf : pfunc) : compiled =
 
   let entry, cells = instance pf pf.pf_blocks sites Ret_fun None in
 
-  (* --- register-file installation and OSR frame transfer --- *)
-  let any_i = Array.mem Rint cls and any_f = Array.mem Rfloat cls in
-  let install (fr : frame) =
-    if nregs > Array.length fr.fr_regs then begin
-      (* inlined callees enlarged the register file *)
-      let regs = Array.make nregs Mval.zero in
-      Array.blit fr.fr_regs 0 regs 0 (Array.length fr.fr_regs);
-      fr.fr_regs <- regs
-    end;
-    if any_i then fr.fr_iregs <- Array.make nregs 0;
-    if any_f then fr.fr_fregs <- Array.make nregs 0.0
-  in
-  (* Direct frame construction (DESIGN.md §11): [call_function]
-     obtains frames through [cb_frame], which builds the register
-     files right-sized in one shot — the generic path would allocate
-     a [pf_nregs] boxed file only for [install] to immediately
-     replace it with the enlarged copy.  (A recycling pool was
-     measured and rejected: re-zeroing promoted arrays pays a write
-     barrier per element, which loses to the minor allocator.)
-     [cb_entry] therefore starts execution directly: acquired frames
-     arrive fully installed. *)
-  let nparams = pf.pf_nparams in
-  let param_regs = pf.pf_param_regs in
-  let acquire args arg_scalars =
-    let regs = Array.make nregs Mval.zero in
-    let bound = min nparams (Array.length args) in
-    for i = 0 to bound - 1 do
-      regs.(param_regs.(i)) <- args.(i)
-    done;
-    {
-      fr_func = pf;
-      fr_regs = regs;
-      fr_iregs = (if any_i then Array.make nregs 0 else [||]);
-      fr_fregs = (if any_f then Array.make nregs 0.0 else [||]);
-      fr_args = args;
-      fr_arg_scalars = arg_scalars;
-      fr_variadic = pf.pf_variadic;
-      fr_nparams = nparams;
-      fr_line = 0;
-      fr_col = 0;
-    }
-  in
-  let cb_entry = entry in
-  let cb_osr =
-    if not (Array.exists (fun b -> b.pb_osr) pf.pf_blocks) then None
-    else
-      Some
-        (fun st fr idx ->
-          (* Frame transfer: the interpreter ran this invocation so
-             far, so every live register sits boxed in [fr_regs];
-             move each into its compiled class file.  A register
-             whose box does not match its class is either unwritten
-             (still [Mval.zero], represented identically by every
-             class' zero — [as_float (Vint 0)] is [0.0]) or dead by
-             SSA dominance, so the transfer is exact. *)
-          let boxed = fr.fr_regs in
-          let nold = Array.length boxed in
-          install fr;
-          for r = 0 to nold - 1 do
-            match cls.(r) with
-            | Rint -> begin
-              match boxed.(r) with
-              | Mval.Vint v -> fr.fr_iregs.(r) <- Int64.to_int v
-              | Mval.Vfloat _ | Mval.Vptr _ -> ()
-            end
-            | Rfloat -> begin
-              match boxed.(r) with
-              | Mval.Vfloat f -> fr.fr_fregs.(r) <- f
-              | Mval.Vint v -> fr.fr_fregs.(r) <- Int64.to_float v
-              | Mval.Vptr _ -> ()
-            end
-            | Rbox -> ()
-          done;
-          (* Scalar-replaced allocas: the interpreter prefix kept the
-             slot in a real stack object (the box holds its pointer);
-             read the live value through it into the slot register.
-             The object itself goes stale from here on — sound
-             because [plan_slots] proved its address unreachable from
-             anywhere else.  The entry block (no predecessors) always
-             ran before any OSR-able loop header, so the box is
-             always a written pointer; anything else means the
-             register is dead and the class zero stands. *)
-          Hashtbl.iter
-            (fun r s ->
-              if r < nold then
-                match boxed.(r) with
-                | Mval.Vptr (Mobject.Pobj a) -> begin
-                  let size = Irtype.scalar_size s in
-                  match cls.(r) with
-                  | Rint ->
-                    fr.fr_iregs.(r) <-
-                      Int64.to_int
-                        (Scalar.normalize_int s
-                           (Mobject.load_int a ~size pf.pf_context))
-                  | Rfloat ->
-                    fr.fr_fregs.(r) <- Mobject.load_float a ~size pf.pf_context
-                  | Rbox ->
-                    fr.fr_regs.(r) <-
-                      Mval.Vint (Mobject.load_int a ~size:8 pf.pf_context)
-                end
-                | Mval.Vint _ | Mval.Vfloat _ | Mval.Vptr _ -> ())
-            slots;
-          !(cells.(idx)) st fr)
-  in
-  { cb_entry; cb_osr; cb_frame = acquire }
+  let cb_frame, cb_osr = frames pf cls cells in
+  { cb_entry = entry; cb_osr; cb_frame }

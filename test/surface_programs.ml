@@ -1,5 +1,6 @@
 (** Write the corpus bugs, their repaired variants, the bench programs
-    and the programs that fault in compiled code ([Tier_faults]) to the
+    and the programs of [Tier_faults] (faults in compiled code, slot
+    shapes, indirect calls of the other class) to the
     directory named on the command line, for test/surfaces.sh:
     [NAME.c], the program arguments after argv[0] one per line in
     [NAME.argv] ([sulong run] passes the file name as argv[0]), and the
@@ -32,4 +33,4 @@ let () =
       program dir b.Benchprogs.b_name ~args:[] ~input:"" b.Benchprogs.b_source)
     Benchprogs.all;
   List.iter (fun (name, src) -> program dir name ~args:[] ~input:"" src)
-    Tier_faults.all
+    (Tier_faults.all @ Tier_faults.edges)

@@ -278,10 +278,13 @@ int main(void) {
 }
 |}
 
-let run_src ?tier ?(argv = [ "prog" ]) (src : string) : Interp.run_result =
+let run_src ?tier ?detect_uninit ?(argv = [ "prog" ]) (src : string) :
+    Interp.run_result =
   let m = Loader.load_program src in
   Pipeline.compile_sulong m;
-  let st = Interp.create ~step_limit ~mementos:true ~input:"" ?tier m in
+  let st =
+    Interp.create ~step_limit ~mementos:true ?detect_uninit ~input:"" ?tier m
+  in
   Interp.run ~argv st
 
 let test_osr_fires_and_matches () =
@@ -385,7 +388,109 @@ let test_slot_allocation_ids () =
   let tiered =
     observe (run_src ~tier:(Tier.controller ~threshold:0 ()) slot_id_src)
   in
-  Alcotest.(check string) "allocation-id sequence survives slots" interp tiered
+  Alcotest.(check string) "allocation-id sequence survives slots" interp tiered;
+  Alcotest.(check string) "allocation-id sequence of real objects" interp
+    (observe (run_src ~detect_uninit:true slot_id_src))
+
+(* ---------------- slots replay the memory round trip ---------------- *)
+
+(* Stores C code never makes: values wider than the slot ([Verify]
+   checks classes, not widths), a double into a float slot, and a
+   pointer into an i64 slot, whose cookie registration lets [%8], one
+   object past [%4], reach [%5].  Exits with 15 when each of the four
+   round trips holds. *)
+let wide_stores_ir =
+  {|define i32 @main() {
+entry:
+  %0 = alloca i8
+  %1 = alloca i16
+  %2 = alloca float
+  %3 = alloca i64
+  %4 = alloca i32
+  %5 = alloca i32
+  %29 = add i32 i32 200, i32 100
+  store i8 %29, %0
+  store i16 i32 70000, %1
+  store float double 0x1.0000001p+0, %2
+  store i64 %5, %3
+  store i32 i32 2, %5
+  %6 = ptrtoint ptr %4 to i64
+  %7 = add i64 %6, i64 4294967296
+  %8 = inttoptr i64 %7 to ptr
+  store i32 i32 7, %8
+  %9 = load i8, %0
+  %10 = sext i8 %9 to i32
+  %11 = icmp eq i32 %10, i32 44
+  %12 = load i16, %1
+  %13 = sext i16 %12 to i32
+  %14 = icmp eq i32 %13, i32 4464
+  %15 = load float, %2
+  %16 = fcmp oeq float %15, float 0x1p+0
+  %17 = load i32, %5
+  %18 = icmp eq i32 %17, i32 7
+  %19 = zext i1 %11 to i32
+  %20 = zext i1 %14 to i32
+  %21 = zext i1 %16 to i32
+  %22 = zext i1 %18 to i32
+  %23 = shl i32 %20, i32 1
+  %24 = shl i32 %21, i32 2
+  %25 = shl i32 %22, i32 3
+  %26 = or i32 %19, %23
+  %27 = or i32 %26, %24
+  %28 = or i32 %27, %25
+  ret i32 %28
+}
+|}
+
+(* Both tiers run the slots [Interp.prepare] plans, so the sweeps that
+   compare the tiers check nothing about the replay.  Under
+   [detect_uninit] the plan is off and every alloca is a real object:
+   each program runs the same in both states (output, steps, exit,
+   error, report frames and counters: [observe]), interpreted and
+   tiered at threshold 0 and at the production threshold.  The
+   programs: the corpus, the compute programs, [Tier_faults.edges]
+   (the OSR fault of [Tier_faults.all] reads memory it never wrote)
+   and [wide_stores_ir]. *)
+let test_slot_law () =
+  let programs =
+    List.map
+      (fun (p : Groundtruth.program) ->
+        (p.Groundtruth.id, (fun () -> load p), p.Groundtruth.argv, p.Groundtruth.input))
+      (Corpus.all @ fixed_programs)
+    @ List.map
+        (fun (name, src) -> (name, (fun () -> Loader.load_program src), [ "prog" ], ""))
+        (List.map
+           (fun (b : Benchprogs.bench) -> (b.Benchprogs.b_name, b.Benchprogs.b_source))
+           (Benchprogs.binarytrees :: Benchprogs.perf_suite)
+        @ Tier_faults.edges)
+    @ [
+        ( "wide stores (IR)",
+          (fun () ->
+            let m = Irparse.parse wide_stores_ir in
+            Verify.verify m;
+            m),
+          [ "prog" ],
+          "" );
+      ]
+  in
+  List.iter
+    (fun (name, load, argv, input) ->
+      let m = load () in
+      List.iter
+        (fun (what, tier) ->
+          let run detect_uninit =
+            observe
+              (Interp.run ~argv
+                 (Interp.create ~step_limit ~mementos:true ~detect_uninit ~input
+                    ?tier:(tier ()) m))
+          in
+          Alcotest.(check string) (name ^ ", " ^ what) (run true) (run false))
+        [
+          ("interpreted", fun () -> None);
+          ("threshold 0", fun () -> Some (Tier.controller ~threshold:0 ()));
+          ("default threshold", fun () -> Some (Tier.controller ()));
+        ])
+    programs
 
 (* ---------------- compiled-body cache across reset ---------------- *)
 
@@ -830,6 +935,8 @@ let () =
         [
           Alcotest.test_case "scalar replacement keeps allocation ids" `Quick
             test_slot_allocation_ids;
+          Alcotest.test_case "slots run as real objects do, in both tiers"
+            `Quick test_slot_law;
         ] );
       ( "cache",
         [
